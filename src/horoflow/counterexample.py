@@ -59,7 +59,9 @@ def distance_to_axis(x: Sequence[float]) -> float:
 
     Shifting the minimisation variable turns the objective into the convex
     quartic family (sigma^2 + a)^2 + (b sigma + c)^2 with a = x2^2, b = -x2,
-    c = x3 - x1 x2, which has a unique bracketable minimiser.
+    c = x3 - x1 x2.  Its unique minimiser is the real root of a strictly
+    increasing cubic, found by Cardano's formula plus one Newton step
+    (relative error below 1e-15 against an exact oracle; see scalarmin).
     """
     x = np.asarray(x, dtype=float)
     a = x[1] * x[1]
@@ -288,11 +290,12 @@ def solve_regularized(
 def rung_monitor_report(uv: UVSolution) -> RungReport:
     eps, tau = uv.epsilon, float(uv.times[-1])
     failures = []
+    # every check is written so that a NaN fails it
 
     min_u, min_v = float(np.min(uv.u)), float(np.min(uv.v))
-    if min_u < -MONITOR_TOL:
+    if not min_u >= -MONITOR_TOL:
         failures.append("sign_u")
-    if min_v < -MONITOR_TOL:
+    if not min_v >= -MONITOR_TOL:
         failures.append("sign_v")
 
     mix = uv.u + MIX_WEIGHT_UPPER * uv.v
@@ -310,13 +313,13 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     sys = SingularUVSystem(uv.variant, eps)
     du0, dv0 = uv_rhs(sys, 0.0, 1.0, 1.0)
     stationarity = (abs(du0), abs(dv0))
-    if max(stationarity) > 1e-12:
+    if not all(x <= 1e-12 for x in stationarity):
         failures.append("stationarity_at_zero")
 
     res = singular_integral_residual(uv)
     # integral-form defect should track the stepper tolerance, not the bounds;
     # flag only wild values
-    if res > 1e-6:
+    if not res <= 1e-6:
         failures.append("integral_residual")
 
     lower_margin = None
@@ -343,13 +346,13 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
         lower_margin = float(np.min(
             fvals[sl] - (uv.v[sl] - c5 * (uv.times[sl] + eps))
         ))
-        if lower_margin < -MONITOR_TOL:
+        if not lower_margin >= -MONITOR_TOL:
             failures.append("axis_term_lower_bound")
 
     lower_mix = uv.u[sl] + MIX_WEIGHT_LOWER * uv.v[sl]
     lower_env = (1.0 + MIX_WEIGHT_LOWER) - 3.0 * crossing_const * (uv.times[sl] + eps)
     lower_mix_margin = float(np.min(lower_mix - lower_env))
-    if lower_mix_margin < -MONITOR_TOL:
+    if not lower_mix_margin >= -MONITOR_TOL:
         failures.append("mix_lower_envelope")
 
     crossing_time = None
@@ -357,7 +360,7 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     if stop < len(uv.times):
         crossing_time = float(uv.times[stop])
         crossing_threshold = 1.0 / (26.0 * crossing_const)
-        if crossing_time < crossing_threshold - MONITOR_TOL:
+        if not crossing_time >= crossing_threshold - MONITOR_TOL:
             failures.append("first_crossing_too_early")
 
     return RungReport(
@@ -393,7 +396,7 @@ def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
     integral = cumulative_simpson(integrand, t)
     defect_u = u - u[0] - integral[:, 0]
     defect_v = v - v[0] - integral[:, 1]
-    return float(max(np.max(np.abs(defect_u)), np.max(np.abs(defect_v))))
+    return float(np.max(np.abs([defect_u, defect_v])))
 
 
 # --------------------------------------------------------------------------- epsilon ladder

@@ -310,12 +310,6 @@ def estimate_lipschitz(
 # --------------------------------------------------------------------------- JSON field specs
 
 
-def _axis_point_distance(t: float, x: np.ndarray) -> float:
-    # quartic-gauge distance from the moving axis point (t, 0, 0)
-    h = (x[0] - t) ** 2 + x[1] ** 2
-    return float((h * h + (x[2] - t * x[1]) ** 2) ** 0.25)
-
-
 def field_from_spec(
     alg: GradedAlgebra,
     spec: Mapping,
@@ -328,7 +322,8 @@ def field_from_spec(
     ``axis_distance_inf`` (distance to the whole first axis) and
     ``sin_coordinate``.  Anything richer requires the library API.
     """
-    from .counterexample import distance_to_axis  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .counterexample import distance_to_axis, distance_to_axis_point
 
     dst = distance or default_distance(alg)
     coeffs = []
@@ -351,7 +346,7 @@ def field_from_spec(
         elif form == "axis_distance":
             if not is_heisenberg(alg):
                 raise ValueError("axis_distance form requires the Heisenberg preset")
-            coeffs.append(_axis_point_distance)
+            coeffs.append(distance_to_axis_point)
         elif form == "axis_distance_inf":
             if not is_heisenberg(alg):
                 raise ValueError("axis_distance_inf form requires the Heisenberg preset")

@@ -183,6 +183,19 @@ def test_monitor_flags_synthetic_violations():
     assert "first_crossing_too_early" in rep.failures
 
 
+def test_monitor_flags_nan_data():
+    t = np.linspace(0.0, 0.3, 129)
+    finite = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), 0.01, "time", {}))
+    assert finite.failures == ("integral_residual",)
+    u = np.ones_like(t)
+    u[10] = np.nan
+    rep = rung_monitor_report(UVSolution(t, u, np.ones_like(t), 0.01, "time", {}))
+    # a NaN fails every check that reads u; checks on v alone still pass
+    assert set(rep.failures) == {"sign_u", "mix_exponential_bound", "integral_residual",
+                                 "mix_lower_envelope"}
+    assert not rep.passed
+
+
 def test_monitor_accepts_late_crossing():
     t = np.linspace(0.0, 0.5, 129)
     # gentle decline crosses v = c(t+eps) well after the guaranteed window
