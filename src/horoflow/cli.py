@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .flow import (CauchyProblem, IntegratorConfig, integrate,
 from .gauges import default_distance, gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
                      heisenberg, is_heisenberg)
+from .stepping import NonFiniteRHSError, StepUnderflowError
 from .uniqueness import (ConditionNotCertified, check_involutive,
                          confinement_check, module_field, reduced_solve,
                          stability_monitor, verify_equilibrium_condition)
@@ -35,14 +35,6 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 class ConfigError(Exception):
     pass
-
-
-def _workers() -> int:
-    raw = os.environ.get("HOROFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str) -> dict:
@@ -282,7 +274,7 @@ def _write_uv_csv(sol, path) -> None:
 def _run_counterexample(args) -> int:
     spec = cx.LadderSpec(eps0=args.eps0, ratio=args.ratio, count=args.rungs,
                          tau=args.tau, grid_points=args.grid)
-    ladder = cx.run_epsilon_ladder(spec, args.variant, workers=_workers())
+    ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(ladder)
 
     if not args.json:
@@ -369,6 +361,12 @@ def main(argv=None) -> int:
         return USAGE
     except (ConditionNotCertified, cx.MonitorViolation) as exc:
         print(f"horoflow: check failed: {exc}", file=sys.stderr)
+        return FAIL
+    except (NonFiniteRHSError, StepUnderflowError) as exc:
+        kind = "non_finite_rhs" if isinstance(exc, NonFiniteRHSError) else "step_underflow"
+        _emit({"passed": False,
+               "failure": {"kind": kind, "t": float(exc.time), "message": str(exc)}}, args)
+        print(f"horoflow: numerical failure: {exc}", file=sys.stderr)
         return FAIL
 
 

@@ -21,7 +21,6 @@ minimisation with closed form sqrt(v) at zero.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,22 +70,22 @@ def distance_to_axis(x: Sequence[float]) -> float:
     return float(fmin**0.25)
 
 
-def scaled_axis_distance_with_minimizer(t: float, u: float, v: float) -> tuple:
+def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
     """Scaled axis distance of the rescaled curve, with the inner minimiser.
 
     Value 6 * inf_s ((s^2 + (t u/18)^2)^2 + (v/36 + s t u/18)^2)^(1/4);
-    extends continuously to t = 0 with closed form sqrt(|v|).
+    extends continuously to t = 0 with closed form sqrt(|v|).  Arguments may
+    be arrays that broadcast together.
     """
-    if t == 0.0:
-        return math.sqrt(abs(v)), 0.0
     b = t * u / 18.0
-    a = b * b
-    c = v / 36.0
-    sbar, fmin = minimize_convex_quartic(a, b, c)
-    return 6.0 * fmin**0.25, sbar
+    sbar, fmin = minimize_convex_quartic(b * b, b, v / 36.0)
+    # at t = 0 the minimiser is 0 and the value is 6 (v^2/36^2)^(1/4); the
+    # closed form keeps it exact, so the start (u, v) = (1, 1) is stationary
+    value = np.where(t == 0.0, np.sqrt(np.abs(v)), 6.0 * fmin**0.25)
+    return value[()], sbar
 
 
-def scaled_axis_distance(t: float, u: float, v: float) -> float:
+def scaled_axis_distance(t, u, v):
     return scaled_axis_distance_with_minimizer(t, u, v)[0]
 
 
@@ -114,16 +113,17 @@ def counterexample_field(alg: GradedAlgebra | None = None,
 class SingularUVSystem:
     """Rescaled transverse system with kernel 1/(t + epsilon).
 
-    epsilon = 0 denotes the singular limit system itself.
+    epsilon = 0 denotes the singular limit system itself.  An array of
+    epsilons stands for one system per entry, evaluated together.
     """
 
     variant: str = "time"  # "time" or "autonomous"
-    epsilon: float = 0.0
+    epsilon: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.variant not in ("time", "autonomous"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.epsilon < 0:
+        if np.any(np.asarray(self.epsilon) < 0):
             raise ValueError("epsilon must be nonnegative")
 
     @property
@@ -137,16 +137,20 @@ class SingularUVSystem:
         # cancels the linear terms in the lower envelope of u + w v
         return MIX_WEIGHT_LOWER
 
-    def drive(self, t: float, u: float, v: float) -> float:
+    def drive(self, t, u, v):
+        """The variant's drive G(t, u, v); arguments may be arrays."""
         if self.variant == "time":
             return ((t / 3.0) ** 4 * u**4 + v * v) ** 0.25
         return scaled_axis_distance(t, u, v)
 
 
-def uv_rhs(sys: SingularUVSystem, t: float, u: float, v: float) -> tuple:
-    """((-3u + 3G)/(t+eps), (-4v + 4u)/(t+eps)) with G the variant drive."""
+def uv_rhs(sys: SingularUVSystem, t, u, v) -> tuple:
+    """((-3u + 3G)/(t+eps), (-4v + 4u)/(t+eps)) with G the variant drive.
+
+    u and v may be arrays, one entry per epsilon of ``sys``.
+    """
     den = t + sys.epsilon
-    if den <= 0.0:
+    if np.less_equal(den, 0.0).any():
         raise ZeroDivisionError("right-hand side undefined at t + epsilon = 0")
     g = sys.drive(t, u, v)
     return (-3.0 * u + 3.0 * g) / den, (-4.0 * v + 4.0 * u) / den
@@ -213,7 +217,7 @@ class UVSolution:
     v: np.ndarray
     epsilon: float
     variant: str
-    stats: dict
+    stats: dict  # StepStats of the solve; the same for every rung of one ladder
 
 
 @dataclass(frozen=True)
@@ -269,22 +273,39 @@ def solve_regularized(
     Returns (UVSolution, RungReport).  Bound violations beyond tolerance are
     recorded as failures: they flag the integrator, not the statement.
     """
-    if sys.epsilon <= 0:
+    (uv,) = solve_rungs(sys.variant, [sys.epsilon], tau, cfg)
+    return uv, rung_monitor_report(uv)
+
+
+def solve_rungs(variant: str, epsilons: Sequence[float], tau: float,
+                cfg: IntegratorConfig) -> list:
+    """Integrate the regularized rungs for all ``epsilons`` as one solve.
+
+    The rungs advance together as one (rungs, 2) state on a shared step
+    sequence whose error norm is the max over every rung, so no rung meets a
+    looser tolerance than it would alone; each returned UVSolution carries
+    the stats of that shared solve.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    if not np.all(eps > 0):
         raise ValueError("regularized solve needs epsilon > 0")
     if tau > 1.0:
         raise ValueError("rung horizon must not exceed 1")
+    sys = SingularUVSystem(variant, eps)
     grid = np.linspace(0.0, tau, cfg.dense_output_grid)
 
     def rhs(t, y):
-        du, dv = uv_rhs(sys, t, y[0], y[1])
-        return np.array([du, dv])
+        out = np.empty_like(y)
+        out[:, 0], out[:, 1] = uv_rhs(sys, t, y[:, 0], y[:, 1])
+        return out
 
-    sol = solve_to_grid(rhs, grid, np.array([1.0, 1.0]), method=cfg.method,
+    sol = solve_to_grid(rhs, grid, np.ones((len(eps), 2)), method=cfg.method,
                         abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
                         max_step=cfg.max_step, min_step=cfg.min_step)
-    uv = UVSolution(sol.times, sol.states[:, 0], sol.states[:, 1],
-                    sys.epsilon, sys.variant, sol.stats.as_dict())
-    return uv, rung_monitor_report(uv)
+    stats = sol.stats.as_dict()
+    return [UVSolution(sol.times, sol.states[:, i, 0], sol.states[:, i, 1],
+                       float(e), variant, dict(stats))
+            for i, e in enumerate(eps)]
 
 
 def rung_monitor_report(uv: UVSolution) -> RungReport:
@@ -328,10 +349,7 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     crossing_const = c_hat
     fvals = None
     if uv.variant == "autonomous":
-        fvals = np.empty_like(uv.u)
-        svals = np.empty_like(uv.u)
-        for i, (t, u, v) in enumerate(zip(uv.times, uv.u, uv.v)):
-            fvals[i], svals[i] = scaled_axis_distance_with_minimizer(t, u, v)
+        fvals, svals = scaled_axis_distance_with_minimizer(uv.times, uv.u, uv.v)
         sigma_sup = float(np.max(np.abs(svals)))
         c5 = max(c_hat, 2.0 * float(np.max(np.abs(uv.u))) * sigma_sup)
         crossing_const = c5
@@ -391,7 +409,7 @@ def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
     v = uv.v[start:]
     sys = SingularUVSystem(uv.variant, 0.0)
     den = t + eps
-    g = np.array([sys.drive(tt, uu, vv) for tt, uu, vv in zip(t, u, v)])
+    g = sys.drive(t, u, v)
     integrand = np.column_stack([(-3.0 * u + 3.0 * g) / den, (-4.0 * v + 4.0 * u) / den])
     integral = cumulative_simpson(integrand, t)
     defect_u = u - u[0] - integral[:, 0]
@@ -463,30 +481,19 @@ def run_epsilon_ladder(
     spec: LadderSpec = LadderSpec(),
     variant: str = "time",
     cfg: IntegratorConfig | None = None,
-    workers: int = 1,
 ) -> EpsilonLadder:
     """Solve the rung family on a common grid and measure the Cauchy gaps.
 
-    Rung monitors are hard requirements: a violated proof bound aborts the
-    ladder.  Non-decreasing gaps are reported as non-convergence; the last
-    rung is still exposed as the limit candidate, never silently replaced.
+    All rungs are one solve (see ``solve_rungs``).  Rung monitors are hard
+    requirements: a violated proof bound aborts the ladder.  Non-decreasing
+    gaps are reported as non-convergence; the last rung is still exposed as
+    the limit candidate, never silently replaced.
     """
     if cfg is None:
         cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12,
                                dense_output_grid=spec.grid_points)
-    systems = [SingularUVSystem(variant, e) for e in spec.epsilons]
-
-    def one(sys):
-        return solve_regularized(sys, spec.tau, cfg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, systems))
-    else:
-        results = [one(s) for s in systems]
-
-    solutions = tuple(r[0] for r in results)
-    reports = tuple(r[1] for r in results)
+    solutions = tuple(solve_rungs(variant, spec.epsilons, spec.tau, cfg))
+    reports = tuple(rung_monitor_report(uv) for uv in solutions)
     for rep in reports:
         if not rep.passed:
             raise MonitorViolation(
@@ -599,10 +606,9 @@ def nonuniqueness_report(
     variant: str = "time",
     spec: LadderSpec = LadderSpec(),
     cfg: IntegratorConfig | None = None,
-    workers: int = 1,
     separation_factor: float = 1e4,
 ) -> dict:
     """Run the full exhibit pipeline and return the report."""
-    ladder = run_epsilon_ladder(spec, variant, cfg, workers)
+    ladder = run_epsilon_ladder(spec, variant, cfg)
     report, _ = build_nonuniqueness_report(ladder, separation_factor)
     return report

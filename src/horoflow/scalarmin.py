@@ -14,34 +14,41 @@ both call sites' inputs and on a coefficient grid spanning 1e-12 to 1e5.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 
-def quartic_value(s: float, a: float, b: float, c: float) -> float:
+def quartic_value(s, a, b, c):
     t = s * s + a
     u = b * s + c
     return t * t + u * u
 
 
-def minimize_convex_quartic(a: float, b: float, c: float) -> tuple:
+def minimize_convex_quartic(a, b, c) -> tuple:
     """Unique minimiser and minimum of (s^2 + a)^2 + (b s + c)^2.
 
-    Returns (s_min, f_min); non-finite coefficients give a non-finite f_min.
+    Coefficients may be scalars or arrays that broadcast together; the
+    result has their common shape.  A non-finite coefficient gives s_min = 0
+    and f_min = NaN.
     """
-    if a < 0:
+    if np.less(a, 0.0).any():
         raise ValueError("quartic family requires a >= 0")
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    a, b, c = (np.where(finite, x, 0.0) for x in (a, b, c))
     p = a + 0.5 * b * b
-    h = 0.25 * b * c  # q / 2; zero also when b c underflows, so t1 below is nonzero
-    if b == 0.0 or h == 0.0:
-        # the slope vanishes at 0 and is increasing
-        return 0.0, quartic_value(0.0, a, b, c)
+    h = 0.25 * b * c  # q / 2; zero also when b c underflows
+    # where h = 0 the slope vanishes at 0 and is increasing, so s = 0; the
+    # formula below runs there on stand-in values that keep t1 nonzero
+    flat = h == 0.0
+    h = np.where(flat, 1.0, h)
     p3 = p / 3.0
-    r = math.sqrt(h * h + p3 * p3 * p3)
-    t1 = -math.copysign((abs(h) + r) ** (1.0 / 3.0), h)
+    r = np.sqrt(h * h + p3 * p3 * p3)
+    t1 = -np.cbrt(h + np.copysign(r, h))
     t2 = -p3 / t1
     # t1 + t2 = -q / (t1^2 + t2^2 + p/3), a sum of nonnegative terms
     s = -2.0 * h / (t1 * t1 + t2 * t2 + p3)
     s -= (s * (s * s + p) + 2.0 * h) / (3.0 * s * s + p)
     t = s * s + a
-    w = 2.0 * s / b
-    return s, t * t * (1.0 + w * w)
+    w = 2.0 * s / np.where(flat, 1.0, b)
+    s_min = np.where(flat, 0.0, s)
+    f_min = np.where(flat, quartic_value(0.0, a, b, c), t * t * (1.0 + w * w))
+    return s_min[()], np.where(finite, f_min, np.nan)[()]

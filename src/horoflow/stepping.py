@@ -17,27 +17,21 @@ import numpy as np
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
-# Dormand-Prince 5(4) tableau; last row of A doubles as the 5th-order weights (FSAL).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
+# Dormand-Prince 5(4) tableau.  Stage s is A[s, :s] @ k[:s] over the stage
+# slopes k; the last row of A doubles as the 5th-order weights (FSAL).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.zeros((7, 7))
+for _s, _row in enumerate((
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+), start=1):
+    _DP_A[_s, :_s] = _row
+_DP_B5 = _DP_A[6]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.2
@@ -106,7 +100,7 @@ def hermite(t0: float, y0: np.ndarray, f0: np.ndarray,
 def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
     out = np.asarray(f(t, y), dtype=float)
     stats.rhs_evals += 1
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteRHSError(t)
     return out
 
@@ -124,6 +118,13 @@ def _locate_exit(inside, t0, y0, f0, t1, y1, f1, tol=1e-10):
     return t_exit, hermite(t0, y0, f0, t1, y1, f1, t_exit)
 
 
+def _exit_solution(grid, g, states, stats, inside, t0, y0, f0, t1, y1, f1):
+    t_exit, y_exit = _locate_exit(inside, t0, y0, f0, t1, y1, f1)
+    times = np.append(grid[:g], t_exit)  # grid points already reached, then the exit
+    out = np.concatenate([states[:g], y_exit[None]])
+    return GridSolution(times, out, stats, exited=True, exit_time=t_exit)
+
+
 def solve_to_grid(
     f: RHS,
     grid: Sequence[float],
@@ -137,6 +138,11 @@ def solve_to_grid(
 ) -> GridSolution:
     """Integrate y' = f(t, y) hitting every grid time exactly.
 
+    The state may have any shape; ``f`` receives and returns arrays of that
+    shape.  A state of shape (m, d) advances m systems together on one step
+    sequence whose error norm is the max over every entry, so each system
+    meets the tolerance it would meet alone.
+
     If ``inside`` is given and the solution leaves the region, the returned
     arrays are truncated at the exit time (located within 1e-10 by bisection
     on the last step's Hermite interpolant).
@@ -144,23 +150,31 @@ def solve_to_grid(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least two points")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.array(y0, dtype=float)
     if inside is not None and not inside(y):
         raise ValueError("initial state is outside the domain")
-
-    stats = StepStats()
-    states = np.empty((len(grid), y.size))
-    states[0] = y
-    if method == "rk4":
-        return _rk4_to_grid(f, grid, y, max_step, inside, stats, states)
-    if method != "rk45":
+    if method not in ("rk45", "rk4"):
         raise ValueError(f"unknown method {method!r}")
 
+    stats = StepStats()
+    states = np.empty((len(grid),) + y.shape)
+    states[0] = y
+    # overflow and invalid operations in f surface as NonFiniteRHSError from
+    # the per-evaluation check rather than as floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "rk4":
+            return _rk4_to_grid(f, grid, y, states, stats, inside, max_step)
+        return _dp45_to_grid(f, grid, y, states, stats, inside, max_step,
+                             abs_tol, rel_tol, min_step)
+
+
+def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol, min_step):
     t = float(grid[0])
     span = float(grid[-1] - grid[0])
     fcur = _checked(f, t, y, stats)
     h = min(max_step, grid[1] - grid[0])
-    k = np.empty((7, y.size))
+    k = np.empty((7,) + y.shape)
+    kf = k.reshape(7, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
 
     for g in range(1, len(grid)):
         target = float(grid[g])
@@ -175,14 +189,12 @@ def solve_to_grid(
             while True:
                 k[0] = fcur
                 for s in range(1, 7):
-                    ys = y + h_try * sum(
-                        a * k[m] for m, a in enumerate(_DP_A[s]) if a != 0.0
-                    )
+                    ys = y + h_try * (_DP_A[s, :s] @ kf[:s]).reshape(y.shape)
                     k[s] = _checked(f, t + _DP_C[s] * h_try, ys, stats)
-                y5 = y + h_try * sum(b * k[m] for m, b in enumerate(_DP_B5) if b != 0.0)
-                err_vec = h_try * sum(e * k[m] for m, e in enumerate(_DP_E) if e != 0.0)
+                y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
+                err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
                 scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
-                err = float(np.max(np.abs(err_vec) / scale))
+                err = float((np.abs(err_vec) / scale).max())
                 if err <= 1.0 or h_try <= min_step:
                     break
                 stats.rejected += 1
@@ -192,15 +204,14 @@ def solve_to_grid(
                 raise StepUnderflowError(t)
 
             t_new = target if abs(t + h_try - target) <= 1e-15 * max(1.0, abs(target)) else t + h_try
-            f_new = k[6]  # FSAL: last stage is f(t+h, y5)
+            # FSAL: the last stage is f(t+h, y5).  Copied, because the next
+            # attempt overwrites k[6], and after a rejection k[0] must still be
+            # f(t, y); so must the start slope of the exit interpolant
+            f_new = k[6].copy()
             stats.record(h_try)
 
             if inside is not None and not inside(y5):
-                t_exit, y_exit = _locate_exit(inside, t, y, fcur, t_new, y5, f_new)
-                filled = grid[: g]  # grid points already reached
-                times = np.append(filled, t_exit)
-                out = np.vstack([states[: g], y_exit])
-                return GridSolution(times, out, stats, exited=True, exit_time=t_exit)
+                return _exit_solution(grid, g, states, stats, inside, t, y, fcur, t_new, y5, f_new)
 
             y = y5
             fcur = f_new
@@ -213,7 +224,7 @@ def solve_to_grid(
     return GridSolution(grid.copy(), states, stats)
 
 
-def _rk4_to_grid(f, grid, y, max_step, inside, stats, states):
+def _rk4_to_grid(f, grid, y, states, stats, inside, max_step):
     t = float(grid[0])
     for g in range(1, len(grid)):
         target = float(grid[g])
@@ -228,10 +239,7 @@ def _rk4_to_grid(f, grid, y, max_step, inside, stats, states):
             stats.record(h)
             if inside is not None and not inside(y_new):
                 f_new = _checked(f, t_new, y_new, stats)
-                t_exit, y_exit = _locate_exit(inside, t, y, k1, t_new, y_new, f_new)
-                times = np.append(grid[:g], t_exit)
-                out = np.vstack([states[:g], y_exit])
-                return GridSolution(times, out, stats, exited=True, exit_time=t_exit)
+                return _exit_solution(grid, g, states, stats, inside, t, y, k1, t_new, y_new, f_new)
             y, t = y_new, t_new
         states[g] = y
     return GridSolution(grid.copy(), states, stats)
@@ -255,31 +263,33 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         y = y[:, None]
     n = len(x)
     out = np.zeros_like(y)
-    if n < 2:
-        return out[:, 0] if single else out
     if n == 2:
         out[1] = 0.5 * (x[1] - x[0]) * (y[0] + y[1])
-        return out[:, 0] if single else out
-
-    def quad_halves(t0, t1, t2, f0, f1, f2):
-        # integrals of the interpolating quadratic over [t0,t1] and [t1,t2]
-        h1, h2 = t1 - t0, t2 - t0
+    elif n > 2:
+        # quadratics through the points (i, i+1, i+2) for even i, plus (n-3,
+        # n-2, n-1) for a trailing odd interval, of which only the second half
+        # is used; the running sum over the halves in grid order is the
+        # cumulative integral
+        i = np.arange(0, n - 2, 2)
+        if n % 2 == 0:
+            i = np.append(i, n - 3)
+        h1 = (x[i + 1] - x[i])[:, None]
+        h2 = (x[i + 2] - x[i])[:, None]
+        f0, d1, d2 = y[i], y[i + 1] - y[i], y[i + 2] - y[i]
         den = h1 * h2 * (h2 - h1)
-        a = ((f2 - f0) * h1 - (f1 - f0) * h2) / den
-        b = ((f1 - f0) * h2 * h2 - (f2 - f0) * h1 * h1) / den
-        c = f0
+        a = (d2 * h1 - d1 * h2) / den
+        b = (d1 * h2 * h2 - d2 * h1 * h1) / den
 
-        def F(s):
-            return a * s**3 / 3.0 + b * s**2 / 2.0 + c * s
+        def F(s):  # antiderivative of a s^2 + b s + f0 from 0
+            return a * s**3 / 3.0 + b * s**2 / 2.0 + f0 * s
 
-        return F(h1) - F(0.0), F(h2) - F(h1)
-
-    for i in range(0, n - 2, 2):
-        I1, I2 = quad_halves(x[i], x[i + 1], x[i + 2], y[i], y[i + 1], y[i + 2])
-        out[i + 1] = out[i] + I1
-        out[i + 2] = out[i] + I1 + I2
-    if (n - 1) % 2 == 1:
-        # fit backwards through the final three points for the leftover interval
-        _, I2 = quad_halves(x[n - 3], x[n - 2], x[n - 1], y[n - 3], y[n - 2], y[n - 1])
-        out[n - 1] = out[n - 2] + I2
+        m = (n - 1) // 2  # full pairs
+        I1 = F(h1)
+        I2 = F(h2) - I1
+        halves = np.empty((n - 1, y.shape[1]))
+        halves[0 : 2 * m : 2] = I1[:m]
+        halves[1 : 2 * m : 2] = I2[:m]
+        if n % 2 == 0:
+            halves[-1] = I2[-1]
+        np.cumsum(halves, axis=0, out=out[1:])
     return out[:, 0] if single else out

@@ -99,6 +99,35 @@ def test_integrate_x0_outside_domain_is_usage_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, kind", [
+    # the monomial overflows at the start point: the first evaluation is infinite
+    ({"group": "heisenberg",
+      "field": {"coefficients": [
+          {"form": "monomial", "exponents": [300, 0, 0], "scale": 1e300},
+          {"form": "constant", "value": 0.0}]},
+      "x0": [2, 0, 0], "horizon": 1.0}, "non_finite_rhs"),
+    # x2' = x2^2 from x2 = 1 blows up at t = 1, before the horizon
+    ({"group": "heisenberg",
+      "field": {"coefficients": [
+          {"form": "constant", "value": 0.0},
+          {"form": "monomial", "exponents": [0, 2, 0]}]},
+      "x0": [0, 1, 0], "horizon": 2.0,
+      "integrator": {"min_step": 1e-6, "dense_output_grid": 65}}, "step_underflow"),
+])
+def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
+    cpath = tmp_path / "problem.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cpath), "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"]["kind"] == kind
+    assert 0.0 <= rep["failure"]["t"] < cfg["horizon"]
+    assert rep["failure"]["message"]
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     cpath = tmp_path / "broken.json"
     cpath.write_text('{"group": "heisenberg",\n  "x0": [0, 0, 0],,}\n')
@@ -211,14 +240,6 @@ def test_counterexample_reproducible_reports(tmp_path):
     assert main(counterexample_args(b)) == 0
     assert masked(read_report(a)) == masked(read_report(b))
     assert (a / "gamma.csv").read_text() == (b / "gamma.csv").read_text()
-
-
-def test_counterexample_threads_env_matches_serial(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(counterexample_args(a)) == 0
-    monkeypatch.setenv("HOROFLOW_THREADS", "4")
-    assert main(counterexample_args(b)) == 0
-    assert masked(read_report(a)) == masked(read_report(b))
 
 
 def test_json_flag_prints_instead_of_writing(tmp_path, capsys, monkeypatch):

@@ -8,13 +8,60 @@ from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
                       translate)
 from horoflow.counterexample import counterexample_field
 from horoflow.stepping import (NonFiniteRHSError, StepUnderflowError,
-                               cumulative_simpson)
+                               cumulative_simpson, solve_to_grid)
 
 CFG = IntegratorConfig(dense_output_grid=257)
 
 
 def x1_field(heis):
     return horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
+
+
+def simpson_loop_oracle(y, x):
+    """Reference cumulative Simpson: one interpolating quadratic per pair."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    single = y.ndim == 1
+    if single:
+        y = y[:, None]
+    n = len(x)
+    out = np.zeros_like(y)
+    if n == 2:
+        out[1] = 0.5 * (x[1] - x[0]) * (y[0] + y[1])
+
+    def quad_halves(t0, t1, t2, f0, f1, f2):
+        # integrals of the interpolating quadratic over [t0,t1] and [t1,t2]
+        h1, h2 = t1 - t0, t2 - t0
+        den = h1 * h2 * (h2 - h1)
+        a = ((f2 - f0) * h1 - (f1 - f0) * h2) / den
+        b = ((f1 - f0) * h2 * h2 - (f2 - f0) * h1 * h1) / den
+
+        def F(s):
+            return a * s**3 / 3.0 + b * s**2 / 2.0 + f0 * s
+
+        return F(h1) - F(0.0), F(h2) - F(h1)
+
+    for i in range(0, n - 2, 2):
+        I1, I2 = quad_halves(x[i], x[i + 1], x[i + 2], y[i], y[i + 1], y[i + 2])
+        out[i + 1] = out[i] + I1
+        out[i + 2] = out[i] + I1 + I2
+    if n > 2 and (n - 1) % 2 == 1:
+        _, I2 = quad_halves(x[n - 3], x[n - 2], x[n - 1], y[n - 3], y[n - 2], y[n - 1])
+        out[n - 1] = out[n - 2] + I2
+    return out[:, 0] if single else out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("columns", [None, 1, 3])
+def test_cumulative_simpson_matches_loop_oracle(n, uniform, columns):
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 1.5, n) if uniform else np.cumsum(rng.uniform(0.1, 1.0, n))
+    y = rng.normal(size=n if columns is None else (n, columns))
+    got = cumulative_simpson(y, x)
+    want = simpson_loop_oracle(y, x)
+    assert got.shape == want.shape == y.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_cumulative_simpson_exact_on_cubics():
@@ -180,6 +227,29 @@ def test_domain_exit_truncates_at_boundary(heis):
     assert tr.times[-1] == pytest.approx(0.5, abs=1e-9)
     assert tr.states[-1][0] == pytest.approx(0.5, abs=1e-9)
     assert len(tr.times) < 257
+
+
+def test_domain_exit_interpolates_with_the_step_start_slope():
+    # y = t^2 is its own cubic Hermite interpolant when both end slopes are
+    # right, so the exit at sqrt(1/2) is found to the bisection tolerance;
+    # taking the step-end slope at both ends misplaced it by 2.4e-3
+    sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
+                        inside=lambda y: y[0] < 0.5)
+    assert sol.exited
+    assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_batched_state_matches_separate_solves():
+    # a (3, 2) state is three uncoupled systems on one step sequence
+    rates = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    grid = np.linspace(0.0, 1.0, 9)
+    batched = solve_to_grid(lambda t, y: rates * y, grid, np.ones((3, 2)))
+    assert batched.states.shape == (9, 3, 2)
+    assert np.max(np.abs(batched.states - np.exp(np.multiply.outer(grid, rates)))) <= 1e-9
+    for i, r in enumerate(rates):
+        alone = solve_to_grid(lambda t, y: r * y, grid, np.ones(2))
+        assert np.max(np.abs(batched.states[:, i] - alone.states)) <= 1e-9
 
 
 def test_x0_outside_domain_rejected(heis):

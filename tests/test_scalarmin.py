@@ -45,8 +45,8 @@ def exact_minimum_bounds(a, b, c, lo, hi):
     return lower, f((lo + hi) / 2)
 
 
-def assert_matches_oracle(a, b, c):
-    s, f = minimize_convex_quartic(a, b, c)
+def assert_matches_oracle(a, b, c, result=None):
+    s, f = minimize_convex_quartic(a, b, c) if result is None else result
     lo, hi = exact_bracket(a, b, c)
     s_ref = (lo + hi) / 2
     assert abs(Fraction(s) - s_ref) <= Fraction(1e-12) * abs(s_ref), (a, b, c, s)
@@ -70,13 +70,39 @@ def test_matches_oracle_on_scaled_term_inputs():
         assert_matches_oracle(b * b, b, float(v) / 36.0)
 
 
-def test_matches_oracle_on_extreme_grid():
+def extreme_grid():
     grid = itertools.product((0.0, 1e-12, 1e-8, 1e-4, 1.0, 1e2, 1e5),
                              (1e-6, 1e-3, 1.0, 1e2, 1e4, 1e5),
                              (1e-12, 1e-8, 1e-4, 1.0, 1e2, 1e5))
     signs = itertools.cycle(((1, 1), (1, -1), (-1, 1), (-1, -1)))
-    for (a, b, c), (sb, sc) in zip(grid, signs):
-        assert_matches_oracle(a, sb * b, sc * c)
+    return [(a, sb * b, sc * c) for (a, b, c), (sb, sc) in zip(grid, signs)]
+
+
+def test_matches_oracle_on_extreme_grid():
+    for a, b, c in extreme_grid():
+        assert_matches_oracle(a, b, c)
+
+
+def test_array_call_matches_scalar_calls_and_oracle():
+    # the whole grid as one call, plus b c = 0 entries that take the short cut
+    coeffs = np.array(extreme_grid() + [(2.0, 0.0, 3.0), (2.0, 5.0, 0.0), (0.0, 0.0, 0.0)])
+    s, f = minimize_convex_quartic(*coeffs.T)
+    assert s.shape == f.shape == (len(coeffs),)
+    one_by_one = np.array([minimize_convex_quartic(a, b, c) for a, b, c in coeffs])
+    # the same elementwise formula; 2 ulp leave room for SIMD and scalar loops
+    np.testing.assert_array_max_ulp(s, one_by_one[:, 0], maxulp=2)
+    np.testing.assert_array_max_ulp(f, one_by_one[:, 1], maxulp=2)
+    for (a, b, c), si, fi in zip(coeffs, s, f):
+        if b * c != 0.0:
+            assert_matches_oracle(a, b, c, (si, fi))
+
+
+def test_array_call_broadcasts_and_flags_non_finite_entries():
+    s, f = minimize_convex_quartic(0.0, np.array([1.0, math.inf, 0.0]), np.array([1.0, 1.0, math.nan]))
+    assert np.isfinite(f[0]) and not np.isfinite(f[1]) and not np.isfinite(f[2])
+    assert (s[0], f[0]) == minimize_convex_quartic(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        minimize_convex_quartic(np.array([1.0, -1.0]), 1.0, 1.0)
 
 
 def test_flat_minimum_value_is_not_overestimated():
