@@ -7,13 +7,11 @@ distances (`gauges`), left-invariant frames and horizontal fields
 `horoflow` CLI drives the same operations from JSON configs.
 """
 
-from .groups import (AlgebraValidationError, Dilation, GradedAlgebra,
-                     algebra_from_json, algebra_to_json, bch_multiply, bracket,
-                     dilate, heisenberg, inverse, is_heisenberg)
+from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
+                     algebra_to_json, heisenberg, inverse, is_heisenberg)
 from .gauges import (HomogeneousDistance, SmoothGauge, default_distance,
-                     distance, equivalence_constants, gauge_report,
-                     koranyi_distance, koranyi_norm, smooth_distance,
-                     smooth_gauge, smooth_gauge_value)
+                     equivalence_constants, gauge_report, koranyi_distance,
+                     koranyi_norm, smooth_distance, smooth_gauge)
 from .domain import Box, TranslatedBox
 from .fields import (Derivation, HorizontalField, LeftInvariantField,
                      TestFunction, apply_derivation, compute_p, derivation_of,

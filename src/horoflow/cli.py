@@ -106,8 +106,8 @@ def _run_check_group(args) -> int:
     ident = float(np.max(np.abs(alg.multiply_batch(X, np.zeros_like(X)) - X)))
     r = float(rng.uniform(0.5, 2.0))
     autom = float(np.max(np.abs(
-        alg.dilate_batch(r, alg.multiply_batch(X, Y))
-        - alg.multiply_batch(alg.dilate_batch(r, X), alg.dilate_batch(r, Y))
+        alg.dilate(r, alg.multiply_batch(X, Y))
+        - alg.multiply_batch(alg.dilate(r, X), alg.dilate(r, Y))
     )))
 
     report = {

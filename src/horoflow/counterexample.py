@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import HorizontalField, horizontal_field
 from .flow import Trajectory, IntegratorConfig, residual as flow_residual
-from .gauges import equivalence_constants, koranyi_norm, koranyi_norm_batch, smooth_gauge
+from .gauges import equivalence_constants, koranyi_norm, smooth_gauge
 from .groups import GradedAlgebra, heisenberg, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 from .stepping import cumulative_simpson, solve_to_grid
@@ -569,7 +569,7 @@ def build_nonuniqueness_report(
     res_nontrivial = flow_residual(gamma, field)
 
     rel = alg.multiply_batch(-straight.states, gamma.states)
-    separation = koranyi_norm_batch(rel)
+    separation = koranyi_norm(rel)
     max_sep = float(np.max(separation))
 
     worst_res = max(res_trivial, res_nontrivial)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .domain import Box
 from .gauges import HomogeneousDistance, default_distance
 from .groups import GradedAlgebra, inverse, is_heisenberg
-from .poly import Poly
+from .poly import Poly, evaluator
 
 CoefficientFn = Callable[[float, np.ndarray], float]
 
@@ -38,9 +39,17 @@ class LeftInvariantField:
     index: int  # 1-based basis index
     rows: tuple  # tuple[Poly, ...]
 
+    @cached_property
+    def _eval(self):
+        """Float evaluator of the rows: ``_eval(*x)`` gives the field's coordinates at x."""
+        return evaluator(self.rows)
+
     def value(self, x: Sequence[float]) -> np.ndarray:
+        """The field at one point, or at each row of an (n, dim) array."""
         x = np.asarray(x, dtype=float)
-        return np.array([p.evaluate(x) for p in self.rows])
+        if x.ndim == 1:
+            return np.array(self._eval(*x.tolist()))
+        return np.stack([np.broadcast_to(v, len(x)) for v in self._eval(*x.T)], axis=1)
 
 
 def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
@@ -61,15 +70,7 @@ def left_invariant_frame(alg: GradedAlgebra) -> tuple:
     """All q frame fields, computed once per algebra."""
     if "frame" not in alg._cache:
         alg._cache["frame"] = tuple(compute_p(alg, i) for i in range(1, alg.dim + 1))
-        alg._cache["frame_compiled"] = tuple(
-            tuple(p.compiled() for p in f.rows) for f in alg._cache["frame"]
-        )
     return alg._cache["frame"]
-
-
-def _compiled_frame(alg: GradedAlgebra):
-    left_invariant_frame(alg)
-    return alg._cache["frame_compiled"]
 
 
 # --------------------------------------------------------------------------- fields
@@ -134,15 +135,14 @@ def frame_field(
 def evaluate_field(b: HorizontalField, t: float, x: Sequence[float]) -> np.ndarray:
     """Coordinate velocity sum_i a_i(t, x) * (frame row of X_i at x)."""
     x = np.asarray(x, dtype=float)
-    rows = _compiled_frame(b.algebra)
-    out = np.zeros(b.algebra.dim)
+    frame = left_invariant_frame(b.algebra)
+    xs = x.tolist()
+    out = [0.0] * b.algebra.dim
     for a, i in zip(b.coefficients, b.indices):
         ai = a(t, x)
         if ai != 0.0:
-            row = rows[i - 1]
-            for j in range(b.algebra.dim):
-                out[j] += ai * row[j](x)
-    return out
+            out = [o + ai * v for o, v in zip(out, frame[i - 1]._eval(*xs))]
+    return np.array(out)
 
 
 # --------------------------------------------------------------------------- derivations
@@ -175,14 +175,14 @@ def apply_derivation(
 ) -> float:
     """Directional derivative sum_i a_i(x) X_i f (x)."""
     x = np.asarray(x, dtype=float)
-    rows = _compiled_frame(b.algebra)
-    grad = np.asarray(f.gradient(x), dtype=float)
+    frame = left_invariant_frame(b.algebra)
+    xs = x.tolist()
+    grad = np.asarray(f.gradient(x), dtype=float).tolist()
     total = 0.0
     for a, i in zip(b.coefficients, b.indices):
         ai = a(t, x)
         if ai != 0.0:
-            row = rows[i - 1]
-            total += ai * sum(grad[j] * row[j](x) for j in range(b.algebra.dim))
+            total += ai * sum(g * v for g, v in zip(grad, frame[i - 1]._eval(*xs)))
     return total
 
 
@@ -202,12 +202,12 @@ def derivation_of(b: HorizontalField, t: float = 0.0) -> Derivation:
 def horizontal_gradient(alg: GradedAlgebra, f: TestFunction, x: Sequence[float]) -> np.ndarray:
     """(X_1 f, ..., X_m f) at x."""
     x = np.asarray(x, dtype=float)
-    rows = _compiled_frame(alg)
-    grad = np.asarray(f.gradient(x), dtype=float)
-    m = alg.horizontal_dim
-    return np.array(
-        [sum(grad[j] * rows[i][j](x) for j in range(alg.dim)) for i in range(m)]
-    )
+    xs = x.tolist()
+    grad = np.asarray(f.gradient(x), dtype=float).tolist()
+    return np.array([
+        sum(g * v for g, v in zip(grad, field._eval(*xs)))
+        for field in left_invariant_frame(alg)[:alg.horizontal_dim]
+    ])
 
 
 def coordinate_function(alg: GradedAlgebra, j: int) -> TestFunction:
@@ -225,26 +225,21 @@ def translated_coordinate_functions(alg: GradedAlgebra, xbar: Sequence[float]) -
     recovery at xbar a plain readout.
     """
     q = alg.dim
-    xbar = np.asarray(xbar, dtype=float)
     xbar_inv = inverse(xbar)
-    law = alg.law
-    fns = []
-    for j in range(q):
-        value_poly = law[j]
-        grads = [law[j].diff(q + k) for k in range(q)]
+    # jacobian(*xbar_inv, *x)[j*q + k] is the y_k-derivative of the j-th product coordinate
+    jacobian = evaluator([p.diff(q + k) for p in alg.law for k in range(q)])
 
-        def make(vp=value_poly, gs=grads):
-            def val(x):
-                return vp.evaluate(np.concatenate([xbar_inv, x]))
+    def make(j):
+        def val(x):
+            return float(alg.multiply(xbar_inv, x)[j])
 
-            def grad(x):
-                pt = np.concatenate([xbar_inv, x])
-                return np.array([g.evaluate(pt) for g in gs])
+        def grad(x):
+            values = jacobian(*xbar_inv.tolist(), *np.asarray(x, dtype=float).tolist())
+            return np.array(values[j * q:(j + 1) * q])
 
-            return TestFunction(val, grad)
+        return TestFunction(val, grad)
 
-        fns.append(make())
-    return fns
+    return [make(j) for j in range(q)]
 
 
 class NonHorizontalDerivationError(ValueError):
@@ -299,12 +294,10 @@ def estimate_lipschitz(
     rng = np.random.default_rng(seed)
     X = box.sample(rng, samples)
     Y = box.sample(rng, samples)
-    best = 0.0
-    for x, y in zip(X, Y):
-        d = dst(x, y)
-        if d > 0:
-            best = max(best, abs(a(x) - a(y)) / d)
-    return best
+    d = dst.batch(X, Y)
+    ok = d > 0
+    gaps = np.abs([a(x) - a(y) for x, y in zip(X[ok], Y[ok])])
+    return float(np.max(gaps / d[ok], initial=0.0))
 
 
 # --------------------------------------------------------------------------- JSON field specs
@@ -337,9 +330,8 @@ def field_from_spec(
             if len(expo) != alg.dim:
                 raise ValueError("monomial exponents must have one entry per coordinate")
             scale = float(c.get("scale", 1.0))
-            p = Poly(alg.dim, {expo: 1}) * scale
-            fn = p.compiled()
-            coeffs.append(lambda t, x, _f=fn: _f(x))
+            fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
+            coeffs.append(lambda t, x, _f=fn: _f(*x.tolist())[0])
         elif form == "distance_to_point":
             point = np.asarray(c.get("point", np.zeros(alg.dim)), dtype=float)
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))

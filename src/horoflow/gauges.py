@@ -32,19 +32,22 @@ def minimal_even_exponent(degrees: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class SmoothGauge:
-    """Even-exponent gauge (sum_i x_i^rho_i)^(1/N) with rho_i = N / d_i."""
+    """Even-exponent gauge (sum_i x_i^rho_i)^(1/N) with rho_i = N / d_i.
+
+    Called on one element or on the rows of an (n, dim) array; one element is
+    evaluated as a one-row array, so a row's value is the value at that row,
+    bit for bit.
+    """
 
     algebra: GradedAlgebra
     exponent: int
     rhos: tuple
 
-    def __call__(self, x: Sequence[float]) -> float:
+    def __call__(self, x: Sequence[float]):
         x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x) ** np.array(self.rhos)) ** (1.0 / self.exponent))
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.sum(np.abs(X) ** np.array(self.rhos), axis=1) ** (1.0 / self.exponent)
+        rows = np.sum(np.abs(np.atleast_2d(x)) ** np.array(self.rhos), axis=1)
+        values = rows ** (1.0 / self.exponent)
+        return values if x.ndim > 1 else values[0]
 
 
 def smooth_gauge(alg: GradedAlgebra, exponent: int | None = None) -> SmoothGauge:
@@ -59,23 +62,20 @@ def smooth_gauge(alg: GradedAlgebra, exponent: int | None = None) -> SmoothGauge
     return SmoothGauge(alg, N, tuple(rhos))
 
 
-def smooth_gauge_value(g: SmoothGauge, x: Sequence[float]) -> float:
-    return g(x)
+def koranyi_norm(x: Sequence[float]):
+    """Quartic gauge ((x1^2 + x2^2)^2 + x3^2)^(1/4) on the Heisenberg group.
 
-
-def koranyi_norm(x: Sequence[float]) -> float:
-    """Quartic gauge ((x1^2 + x2^2)^2 + x3^2)^(1/4) on the Heisenberg group."""
+    Called on one 3-vector (a float) or on the rows of an (n, 3) array; the
+    fourth root is two correctly rounded square roots, so a row's value is
+    the value at that row, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
+    if x.shape[-1:] != (3,) or x.ndim > 2:
         raise ValueError("the quartic Heisenberg gauge is defined on 3-vectors")
-    h = x[0] * x[0] + x[1] * x[1]
-    return float((h * h + x[2] * x[2]) ** 0.25)
-
-
-def koranyi_norm_batch(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    h = X[:, 0] ** 2 + X[:, 1] ** 2
-    return (h**2 + X[:, 2] ** 2) ** 0.25
+    x1, x2, x3 = x.tolist() if x.ndim == 1 else x.T
+    sqrt = math.sqrt if x.ndim == 1 else np.sqrt
+    h = x1 * x1 + x2 * x2
+    return sqrt(sqrt(h * h + x3 * x3))
 
 
 @dataclass(frozen=True)
@@ -97,24 +97,11 @@ class HomogeneousDistance:
         return self.gauge(self.algebra.multiply(inverse(x), y))
 
     def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        Z = self.algebra.multiply_batch(-np.asarray(X, dtype=float), Y)
-        if self.label == "koranyi":
-            return koranyi_norm_batch(Z)
-        gauge = self.gauge
-        if isinstance(gauge, SmoothGauge):
-            return gauge.batch(Z)
-        return np.array([gauge(z) for z in Z])
+        """Row-wise distances; a (dim,) argument is paired with every row of the other."""
+        return _gauge_batch(self.gauge, self.algebra.multiply_batch(inverse(X), Y))
 
     def to_origin(self, x: Sequence[float]) -> float:
         return self.gauge(np.asarray(x, dtype=float))
-
-
-def distance(dst: HomogeneousDistance, x: Sequence[float], y: Sequence[float]) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (dst.algebra.dim,) or y.shape != (dst.algebra.dim,):
-        raise ValueError("element dimension does not match the distance's algebra")
-    return dst(x, y)
 
 
 def smooth_distance(alg: GradedAlgebra, quasi_samples: int = 0,
@@ -155,10 +142,10 @@ def _sample_nonzero(alg: GradedAlgebra, rng: np.random.Generator, n: int) -> np.
 
 
 def _gauge_batch(gauge: GaugeFn, X: np.ndarray) -> np.ndarray:
-    if isinstance(gauge, SmoothGauge):
-        return gauge.batch(X)
-    if gauge is koranyi_norm:
-        return koranyi_norm_batch(X)
+    """The gauge on each row of X; any other callable than the two gauges
+    above is called once per row."""
+    if isinstance(gauge, SmoothGauge) or gauge is koranyi_norm:
+        return gauge(X)
     return np.array([gauge(x) for x in X])
 
 
@@ -181,7 +168,7 @@ def equivalence_constants(
     v1 = _gauge_batch(g1, X)
     if not np.all(np.isfinite(v1)) or np.any(v1 <= 0):
         raise ValueError("degenerate gauge: vanishing or non-finite on nonzero samples")
-    unit = np.vstack([alg.dilate(1.0 / r, x) for r, x in zip(v1, X)])
+    unit = alg.dilate(1.0 / v1, X)
     ratios = _gauge_batch(g2, unit)
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise ValueError("degenerate gauge ratio encountered (0 or infinity)")
@@ -213,7 +200,7 @@ def homogeneous_domination_constant(
     rng = np.random.default_rng(seed)
     X = _sample_nonzero(alg, rng, samples)
     norms = _gauge_batch(gauge, X)
-    unit = np.vstack([alg.dilate(1.0 / r, x) for r, x in zip(norms, X)])
+    unit = alg.dilate(1.0 / norms, X)
     return float(max(abs(f(u)) for u in unit))
 
 
@@ -237,10 +224,8 @@ def gauge_report(
     scales = rng.uniform(0.25, 4.0, size=samples)
 
     gX = _gauge_batch(gauge, X)
-    hom_errs = []
-    for r, x, g in zip(scales, X, gX):
-        hom_errs.append(abs(gauge(alg.dilate(r, x)) - r * g))
-    homogeneity_max_err = float(max(hom_errs))
+    homogeneity_max_err = float(np.max(np.abs(_gauge_batch(gauge, alg.dilate(scales, X))
+                                              - scales * gX)))
 
     symmetry_max_err = float(np.max(np.abs(_gauge_batch(gauge, -X) - gX)))
 

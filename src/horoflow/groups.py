@@ -14,12 +14,12 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Poly, Scalar, _frac
+from .poly import Poly, Scalar, _frac, evaluator
 
 
 class AlgebraValidationError(ValueError):
@@ -259,10 +259,10 @@ class GradedAlgebra:
             self._cache["law"] = tuple(acc)
         return self._cache["law"]
 
-    def _law_compiled(self):
-        if "law_compiled" not in self._cache:
-            self._cache["law_compiled"] = [p.compiled() for p in self.law]
-        return self._cache["law_compiled"]
+    @cached_property
+    def _product(self):
+        """Float evaluator of the law: ``_product(*x, *y)`` gives the product's coordinates."""
+        return evaluator(self.law)
 
     def multiply(self, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
         """Group product of two elements in graded coordinates."""
@@ -270,28 +270,28 @@ class GradedAlgebra:
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError(f"expected elements of length {self.dim}")
-        xy = np.concatenate([x, y])
-        return np.array([f(xy) for f in self._law_compiled()])
+        return np.array(self._product(*x.tolist(), *y.tolist()))
 
     def multiply_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Group product row-wise on (n, dim) arrays."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        XY = np.hstack([X, Y])
-        return np.column_stack([p.batch(XY) for p in self.law])
+        """Group product row-wise on (n, dim) arrays; a (dim,) factor multiplies every row.
 
-    def dilate(self, r: float, x: Sequence[float]) -> np.ndarray:
-        """Intrinsic dilation: coordinate i scales by r**degree(i)."""
-        if r <= 0:
-            raise ValueError("dilation scale must be positive")
-        x = np.asarray(x, dtype=float)
-        return x * np.array([float(r) ** d for d in self.degrees])
+        Each row equals ``multiply`` on that row, bit for bit.
+        """
+        X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected (n, {self.dim}) arrays")
+        return np.column_stack(self._product(*X.T, *Y.T))
 
-    def dilate_batch(self, r: float, X: np.ndarray) -> np.ndarray:
-        if r <= 0:
+    def dilate(self, r, x) -> np.ndarray:
+        """Intrinsic dilation: coordinate i scales by r**degree(i).
+
+        ``x`` is one element or an (n, dim) array; for an array, ``r`` is one
+        scale or one scale per row.
+        """
+        r = np.asarray(r, dtype=float)
+        if np.any(r <= 0):
             raise ValueError("dilation scale must be positive")
-        scales = np.array([float(r) ** d for d in self.degrees])
-        return np.asarray(X, dtype=float) * scales
+        return np.asarray(x, dtype=float) * r[..., None] ** np.array(self.degrees)
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -303,38 +303,9 @@ class GradedAlgebra:
 # --------------------------------------------------------------------------- module-level ops
 
 
-class Dilation:
-    """Intrinsic dilation by a fixed positive scale, applicable to any algebra."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, r: float):
-        if r <= 0:
-            raise ValueError("dilation scale must be positive")
-        self.r = float(r)
-
-    def __call__(self, alg: "GradedAlgebra", x: Sequence[float]) -> np.ndarray:
-        return alg.dilate(self.r, x)
-
-    def __repr__(self) -> str:
-        return f"Dilation({self.r})"
-
-
-def bracket(alg: GradedAlgebra, X: Sequence[float], Y: Sequence[float]) -> np.ndarray:
-    return alg.bracket(X, Y)
-
-
-def bch_multiply(alg: GradedAlgebra, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
-    return alg.multiply(x, y)
-
-
 def inverse(x: Sequence[float]) -> np.ndarray:
     """Group inverse; coordinate negation in exponential coordinates."""
     return -np.asarray(x, dtype=float)
-
-
-def dilate(alg: GradedAlgebra, r: float, x: Sequence[float]) -> np.ndarray:
-    return alg.dilate(r, x)
 
 
 def heisenberg() -> GradedAlgebra:

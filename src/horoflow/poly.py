@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-import numpy as np
-
 Scalar = Union[int, float, Fraction]
 
 
@@ -183,16 +181,6 @@ class Poly:
 
     # ------------------------------------------------------------------ evaluation
 
-    def evaluate(self, xs: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, p in enumerate(e):
-                if p:
-                    v *= xs[i] ** p if p > 1 else xs[i]
-            total += v
-        return total
-
     def evaluate_exact(self, xs: Sequence[Scalar]) -> Fraction:
         total = Fraction(0)
         vals = [_frac(x) for x in xs]
@@ -203,34 +191,6 @@ class Poly:
                     v *= vals[i] ** p
             total += v
         return total
-
-    def compiled(self) -> Callable[[Sequence[float]], float]:
-        """Return a fast float evaluator (terms flattened once)."""
-        items = sorted(self.terms.items())
-        flat = [([i for i, p in enumerate(e) for _ in range(p)], float(c)) for e, c in items]
-
-        def _eval(xs, _flat=flat):
-            total = 0.0
-            for idxs, c in _flat:
-                v = c
-                for i in idxs:
-                    v *= xs[i]
-                total += v
-            return total
-
-        return _eval
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate on an (n, nvars) array of points."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0])
-        for e, c in self.terms.items():
-            v = np.full(X.shape[0], float(c))
-            for i, p in enumerate(e):
-                if p:
-                    v = v * X[:, i] ** p
-            out += v
-        return out
 
     # ------------------------------------------------------------------ structure
 
@@ -253,3 +213,29 @@ class Poly:
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def evaluator(polys: Sequence[Poly]) -> Callable[..., tuple]:
+    """The float evaluator of ``polys``, compiled from generated source.
+
+    The result takes the coordinates unpacked: ``f(*x.tolist())`` at one point
+    or ``f(*X.T)`` on the rows of an (n, nvars) array, and returns one value
+    per polynomial.  Each value is 0.0 plus the terms in sorted exponent order,
+    a term being its coefficient times one factor per unit of exponent, so a
+    float and an array argument round identically.  A constant polynomial
+    yields a float, also for array arguments.
+    """
+    names = [f"x{i}" for i in range(polys[0].nvars)]
+    values = []
+    for p in polys:
+        terms = ["0.0"]
+        for e, c in sorted(p.terms.items()):
+            factors = [names[i] for i, k in enumerate(e) for _ in range(k)]
+            if not factors or c != 1:
+                factors.insert(0, repr(float(c)))
+            terms.append("*".join(factors))
+        values.append(" + ".join(terms))
+    source = f"def f({', '.join(names)}):\n    return ({', '.join(values)},)\n"
+    namespace: dict = {}
+    exec(compile(source, "<poly evaluator>", "exec"), namespace)
+    return namespace["f"]

@@ -48,9 +48,9 @@ class StepUnderflowError(RuntimeError):
 
 
 class NonFiniteRHSError(RuntimeError):
-    def __init__(self, t: float):
+    def __init__(self, t: float, message: str | None = None):
         self.time = t
-        super().__init__(f"right-hand side produced a non-finite value at t = {t:.12g}")
+        super().__init__(message or f"right-hand side produced a non-finite value at t = {t:.12g}")
 
 
 @dataclass

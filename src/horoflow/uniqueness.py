@@ -27,7 +27,7 @@ from .gauges import (HomogeneousDistance, default_distance, equivalence_constant
                      smooth_gauge)
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
-from .stepping import solve_to_grid
+from .stepping import NonFiniteRHSError, solve_to_grid
 
 
 class ConditionNotCertified(RuntimeError):
@@ -61,24 +61,6 @@ class EquilibriumCondition:
         }
 
 
-def degeneracy_ratio(
-    field: HorizontalField,
-    xbar: np.ndarray,
-    dst: HomogeneousDistance,
-    t: float,
-    x: np.ndarray,
-) -> float:
-    """sum_i |a_i(t,x)|^(1/d_i) divided by d(x, xbar)."""
-    d = dst(x, xbar)
-    if d == 0.0:
-        raise ZeroDivisionError("ratio undefined at the equilibrium point itself")
-    degs = field.algebra.degrees
-    total = 0.0
-    for a, i in zip(field.coefficients, field.indices):
-        total += abs(a(t, x)) ** (1.0 / degs[i - 1])
-    return total / d
-
-
 def verify_equilibrium_condition(
     field: HorizontalField,
     xbar: Sequence[float],
@@ -92,35 +74,37 @@ def verify_equilibrium_condition(
 ) -> EquilibriumCondition:
     """Estimate the degeneracy constant by sampling, swept toward the point.
 
+    The ratio at a sample x is sum_i |a_i(t,x)|^(1/d_i) divided by d(x, xbar).
     Samples are pulled toward the equilibrium point by dyadic dilations; a
     field that does not degenerate there shows ratios growing across scales,
     in which case the condition is reported uncertified (the estimate is
     then a lower bound that grows beyond any threshold as scales increase).
+    A non-finite ratio raises `NonFiniteRHSError`.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     alg = field.algebra
     dst = distance or default_distance(alg)
     xbar = np.asarray(xbar, dtype=float)
-    xbar_inv = inverse(xbar)
     rng = np.random.default_rng(seed)
-    X = box.sample(rng, samples)
+    rel = alg.multiply_batch(inverse(xbar), box.sample(rng, samples))
+    powers = [1.0 / alg.degrees[i - 1] for i in field.indices]
 
     scale_maxima = []
-    for k in range(scales):
-        r = 2.0 ** (-k)
-        worst = 0.0
-        for x in X:
-            rel = alg.multiply(xbar_inv, x)
-            xs = alg.multiply(xbar, alg.dilate(r, rel))
-            if dst(xs, xbar) == 0.0:
-                continue
-            for t in time_samples:
-                val = degeneracy_ratio(field, xbar, dst, float(t), xs)
-                if not math.isfinite(val):
-                    raise ValueError(f"field evaluation non-finite at sample {xs}")
-                worst = max(worst, val)
-        scale_maxima.append(worst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(scales):
+            XS = alg.multiply_batch(xbar, alg.dilate(2.0 ** (-k), rel))
+            worst = 0.0
+            for xs, d in zip(XS, dst.batch(XS, xbar)):
+                if d == 0.0:
+                    continue
+                for t in map(float, time_samples):
+                    val = sum(abs(a(t, xs)) ** p for a, p in zip(field.coefficients, powers)) / d
+                    if not math.isfinite(val):
+                        raise NonFiniteRHSError(t, "field coefficient non-finite at "
+                                                   f"t = {t:.12g}, x = {xs.tolist()}")
+                    worst = max(worst, val)
+            scale_maxima.append(worst)
 
     estimated_c = max(scale_maxima)
     first = scale_maxima[0]
@@ -196,7 +180,7 @@ def stability_monitor(
         x0 = np.asarray(x0, dtype=float)
         d0 = dst(x0, xbar)
         tr = integrate(CauchyProblem(field, tuple(x0), horizon), cfg, with_residual=False)
-        dev = max(dst(x, xbar) for x in tr.states)
+        dev = float(np.max(dst.batch(tr.states, xbar)))
         if d0 == 0.0:
             eq_dev = max(eq_dev or 0.0, dev)
             ratios.append(1.0)
@@ -226,10 +210,10 @@ class InvolutiveModule:
     def span_matrix(self) -> np.ndarray:
         return np.array(self.basis, dtype=float).T  # (q, r)
 
-    def sigma(self, x: Sequence[float]) -> float:
-        """Euclidean distance from the spanned subspace."""
+    def sigma(self, x: Sequence[float]):
+        """Euclidean distance from the spanned subspace, of one point or of each row."""
         x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.projector @ x))
+        return np.linalg.norm(x - x @ self.projector.T, axis=-1)
 
     def project(self, x: Sequence[float]) -> np.ndarray:
         return self.projector @ np.asarray(x, dtype=float)
@@ -285,28 +269,22 @@ def _validate_module_samples(mod: InvolutiveModule, tol: float = 1e-12) -> None:
     frame = left_invariant_frame(alg)
     V = mod.span_matrix()
     rng = np.random.default_rng(12345)
-    thetas = rng.uniform(-2.0, 2.0, size=(8, mod.rank))
-    for th1, th2 in zip(thetas[:4], thetas[4:]):
-        s1, s2 = V @ th1, V @ th2
-        add_defect = np.max(np.abs(alg.multiply(s1, s2) - (s1 + s2)))
-        if add_defect > tol:
-            raise AssertionError(f"span is not additively closed: defect {add_defect:g}")
-        for v in mod.basis:
-            val = sum(
-                v[i] * frame[i].value(s1) for i in range(alg.dim) if v[i] != 0.0
-            )
-            if np.max(np.abs(val - np.asarray(v))) > tol:
-                raise AssertionError("basis field is not constant along the span")
+    S = rng.uniform(-2.0, 2.0, size=(8, mod.rank)) @ V.T
+    S1, S2 = S[:4], S[4:]
+    add_defect = np.max(np.abs(alg.multiply_batch(S1, S2) - (S1 + S2)))
+    if add_defect > tol:
+        raise AssertionError(f"span is not additively closed: defect {add_defect:g}")
+    for v in mod.basis:
+        val = sum(v[i] * frame[i].value(S1) for i in range(alg.dim) if v[i] != 0.0)
+        if np.max(np.abs(val - np.asarray(v))) > tol:
+            raise AssertionError("basis field is not constant along the span")
 
 
 def confinement_check(
     tr: Trajectory, mod: InvolutiveModule, x0: Sequence[float]
 ) -> float:
     """Largest distance of x0^{-1} gamma(t) from the spanned subspace."""
-    alg = mod.algebra
-    x0_inv = inverse(np.asarray(x0, dtype=float))
-    rel = alg.multiply_batch(np.tile(x0_inv, (len(tr.states), 1)), tr.states)
-    return float(max(mod.sigma(z) for z in rel))
+    return float(np.max(mod.sigma(mod.algebra.multiply_batch(inverse(x0), tr.states))))
 
 
 def module_field(
@@ -354,7 +332,7 @@ def reduced_solve(
         method=cfg.method, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
         max_step=cfg.max_step, min_step=cfg.min_step,
     )
-    lifted = np.vstack([alg.multiply(x0, V @ th) for th in sol.states])
+    lifted = alg.multiply_batch(x0, sol.states @ V.T)
     meta = {
         "method": cfg.method,
         "abs_tol": cfg.abs_tol,

@@ -178,6 +178,24 @@ def test_equilibrium_command_refuses_constant_field(tmp_path):
     assert "refusal" in rep
 
 
+def test_equilibrium_non_finite_coefficient_writes_report(tmp_path, capsys):
+    # x1^400 overflows on most of the box: a numerical failure, not bad input
+    cfg = json.loads((equilibrium_config(tmp_path)).read_text())
+    cfg["field"]["coefficients"][0] = {"form": "monomial", "exponents": [400, 0, 0]}
+    cfg["box"] = {"lo": [-10, -10, -10], "hi": [10, 10, 10]}
+    cpath = tmp_path / "eq400.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cpath), "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"]["kind"] == "non_finite_rhs"
+    assert rep["failure"]["t"] == 0.0
+    assert "coefficient non-finite" in rep["failure"]["message"]
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 def involutive_config(tmp_path, **overrides):
     cfg = {
         "group": "heisenberg",

@@ -12,7 +12,7 @@ from horoflow.counterexample import counterexample_field
 from horoflow.fields import (NonHorizontalDerivationError, coordinate_function,
                              translated_coordinate_functions)
 from horoflow.gauges import homogeneous_domination_constant, koranyi_norm
-from horoflow.poly import Poly
+from horoflow.poly import Poly, evaluator
 
 
 def P(terms):
@@ -251,11 +251,12 @@ def test_frame_domination_constants(heis):
                 continue
             lam = d[j] - d[i]
             C = homogeneous_domination_constant(
-                heis, lambda x, _r=row: _r.evaluate(x), lam, koranyi_norm, 2000, seed=7
+                heis, lambda x, _v=evaluator([row]): _v(*x)[0], lam, koranyi_norm, 2000, seed=7
             )
             assert 0.9 <= C <= 1.0 + 1e-12
             for x in pts:
-                assert abs(row.evaluate(x)) <= (1.0 + 1e-12) * koranyi_norm(x) ** lam + 1e-12
+                value = evaluator([row])(*x)[0]
+                assert abs(value) <= (1.0 + 1e-12) * koranyi_norm(x) ** lam + 1e-12
 
 
 def test_field_from_spec_forms(heis, heis_dist):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horoflow import (distance, equivalence_constants,
-                      gauge_report, heisenberg, koranyi_distance, koranyi_norm,
-                      smooth_distance, smooth_gauge, smooth_gauge_value)
+from horoflow import (GradedAlgebra, equivalence_constants, gauge_report, heisenberg,
+                      koranyi_distance, koranyi_norm, smooth_distance,
+                      smooth_gauge)
 from horoflow.gauges import (estimate_quasi_triangle_constant,
                              homogeneous_domination_constant,
                              minimal_even_exponent)
@@ -24,8 +24,8 @@ def test_smooth_gauge_heisenberg_values(heis):
     g = smooth_gauge(heis)
     assert g.exponent == 4
     assert g.rhos == (4, 4, 2)
-    assert smooth_gauge_value(g, [1, 0, 0]) == pytest.approx(1.0)
-    assert smooth_gauge_value(g, [0, 0, 1]) == pytest.approx(1.0)
+    assert g([1, 0, 0]) == pytest.approx(1.0)
+    assert g([0, 0, 1]) == pytest.approx(1.0)
 
 
 @given(vec3, st.floats(0.1, 5.0))
@@ -61,19 +61,17 @@ def test_koranyi_triangle_inequality_bulk(heis):
     rng = np.random.default_rng(23)
     X = rng.uniform(-5, 5, (10_000, 3))
     Y = rng.uniform(-5, 5, (10_000, 3))
-    from horoflow.gauges import koranyi_norm_batch
-
-    lhs = koranyi_norm_batch(heis.multiply_batch(X, Y))
-    rhs = koranyi_norm_batch(X) + koranyi_norm_batch(Y)
+    lhs = koranyi_norm(heis.multiply_batch(X, Y))
+    rhs = koranyi_norm(X) + koranyi_norm(Y)
     assert np.max(lhs - rhs) <= 1e-12
 
 
 def test_distance_examples(heis, heis_dist):
     x = np.array([0.4, -1.2, 2.0])
-    assert distance(heis_dist, x, x) == 0.0
-    assert distance(heis_dist, np.zeros(3), np.array([1.0, 0, 0])) == pytest.approx(1.0)
+    assert heis_dist(x, x) == 0.0
+    assert heis_dist(np.zeros(3), np.array([1.0, 0, 0])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        distance(heis_dist, np.zeros(2), np.zeros(3))
+        heis_dist(np.zeros(2), np.zeros(3))
 
 
 @given(vec3, vec3, vec3)
@@ -168,3 +166,29 @@ def test_gauge_report_shape_and_pass(heis):
     assert rep["passed"]
     rep2 = gauge_report(heis, smooth_gauge(heis), 2000, seed=9)
     assert rep2["passed"]  # triangle not enforced for the smooth gauge
+
+
+@pytest.mark.parametrize("name", ["koranyi", "smooth-heisenberg", "smooth-filiform"])
+def test_gauge_report_homogeneity_matches_loop_oracle(name):
+    # the report dilates and gauges all samples at once; the oracle is the
+    # per-sample loop it replaced (the draws follow the report's order), and
+    # a gauge or dilation of an array equals its scalar value row by row
+    alg = (GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+           if name == "smooth-filiform" else heisenberg())
+    gauge = koranyi_norm if name == "koranyi" else smooth_gauge(alg)
+    rep = gauge_report(alg, gauge, 500, seed=13)
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-3.0, 3.0, size=(500, alg.dim))
+    rng.uniform(-3.0, 3.0, size=(500, alg.dim))
+    scales = rng.uniform(0.25, 4.0, size=500)
+    want = max(abs(gauge(alg.dilate(r, x)) - r * gauge(x)) for r, x in zip(scales, X))
+    assert rep["homogeneity_max_err"] == want
+
+
+def test_gauge_of_rows_equals_gauge_of_each_point(heis):
+    fil = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    rng = np.random.default_rng(17)
+    for alg, gauge in ((heis, koranyi_norm), (heis, smooth_gauge(heis)),
+                       (fil, smooth_gauge(fil))):
+        X = rng.uniform(-5.0, 5.0, size=(300, alg.dim))
+        assert gauge(X).tolist() == [gauge(x) for x in X]

@@ -1,10 +1,37 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horoflow.poly import Poly
+from horoflow.fields import left_invariant_frame
+from horoflow.groups import GradedAlgebra, heisenberg
+from horoflow.poly import Poly, evaluator
+
+ALGEBRAS = {
+    "heisenberg": heisenberg,
+    "filiform": lambda: GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    "third": lambda: GradedAlgebra((2, 1), {(0, 1): {2: Fraction(1, 3)}}),
+}
+
+
+def product_loop(p, xs):
+    """Float oracle: each term is its coefficient times one factor per unit
+    of exponent, and the terms are summed from 0.0 in sorted order."""
+    total = 0.0
+    for e, c in sorted(p.terms.items()):
+        v = float(c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                v *= xs[i]
+        total += v
+    return total
+
+
+def law_and_frame(alg):
+    """The group law (2 dim variables) and every frame row (dim variables)."""
+    return alg.law, tuple(row for f in left_invariant_frame(alg) for row in f.rows)
 
 
 def test_constructor_drops_zeros_and_merges():
@@ -57,16 +84,48 @@ def test_evaluate_matches_direct_formula(coeffs, a, b):
     c0, c1 = coeffs
     p = c0 * Poly.variable(2, 0) ** 2 + c1 * Poly.variable(2, 1)
     direct = c0 * a * a + c1 * b
-    assert p.evaluate([a, b]) == pytest.approx(direct, abs=1e-12)
-    assert p.compiled()([a, b]) == pytest.approx(direct, abs=1e-12)
+    assert evaluator([p])(a, b)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_batch_evaluation_agrees_with_scalar(rng):
     p = Poly(3, {(2, 1, 0): 1.5, (0, 0, 1): -2, (0, 0, 0): 0.25})
+    f = evaluator([p, Poly.constant(3, 7), Poly.zero(3)])
     X = rng.uniform(-2, 2, size=(40, 3))
-    batch = p.batch(X)
+    batch, seven, zero = f(*X.T)
+    assert (seven, zero) == (7.0, 0.0)
     for row, val in zip(X, batch):
-        assert val == pytest.approx(p.evaluate(row), rel=1e-14, abs=1e-14)
+        assert val == f(*row.tolist())[0] == product_loop(p, row.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_evaluator_matches_exact_values_at_rational_points(name):
+    # dyadic points are exact floats; the only float error is rounding in the
+    # sums and products, bounded by a few ulps of the sum of absolute terms
+    rng = np.random.default_rng(5)
+    for polys in law_and_frame(ALGEBRAS[name]()):
+        f = evaluator(polys)
+        n = polys[0].nvars
+        for num in rng.integers(-64, 65, size=(20, n)):
+            pt = [Fraction(int(k), 16) for k in num]
+            got = f(*[float(v) for v in pt])
+            for p, value in zip(polys, got):
+                scale = sum(abs(c) * np.prod([abs(float(v)) ** k for v, k in zip(pt, e)])
+                            for e, c in p.terms.items())
+                assert abs(value - p.evaluate_exact(pt)) <= 1e-14 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_evaluator_is_the_product_loop_bit_for_bit(name):
+    rng = np.random.default_rng(6)
+    for polys in law_and_frame(ALGEBRAS[name]()):
+        f = evaluator(polys)
+        X = rng.uniform(-10.0, 10.0, size=(200, polys[0].nvars))
+        rows = np.stack([np.broadcast_to(v, len(X)) for v in f(*X.T)], axis=1)
+        for x, row in zip(X, rows):
+            xs = x.tolist()
+            one = f(*xs)
+            assert one == tuple(product_loop(p, xs) for p in polys)
+            assert row.tolist() == list(one)
 
 
 def test_weighted_degrees():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from horoflow import (Box, CauchyProblem, ConditionNotCertified,
+from horoflow import (Box, CauchyProblem, ConditionNotCertified, GradedAlgebra,
                       IntegratorConfig, NotInvolutiveError, check_involutive,
-                      confinement_check, frame_field, heisenberg,
-                      horizontal_field, integrate, module_field, reduced_solve,
-                      stability_monitor, verify_equilibrium_condition)
+                      confinement_check, default_distance, frame_field,
+                      heisenberg, horizontal_field, integrate, module_field,
+                      reduced_solve, stability_monitor,
+                      verify_equilibrium_condition)
 from horoflow.counterexample import counterexample_field
 
 CFG = IntegratorConfig(dense_output_grid=257)
@@ -204,3 +205,78 @@ def test_confinement_deviation_tracks_tolerance(heis):
         devs.append(confinement_check(tr, mod, x0))
     assert devs[1] <= devs[0] + 1e-12
     assert devs[2] <= devs[1] + 1e-12
+
+
+# --------------------------------------------------------------------------- loop oracles
+# The monitors evaluate the group law and the distance on whole sample arrays;
+# each oracle below is the per-point loop they replaced.  A batched product,
+# dilation or gauge equals the scalar one row by row, so they agree exactly
+# wherever no matrix product is involved.
+
+FILIFORM = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+
+
+def scale_maxima_loop(field, xbar, box, samples, seed, dst, time_samples, scales=6):
+    alg = field.algebra
+    X = box.sample(np.random.default_rng(seed), samples)
+    maxima = []
+    for k in range(scales):
+        worst = 0.0
+        for x in X:
+            xs = alg.multiply(xbar, alg.dilate(2.0 ** (-k), alg.multiply(-xbar, x)))
+            d = dst(xs, xbar)
+            if d == 0.0:
+                continue
+            for t in time_samples:
+                total = sum(abs(a(t, xs)) ** (1.0 / alg.degrees[i - 1])
+                            for a, i in zip(field.coefficients, field.indices))
+                worst = max(worst, total / d)
+        maxima.append(worst)
+    return maxima
+
+
+def oracle_cases():
+    heis = heisenberg()
+    for alg in (heis, FILIFORM):
+        dst = default_distance(alg)
+        xbar = np.array([0.2, -0.1, 0.3, 0.05][:alg.dim])
+        coeffs = (lambda t, x, _d=dst, _p=xbar: _d(_p, x) * (1.0 + t),
+                  lambda t, x, _p=xbar: math.sin(x[0] - _p[0]) * math.cos(x[1]))
+        yield alg, dst, xbar, horizontal_field(alg, coeffs)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_scale_maxima_match_loop_oracle(case):
+    alg, dst, xbar, b = list(oracle_cases())[case]
+    box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
+    cond = verify_equilibrium_condition(b, xbar, box, 300, seed=9, distance=dst,
+                                        time_samples=(0.0, 0.5))
+    want = scale_maxima_loop(b, xbar, box, 300, 9, dst, (0.0, 0.5))
+    assert list(cond.scale_maxima) == want
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_stability_ratios_match_loop_oracle(case):
+    alg, dst, xbar, b = list(oracle_cases())[case]
+    box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
+    cond = verify_equilibrium_condition(b, xbar, box, 200, seed=9, distance=dst)
+    starts = [alg.multiply(xbar, alg.dilate(10.0 ** -k, np.full(alg.dim, 0.3)))
+              for k in range(1, 4)]
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5, dst, kappa_samples=500)
+    want = []
+    for x0 in starts:
+        tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG, with_residual=False)
+        want.append(max(dst(x, xbar) for x in tr.states) / dst(x0, xbar))
+    assert list(rep.ratios) == want
+
+
+@pytest.mark.parametrize("x0, extra", [((0.0, 1.0, 0.0), 0.0), ((0.3, -0.4, 0.2), 1.0)])
+def test_confinement_matches_loop_oracle(heis, x0, extra):
+    mod = check_involutive(heis, [[1.0, 0, 0]])
+    b = frame_field(heis, (lambda t, x: math.sin(x[0]), lambda t, x: extra * x[2]), (1, 2))
+    tr = integrate(CauchyProblem(b, x0, 1.0), CFG, with_residual=False)
+    P = mod.projector
+    rel = [heis.multiply(-np.asarray(x0), z) for z in tr.states]
+    want = max(float(np.linalg.norm(z - P @ z)) for z in rel)
+    # the projection is a matrix product, which BLAS may round per call shape
+    assert confinement_check(tr, mod, x0) == pytest.approx(want, rel=1e-14, abs=1e-15)
