@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -265,10 +266,10 @@ def _run_involutive(args) -> int:
 
 
 def _write_uv_csv(sol, path) -> None:
+    rows = zip(sol.times.tolist(), sol.u.tolist(), sol.v.tolist())
     with open(path, "w") as fh:
         fh.write("t,u,v\n")
-        for t, u, v in zip(sol.times, sol.u, sol.v):
-            fh.write(f"{t:.17g},{u:.17g},{v:.17g}\n")
+        fh.writelines(map("%.17g,%.17g,%.17g\n".__mod__, rows))
 
 
 def _run_counterexample(args) -> int:
@@ -281,8 +282,9 @@ def _run_counterexample(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for sol in ladder.solutions:
-            _write_uv_csv(sol, out / f"rung_eps_{sol.epsilon:.9g}.csv")
-        _write_uv_csv(ladder.limit, out / "limit_uv.csv")
+            path = out / f"rung_eps_{sol.epsilon:.9g}.csv"
+            _write_uv_csv(sol, path)
+        shutil.copyfile(path, out / "limit_uv.csv")  # the limit is the last rung
         write_trajectory_csv(gamma, out / "gamma.csv")
     _emit(report, args)
     return PASS if report["nonuniqueness_certified"] else FAIL

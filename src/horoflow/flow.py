@@ -148,7 +148,8 @@ def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
 
 def write_trajectory_csv(tr: Trajectory, path) -> None:
     q = tr.states.shape[1]
+    row = ",".join(["%.17g"] * (q + 1)) + "\n"
+    rows = zip(tr.times.tolist(), *tr.states.T.tolist())
     with open(path, "w") as fh:
         fh.write("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n")
-        for t, row in zip(tr.times, tr.states):
-            fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+        fh.writelines(map(row.__mod__, rows))

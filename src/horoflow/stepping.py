@@ -1,10 +1,13 @@
 """Explicit steppers and quadrature shared by every solve in the package.
 
-The adaptive method is the Dormand-Prince 5(4) embedded pair; the fixed-step
-method is classical RK4 (kept for order studies).  Both advance exactly onto
-each requested output time, so grid states are true integration endpoints
-rather than interpolants; cubic Hermite interpolation is used only to locate
-domain exits inside a step.
+The adaptive method is the Dormand-Prince 5(4) embedded pair.  Its step size
+is set by the tolerance alone (capped by ``max_step`` and the horizon); every
+output grid time an accepted step passes over is filled from the pair's own
+fourth-order continuous extension (Hairer's ``contd5``), and the horizon is
+reached by stretching the last step rather than by a sliver step.  Domain
+exits are located by bisection on the same interpolant.  The fixed-step
+method is classical RK4 (kept for order studies); it lands exactly on each
+grid time and locates exits on the cubic Hermite interpolant.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ for _s, _row in enumerate((
     _DP_A[_s, :_s] = _row
 _DP_B5 = _DP_A[6]
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# weights of the quartic term of the continuous extension (Hairer's dopri5)
+_DP_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 
 _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
+_STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
 
 
 class StepUnderflowError(RuntimeError):
@@ -59,11 +67,14 @@ class StepStats:
     rejected: int = 0
     rhs_evals: int = 0
     min_step: float = math.inf
+    min_step_t: float = math.nan  # start time of the smallest step
     max_step: float = 0.0
 
-    def record(self, h: float) -> None:
+    def record(self, h: float, t: float) -> None:
+        h = float(h)
         self.steps += 1
-        self.min_step = min(self.min_step, h)
+        if h < self.min_step:
+            self.min_step, self.min_step_t = h, float(t)
         self.max_step = max(self.max_step, h)
 
     def as_dict(self) -> dict:
@@ -72,6 +83,7 @@ class StepStats:
             "rejected": self.rejected,
             "rhs_evals": self.rhs_evals,
             "min_step": self.min_step if self.steps else None,
+            "min_step_t": self.min_step_t if self.steps else None,
             "max_step": self.max_step if self.steps else None,
         }
 
@@ -105,23 +117,38 @@ def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
     return out
 
 
-def _locate_exit(inside, t0, y0, f0, t1, y1, f1, tol=1e-10):
-    """Bisect the Hermite interpolant for the domain boundary inside a step."""
-    a, b = t0, t1
+def dp5_dense(y: np.ndarray, y5: np.ndarray, h: float, k: np.ndarray):
+    """Dormand-Prince continuous extension on one step of length h from y.
+
+    ``k`` holds the seven stage slopes, k[6] being the FSAL slope f(t+h, y5).
+    Returns a function of the step fraction theta (a number or a 1-D array)
+    giving the fourth-order state at t + theta h, in Hairer's ``contd5`` form:
+    it takes y and y5 at theta = 0 and 1, with slopes k[0] and k[6] there.
+    """
+    r2 = y5 - y
+    r3 = h * k[0] - r2
+    r4 = r2 - h * k[6] - r3
+    r5 = h * (_DP_D @ k.reshape(7, -1)).reshape(y.shape)
+
+    def at(theta):
+        s = np.reshape(theta, np.shape(theta) + (1,) * y.ndim)
+        s1 = 1.0 - s
+        return y + s * (r2 + s1 * (r3 + s * (r4 + s1 * r5)))
+    return at
+
+
+def _exit_solution(grid, states, g, stats, inside, dense, a, b, tol=1e-10):
+    """Truncate at the domain exit, bisected on ``dense(t)`` between a time a
+    inside the domain and a time b outside it; grid[:g] were reached inside."""
     while b - a > tol:
         mid = 0.5 * (a + b)
-        if inside(hermite(t0, y0, f0, t1, y1, f1, mid)):
+        if inside(dense(mid)):
             a = mid
         else:
             b = mid
     t_exit = 0.5 * (a + b)
-    return t_exit, hermite(t0, y0, f0, t1, y1, f1, t_exit)
-
-
-def _exit_solution(grid, g, states, stats, inside, t0, y0, f0, t1, y1, f1):
-    t_exit, y_exit = _locate_exit(inside, t0, y0, f0, t1, y1, f1)
-    times = np.append(grid[:g], t_exit)  # grid points already reached, then the exit
-    out = np.concatenate([states[:g], y_exit[None]])
+    times = np.append(grid[:g], t_exit)
+    out = np.concatenate([states[:g], dense(t_exit)[None]])
     return GridSolution(times, out, stats, exited=True, exit_time=t_exit)
 
 
@@ -136,16 +163,18 @@ def solve_to_grid(
     min_step: float = 1e-14,
     inside: Callable[[np.ndarray], bool] | None = None,
 ) -> GridSolution:
-    """Integrate y' = f(t, y) hitting every grid time exactly.
+    """Integrate y' = f(t, y) and return the states at every grid time.
 
     The state may have any shape; ``f`` receives and returns arrays of that
     shape.  A state of shape (m, d) advances m systems together on one step
     sequence whose error norm is the max over every entry, so each system
     meets the tolerance it would meet alone.
 
-    If ``inside`` is given and the solution leaves the region, the returned
-    arrays are truncated at the exit time (located within 1e-10 by bisection
-    on the last step's Hermite interpolant).
+    With "rk45" the steps follow the tolerance and grid states between step
+    ends come from the step's continuous extension; "rk4" steps onto every
+    grid time.  If ``inside`` is given and the solution leaves the region,
+    the returned arrays are truncated at the exit time, located within 1e-10
+    by bisection on the last step's interpolant.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -169,58 +198,66 @@ def solve_to_grid(
 
 
 def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol, min_step):
-    t = float(grid[0])
-    span = float(grid[-1] - grid[0])
+    t, t_end = float(grid[0]), float(grid[-1])
+    span = t_end - t
     fcur = _checked(f, t, y, stats)
     h = min(max_step, grid[1] - grid[0])
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
+    g = 1  # next grid time to fill
 
-    for g in range(1, len(grid)):
-        target = float(grid[g])
-        while t < target:
-            clamped = min(h, max_step, target - t)
-            if clamped <= 0:
+    while t < t_end:
+        rest = t_end - t
+        h_try = min(h, max_step)
+        if _STRETCH * h_try >= rest and rest <= max_step:
+            h_try = rest
+        # one attempted step, repeated with smaller h on rejection; local
+        # error is budgeted per unit time so the accumulated defect over the
+        # whole horizon stays at the tolerance scale
+        while True:
+            k[0] = fcur
+            for s in range(1, 7):
+                ys = y + h_try * (_DP_A[s, :s] @ kf[:s]).reshape(y.shape)
+                k[s] = _checked(f, t + _DP_C[s] * h_try, ys, stats)
+            y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
+            err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
+            scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
+            err = float((np.abs(err_vec) / scale).max())
+            if err <= 1.0 or h_try <= min_step:
                 break
-            h_try = clamped
-            # one attempted step, repeated with smaller h on rejection;
-            # local error is budgeted per unit time so the accumulated defect
-            # over the whole horizon stays at the tolerance scale
-            while True:
-                k[0] = fcur
-                for s in range(1, 7):
-                    ys = y + h_try * (_DP_A[s, :s] @ kf[:s]).reshape(y.shape)
-                    k[s] = _checked(f, t + _DP_C[s] * h_try, ys, stats)
-                y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
-                err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
-                scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
-                err = float((np.abs(err_vec) / scale).max())
-                if err <= 1.0 or h_try <= min_step:
-                    break
-                stats.rejected += 1
-                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.25))
-                h_try = max(h_try * min(factor, 1.0), min_step)
-            if err > 1.0 and h_try <= min_step:
-                raise StepUnderflowError(t)
+            stats.rejected += 1
+            factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.25))
+            h_try = max(h_try * min(factor, 1.0), min_step)
+        if err > 1.0 and h_try <= min_step:
+            raise StepUnderflowError(t)
+        stats.record(h_try, t)
 
-            t_new = target if abs(t + h_try - target) <= 1e-15 * max(1.0, abs(target)) else t + h_try
-            # FSAL: the last stage is f(t+h, y5).  Copied, because the next
-            # attempt overwrites k[6], and after a rejection k[0] must still be
-            # f(t, y); so must the start slope of the exit interpolant
-            f_new = k[6].copy()
-            stats.record(h_try)
+        t_new = t_end if h_try == rest else t + h_try
+        dense = dp5_dense(y, y5, h_try, k)
+        j = int(np.searchsorted(grid, t_new, side="right"))  # grid[g:j] lie in (t, t_new]
+        if j > g:
+            states[g:j] = dense((grid[g:j] - t) / h_try)
+            if grid[j - 1] == t_new:
+                states[j - 1] = y5
+        if inside is not None:
+            n_in = g
+            while n_in < j and inside(states[n_in]):
+                n_in += 1
+            if n_in < j or not inside(y5):
+                a = grid[n_in - 1] if n_in > g else t
+                b = grid[n_in] if n_in < j else t_new
+                return _exit_solution(grid, states, n_in, stats, inside,
+                                      lambda s: dense((s - t) / h_try), a, b)
 
-            if inside is not None and not inside(y5):
-                return _exit_solution(grid, g, states, stats, inside, t, y, fcur, t_new, y5, f_new)
-
-            y = y5
-            fcur = f_new
-            t = t_new
-            if err > 0:
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.25)))
-            else:
-                h = h_try * _MAX_FACTOR
-        states[g] = y
+        # FSAL: the last stage is f(t+h, y5).  Copied, because the next
+        # attempt overwrites k[6], and after a rejection k[0] must still be
+        # f(t, y)
+        fcur = k[6].copy()
+        y, t, g = y5, t_new, j
+        if err > 0:
+            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.25)))
+        else:
+            h = h_try * _MAX_FACTOR
     return GridSolution(grid.copy(), states, stats)
 
 
@@ -236,10 +273,12 @@ def _rk4_to_grid(f, grid, y, states, stats, inside, max_step):
             k4 = _checked(f, t + h, y + h * k3, stats)
             y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t_new = target if abs(t + h - target) <= 1e-15 * max(1.0, abs(target)) else t + h
-            stats.record(h)
+            stats.record(h, t)
             if inside is not None and not inside(y_new):
                 f_new = _checked(f, t_new, y_new, stats)
-                return _exit_solution(grid, g, states, stats, inside, t, y, k1, t_new, y_new, f_new)
+                return _exit_solution(
+                    grid, states, g, stats, inside,
+                    lambda s: hermite(t, y, k1, t_new, y_new, f_new, s), t, t_new)
             y, t = y_new, t_new
         states[g] = y
     return GridSolution(grid.copy(), states, stats)

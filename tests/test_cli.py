@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from horoflow.cli import main
+from horoflow import counterexample as cx
+from horoflow.cli import _write_uv_csv, main
+from horoflow.flow import Trajectory, write_trajectory_csv
 
 HEIS_GROUP = {
     "layers": [2, 1],
@@ -258,6 +261,44 @@ def test_counterexample_reproducible_reports(tmp_path):
     assert main(counterexample_args(b)) == 0
     assert masked(read_report(a)) == masked(read_report(b))
     assert (a / "gamma.csv").read_text() == (b / "gamma.csv").read_text()
+
+
+def uv_csv_oracle(sol):
+    """The per-value f-string loop the CSV writers must reproduce byte for byte."""
+    lines = ["t,u,v\n"]
+    for t, u, v in zip(sol.times, sol.u, sol.v):
+        lines.append(f"{t:.17g},{u:.17g},{v:.17g}\n")
+    return "".join(lines)
+
+
+def trajectory_csv_oracle(tr):
+    q = tr.states.shape[1]
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n"]
+    for t, row in zip(tr.times, tr.states):
+        lines.append(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+    return "".join(lines)
+
+
+def test_csv_writers_match_the_per_value_loop(tmp_path):
+    awkward = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-308, 5e-324, 1e22, -123456789.125,
+                        np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, 0.1])
+    uv = cx.UVSolution(np.arange(12.0) / 7.0, awkward, awkward[::-1].copy(), 0.1, "time", {})
+    _write_uv_csv(uv, tmp_path / "uv.csv")
+    assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(uv).encode()
+    tr = Trajectory(uv.times, np.column_stack([awkward, awkward**2, -awkward]), {})
+    write_trajectory_csv(tr, tmp_path / "tr.csv")
+    assert (tmp_path / "tr.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
+
+    # the exhibit's artifacts, recomputed by the library
+    out = tmp_path / "out"
+    assert main(counterexample_args(out)) == 0
+    spec = cx.LadderSpec(eps0=0.1, ratio=0.5, count=6, tau=0.2, grid_points=256)
+    ladder = cx.run_epsilon_ladder(spec, "time")
+    _, gamma = cx.build_nonuniqueness_report(ladder)
+    for sol in ladder.solutions:
+        assert (out / f"rung_eps_{sol.epsilon:.9g}.csv").read_text() == uv_csv_oracle(sol)
+    assert (out / "limit_uv.csv").read_text() == uv_csv_oracle(ladder.limit)
+    assert (out / "gamma.csv").read_text() == trajectory_csv_oracle(gamma)
 
 
 def test_json_flag_prints_instead_of_writing(tmp_path, capsys, monkeypatch):

@@ -304,16 +304,17 @@ def test_ladder_window_warning_flag():
 
 
 def test_batched_time_ladder_matches_single_rung_solves():
-    # every time rung takes one step per grid interval, so the shared step
-    # sequence is each rung's own and the states agree to roundoff
+    # the shared step sequence meets the tolerance of the hardest rung, so
+    # it takes at least as many steps as any single rung, and every rung
+    # agrees with its single solve well inside the tolerance
     spec = small_spec(count=5)
     lad = run_epsilon_ladder(spec, "time", FAST)
     for sol in lad.solutions:
         alone, _ = solve_regularized(SingularUVSystem("time", sol.epsilon), spec.tau, FAST)
-        assert sol.stats["steps"] == alone.stats["steps"] == FAST.dense_output_grid - 1
-        assert sol.stats["rejected"] == alone.stats["rejected"] == 0
-        assert np.max(np.abs(sol.u - alone.u)) <= 1e-14
-        assert np.max(np.abs(sol.v - alone.v)) <= 1e-14
+        assert sol.stats == lad.solutions[0].stats
+        assert sol.stats["steps"] >= alone.stats["steps"]
+        assert np.max(np.abs(sol.u - alone.u)) <= FAST.abs_tol
+        assert np.max(np.abs(sol.v - alone.v)) <= FAST.abs_tol
 
 
 def test_batched_autonomous_ladder_matches_single_rung_solves():

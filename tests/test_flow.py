@@ -7,8 +7,9 @@ from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
                       heisenberg, horizontal_field, integrate, residual,
                       translate)
 from horoflow.counterexample import counterexample_field
-from horoflow.stepping import (NonFiniteRHSError, StepUnderflowError,
-                               cumulative_simpson, solve_to_grid)
+from horoflow.stepping import (NonFiniteRHSError, StepStats,
+                               StepUnderflowError, cumulative_simpson,
+                               dp5_dense, solve_to_grid)
 
 CFG = IntegratorConfig(dense_output_grid=257)
 
@@ -230,14 +231,117 @@ def test_domain_exit_truncates_at_boundary(heis):
 
 
 def test_domain_exit_interpolates_with_the_step_start_slope():
-    # y = t^2 is its own cubic Hermite interpolant when both end slopes are
-    # right, so the exit at sqrt(1/2) is found to the bisection tolerance;
-    # taking the step-end slope at both ends misplaced it by 2.4e-3
+    # y = t^2 is reproduced exactly by the step's continuous extension, which
+    # starts from the step-start slope k[0], so the exit at sqrt(1/2) is found
+    # to the bisection tolerance; an interpolant that took the step-end slope
+    # at both ends misplaced it by 2.4e-3
     sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
                         inside=lambda y: y[0] < 0.5)
     assert sol.exited
     assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
     assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_rk4_domain_exit_interpolates_with_the_step_start_slope():
+    # RK4 lands on the grid and bisects the cubic Hermite interpolant, which
+    # is y = t^2 itself when both end slopes are right
+    sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
+                        method="rk4", inside=lambda y: y[0] < 0.5)
+    assert sol.exited
+    assert np.array_equal(sol.times[:-1], [0.0, 0.25, 0.5])
+    assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-9)
+
+
+# --------------------------------------------------------------------------- dense output
+
+
+def test_dense_output_matches_step_ends_and_slopes():
+    rng = np.random.default_rng(5)
+    y, y5 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    k = rng.normal(size=(7, 3, 2))
+    h = 0.37
+    dense = dp5_dense(y, y5, h, k)
+    assert np.allclose(dense(0.0), y, rtol=0, atol=1e-15)
+    assert np.allclose(dense(1.0), y5, rtol=0, atol=1e-15)
+    # the interpolant is a polynomial in theta, so a complex step gives its
+    # theta-derivative to roundoff
+    for theta, slope in ((0.0, k[0]), (1.0, k[6])):
+        d = dense(theta + 1e-30j).imag / 1e-30
+        assert np.allclose(d, h * slope, rtol=0, atol=1e-14)
+    # an array of fractions is one state per fraction
+    both = dense(np.array([0.0, 1.0]))
+    assert both.shape == (2, 3, 2)
+    assert np.allclose(both, [y, y5], rtol=0, atol=1e-15)
+
+
+def test_dense_grid_states_meet_the_tolerance_on_a_rotation():
+    # y' = A y rotates; a 2049-point grid puts about 12 grid times inside
+    # every step.  The interpolated states carry the error of the step ends
+    # (1.4e-10 here); the cubic Hermite interpolant of the same steps is
+    # 6e-9 off
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    grid = np.linspace(0.0, 2.0 * np.pi, 2049)
+    sol = solve_to_grid(lambda t, y: rot @ y, grid, [1.0, 0.0], abs_tol=1e-8, rel_tol=1e-8)
+    assert sol.stats.steps < len(grid) // 10
+    exact = np.column_stack([np.cos(grid), np.sin(grid)])
+    assert np.max(np.abs(sol.states - exact)) <= 0.1 * 1e-8
+
+
+def test_step_count_does_not_depend_on_the_grid():
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    stats = [solve_to_grid(lambda t, y: rot @ y, np.linspace(0.0, 2.0 * np.pi, n), [1.0, 0.0],
+                           abs_tol=1e-8, rel_tol=1e-8).stats
+             for n in (65, 2049)]
+    coarse, fine = stats
+    assert abs(coarse.steps - fine.steps) <= 3
+    assert abs(coarse.rhs_evals - fine.rhs_evals) <= 3 * 6
+
+
+def test_box_exit_inside_a_long_step_fills_the_grid_before_it():
+    # y = (t, t^4) is a quartic, which the fourth-order continuous extension
+    # reproduces and the cubic Hermite interpolant does not.  Every step is
+    # accepted at five times the last, so the exit at t = 0.7 falls inside a
+    # step that spans hundreds of grid times
+    box = Box((-1.0, -1.0), (2.0, 0.7**4))
+    grid = np.linspace(0.0, 1.0, 2049)
+    sol = solve_to_grid(lambda t, y: np.array([1.0, 4.0 * t**3]), grid, [0.0, 0.0],
+                        inside=box.contains)
+    assert sol.exited
+    assert sol.stats.steps <= 8
+    assert sol.stats.max_step > 200 * grid[1]
+    reached = grid[grid < 0.7]
+    assert np.array_equal(sol.times[:-1], reached)
+    exact = np.column_stack([reached, reached**4])
+    assert np.max(np.abs(sol.states[:-1] - exact)) <= 1e-12
+    assert sol.exit_time == pytest.approx(0.7, abs=1e-8)
+    assert abs(sol.states[-1, 1] - 0.7**4) <= 1e-8
+
+
+def test_horizon_is_reached_without_a_sliver_step():
+    # y = t^2 is solved exactly, so after the first step (the grid spacing
+    # 0.2) the step grows to 1.0.  A remainder within 1 % of that step is
+    # taken as one stretched step; a longer one, or a stretch past max_step,
+    # is not
+    def steps(t_end, **kw):
+        sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), [0.0, 0.2, t_end], [0.0], **kw)
+        assert sol.states[-1, 0] == pytest.approx(t_end**2, abs=1e-12)
+        return sol.stats.steps, sol.stats.min_step
+
+    assert steps(1.205) == (2, 0.2)
+    assert steps(1.25) == (3, pytest.approx(0.05))
+    assert steps(1.205, max_step=1.0) == (3, pytest.approx(0.005))
+
+
+def test_step_stats_are_plain_floats_with_the_time_of_the_smallest_step():
+    st = StepStats()
+    st.record(np.float64(0.5), np.float64(0.0))
+    st.record(np.float64(0.25), np.float64(0.5))
+    st.record(0.5, 0.75)
+    d = st.as_dict()
+    assert (d["min_step"], d["min_step_t"], d["max_step"]) == (0.25, 0.5, 0.5)
+    assert all(type(d[key]) is float for key in ("min_step", "min_step_t", "max_step"))
+    assert StepStats().as_dict()["min_step_t"] is None
 
 
 def test_batched_state_matches_separate_solves():
