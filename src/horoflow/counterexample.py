@@ -33,8 +33,10 @@ from .groups import GradedAlgebra, heisenberg, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 from .stepping import cumulative_simpson, solve_to_grid
 
-MIX_WEIGHT_UPPER = 0.5   # weight lambda with u + lambda v below the exponential bound
-MIX_WEIGHT_LOWER = 0.75  # weight lambda in the linear lower envelope
+# positive root of 8 w^2 + 2 w - 3 = 0: u + w v obeys the exponential bound
+MIX_WEIGHT_UPPER = 0.5
+# cancels the linear terms in the lower envelope of u + w v
+MIX_WEIGHT_LOWER = 0.75
 
 MONITOR_TOL = 1e-9
 
@@ -46,14 +48,18 @@ class MonitorViolation(RuntimeError):
 # --------------------------------------------------------------------------- coefficients
 
 
-def distance_to_axis_point(t: float, x: Sequence[float]) -> float:
-    """Quartic-gauge distance from (t, 0, 0); uniformly 1-Lipschitz in x."""
+def distance_to_axis_point(t, x):
+    """Quartic-gauge distance from (t, 0, 0); uniformly 1-Lipschitz in x.
+
+    A coefficient in the sense of ``fields``: x is a point or (n, 3) rows.
+    """
     x = np.asarray(x, dtype=float)
-    h = (x[0] - t) ** 2 + x[1] ** 2
-    return float((h * h + (x[2] - t * x[1]) ** 2) ** 0.25)
+    x1, x2, x3 = x[..., 0] - t, x[..., 1], x[..., 2] - t * x[..., 1]
+    h = x1 * x1 + x2 * x2
+    return np.sqrt(np.sqrt(h * h + x3 * x3))
 
 
-def distance_to_axis(x: Sequence[float]) -> float:
+def distance_to_axis(x):
     """Distance to the whole first axis: inf over s of the distance to (s,0,0).
 
     Shifting the minimisation variable turns the objective into the convex
@@ -61,13 +67,12 @@ def distance_to_axis(x: Sequence[float]) -> float:
     c = x3 - x1 x2.  Its unique minimiser is the real root of a strictly
     increasing cubic, found by Cardano's formula plus one Newton step
     (relative error below 1e-15 against an exact oracle; see scalarmin).
+    x is one point or (n, 3) rows.
     """
     x = np.asarray(x, dtype=float)
-    a = x[1] * x[1]
-    b = -x[1]
-    c = x[2] - x[0] * x[1]
-    _, fmin = minimize_convex_quartic(a, b, c)
-    return float(fmin**0.25)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    _, fmin = minimize_convex_quartic(x2 * x2, -x2, x3 - x1 * x2)
+    return np.sqrt(np.sqrt(fmin))
 
 
 def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
@@ -81,7 +86,7 @@ def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
     sbar, fmin = minimize_convex_quartic(b * b, b, v / 36.0)
     # at t = 0 the minimiser is 0 and the value is 6 (v^2/36^2)^(1/4); the
     # closed form keeps it exact, so the start (u, v) = (1, 1) is stationary
-    value = np.where(t == 0.0, np.sqrt(np.abs(v)), 6.0 * fmin**0.25)
+    value = np.where(t == 0.0, np.sqrt(np.abs(v)), 6.0 * np.sqrt(np.sqrt(fmin)))
     return value[()], sbar
 
 
@@ -97,13 +102,12 @@ def counterexample_field(alg: GradedAlgebra | None = None,
         raise ValueError("the exhibit lives on the Heisenberg preset")
     one = lambda t, x: 1.0
     if variant == "time":
-        coeff = lambda t, x: distance_to_axis_point(t, x)
+        coeff = distance_to_axis_point
     elif variant == "autonomous":
         coeff = lambda t, x: distance_to_axis(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return horizontal_field(alg, (one, coeff), time_dependent=(variant == "time"),
-                            lipschitz_estimate=1.0)
+    return horizontal_field(alg, (one, coeff), time_dependent=(variant == "time"))
 
 
 # --------------------------------------------------------------------------- the (u, v) system
@@ -126,21 +130,12 @@ class SingularUVSystem:
         if np.any(np.asarray(self.epsilon) < 0):
             raise ValueError("epsilon must be nonnegative")
 
-    @property
-    def mix_weight_upper(self) -> float:
-        # positive root of 8 w^2 + 2 w - 3 = 0: makes u + w v obey the
-        # exponential comparison bound
-        return MIX_WEIGHT_UPPER
-
-    @property
-    def mix_weight_lower(self) -> float:
-        # cancels the linear terms in the lower envelope of u + w v
-        return MIX_WEIGHT_LOWER
-
     def drive(self, t, u, v):
         """The variant's drive G(t, u, v); arguments may be arrays."""
         if self.variant == "time":
-            return ((t / 3.0) ** 4 * u**4 + v * v) ** 0.25
+            w = t * u / 3.0
+            w2 = w * w
+            return np.sqrt(np.sqrt(w2 * w2 + v * v))
         return scaled_axis_distance(t, u, v)
 
 
@@ -167,32 +162,20 @@ def comparison_monitor(
     c2: float,
     c3: float,
     c4: float,
-    sign_variant: str = "general",
     tol: float = 0.0,
 ) -> tuple:
     """Check a sampled function against the comparison-lemma envelope.
 
-    general: z <= (c1/c2 + c4 (t+eps)) * exp(c3 (t+eps)), constants >= 0.
-    c3_zero_c1_nonpositive: z <= c1/c2 + c4 (t+eps) with c1 <= 0.
+    z <= (c1/c2 + c4 (t+eps)) * exp(c3 (t+eps)), constants >= 0.
     Returns (passed, worst_margin) with margin = bound - z.
     """
     if c2 <= 0:
         raise ValueError("c2 must be positive")
+    if min(c1, c3, c4) < 0:
+        raise ValueError("the envelope requires nonnegative constants")
     t = np.asarray(times, dtype=float) + eps
     z = np.asarray(z, dtype=float)
-    if sign_variant == "general":
-        if min(c1, c3, c4) < 0:
-            raise ValueError("general variant requires nonnegative constants")
-        bound = (c1 / c2 + c4 * t) * np.exp(c3 * t)
-    elif sign_variant == "c3_zero_c1_nonpositive":
-        if c1 > 0:
-            raise ValueError("negative variant requires c1 <= 0")
-        if c4 < 0:
-            raise ValueError("c4 must be nonnegative")
-        bound = c1 / c2 + c4 * t
-    else:
-        raise ValueError(f"unknown sign_variant {sign_variant!r}")
-    margins = bound - z
+    margins = (c1 / c2 + c4 * t) * np.exp(c3 * t) - z
     worst = float(np.min(margins))
     return worst >= -tol, worst
 
@@ -534,10 +517,11 @@ def run_epsilon_ladder(
 def reconstruct_trajectory(uv: UVSolution) -> Trajectory:
     """Lift a (u, v) solution back to the group: (t, t^3 u/18, t^4 (2u-v)/36)."""
     t = uv.times
+    t2 = t * t
     states = np.column_stack([
         t,
-        t**3 * uv.u / 18.0,
-        t**4 * (2.0 * uv.u - uv.v) / 36.0,
+        t2 * t * uv.u / 18.0,
+        t2 * t2 * (2.0 * uv.u - uv.v) / 36.0,
     ])
     meta = {"variant": uv.variant, "epsilon": uv.epsilon, "source": "uv_reconstruction"}
     return Trajectory(t.copy(), states, meta)

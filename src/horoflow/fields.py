@@ -7,6 +7,12 @@ identity.  A horizontal field is a combination of the first-layer frame
 fields with scalar coefficient functions; it induces a derivation on test
 functions, and conversely the coefficients can be recovered from the
 derivation by applying it to left-translated coordinate functions.
+
+A coefficient is a pure function (t, x) -> value, where x is one point
+(dim,) or an (n, dim) array of rows and t a number or an (n,) array; written
+with x[..., i] and numpy functions, one formula serves both.  On rows it
+returns one value per row (or one number for all), each equal to the point
+call on that row, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .gauges import HomogeneousDistance, default_distance
 from .groups import GradedAlgebra, inverse, is_heisenberg
 from .poly import Poly, evaluator
 
-CoefficientFn = Callable[[float, np.ndarray], float]
+CoefficientFn = Callable[[object, np.ndarray], object]  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -47,9 +53,7 @@ class LeftInvariantField:
     def value(self, x: Sequence[float]) -> np.ndarray:
         """The field at one point, or at each row of an (n, dim) array."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array(self._eval(*x.tolist()))
-        return np.stack([np.broadcast_to(v, len(x)) for v in self._eval(*x.T)], axis=1)
+        return np.stack([np.broadcast_to(v, x.shape[:-1]) for v in self._eval(*x.T)], axis=-1)
 
 
 def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
@@ -81,15 +85,14 @@ class HorizontalField:
     """Vector field sum_i a_i(t, x) X_i over a subset of frame indices.
 
     ``indices`` are 1-based; the default constructor restricts them to the
-    first layer, which is what makes the field horizontal.  Coefficients must
-    be pure functions (t, x) -> float.
+    first layer, which is what makes the field horizontal.  Coefficients
+    follow the contract in the module docstring.
     """
 
     algebra: GradedAlgebra
     coefficients: tuple
     indices: tuple
     time_dependent: bool = True
-    lipschitz_estimate: float | None = None
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.indices):
@@ -103,23 +106,23 @@ class HorizontalField:
     def is_horizontal(self) -> bool:
         return all(i <= self.algebra.horizontal_dim for i in self.indices)
 
-    def coefficient_values(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.array([a(t, x) for a in self.coefficients])
+    @cached_property
+    def _frame_rows(self) -> tuple:
+        """Float evaluator of the frame field X_i of each coefficient."""
+        frame = left_invariant_frame(self.algebra)
+        return tuple(frame[i - 1]._eval for i in self.indices)
 
 
 def horizontal_field(
     alg: GradedAlgebra,
     coefficients: Sequence[CoefficientFn],
     time_dependent: bool = True,
-    lipschitz_estimate: float | None = None,
 ) -> HorizontalField:
     """Field over the full first-layer frame (one coefficient per X_1..X_m)."""
     m = alg.horizontal_dim
     if len(coefficients) != m:
         raise ValueError(f"expected {m} coefficients for the first layer")
-    return HorizontalField(
-        alg, tuple(coefficients), tuple(range(1, m + 1)), time_dependent, lipschitz_estimate
-    )
+    return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)), time_dependent)
 
 
 def frame_field(
@@ -132,17 +135,27 @@ def frame_field(
     return HorizontalField(alg, tuple(coefficients), tuple(int(i) for i in indices), time_dependent)
 
 
-def evaluate_field(b: HorizontalField, t: float, x: Sequence[float]) -> np.ndarray:
-    """Coordinate velocity sum_i a_i(t, x) * (frame row of X_i at x)."""
+def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
+    """Coordinate velocity sum_i a_i(t, x) * (frame row of X_i at x).
+
+    ``x`` is one point, evaluated on Python floats, or (n, dim) rows; each
+    result row equals the point call on that row, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    frame = left_invariant_frame(b.algebra)
-    xs = x.tolist()
     out = [0.0] * b.algebra.dim
-    for a, i in zip(b.coefficients, b.indices):
+    if x.ndim == 1:
+        xs = x.tolist()
+        for a, row in zip(b.coefficients, b._frame_rows):
+            ai = float(a(t, x))
+            if ai != 0.0:
+                out = [o + ai * v for o, v in zip(out, row(*xs))]
+        return np.array(out)
+    # a zero coefficient adds a signed zero here where the point call skips
+    # it; the sums start at +0.0, so the results agree
+    for a, row in zip(b.coefficients, b._frame_rows):
         ai = a(t, x)
-        if ai != 0.0:
-            out = [o + ai * v for o, v in zip(out, frame[i - 1]._eval(*xs))]
-    return np.array(out)
+        out = [o + ai * v for o, v in zip(out, row(*x.T))]
+    return np.stack([np.broadcast_to(o, len(x)) for o in out], axis=1)
 
 
 # --------------------------------------------------------------------------- derivations
@@ -331,7 +344,7 @@ def field_from_spec(
                 raise ValueError("monomial exponents must have one entry per coordinate")
             scale = float(c.get("scale", 1.0))
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
-            coeffs.append(lambda t, x, _f=fn: _f(*x.tolist())[0])
+            coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])
         elif form == "distance_to_point":
             point = np.asarray(c.get("point", np.zeros(alg.dim)), dtype=float)
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
@@ -348,7 +361,7 @@ def field_from_spec(
             if not 0 <= idx < alg.dim:
                 raise ValueError(f"sin_coordinate index {idx + 1} out of range")
             scale = float(c.get("scale", 1.0))
-            coeffs.append(lambda t, x, _i=idx, _s=scale: _s * math.sin(x[_i]))
+            coeffs.append(lambda t, x, _i=idx, _s=scale: _s * np.sin(x.T[_i]))
         else:
             raise ValueError(f"unknown coefficient form {form!r}")
     indices = spec.get("indices")

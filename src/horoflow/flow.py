@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -77,13 +78,9 @@ def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig(),
     """Solve the componentwise system x_i' = sum_j a_j(t, x) p_j^i(x) on [0, T]."""
     grid = np.linspace(0.0, p.horizon, cfg.dense_output_grid)
     b = p.field
-
-    def rhs(t, x):
-        return evaluate_field(b, t, x)
-
     inside = p.domain.contains if p.domain is not None else None
     sol = solve_to_grid(
-        rhs, grid, np.asarray(p.x0, dtype=float),
+        partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
         method=cfg.method, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
         max_step=cfg.max_step, min_step=cfg.min_step, inside=inside,
     )
@@ -105,8 +102,7 @@ def residual(tr: Trajectory, field: HorizontalField) -> float:
     """Max-norm defect of the integral identity on the trajectory's grid."""
     if len(tr.times) < 8:
         raise ValueError("trajectory grid too coarse for a quadrature residual")
-    rhs = np.vstack([evaluate_field(field, t, x) for t, x in zip(tr.times, tr.states)])
-    integral = cumulative_simpson(rhs, tr.times)
+    integral = cumulative_simpson(evaluate_field(field, tr.times, tr.states), tr.times)
     defect = tr.states - tr.states[0] - integral
     return float(np.max(np.abs(defect)))
 
@@ -123,7 +119,9 @@ def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
 
     def wrap(a):
         def shifted(t, x, _a=a):
-            return _a(t, alg.multiply(xbar_inv, x))
+            x = np.asarray(x, dtype=float)
+            product = alg.multiply if x.ndim == 1 else alg.multiply_batch
+            return _a(t, product(xbar_inv, x))
         return shifted
 
     new_field = HorizontalField(
@@ -131,7 +129,6 @@ def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
         tuple(wrap(a) for a in p.field.coefficients),
         p.field.indices,
         p.field.time_dependent,
-        p.field.lipschitz_estimate,
     )
     new_x0 = alg.multiply(xbar, np.asarray(p.x0, dtype=float))
     if p.domain is None:

@@ -93,15 +93,16 @@ class HomogeneousDistance:
     label: str
     quasi_triangle_constant: float | None = None
 
-    def __call__(self, x: Sequence[float], y: Sequence[float]) -> float:
-        return self.gauge(self.algebra.multiply(inverse(x), y))
+    def __call__(self, x: Sequence[float], y: Sequence[float]):
+        """d(x, y) of two elements, or row-wise as ``batch`` when either is an array of rows."""
+        x_inv, y = inverse(x), np.asarray(y, dtype=float)
+        if x_inv.ndim == y.ndim == 1:
+            return self.gauge(self.algebra.multiply(x_inv, y))
+        return self.batch(x, y)
 
     def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise distances; a (dim,) argument is paired with every row of the other."""
         return _gauge_batch(self.gauge, self.algebra.multiply_batch(inverse(X), Y))
-
-    def to_origin(self, x: Sequence[float]) -> float:
-        return self.gauge(np.asarray(x, dtype=float))
 
 
 def smooth_distance(alg: GradedAlgebra, quasi_samples: int = 0,

@@ -320,7 +320,8 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         b = (d1 * h2 * h2 - d2 * h1 * h1) / den
 
         def F(s):  # antiderivative of a s^2 + b s + f0 from 0
-            return a * s**3 / 3.0 + b * s**2 / 2.0 + f0 * s
+            s2 = s * s
+            return a * (s2 * s) / 3.0 + b * s2 / 2.0 + f0 * s
 
         m = (n - 1) // 2  # full pairs
         I1 = F(h1)

@@ -105,8 +105,8 @@ def test_criterion_03_homogeneity_suite(heis):
 
 def test_criterion_04_derivation_roundtrip(heis):
     with criterion(4, "derivation roundtrip (100 points)"):
-        a1 = lambda t, x: math.sin(x[0]) + x[1] ** 2  # noqa: E731
-        a2 = lambda t, x: math.cos(x[1]) * x[2]  # noqa: E731
+        a1 = lambda t, x: np.sin(x[..., 0]) + x[..., 1] ** 2  # noqa: E731
+        a2 = lambda t, x: np.cos(x[..., 1]) * x[..., 2]  # noqa: E731
         b = hf.horizontal_field(heis, (a1, a2))
         D = hf.derivation_of(b)
         rng = np.random.default_rng(104)
@@ -199,7 +199,7 @@ def test_criterion_08_equilibrium_stability(heis):
 def test_criterion_09_involutive_confinement(heis):
     with criterion(9, "involutive confinement", limit_s=5.0):
         mod = hf.check_involutive(heis, [[1.0, 0.0, 0.0]])
-        coeffs = (lambda t, x: math.sin(x[0]),)
+        coeffs = (lambda t, x: np.sin(x[..., 0]),)
         b = hf.module_field(mod, coeffs)
         cfg = hf.IntegratorConfig(dense_output_grid=257)
         x0 = (0.0, 1.0, 0.0)
@@ -209,7 +209,7 @@ def test_criterion_09_involutive_confinement(heis):
         assert np.max(np.abs(full.states - red.states)) <= 1e-8
 
         neg = hf.frame_field(
-            heis, (lambda t, x: math.sin(x[0]), lambda t, x: 1.0), (1, 2)
+            heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0), (1, 2)
         )
         tr = hf.integrate(hf.CauchyProblem(neg, x0, 1.0), cfg)
         assert hf.confinement_check(tr, mod, x0) > 1e-3
@@ -218,7 +218,7 @@ def test_criterion_09_involutive_confinement(heis):
 def test_criterion_10_integrator_order(heis):
     with criterion(10, "fixed-step order study"):
         b = hf.horizontal_field(
-            heis, (lambda t, x: 1.0 + x[1] ** 2, lambda t, x: x[0])
+            heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0])
         )
         residuals = []
         for k in range(4):

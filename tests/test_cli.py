@@ -1,8 +1,14 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import horoflow
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import Trajectory, write_trajectory_csv
@@ -313,3 +319,35 @@ def test_json_flag_prints_instead_of_writing(tmp_path, capsys, monkeypatch):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def numpy_dispatch_targets():
+    """The SIMD targets numpy picks among at run time and this CPU supports,
+    or None if numpy exposes no ``__cpu_dispatch__``."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(name)
+        except ImportError:
+            continue
+        if hasattr(umath, "__cpu_dispatch__"):
+            return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return None
+
+
+def test_time_exhibit_report_does_not_depend_on_simd_dispatch(capsys):
+    targets = numpy_dispatch_targets()
+    if targets is None:
+        pytest.skip("numpy exposes no __cpu_dispatch__")
+    if not targets:
+        pytest.skip("this CPU runs none of numpy's dispatch targets")
+    argv = ["counterexample", "--variant", "time", "--rungs", "6", "--tau", "0.2",
+            "--grid", "256", "--json"]
+    assert main(argv) == 0
+    here = json.loads(capsys.readouterr().out)
+    src = str(Path(horoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "horoflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert masked(json.loads(done.stdout)) == masked(here)

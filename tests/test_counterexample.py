@@ -227,17 +227,13 @@ def test_comparison_monitor_detects_violation():
     assert margin == pytest.approx(-1.0)
 
 
-def test_comparison_monitor_negative_variant():
+def test_comparison_monitor_rejects_bad_constants():
     t = np.linspace(0.0, 1.0, 64)
-    z = -1.0 + 0.3 * t
-    ok, _ = comparison_monitor(t, z, 0.05, -1.0, 1.0, 0.0, 0.5,
-                               sign_variant="c3_zero_c1_nonpositive")
-    assert ok
-    with pytest.raises(ValueError, match="c1"):
-        comparison_monitor(t, z, 0.05, 1.0, 1.0, 0.0, 0.5,
-                           sign_variant="c3_zero_c1_nonpositive")
+    z = 1.0 + 0.0 * t
     with pytest.raises(ValueError, match="c2"):
         comparison_monitor(t, z, 0.05, 1.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        comparison_monitor(t, z, 0.05, -1.0, 1.0, 0.0, 0.5)
 
 
 def test_comparison_monitor_on_solved_mix():

@@ -91,7 +91,7 @@ def _product(f, g):
 
 
 def test_derivation_on_coordinates(heis):
-    b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[0]))
+    b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[..., 0]))
     eta1 = coordinate_function(heis, 1)
     x = np.array([0.7, -0.2, 1.4])
     assert apply_derivation(b, eta1, x) == pytest.approx(3.0)
@@ -101,7 +101,7 @@ def test_derivation_on_coordinates(heis):
 
 def test_derivation_leibniz_rule(heis, rng):
     b = horizontal_field(
-        heis, (lambda t, x: math.sin(x[1]), lambda t, x: x[0] * x[2])
+        heis, (lambda t, x: np.sin(x[..., 1]), lambda t, x: x[..., 0] * x[..., 2])
     )
     f = TestFunction(lambda x: x[0] ** 2 + x[2], lambda x: np.array([2 * x[0], 0.0, 1.0]))
     g = TestFunction(lambda x: math.cos(x[1]), lambda x: np.array([0.0, -math.sin(x[1]), 0.0]))
@@ -112,7 +112,7 @@ def test_derivation_leibniz_rule(heis, rng):
 
 
 def test_derivation_chain_rule(heis, rng):
-    b = horizontal_field(heis, (lambda t, x: x[1], lambda t, x: 1.0))
+    b = horizontal_field(heis, (lambda t, x: x[..., 1], lambda t, x: 1.0))
     f1 = coordinate_function(heis, 1)
     f2 = TestFunction(lambda x: x[2] ** 2, lambda x: np.array([0.0, 0.0, 2 * x[2]]))
     # F(u1, u2) = u1^2 u2 + u2
@@ -133,7 +133,7 @@ def test_derivation_chain_rule(heis, rng):
 
 
 def test_derivation_bound_holds(heis, rng):
-    b = horizontal_field(heis, (lambda t, x: x[1] ** 2, lambda t, x: math.cos(x[0])))
+    b = horizontal_field(heis, (lambda t, x: x[..., 1] ** 2, lambda t, x: np.cos(x[..., 0])))
     D = derivation_of(b)
     f = TestFunction(
         lambda x: math.sin(x[0]) + x[1] * x[2],
@@ -145,7 +145,7 @@ def test_derivation_bound_holds(heis, rng):
 
 
 def test_recover_coefficients_example(heis):
-    b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[0]))
+    b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[..., 0]))
     D = derivation_of(b)
     got = recover_coefficients(D, np.array([1.0, 0.0, 0.0]))
     assert np.allclose(got, [3.0, 1.0], atol=1e-12)
@@ -156,8 +156,8 @@ def test_recover_coefficients_example(heis):
 
 
 def test_recover_coefficients_roundtrip_hundred_points(heis):
-    a1 = lambda t, x: math.sin(x[0]) + x[1] ** 2  # noqa: E731
-    a2 = lambda t, x: math.cos(x[1]) * x[2]  # noqa: E731
+    a1 = lambda t, x: np.sin(x[..., 0]) + x[..., 1] ** 2  # noqa: E731
+    a2 = lambda t, x: np.cos(x[..., 1]) * x[..., 2]  # noqa: E731
     b = horizontal_field(heis, (a1, a2))
     D = derivation_of(b)
     rng = np.random.default_rng(31)
@@ -295,3 +295,98 @@ def test_field_from_spec_forms(heis, heis_dist):
 
     with pytest.raises(ValueError):
         field_from_spec(heis, {"coefficients": [{"form": "nope"}]})
+
+
+# --------------------------------------------------------------------------- coefficient contract
+
+FILIFORM = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+
+SIX_FORMS = {
+    "coefficients": [
+        {"form": "constant", "value": -1.5},
+        {"form": "monomial", "exponents": [2, 0, 1], "scale": 0.75},
+        {"form": "distance_to_point", "point": [0.2, -0.4, 0.1]},
+        {"form": "axis_distance"},
+        {"form": "axis_distance_inf"},
+        {"form": "sin_coordinate", "index": 3, "scale": 2.0},
+    ],
+    "indices": [1, 2, 1, 2, 2, 1],
+}
+
+
+def contract_rows(dim, n=200, seed=11):
+    """Random rows plus rows on the first axis, at the origin and with
+    signed zeros, where the closed forms take their special branches."""
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, dim))
+    X[:5, 1:] = 0.0
+    X[5] = 0.0
+    X[6] = -0.0
+    T = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
+    T[7] = X[7, 0]  # on the moving axis point
+    return X, T
+
+
+def assert_rows_equal_points(a, X, T):
+    for t_rows, t_points in ((T, T), (0.3, np.full(len(T), 0.3))):
+        rows = np.broadcast_to(a(t_rows, X), len(X))
+        points = [a(t, x) for t, x in zip(t_points.tolist(), X)]
+        assert np.array_equal(rows, points)
+
+
+@pytest.mark.parametrize("k", range(6), ids=[c["form"] for c in SIX_FORMS["coefficients"]])
+def test_json_forms_rows_equal_point_calls(heis, k):
+    b = field_from_spec(heis, SIX_FORMS)
+    assert_rows_equal_points(b.coefficients[k], *contract_rows(3))
+
+
+def test_distance_to_point_rows_on_the_smooth_gauge():
+    spec = {"coefficients": [{"form": "distance_to_point", "point": [0.3, 0.1, -0.2, 0.5]},
+                             {"form": "monomial", "exponents": [0, 1, 0, 1]}]}
+    b = field_from_spec(FILIFORM, spec)
+    X, T = contract_rows(4)
+    for a in b.coefficients:
+        assert_rows_equal_points(a, X, T)
+
+
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+def test_exhibit_coefficients_rows_equal_point_calls(heis, variant):
+    b = counterexample_field(heis, variant)
+    X, T = contract_rows(3)
+    for a in b.coefficients:
+        assert_rows_equal_points(a, X, T)
+
+
+def test_module_field_rows_equal_point_calls(heis):
+    from horoflow import check_involutive, module_field
+
+    mod = check_involutive(heis, [[0.6, 0.8, 0.0]])
+    b = module_field(mod, (lambda t, x: np.sin(x[..., 0]) * (1.0 + t),))
+    X, T = contract_rows(3)
+    for a in b.coefficients:
+        assert_rows_equal_points(a, X, T)
+    ax = check_involutive(heis, [[1.0, 0.0, 0.0]])
+    # the second frame coefficient sums no terms: a number for every row
+    b = module_field(ax, (lambda t, x: x[..., 2] - t,))
+    for a in b.coefficients:
+        assert_rows_equal_points(a, X, T)
+
+
+@pytest.mark.parametrize("make", [
+    lambda alg: field_from_spec(alg, SIX_FORMS),
+    lambda alg: counterexample_field(alg, "time"),
+    lambda alg: counterexample_field(alg, "autonomous"),
+    lambda alg: frame_field(alg, (lambda t, x: 0.0, lambda t, x: x[..., 1] * t), (2, 3)),
+])
+def test_evaluate_field_rows_equal_point_calls(heis, make):
+    b = make(heis)
+    X, T = contract_rows(3)
+    rows = evaluate_field(b, T, X)
+    assert rows.shape == X.shape
+    assert np.array_equal(rows, [evaluate_field(b, t, x) for t, x in zip(T.tolist(), X)])
+
+
+def test_frame_values_rows_equal_point_calls(heis):
+    X, _ = contract_rows(3)
+    for f in left_invariant_frame(heis) + left_invariant_frame(FILIFORM):
+        x = X if f.rows[0].nvars == 3 else contract_rows(4)[0]
+        assert np.array_equal(f.value(x), [f.value(row) for row in x])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
-                      heisenberg, horizontal_field, integrate, residual,
-                      translate)
+                      evaluate_field, field_from_spec, heisenberg,
+                      horizontal_field, integrate, residual, translate)
 from horoflow.counterexample import counterexample_field
 from horoflow.stepping import (NonFiniteRHSError, StepStats,
                                StepUnderflowError, cumulative_simpson,
@@ -119,7 +119,7 @@ def test_counterexample_solve_from_origin_is_a_solution(heis):
 
 def test_first_coordinate_is_time_for_unit_first_coefficient(heis):
     # any field with a_1 = 1 forces gamma_1(t) = t
-    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: math.sin(x[2] + t)))
+    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: np.sin(x[..., 2] + t)))
     tr = integrate(CauchyProblem(b, (0, 0, 0), 1.0), CFG)
     assert np.max(np.abs(tr.states[:, 0] - tr.times)) <= 1e-12
 
@@ -145,6 +145,34 @@ def test_residual_counterexample_adaptive_tolerance(heis):
     x0 = (0.0, 0.05, 0.0)  # off the trivial branch, genuinely curved solve
     tr = integrate(CauchyProblem(b, x0, 0.5), cfg)
     assert tr.residual <= 1e-8
+
+
+def per_point_residual(tr, field):
+    """The integral-form residual with one field evaluation per grid point."""
+    rhs = np.vstack([evaluate_field(field, t, x) for t, x in zip(tr.times, tr.states)])
+    return float(np.max(np.abs(tr.states - tr.states[0] - cumulative_simpson(rhs, tr.times))))
+
+
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+def test_residual_equals_the_per_point_residual(heis, variant):
+    b = counterexample_field(heis, variant)
+    tr = integrate(CauchyProblem(b, (0.0, 0.05, 0.0), 0.5), CFG, with_residual=False)
+    spec = {"coefficients": [{"form": "sin_coordinate", "index": 3, "scale": 2.0},
+                             {"form": "distance_to_point", "point": [-0.838, 0.215, -0.247]}]}
+    kinked = field_from_spec(heis, spec)
+    free = integrate(CauchyProblem(kinked, (0.443, 0.011, 0.476), 2.0), CFG,
+                     with_residual=False)
+    for field, path in ((b, tr), (kinked, free)):
+        assert residual(path, field) == per_point_residual(path, field)
+
+
+def test_translated_coefficients_take_rows(heis):
+    p = translate(CauchyProblem(counterexample_field(heis, "autonomous"), (0, 0.1, 0), 0.5),
+                  np.array([0.1, 0.7, -0.3]))
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 3))
+    T = np.linspace(0.0, 0.5, 64)
+    assert np.array_equal(evaluate_field(p.field, T, X),
+                          [evaluate_field(p.field, t, x) for t, x in zip(T.tolist(), X)])
 
 
 def test_translate_identity(heis):
@@ -198,7 +226,7 @@ def test_translate_counterexample_trivial_branch(heis):
 def test_rk4_order_study(heis):
     # smooth polynomial coefficients; residual (independent Simpson check)
     # must fall by >= 8x per step halving, three times
-    b = horizontal_field(heis, (lambda t, x: 1.0 + x[1] ** 2, lambda t, x: x[0]))
+    b = horizontal_field(heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0]))
     residuals = []
     for k in range(4):
         n = 16 * 2**k
@@ -213,7 +241,7 @@ def test_adaptive_residual_meets_tolerance_contract(heis):
     # error-per-unit-step control keeps the whole-horizon defect at the
     # tolerance scale; the default output grid keeps the Simpson check from
     # flooring the measurement
-    b = horizontal_field(heis, (lambda t, x: 1.0 + x[1] ** 2, lambda t, x: x[0]))
+    b = horizontal_field(heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0]))
     p = CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
     adaptive = integrate(p, IntegratorConfig())
     assert adaptive.residual <= 10 * adaptive.meta["abs_tol"]
@@ -371,7 +399,7 @@ def test_nan_coefficient_reported(heis):
 def test_step_underflow_reports_location(heis):
     # finite-time blow-up at gamma_1 -> 1.001 starves the step size
     steep = horizontal_field(
-        heis, (lambda t, x: 1.0 / (1.001 - x[0]), lambda t, x: 0.0)
+        heis, (lambda t, x: 1.0 / (1.001 - x[..., 0]), lambda t, x: 0.0)
     )
     cfg = IntegratorConfig(dense_output_grid=65, min_step=1e-10)
     with pytest.raises((StepUnderflowError, NonFiniteRHSError)) as exc:
