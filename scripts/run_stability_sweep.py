@@ -28,11 +28,7 @@ def main():
 
     alg = heisenberg()
     dst = koranyi_distance(alg)
-    b = horizontal_field(
-        alg,
-        (lambda t, x: dst(np.zeros(3), x), lambda t, x: 0.0),
-        time_dependent=False,
-    )
+    b = horizontal_field(alg, (lambda t, x: dst(np.zeros(3), x), lambda t, x: 0.0))
     box = Box((-1, -1, -1), (1, 1, 1))
     cond = verify_equilibrium_condition(b, np.zeros(3), box, 800, args.seed, dst)
     starts = [(10.0 ** (-2 - k), 0.0, 0.0) for k in range(args.decades)]

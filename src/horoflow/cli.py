@@ -265,11 +265,16 @@ def _run_involutive(args) -> int:
 # --------------------------------------------------------------------------- counterexample
 
 
-def _write_uv_csv(sol, path) -> None:
-    rows = zip(sol.times.tolist(), sol.u.tolist(), sol.v.tolist())
+def _write_uv_csv(sol, path, t_col=None) -> list:
+    """Write the t,u,v rows of ``sol``; return its formatted t column, which
+    a solution on the same times can take as ``t_col``."""
+    if t_col is None:
+        t_col = list(map("%.17g".__mod__, sol.times.tolist()))
+    rows = zip(t_col, sol.u.tolist(), sol.v.tolist())
     with open(path, "w") as fh:
         fh.write("t,u,v\n")
-        fh.writelines(map("%.17g,%.17g,%.17g\n".__mod__, rows))
+        fh.writelines(map("%s,%.17g,%.17g\n".__mod__, rows))
+    return t_col
 
 
 def _run_counterexample(args) -> int:
@@ -281,9 +286,10 @@ def _run_counterexample(args) -> int:
     if not args.json:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        t_col = None  # the rungs share one grid
         for sol in ladder.solutions:
             path = out / f"rung_eps_{sol.epsilon:.9g}.csv"
-            _write_uv_csv(sol, path)
+            t_col = _write_uv_csv(sol, path, t_col)
         shutil.copyfile(path, out / "limit_uv.csv")  # the limit is the last rung
         write_trajectory_csv(gamma, out / "gamma.csv")
     _emit(report, args)

@@ -84,9 +84,11 @@ def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
     """
     b = t * u / 18.0
     sbar, fmin = minimize_convex_quartic(b * b, b, v / 36.0)
-    # at t = 0 the minimiser is 0 and the value is 6 (v^2/36^2)^(1/4); the
-    # closed form keeps it exact, so the start (u, v) = (1, 1) is stationary
-    value = np.where(t == 0.0, np.sqrt(np.abs(v)), 6.0 * np.sqrt(np.sqrt(fmin)))
+    value = 6.0 * np.sqrt(np.sqrt(fmin))
+    if np.ndim(t) or t == 0.0:
+        # at t = 0 the minimiser is 0 and the value is 6 (v^2/36^2)^(1/4); the
+        # closed form keeps it exact, so the start (u, v) = (1, 1) is stationary
+        value = np.where(t == 0.0, np.sqrt(np.abs(v)), value)
     return value[()], sbar
 
 
@@ -107,7 +109,7 @@ def counterexample_field(alg: GradedAlgebra | None = None,
         coeff = lambda t, x: distance_to_axis(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return horizontal_field(alg, (one, coeff), time_dependent=(variant == "time"))
+    return horizontal_field(alg, (one, coeff))
 
 
 # --------------------------------------------------------------------------- the (u, v) system

@@ -92,7 +92,6 @@ class HorizontalField:
     algebra: GradedAlgebra
     coefficients: tuple
     indices: tuple
-    time_dependent: bool = True
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.indices):
@@ -116,23 +115,21 @@ class HorizontalField:
 def horizontal_field(
     alg: GradedAlgebra,
     coefficients: Sequence[CoefficientFn],
-    time_dependent: bool = True,
 ) -> HorizontalField:
     """Field over the full first-layer frame (one coefficient per X_1..X_m)."""
     m = alg.horizontal_dim
     if len(coefficients) != m:
         raise ValueError(f"expected {m} coefficients for the first layer")
-    return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)), time_dependent)
+    return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)))
 
 
 def frame_field(
     alg: GradedAlgebra,
     coefficients: Sequence[CoefficientFn],
     indices: Sequence[int],
-    time_dependent: bool = True,
 ) -> HorizontalField:
     """General frame combination; not necessarily horizontal."""
-    return HorizontalField(alg, tuple(coefficients), tuple(int(i) for i in indices), time_dependent)
+    return HorizontalField(alg, tuple(coefficients), tuple(int(i) for i in indices))
 
 
 def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
@@ -366,5 +363,5 @@ def field_from_spec(
             raise ValueError(f"unknown coefficient form {form!r}")
     indices = spec.get("indices")
     if indices is None:
-        return horizontal_field(alg, coeffs, time_dependent=True)
+        return horizontal_field(alg, coeffs)
     return frame_field(alg, coeffs, indices)

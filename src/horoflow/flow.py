@@ -124,12 +124,8 @@ def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
             return _a(t, product(xbar_inv, x))
         return shifted
 
-    new_field = HorizontalField(
-        alg,
-        tuple(wrap(a) for a in p.field.coefficients),
-        p.field.indices,
-        p.field.time_dependent,
-    )
+    new_field = HorizontalField(alg, tuple(wrap(a) for a in p.field.coefficients),
+                                p.field.indices)
     new_x0 = alg.multiply(xbar, np.asarray(p.x0, dtype=float))
     if p.domain is None:
         new_domain = None

@@ -30,25 +30,28 @@ def minimize_convex_quartic(a, b, c) -> tuple:
     result has their common shape.  A non-finite coefficient gives s_min = 0
     and f_min = NaN.
     """
-    if np.less(a, 0.0).any():
-        raise ValueError("quartic family requires a >= 0")
-    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-    a, b, c = (np.where(finite, x, 0.0) for x in (a, b, c))
-    p = a + 0.5 * b * b
-    h = 0.25 * b * c  # q / 2; zero also when b c underflows
-    # where h = 0 the slope vanishes at 0 and is increasing, so s = 0; the
-    # formula below runs there on stand-in values that keep t1 nonzero
-    flat = h == 0.0
-    h = np.where(flat, 1.0, h)
-    p3 = p / 3.0
-    r = np.sqrt(h * h + p3 * p3 * p3)
-    t1 = -np.cbrt(h + np.copysign(r, h))
-    t2 = -p3 / t1
-    # t1 + t2 = -q / (t1^2 + t2^2 + p/3), a sum of nonnegative terms
-    s = -2.0 * h / (t1 * t1 + t2 * t2 + p3)
-    s -= (s * (s * s + p) + 2.0 * h) / (3.0 * s * s + p)
-    t = s * s + a
-    w = 2.0 * s / np.where(flat, 1.0, b)
-    s_min = np.where(flat, 0.0, s)
-    f_min = np.where(flat, quartic_value(0.0, a, b, c), t * t * (1.0 + w * w))
-    return s_min[()], np.where(finite, f_min, np.nan)[()]
+    # the formula runs once on the raw coefficients; a row with a non-finite
+    # coefficient always ends in h = 0 or a non-finite f, so the one mask
+    # below finds every row to patch, and the common call builds no other
+    with np.errstate(all="ignore"):
+        p = a + 0.5 * b * b
+        h = 0.25 * b * c  # q / 2; zero also when b c underflows
+        p3 = p / 3.0
+        r = np.sqrt(h * h + p3 * p3 * p3)
+        t1 = -np.cbrt(h + np.copysign(r, h))
+        t2 = -p3 / t1
+        # t1 + t2 = -q / (t1^2 + t2^2 + p/3), a sum of nonnegative terms
+        s = -2.0 * h / (t1 * t1 + t2 * t2 + p3)
+        s -= (s * (s * s + p) + 2.0 * h) / (3.0 * s * s + p)
+        t = s * s + a
+        w = 2.0 * s / b
+        f = t * t * (1.0 + w * w)
+        flat = h == 0.0
+        if (flat | ~np.isfinite(f) | np.less(a, 0.0)).any():
+            if np.less(a, 0.0).any():
+                raise ValueError("quartic family requires a >= 0")
+            # where h = 0 the slope vanishes at 0 and is increasing, so s = 0
+            finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+            s = np.where(flat | ~finite, 0.0, s)
+            f = np.where(finite, np.where(flat, quartic_value(0.0, a, b, c), f), np.nan)
+    return s[()], f[()]

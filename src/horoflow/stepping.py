@@ -204,6 +204,8 @@ def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol,
     h = min(max_step, grid[1] - grid[0])
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
+    # per stage s: its tableau row, the slopes it sums and its node c_s
+    stages = [(s, _DP_A[s, :s], kf[:s], float(_DP_C[s])) for s in range(1, 7)]
     g = 1  # next grid time to fill
 
     while t < t_end:
@@ -216,9 +218,9 @@ def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol,
         # whole horizon stays at the tolerance scale
         while True:
             k[0] = fcur
-            for s in range(1, 7):
-                ys = y + h_try * (_DP_A[s, :s] @ kf[:s]).reshape(y.shape)
-                k[s] = _checked(f, t + _DP_C[s] * h_try, ys, stats)
+            for s, a_s, k_s, c_s in stages:
+                ys = y + h_try * (a_s @ k_s).reshape(y.shape)
+                k[s] = _checked(f, t + c_s * h_try, ys, stats)
             y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
             err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
             scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
@@ -233,8 +235,9 @@ def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol,
         stats.record(h_try, t)
 
         t_new = t_end if h_try == rest else t + h_try
-        dense = dp5_dense(y, y5, h_try, k)
         j = int(np.searchsorted(grid, t_new, side="right"))  # grid[g:j] lie in (t, t_new]
+        if j > g or inside is not None:
+            dense = dp5_dense(y, y5, h_try, k)
         if j > g:
             states[g:j] = dense((grid[g:j] - t) / h_try)
             if grid[j - 1] == t_new:

@@ -177,10 +177,7 @@ def test_criterion_08_equilibrium_stability(heis):
     with criterion(8, "equilibrium stability", limit_s=10.0):
         dst = hf.koranyi_distance(heis)
         b = hf.horizontal_field(
-            heis,
-            (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0),
-            time_dependent=False,
-        )
+            heis, (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0))
         box = hf.Box((-1, -1, -1), (1, 1, 1))
         cond = hf.verify_equilibrium_condition(b, np.zeros(3), box, 800, seed=8,
                                                distance=dst)

@@ -105,6 +105,27 @@ def test_scaled_term_continuity_rate_at_zero(rng):
         assert abs(scaled_axis_distance(t, u, v) - math.sqrt(v)) <= 1.0 * t
 
 
+def test_scaled_term_scalar_time_matches_array_time():
+    # the stepper passes a scalar t, the monitors the grid as an array; the
+    # scalar call skips the t = 0 selection, the rows must not notice
+    rng = np.random.default_rng(17)
+    u, v = rng.uniform(0.0, 3.0, (2, 14))
+    for t in np.concatenate([np.logspace(-9, 0, 40), [-1e-3]]):
+        value, sbar = scaled_axis_distance_with_minimizer(float(t), u, v)
+        value_rows, sbar_rows = scaled_axis_distance_with_minimizer(np.full(14, t), u, v)
+        assert np.array_equal(value, value_rows) and np.array_equal(sbar, sbar_rows)
+    ts = np.array([0.0, 1e-9, 0.3] * 4 + [0.0, 1.0])
+    value_rows, _ = scaled_axis_distance_with_minimizer(ts, u, v)
+    for t in (0.0, 1e-9, 0.3, 1.0):
+        value, _ = scaled_axis_distance_with_minimizer(t, u, v)
+        assert np.array_equal(value[ts == t], value_rows[ts == t])
+    # t = 0 still takes the closed form sqrt(|v|) exactly
+    for t in (0, 0.0, np.zeros(14)):
+        value, sbar = scaled_axis_distance_with_minimizer(t, u, -v)
+        assert np.array_equal(value, np.sqrt(v)) and not np.any(sbar)
+    assert uv_rhs(SingularUVSystem("autonomous", 1e-3), 0, 1, 1) == (0.0, 0.0)
+
+
 def test_minimizer_continuity_against_oracle():
     # the inner minimiser moves continuously; spot-check against dense grid
     s_prev = None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horoflow.scalarmin import minimize_convex_quartic
+from horoflow.scalarmin import minimize_convex_quartic, quartic_value
 
 REL_WIDTH = Fraction(1, 2**80)
 
@@ -114,6 +114,11 @@ def test_rejects_negative_a():
     for b, c in ((1.0, 1.0), (0.0, 0.0)):
         with pytest.raises(ValueError):
             minimize_convex_quartic(-1e-300, b, c)
+    # one negative row among ordinary, flat and non-finite rows
+    for c in (np.ones(4), np.zeros(4)):
+        with pytest.raises(ValueError):
+            minimize_convex_quartic(np.array([0.0, 1.0, -1e-300, 4.0]),
+                                    np.array([1.0, 0.0, 1.0, math.inf]), c)
 
 
 def test_zero_slope_at_origin_short_cut():
@@ -137,3 +142,77 @@ def test_subnormal_coefficients_do_not_raise():
 def test_non_finite_coefficients_give_non_finite_minimum(a, b, c):
     _, f = minimize_convex_quartic(a, b, c)
     assert not math.isfinite(f)
+
+
+# --------------------------------------------------------------------------- bit-for-bit pin
+
+
+def stand_in_minimizer(a, b, c):
+    """Frozen earlier form of minimize_convex_quartic, kept as the oracle.
+
+    It swaps non-finite coefficients and the flat rows' h for stand-in values
+    before running the formula, then selects the flat and non-finite results
+    with np.where; the library runs the formula once on the raw coefficients
+    and patches those rows afterwards.  Both must give the same bits.
+    """
+    if np.less(a, 0.0).any():
+        raise ValueError("quartic family requires a >= 0")
+    finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
+    a, b, c = (np.where(finite, x, 0.0) for x in (a, b, c))
+    p = a + 0.5 * b * b
+    h = 0.25 * b * c
+    flat = h == 0.0
+    h = np.where(flat, 1.0, h)
+    p3 = p / 3.0
+    r = np.sqrt(h * h + p3 * p3 * p3)
+    t1 = -np.cbrt(h + np.copysign(r, h))
+    t2 = -p3 / t1
+    s = -2.0 * h / (t1 * t1 + t2 * t2 + p3)
+    s -= (s * (s * s + p) + 2.0 * h) / (3.0 * s * s + p)
+    t = s * s + a
+    w = 2.0 * s / np.where(flat, 1.0, b)
+    s_min = np.where(flat, 0.0, s)
+    f_min = np.where(flat, quartic_value(0.0, a, b, c), t * t * (1.0 + w * w))
+    return s_min[()], np.where(finite, f_min, np.nan)[()]
+
+
+def assert_same_bits(a, b, c):
+    s, f = minimize_convex_quartic(a, b, c)
+    with np.errstate(all="ignore"):
+        s0, f0 = stand_in_minimizer(a, b, c)
+    assert np.shape(s) == np.shape(s0) and np.shape(f) == np.shape(f0)
+    assert np.array_equal(s, s0, equal_nan=True), (a, b, c)
+    assert np.array_equal(f, f0, equal_nan=True), (a, b, c)
+    assert np.array_equal(np.signbit(s), np.signbit(s0)), (a, b, c)
+
+
+def test_same_bits_as_stand_in_form_on_exhibit_ladders():
+    # the autonomous exhibit's calls: 14 rungs, a = b^2, b = t u / 18, c = v / 36
+    rng = np.random.default_rng(12)
+    for t in np.concatenate([[0.0], np.logspace(-9, 0, 300)]):
+        u, v = rng.uniform(0.0, 3.0, (2, 14))
+        b = t * u / 18.0
+        assert_same_bits(b * b, b, v / 36.0)
+
+
+def test_same_bits_as_stand_in_form_on_sign_and_magnitude_grid():
+    mags = 10.0 ** np.arange(-12, 6)
+    a, b, c = np.array(list(itertools.product(mags, mags, mags))).T
+    sb, sc = np.random.default_rng(13).choice([-1.0, 1.0], (2, len(a)))
+    assert_same_bits(a, sb * b, sc * c)
+
+
+def test_same_bits_as_stand_in_form_on_edge_values():
+    edge = [0.0, 1e-320, 1e-160, 1.0, 1e154, 1e200, math.inf, math.nan]
+    signed = edge + [-x for x in edge[1:]]
+    rows = list(itertools.product(edge, signed, signed))
+    a, b, c = np.array(rows).T
+    assert_same_bits(a, b, c)
+    for row in rows:
+        assert_same_bits(*row)
+
+
+def test_same_bits_as_stand_in_form_on_scalars():
+    for a, b, c in extreme_grid() + [(2.0, 0.0, 3.0), (0.0, 0.0, 0.0), (1e200, 1.0, 1.0)]:
+        assert_same_bits(a, b, c)
+        assert np.ndim(minimize_convex_quartic(a, b, c)[0]) == 0

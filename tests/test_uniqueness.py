@@ -16,11 +16,7 @@ BOX = Box((-1, -1, -1), (1, 1, 1))
 
 
 def gauge_coefficient_field(heis, dst):
-    return horizontal_field(
-        heis,
-        (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0),
-        time_dependent=False,
-    )
+    return horizontal_field(heis, (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0))
 
 
 # --------------------------------------------------------------------------- condition
@@ -36,7 +32,7 @@ def test_condition_gauge_coefficient_is_exactly_one(heis, heis_dist):
 
 
 def test_condition_constant_field_diverges(heis, heis_dist):
-    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0), time_dependent=False)
+    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=3, distance=heis_dist)
     assert not cond.certified
     # each dyadic shrink doubles the worst ratio: grows past any threshold
@@ -89,7 +85,7 @@ def test_monitor_dyadic_starts_bounded(heis, heis_dist):
 
 
 def test_monitor_refuses_uncertified_condition(heis, heis_dist):
-    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0), time_dependent=False)
+    b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 200, seed=3, distance=heis_dist)
     with pytest.raises(ConditionNotCertified):
         stability_monitor(b, np.zeros(3), cond, [(0.1, 0, 0)], CFG, 1.0, heis_dist)
