@@ -5,6 +5,7 @@ The field is the gauge-distance coefficient on the first horizontal
 direction, which degenerates linearly at the origin; the sweep shows the
 growth ratio sup_t d(gamma(t), 0) / d(x0, 0) pinned near e^T across four
 decades of initial distance, all below the certified Gronwall envelope.
+Exits 1 if the monitor fails (after writing the CSV).
 """
 
 import argparse
@@ -52,7 +53,8 @@ def main():
         w.writerow(["initial_distance", "growth_ratio", "certified_bound"])
         for d0, r in zip(rep.initial_distances, rep.ratios):
             w.writerow([f"{d0:.17g}", f"{r:.17g}", f"{rep.certified_bound:.17g}"])
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

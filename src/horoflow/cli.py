@@ -14,6 +14,7 @@ import datetime
 import json
 import shutil
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,11 @@ import numpy as np
 from . import counterexample as cx
 from .domain import Box
 from .fields import field_from_spec
-from .flow import (CauchyProblem, IntegratorConfig, integrate,
-                   write_trajectory_csv)
+from .flow import CauchyProblem, integrate, write_trajectory_csv
 from .gauges import default_distance, gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
                      heisenberg, is_heisenberg)
-from .stepping import NonFiniteRHSError, StepUnderflowError
+from .stepping import IntegratorConfig, NonFiniteRHSError, StepUnderflowError
 from .uniqueness import (ConditionNotCertified, check_involutive,
                          confinement_check, module_field, reduced_solve,
                          stability_monitor, verify_equilibrium_condition)
@@ -66,12 +66,16 @@ def _resolve_group(args_preset: str | None, group_path: str | None,
 
 
 def _integrator(cfg: dict | None) -> IntegratorConfig:
-    cfg = cfg or {}
-    allowed = {"method", "abs_tol", "rel_tol", "max_step", "min_step", "dense_output_grid"}
-    bad = set(cfg) - allowed
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"bad integrator options: expected an object, not {cfg!r}")
+    bad = set(cfg) - {f.name for f in fields(IntegratorConfig)}
     if bad:
         raise ConfigError(f"unknown integrator options {sorted(bad)}")
-    return IntegratorConfig(**cfg)
+    try:
+        return IntegratorConfig(**cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad integrator options: {exc}") from exc
 
 
 def _emit(report: dict, args, csv_writers=()) -> None:
@@ -206,7 +210,7 @@ def _run_equilibrium(args) -> int:
     dst = default_distance(alg)
 
     cond = verify_equilibrium_condition(field, xbar, box, samples, seed, dst)
-    report = {"condition": cond.as_dict(), "horizon": horizon, "seed": seed}
+    report = {"condition": asdict(cond), "horizon": horizon, "seed": seed}
     if not cond.certified:
         report["passed"] = False
         report["refusal"] = ("degeneracy condition not certified: coefficient sizes do "
@@ -215,7 +219,7 @@ def _run_equilibrium(args) -> int:
         return FAIL
     starts = [tuple(float(v) for v in p) for p in cfg["initial_points"]]
     monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, dst, seed=seed)
-    report["stability"] = monitor.as_dict()
+    report["stability"] = asdict(monitor)
     report["passed"] = bool(monitor.passed)
     _emit(report, args)
     return PASS if monitor.passed else FAIL

@@ -21,17 +21,17 @@ minimisation with closed form sqrt(v) at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .fields import HorizontalField, horizontal_field
-from .flow import Trajectory, IntegratorConfig, residual as flow_residual
+from .flow import Trajectory, residual as flow_residual
 from .gauges import equivalence_constants, koranyi_norm, smooth_gauge
 from .groups import GradedAlgebra, heisenberg, is_heisenberg
 from .scalarmin import minimize_convex_quartic
-from .stepping import cumulative_simpson, solve_to_grid
+from .stepping import IntegratorConfig, cumulative_simpson, solve_to_grid
 
 # positive root of 8 w^2 + 2 w - 3 = 0: u + w v obeys the exponential bound
 MIX_WEIGHT_UPPER = 0.5
@@ -225,27 +225,6 @@ class RungReport:
     failures: tuple
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "variant": self.variant,
-            "min_u": self.min_u,
-            "min_v": self.min_v,
-            "mix_bound_margin": self.mix_bound_margin,
-            "lower_mix_margin": self.lower_mix_margin,
-            "linear_envelope_margin": self.linear_envelope_margin,
-            "exp_linear_constant": self.exp_linear_constant,
-            "stationarity": list(self.stationarity),
-            "integral_residual": self.integral_residual,
-            "crossing_time": self.crossing_time,
-            "crossing_threshold": self.crossing_threshold,
-            "lower_bound_margin": self.lower_bound_margin,
-            "lower_bound_constant": self.lower_bound_constant,
-            "minimizer_sup": self.minimizer_sup,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
 
 def solve_regularized(
     sys: SingularUVSystem,
@@ -284,9 +263,7 @@ def solve_rungs(variant: str, epsilons: Sequence[float], tau: float,
         out[:, 0], out[:, 1] = uv_rhs(sys, t, y[:, 0], y[:, 1])
         return out
 
-    sol = solve_to_grid(rhs, grid, np.ones((len(eps), 2)), method=cfg.method,
-                        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-                        max_step=cfg.max_step, min_step=cfg.min_step)
+    sol = solve_to_grid(rhs, grid, np.ones((len(eps), 2)), cfg)
     stats = sol.stats.as_dict()
     return [UVSolution(sol.times, sol.states[:, i, 0], sol.states[:, i, 1],
                        float(e), variant, dict(stats))
@@ -392,10 +369,7 @@ def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
     t = uv.times[start:]
     u = uv.u[start:]
     v = uv.v[start:]
-    sys = SingularUVSystem(uv.variant, 0.0)
-    den = t + eps
-    g = sys.drive(t, u, v)
-    integrand = np.column_stack([(-3.0 * u + 3.0 * g) / den, (-4.0 * v + 4.0 * u) / den])
+    integrand = np.column_stack(uv_rhs(SingularUVSystem(uv.variant, eps), t, u, v))
     integral = cumulative_simpson(integrand, t)
     defect_u = u - u[0] - integral[:, 0]
     defect_v = v - v[0] - integral[:, 1]
@@ -458,7 +432,7 @@ class EpsilonLadder:
             "continuity_at_zero": list(self.continuity_at_zero),
             "gap_tol": self.spec.gap_tol,
             "tau": self.spec.tau,
-            "rungs": [r.as_dict() for r in self.rung_reports],
+            "rungs": [asdict(r) for r in self.rung_reports],
         }
 
 

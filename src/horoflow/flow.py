@@ -8,7 +8,6 @@ stepper and therefore a genuine cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -18,25 +17,7 @@ import numpy as np
 from .domain import Box, TranslatedBox
 from .fields import HorizontalField, evaluate_field
 from .groups import inverse
-from .stepping import cumulative_simpson, solve_to_grid
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "rk45"  # "rk45" (adaptive embedded pair) or "rk4" (fixed step)
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_step: float = math.inf
-    min_step: float = 1e-14
-    dense_output_grid: int = 1025
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be positive")
-        if self.min_step > self.max_step:
-            raise ValueError("min_step must not exceed max_step")
-        if self.dense_output_grid < 2:
-            raise ValueError("dense output grid needs at least two points")
+from .stepping import IntegratorConfig, cumulative_simpson, solve_to_grid
 
 
 @dataclass(frozen=True)
@@ -79,11 +60,8 @@ def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig(),
     grid = np.linspace(0.0, p.horizon, cfg.dense_output_grid)
     b = p.field
     inside = p.domain.contains if p.domain is not None else None
-    sol = solve_to_grid(
-        partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
-        method=cfg.method, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        max_step=cfg.max_step, min_step=cfg.min_step, inside=inside,
-    )
+    sol = solve_to_grid(partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
+                        cfg, inside)
     meta = {
         "method": cfg.method,
         "abs_tol": cfg.abs_tol,

@@ -8,12 +8,16 @@ reached by stretching the last step rather than by a sliver step.  Domain
 exits are located by bisection on the same interpolant.  The fixed-step
 method is classical RK4 (kept for order studies); it lands exactly on each
 grid time and locates exits on the cubic Hermite interpolant.
+
+Every solve takes its settings as one ``IntegratorConfig``, passed whole; the
+config holds the only defaults of those settings and the only checks on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +48,35 @@ _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
 _STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    method: str = "rk45"  # "rk45" (adaptive embedded pair) or "rk4" (fixed step)
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-10
+    max_step: float = math.inf
+    min_step: float = 1e-14
+    dense_output_grid: int = 1025  # output grid points of a solve on [0, horizon]
+
+    def __post_init__(self):
+        if self.method not in ("rk45", "rk4"):
+            raise ValueError(f"unknown method {self.method!r}")
+        # a bool is an int to Python, but never a tolerance, step or grid size
+        for name in ("abs_tol", "rel_tol", "max_step", "min_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+        grid = self.dense_output_grid
+        if isinstance(grid, bool) or not isinstance(grid, Integral):
+            raise ValueError(f"dense_output_grid must be an integer, not {grid!r}")
+        # written so that a NaN fails them
+        if not (self.abs_tol > 0 and self.rel_tol >= 0):
+            raise ValueError("tolerances must be positive")
+        if not self.min_step <= self.max_step:
+            raise ValueError("min_step must not exceed max_step")
+        if self.dense_output_grid < 2:
+            raise ValueError("dense output grid needs at least two points")
 
 
 class StepUnderflowError(RuntimeError):
@@ -156,11 +189,7 @@ def solve_to_grid(
     f: RHS,
     grid: Sequence[float],
     y0: Sequence[float],
-    method: str = "rk45",
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-    max_step: float = math.inf,
-    min_step: float = 1e-14,
+    cfg: IntegratorConfig = IntegratorConfig(),
     inside: Callable[[np.ndarray], bool] | None = None,
 ) -> GridSolution:
     """Integrate y' = f(t, y) and return the states at every grid time.
@@ -168,7 +197,8 @@ def solve_to_grid(
     The state may have any shape; ``f`` receives and returns arrays of that
     shape.  A state of shape (m, d) advances m systems together on one step
     sequence whose error norm is the max over every entry, so each system
-    meets the tolerance it would meet alone.
+    meets the tolerance it would meet alone.  ``cfg.dense_output_grid`` is
+    not read: the grid is given.
 
     With "rk45" the steps follow the tolerance and grid states between step
     ends come from the step's continuous extension; "rk4" steps onto every
@@ -182,8 +212,6 @@ def solve_to_grid(
     y = np.array(y0, dtype=float)
     if inside is not None and not inside(y):
         raise ValueError("initial state is outside the domain")
-    if method not in ("rk45", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
 
     stats = StepStats()
     states = np.empty((len(grid),) + y.shape)
@@ -191,13 +219,14 @@ def solve_to_grid(
     # overflow and invalid operations in f surface as NonFiniteRHSError from
     # the per-evaluation check rather than as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "rk4":
-            return _rk4_to_grid(f, grid, y, states, stats, inside, max_step)
-        return _dp45_to_grid(f, grid, y, states, stats, inside, max_step,
-                             abs_tol, rel_tol, min_step)
+        if cfg.method == "rk4":
+            return _rk4_to_grid(f, grid, y, states, stats, inside, cfg.max_step)
+        return _dp45_to_grid(f, grid, y, states, stats, inside, cfg)
 
 
-def _dp45_to_grid(f, grid, y, states, stats, inside, max_step, abs_tol, rel_tol, min_step):
+def _dp45_to_grid(f, grid, y, states, stats, inside, cfg):
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    max_step, min_step = cfg.max_step, cfg.min_step
     t, t_end = float(grid[0]), float(grid[-1])
     span = t_end - t
     fcur = _checked(f, t, y, stats)

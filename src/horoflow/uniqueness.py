@@ -23,12 +23,12 @@ import numpy as np
 from .domain import Box
 from .fields import (CoefficientFn, HorizontalField, evaluate_field, frame_field,
                      left_invariant_frame)
-from .flow import IntegratorConfig, Trajectory
+from .flow import Trajectory
 from .gauges import (HomogeneousDistance, default_distance, equivalence_constants,
                      smooth_gauge)
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
-from .stepping import NonFiniteRHSError, solve_to_grid
+from .stepping import IntegratorConfig, NonFiniteRHSError, solve_to_grid
 
 
 class ConditionNotCertified(RuntimeError):
@@ -50,16 +50,6 @@ class EquilibriumCondition:
     certified: bool
     samples: int
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "equilibrium_point": list(self.equilibrium_point),
-            "estimated_c": self.estimated_c,
-            "scale_maxima": list(self.scale_maxima),
-            "certified": self.certified,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def verify_equilibrium_condition(
@@ -130,17 +120,6 @@ class StabilityReport:
     passed: bool
     equilibrium_deviation: float | None  # set when some start equals the point
 
-    def as_dict(self) -> dict:
-        return {
-            "ratios": list(self.ratios),
-            "initial_distances": list(self.initial_distances),
-            "certified_bound": self.certified_bound,
-            "kappa": self.kappa,
-            "c_integral": self.c_integral,
-            "passed": self.passed,
-            "equilibrium_deviation": self.equilibrium_deviation,
-        }
-
 
 def stability_monitor(
     field: HorizontalField,
@@ -186,12 +165,8 @@ def stability_monitor(
         c_integral = float((np.diff(ts) * (c[1:] + c[:-1]) / 2.0).sum())  # trapezoid rule
     bound = kappa * math.exp(kappa * c_integral)
 
-    sol = solve_to_grid(
-        lambda t, x: evaluate_field(field, t, x),
-        np.linspace(0.0, horizon, cfg.dense_output_grid), starts,
-        method=cfg.method, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        max_step=cfg.max_step, min_step=cfg.min_step,
-    )
+    sol = solve_to_grid(lambda t, x: evaluate_field(field, t, x),
+                        np.linspace(0.0, horizon, cfg.dense_output_grid), starts, cfg)
     dists = dst.batch(starts, xbar)
     devs = dst.batch(sol.states.reshape(-1, alg.dim), xbar).reshape(sol.states.shape[:2]).max(0)
     at_point = dists == 0.0
@@ -337,11 +312,7 @@ def reduced_solve(
         return np.array([a(t, point) for a in coefficients])
 
     grid = np.linspace(0.0, horizon, cfg.dense_output_grid)
-    sol = solve_to_grid(
-        rhs, grid, np.zeros(mod.rank),
-        method=cfg.method, abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol,
-        max_step=cfg.max_step, min_step=cfg.min_step,
-    )
+    sol = solve_to_grid(rhs, grid, np.zeros(mod.rank), cfg)
     lifted = alg.multiply_batch(x0, sol.states @ V.T)
     meta = {
         "method": cfg.method,

@@ -137,6 +137,25 @@ def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     assert "numerical failure" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("integrator", [
+    {"abs_tol": "x"},
+    {"dense_output_grid": 100.5},
+    {"method": "euler"},
+    {"abs_tol": True},
+    5,
+])
+def test_integrate_bad_integrator_value_is_usage_error(tmp_path, capsys, integrator):
+    cfg = {"group": "heisenberg",
+           "field": {"coefficients": [{"form": "constant", "value": 1.0},
+                                      {"form": "constant", "value": 0.0}]},
+           "x0": [0, 0, 0], "horizon": 1.0, "integrator": integrator}
+    cpath = tmp_path / "problem.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad integrator options" in err and "Traceback" not in err
+
+
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     cpath = tmp_path / "broken.json"
     cpath.write_text('{"group": "heisenberg",\n  "x0": [0, 0, 0],,}\n')

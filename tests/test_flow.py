@@ -274,7 +274,7 @@ def test_rk4_domain_exit_interpolates_with_the_step_start_slope():
     # RK4 lands on the grid and bisects the cubic Hermite interpolant, which
     # is y = t^2 itself when both end slopes are right
     sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
-                        method="rk4", inside=lambda y: y[0] < 0.5)
+                        IntegratorConfig(method="rk4"), inside=lambda y: y[0] < 0.5)
     assert sol.exited
     assert np.array_equal(sol.times[:-1], [0.0, 0.25, 0.5])
     assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
@@ -310,7 +310,8 @@ def test_dense_grid_states_meet_the_tolerance_on_a_rotation():
     # 6e-9 off
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     grid = np.linspace(0.0, 2.0 * np.pi, 2049)
-    sol = solve_to_grid(lambda t, y: rot @ y, grid, [1.0, 0.0], abs_tol=1e-8, rel_tol=1e-8)
+    sol = solve_to_grid(lambda t, y: rot @ y, grid, [1.0, 0.0],
+                        IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8))
     assert sol.stats.steps < len(grid) // 10
     exact = np.column_stack([np.cos(grid), np.sin(grid)])
     assert np.max(np.abs(sol.states - exact)) <= 0.1 * 1e-8
@@ -319,7 +320,7 @@ def test_dense_grid_states_meet_the_tolerance_on_a_rotation():
 def test_step_count_does_not_depend_on_the_grid():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     stats = [solve_to_grid(lambda t, y: rot @ y, np.linspace(0.0, 2.0 * np.pi, n), [1.0, 0.0],
-                           abs_tol=1e-8, rel_tol=1e-8).stats
+                           IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)).stats
              for n in (65, 2049)]
     coarse, fine = stats
     assert abs(coarse.steps - fine.steps) <= 3
@@ -351,14 +352,31 @@ def test_horizon_is_reached_without_a_sliver_step():
     # 0.2) the step grows to 1.0.  A remainder within 1 % of that step is
     # taken as one stretched step; a longer one, or a stretch past max_step,
     # is not
-    def steps(t_end, **kw):
-        sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), [0.0, 0.2, t_end], [0.0], **kw)
+    def steps(t_end, cfg=IntegratorConfig()):
+        sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), [0.0, 0.2, t_end], [0.0], cfg)
         assert sol.states[-1, 0] == pytest.approx(t_end**2, abs=1e-12)
         return sol.stats.steps, sol.stats.min_step
 
     assert steps(1.205) == (2, 0.2)
     assert steps(1.25) == (3, pytest.approx(0.05))
-    assert steps(1.205, max_step=1.0) == (3, pytest.approx(0.005))
+    assert steps(1.205, IntegratorConfig(max_step=1.0)) == (3, pytest.approx(0.005))
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"method": "euler"}, "unknown method"),
+    ({"abs_tol": "x"}, "abs_tol must be a number"),
+    ({"max_step": None}, "max_step must be a number"),
+    ({"rel_tol": True}, "rel_tol must be a number"),
+    ({"dense_output_grid": 100.5}, "must be an integer"),
+    ({"abs_tol": 0.0}, "tolerances"),
+    ({"rel_tol": math.nan}, "tolerances"),
+    ({"max_step": math.nan}, "min_step"),
+    ({"min_step": 1e-3, "max_step": 1e-4}, "min_step"),
+    ({"dense_output_grid": 1}, "two points"),
+])
+def test_integrator_config_rejects_bad_values(kw, match):
+    with pytest.raises(ValueError, match=match):
+        IntegratorConfig(**kw)
 
 
 def test_step_stats_are_plain_floats_with_the_time_of_the_smallest_step():
