@@ -10,8 +10,10 @@ CSV trajectories, and exits 0 only if all certified checks pass.  Exit code
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
+import math
 import shutil
 import sys
 from dataclasses import asdict, fields
@@ -76,6 +78,15 @@ def _integrator(cfg: dict | None) -> IntegratorConfig:
         return IntegratorConfig(**cfg)
     except ValueError as exc:
         raise ConfigError(f"bad integrator options: {exc}") from exc
+
+
+def _number(cfg: dict, key: str, default, kind=float):
+    """The finite JSON number ``cfg[key]`` (or ``default``) as a ``kind``; else exit 2."""
+    value = cfg.get(key, default)
+    with contextlib.suppress(OverflowError, TypeError):  # a huge int, a non-number
+        if not isinstance(value, bool) and math.isfinite(value):
+            return kind(value)
+    raise ConfigError(f"bad {key}: expected a finite number, not {value!r}")
 
 
 def _emit(report: dict, args, csv_writers=()) -> None:
@@ -203,9 +214,9 @@ def _run_equilibrium(args) -> int:
     field = field_from_spec(alg, cfg["field"])
     xbar = np.asarray(cfg.get("equilibrium_point", [0.0] * alg.dim), dtype=float)
     box = Box(tuple(cfg["box"]["lo"]), tuple(cfg["box"]["hi"]))
-    samples = int(cfg.get("samples", 2000))
-    seed = int(cfg.get("seed", 0))
-    horizon = float(cfg.get("horizon", 1.0))
+    samples = _number(cfg, "samples", 2000, int)
+    seed = _number(cfg, "seed", 0, int)
+    horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
     dst = default_distance(alg)
 
@@ -239,10 +250,10 @@ def _run_involutive(args) -> int:
         raise ConfigError("field must provide one coefficient per basis element")
     ambient = module_field(mod, field.coefficients)
     x0 = tuple(float(v) for v in cfg["x0"])
-    horizon = float(cfg.get("horizon", 1.0))
+    horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
-    dev_tol = float(cfg.get("deviation_tol", 1e-8))
-    match_tol = float(cfg.get("match_tol", 1e-8))
+    dev_tol = _number(cfg, "deviation_tol", 1e-8)
+    match_tol = _number(cfg, "match_tol", 1e-8)
 
     full = integrate(CauchyProblem(ambient, x0, horizon), icfg)
     deviation = confinement_check(full, mod, x0)
@@ -312,32 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print the report to stdout instead of writing files")
 
-    p = sub.add_parser("check-group", help="group-law property suite")
-    p.add_argument("--preset", default="heisenberg")
-    p.add_argument("--group", help="path to a group-spec JSON")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
+    for name, text, samples in (("check-group", "group-law property suite", 1000),
+                                ("check-gauge", "gauge property suite", 2000)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--preset", default="heisenberg")
+        p.add_argument("--group", help="path to a group-spec JSON")
+        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--seed", type=int, default=0)
+        common(p)
+        if name == "check-gauge":
+            p.add_argument("--gauge", choices=["koranyi", "smooth"], default="koranyi")
 
-    p = sub.add_parser("check-gauge", help="gauge property suite")
-    p.add_argument("--preset", default="heisenberg")
-    p.add_argument("--group", help="path to a group-spec JSON")
-    p.add_argument("--gauge", choices=["koranyi", "smooth"], default="koranyi")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-
-    p = sub.add_parser("integrate", help="solve a Cauchy problem from a JSON spec")
-    p.add_argument("--config", required=True)
-    common(p)
-
-    p = sub.add_parser("equilibrium", help="equilibrium degeneracy check + stability monitor")
-    p.add_argument("--config", required=True)
-    common(p)
-
-    p = sub.add_parser("involutive", help="commuting-module confinement and reduced solve")
-    p.add_argument("--config", required=True)
-    common(p)
+    for name, text in (("integrate", "solve a Cauchy problem from a JSON spec"),
+                       ("equilibrium", "equilibrium degeneracy check + stability monitor"),
+                       ("involutive", "commuting-module confinement and reduced solve")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        common(p)
 
     p = sub.add_parser("counterexample", help="non-uniqueness exhibit")
     p.add_argument("--variant", choices=["time", "autonomous"], default="time")

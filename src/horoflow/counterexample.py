@@ -63,33 +63,29 @@ def distance_to_axis(x):
     """Distance to the whole first axis: inf over s of the distance to (s,0,0).
 
     Shifting the minimisation variable turns the objective into the convex
-    quartic family (sigma^2 + a)^2 + (b sigma + c)^2 with a = x2^2, b = -x2,
-    c = x3 - x1 x2.  Its unique minimiser is the real root of a strictly
-    increasing cubic, found by Cardano's formula plus one Newton step
-    (relative error below 1e-15 against an exact oracle; see scalarmin).
+    quartic family (s^2 + b^2)^2 + (b s + c)^2 with b = -x2, c = x3 - x1 x2,
+    minimised in closed form (relative error below 1e-14 against an exact
+    oracle, down to |x2| = 1e-170; see scalarmin).  On the axis's own plane
+    x2 = 0, and wherever x2^2 underflows, the value is the limit |c|^(1/2).
     x is one point or (n, 3) rows.
     """
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    _, fmin = minimize_convex_quartic(x2 * x2, -x2, x3 - x1 * x2)
+    _, fmin = minimize_convex_quartic(-x2, x3 - x1 * x2)
     return np.sqrt(np.sqrt(fmin))
 
 
 def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
     """Scaled axis distance of the rescaled curve, with the inner minimiser.
 
-    Value 6 * inf_s ((s^2 + (t u/18)^2)^2 + (v/36 + s t u/18)^2)^(1/4);
-    extends continuously to t = 0 with closed form sqrt(|v|).  Arguments may
-    be arrays that broadcast together.
+    Value 6 * inf_s ((s^2 + (t u/18)^2)^2 + (v/36 + s t u/18)^2)^(1/4), which
+    is inf_r ((r^2 + w^2)^2 + (w r + v)^2)^(1/4) with r = 6 s and w = t u/3.
+    At t = 0 the minimum is v^2 and the value is sqrt(|v|) exactly (the square
+    root of a rounded square is exact), so the start (u, v) = (1, 1) is
+    stationary.  Arguments may be arrays that broadcast together.
     """
-    b = t * u / 18.0
-    sbar, fmin = minimize_convex_quartic(b * b, b, v / 36.0)
-    value = 6.0 * np.sqrt(np.sqrt(fmin))
-    if np.ndim(t) or t == 0.0:
-        # at t = 0 the minimiser is 0 and the value is 6 (v^2/36^2)^(1/4); the
-        # closed form keeps it exact, so the start (u, v) = (1, 1) is stationary
-        value = np.where(t == 0.0, np.sqrt(np.abs(v)), value)
-    return value[()], sbar
+    r, fmin = minimize_convex_quartic(t * u / 3.0, v)
+    return np.sqrt(np.sqrt(fmin))[()], r / 6.0
 
 
 def scaled_axis_distance(t, u, v):

@@ -1,57 +1,58 @@
-"""Closed-form minimisation of one strictly convex quartic family.
+"""Closed-form minimum of the quartic family behind both axis distances.
 
-The objective f(s) = (s^2 + a)^2 + (b s + c)^2 with a >= 0 has slope
-4 (s^3 + p s + q) with p = a + b^2/2 >= 0 and q = b c / 2.  That depressed
-cubic is strictly increasing, so its one real root is the unique minimiser.
-Cardano's formula gives the root in a form where nothing cancels (Press et
-al., Numerical Recipes, 5.6), and one Newton step on the cubic polishes it.
-The minimum is read off the stationarity condition b s + c = -2 s (s^2 + a) / b
-rather than from b s + c itself, which cancels when |s| is far below |b|.
-Against an exact rational-arithmetic oracle (tests/test_scalarmin.py) the
-minimiser agrees to 3e-16 relative and the minimum to 1e-15 relative, on
-both call sites' inputs and on a coefficient grid spanning 1e-12 to 1e5.
+f(s) = (s^2 + b^2)^2 + (b s + c)^2 is b^4 ((1 + sigma^2)^2 + (sigma + kappa)^2)
+with s = b sigma and kappa = c / b^2.  Its minimiser is the one real root of the
+increasing cubic 2 sigma^3 + 3 sigma + kappa, -sqrt(2) sinh(asinh(kappa/sqrt(2))/3)
+(nothing cancels), polished by one Newton step.  At the root
+sigma + kappa = -2 sigma (1 + sigma^2), so min f = t^2 (1 + 4 sigma^2) with
+t = b^2 (1 + sigma^2), a product of positive terms.  kappa is c / b / b and
+t is b (1 + sigma^2) b, so nothing underflows before the result does.
+
+Where b = 0 or kappa is beyond the float range (so wherever b^2 underflows)
+the result is the b -> 0 limit s = 0, f = c^2, off by below 1e-200 relative;
+a minimum beyond the float range (|b| above about 1e77) is inf; a non-finite
+coefficient gives s = 0, f = NaN.  Against an exact rational oracle
+(tests/test_scalarmin.py) s agrees to 1e-12 and f to 1e-14 relative for |b|
+in [1e-170, 1e77] and |kappa| in [1e-300, 1e308]; a subnormal kappa leaves s
+only kappa's precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+SQRT2 = 1.4142135623730951
 
-def quartic_value(s, a, b, c):
-    t = s * s + a
+
+def quartic_value(s, b, c):
+    t = s * s + b * b
     u = b * s + c
     return t * t + u * u
 
 
-def minimize_convex_quartic(a, b, c) -> tuple:
-    """Unique minimiser and minimum of (s^2 + a)^2 + (b s + c)^2.
+def minimize_convex_quartic(b, c) -> tuple:
+    """Unique minimiser and minimum of (s^2 + b^2)^2 + (b s + c)^2.
 
     Coefficients may be scalars or arrays that broadcast together; the
-    result has their common shape.  A non-finite coefficient gives s_min = 0
-    and f_min = NaN.
+    result has their common shape.  Edge cases as in the module docstring.
     """
-    # the formula runs once on the raw coefficients; a row with a non-finite
-    # coefficient always ends in h = 0 or a non-finite f, so the one mask
-    # below finds every row to patch, and the common call builds no other
+    # one formula on the raw coefficients; every row it cannot serve (b = 0,
+    # kappa beyond the root's range, a non-finite coefficient) ends in a
+    # non-finite f, so the one mask below finds every row to patch
     with np.errstate(all="ignore"):
-        p = a + 0.5 * b * b
-        h = 0.25 * b * c  # q / 2; zero also when b c underflows
-        p3 = p / 3.0
-        r = np.sqrt(h * h + p3 * p3 * p3)
-        t1 = -np.cbrt(h + np.copysign(r, h))
-        t2 = -p3 / t1
-        # t1 + t2 = -q / (t1^2 + t2^2 + p/3), a sum of nonnegative terms
-        s = -2.0 * h / (t1 * t1 + t2 * t2 + p3)
-        s -= (s * (s * s + p) + 2.0 * h) / (3.0 * s * s + p)
-        t = s * s + a
-        w = 2.0 * s / b
-        f = t * t * (1.0 + w * w)
-        flat = h == 0.0
-        if (flat | ~np.isfinite(f) | np.less(a, 0.0)).any():
-            if np.less(a, 0.0).any():
-                raise ValueError("quartic family requires a >= 0")
-            # where h = 0 the slope vanishes at 0 and is increasing, so s = 0
-            finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(c)
-            s = np.where(flat | ~finite, 0.0, s)
-            f = np.where(finite, np.where(flat, quartic_value(0.0, a, b, c), f), np.nan)
+        kappa = np.divide(c, b) / b
+        sigma = -SQRT2 * np.sinh(np.arcsinh(kappa / SQRT2) / 3.0)
+        ss = sigma * sigma
+        # Newton on sigma^3 + 1.5 sigma + kappa/2, which cannot overflow
+        sigma -= (sigma * (ss + 1.5) + 0.5 * kappa) / (3.0 * ss + 1.5)
+        ss = sigma * sigma
+        t = b * (1.0 + ss) * b
+        s = b * sigma
+        f = t * (t * (1.0 + 4.0 * ss))
+        if not np.isfinite(f).all():
+            # s is lost exactly on those rows; where s is finite, f = inf is
+            # a true overflow and stays
+            lost = ~np.isfinite(s)
+            s = np.where(lost, 0.0, s)
+            f = np.where(np.isfinite(b) & np.isfinite(c), np.where(lost, c * c, f), np.nan)
     return s[()], f[()]

@@ -52,6 +52,19 @@ def test_axis_distance_examples():
     assert distance_to_axis(np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("x2", [1e-170, -1e-170, 1e-160, 1e-155])
+def test_axis_distance_near_the_axis_plane(x2):
+    # x2^2 underflows (or nearly): the value is the x2 -> 0 limit |x3|^(1/2)
+    # and never exceeds the distance to the origin, a point of the axis;
+    # the three-coefficient Cardano form returned 1.299 at x2 = 1e-170
+    x = np.array([0.0, x2, 1.0])
+    assert distance_to_axis(x) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert distance_to_axis(x) <= distance_to_axis_point(0.0, x)
+    rows = distance_to_axis(np.array([x, [0.0, x2, 4.0], [1.0, x2, 0.0]]))
+    assert rows[0] == distance_to_axis(x) and rows[1] == pytest.approx(2.0, rel=1e-15)
+    assert rows[2] <= distance_to_axis_point(1.0, [1.0, x2, 0.0])
+
+
 def test_axis_distance_below_moving_point_distance(rng):
     for _ in range(200):
         t = rng.uniform(0, 2)
@@ -124,6 +137,20 @@ def test_scaled_term_scalar_time_matches_array_time():
         value, sbar = scaled_axis_distance_with_minimizer(t, u, -v)
         assert np.array_equal(value, np.sqrt(v)) and not np.any(sbar)
     assert uv_rhs(SingularUVSystem("autonomous", 1e-3), 0, 1, 1) == (0.0, 0.0)
+
+
+def test_scaled_term_at_zero_is_exact_without_a_special_case():
+    # w = t u / 3 = 0 is the minimiser's b = 0 limit, f = v^2, and the square
+    # root of a rounded square is exact, so the value is sqrt(|v|) to the bit
+    v = np.random.default_rng(5).choice([-1.0, 1.0], 400) * 10.0 ** np.linspace(-150, 150, 400)
+    value, sbar = scaled_axis_distance_with_minimizer(0.0, 2.0, v)
+    assert np.array_equal(value, np.sqrt(np.abs(v))) and not np.any(sbar)
+    value_rows, _ = scaled_axis_distance_with_minimizer(np.zeros(400), 2.0, v)
+    assert np.array_equal(value_rows, value)
+    assert scaled_axis_distance(0.0, 1.0, 1.0) == 1.0
+    du, dv = uv_rhs(SingularUVSystem("autonomous", np.array([1e-3, 0.1])), 0.0,
+                    np.ones(2), np.ones(2))
+    assert not np.any(du) and not np.any(dv)
 
 
 def test_minimizer_continuity_against_oracle():
