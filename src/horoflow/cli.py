@@ -52,19 +52,15 @@ def _load_json(path: str) -> dict:
         ) from exc
 
 
-def _resolve_group(args_preset: str | None, group_path: str | None,
-                   inline: dict | str | None = None) -> GradedAlgebra:
-    if inline is not None:
-        if isinstance(inline, str):
-            if inline == "heisenberg":
-                return heisenberg()
-            raise ConfigError(f"unknown group preset {inline!r}")
-        return algebra_from_json(inline)
+def _resolve_group(preset: dict | str | None, group_path: str | None = None) -> GradedAlgebra:
+    """The algebra of an inline spec, else of the spec file, else of a preset name."""
+    if isinstance(preset, dict):
+        return algebra_from_json(preset)
     if group_path:
         return algebra_from_json(_load_json(group_path))
-    if args_preset in (None, "heisenberg"):
+    if preset in (None, "heisenberg"):
         return heisenberg()
-    raise ConfigError(f"unknown group preset {args_preset!r}")
+    raise ConfigError(f"unknown group preset {preset!r}")
 
 
 def _integrator(cfg: dict | None) -> IntegratorConfig:
@@ -87,6 +83,26 @@ def _number(cfg: dict, key: str, default, kind=float):
         if not isinstance(value, bool) and math.isfinite(value):
             return kind(value)
     raise ConfigError(f"bad {key}: expected a finite number, not {value!r}")
+
+
+def _point(value, dim: int, key: str) -> tuple:
+    """``value`` as a point of ``dim`` finite JSON numbers; else exit 2."""
+    if isinstance(value, list) and len(value) == dim:
+        return tuple(_number({key: v}, key, None) for v in value)
+    raise ConfigError(f"bad {key}: expected a list of {dim} numbers, not {value!r}")
+
+
+def _points(value, dim: int, key: str) -> list:
+    """``value`` as a non-empty list of points (see ``_point``); else exit 2."""
+    if isinstance(value, list) and value:
+        return [_point(p, dim, key) for p in value]
+    raise ConfigError(f"bad {key}: expected a list of points, not {value!r}")
+
+
+def _box(value, dim: int, key: str) -> Box:
+    """A ``{"lo": point, "hi": point}`` object as a Box; else exit 2."""
+    value = value if isinstance(value, dict) else {}
+    return Box(*(_point(value.get(end), dim, f"{key}.{end}") for end in ("lo", "hi")))
 
 
 def _emit(report: dict, args, csv_writers=()) -> None:
@@ -175,16 +191,14 @@ def _run_check_gauge(args) -> int:
 
 def _run_integrate(args) -> int:
     cfg = _load_json(args.config)
-    alg = _resolve_group(None, None, cfg.get("group", "heisenberg"))
+    alg = _resolve_group(cfg.get("group"))
     try:
         field = field_from_spec(alg, cfg["field"])
-        x0 = tuple(float(v) for v in cfg["x0"])
-        horizon = float(cfg["horizon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem spec: {exc}") from exc
-    domain = None
-    if cfg.get("domain"):
-        domain = Box(tuple(cfg["domain"]["lo"]), tuple(cfg["domain"]["hi"]))
+    x0 = _point(cfg.get("x0"), alg.dim, "x0")
+    horizon = _number(cfg, "horizon", None)
+    domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") else None
     icfg = _integrator(cfg.get("integrator"))
     try:
         problem = CauchyProblem(field, x0, horizon, domain)
@@ -199,8 +213,7 @@ def _run_integrate(args) -> int:
         "residual": tr.residual,
         "meta": {k: v for k, v in tr.meta.items()},
     }
-    tol_cap = 100.0 * icfg.abs_tol
-    report["passed"] = bool(tr.residual is not None and tr.residual <= tol_cap)
+    report["passed"] = bool(tr.residual is not None and tr.residual <= 100.0 * icfg.abs_tol)
     _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
     return PASS if report["passed"] else FAIL
 
@@ -210,10 +223,12 @@ def _run_integrate(args) -> int:
 
 def _run_equilibrium(args) -> int:
     cfg = _load_json(args.config)
-    alg = _resolve_group(None, None, cfg.get("group", "heisenberg"))
+    alg = _resolve_group(cfg.get("group"))
     field = field_from_spec(alg, cfg["field"])
-    xbar = np.asarray(cfg.get("equilibrium_point", [0.0] * alg.dim), dtype=float)
-    box = Box(tuple(cfg["box"]["lo"]), tuple(cfg["box"]["hi"]))
+    xbar = np.array(_point(cfg.get("equilibrium_point", [0.0] * alg.dim), alg.dim,
+                           "equilibrium_point"))
+    box = _box(cfg.get("box"), alg.dim, "box")
+    starts = _points(cfg.get("initial_points"), alg.dim, "initial_points")
     samples = _number(cfg, "samples", 2000, int)
     seed = _number(cfg, "seed", 0, int)
     horizon = _number(cfg, "horizon", 1.0)
@@ -223,12 +238,10 @@ def _run_equilibrium(args) -> int:
     cond = verify_equilibrium_condition(field, xbar, box, samples, seed, dst)
     report = {"condition": asdict(cond), "horizon": horizon, "seed": seed}
     if not cond.certified:
-        report["passed"] = False
-        report["refusal"] = ("degeneracy condition not certified: coefficient sizes do "
-                             "not vanish linearly toward the equilibrium point")
+        report.update(passed=False, refusal="degeneracy condition not certified: coefficient "
+                      "sizes do not vanish linearly toward the equilibrium point")
         _emit(report, args)
         return FAIL
-    starts = [tuple(float(v) for v in p) for p in cfg["initial_points"]]
     monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, dst, seed=seed)
     report["stability"] = asdict(monitor)
     report["passed"] = bool(monitor.passed)
@@ -241,15 +254,14 @@ def _run_equilibrium(args) -> int:
 
 def _run_involutive(args) -> int:
     cfg = _load_json(args.config)
-    alg = _resolve_group(None, None, cfg.get("group", "heisenberg"))
-    basis = [tuple(float(v) for v in row) for row in cfg["basis"]]
+    alg = _resolve_group(cfg.get("group"))
+    basis = _points(cfg.get("basis"), alg.dim, "basis")
+    x0 = _point(cfg.get("x0"), alg.dim, "x0")
     mod = check_involutive(alg, basis)
-    field_spec = dict(cfg["field"])
-    field = field_from_spec(alg, field_spec)
+    field = field_from_spec(alg, dict(cfg["field"]))
     if len(field.coefficients) != mod.rank:
         raise ConfigError("field must provide one coefficient per basis element")
     ambient = module_field(mod, field.coefficients)
-    x0 = tuple(float(v) for v in cfg["x0"])
     horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
     dev_tol = _number(cfg, "deviation_tol", 1e-8)
@@ -270,11 +282,10 @@ def _run_involutive(args) -> int:
         "deviation_tol": dev_tol,
         "match_tol": match_tol,
         "residual_full": full.residual,
+        "passed": bool(deviation <= dev_tol and match <= match_tol),
     }
-    passed = deviation <= dev_tol and match <= match_tol
-    report["passed"] = bool(passed)
     _emit(report, args)
-    return PASS if passed else FAIL
+    return PASS if report["passed"] else FAIL
 
 
 # --------------------------------------------------------------------------- counterexample
@@ -362,6 +373,15 @@ _RUNNERS = {
 }
 
 
+# numerical failures: each exits 1 with a report naming its kind
+_FAILURE_KINDS = {
+    NonFiniteRHSError: "non_finite_rhs",
+    StepUnderflowError: "step_underflow",
+    cx.MonitorViolation: "monitor_violation",
+    ConditionNotCertified: "condition_not_certified",
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -373,13 +393,11 @@ def main(argv=None) -> int:
     except (ConfigError, AlgebraValidationError, ValueError, KeyError) as exc:
         print(f"horoflow: config error: {exc}", file=sys.stderr)
         return USAGE
-    except (ConditionNotCertified, cx.MonitorViolation) as exc:
-        print(f"horoflow: check failed: {exc}", file=sys.stderr)
-        return FAIL
-    except (NonFiniteRHSError, StepUnderflowError) as exc:
-        kind = "non_finite_rhs" if isinstance(exc, NonFiniteRHSError) else "step_underflow"
-        _emit({"passed": False,
-               "failure": {"kind": kind, "t": float(exc.time), "message": str(exc)}}, args)
+    except tuple(_FAILURE_KINDS) as exc:
+        # t is null where a monitor or a condition fails on a whole solve
+        failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
+                   "t": float(exc.time) if hasattr(exc, "time") else None}
+        _emit({"passed": False, "failure": failure}, args)
         print(f"horoflow: numerical failure: {exc}", file=sys.stderr)
         return FAIL
 

@@ -89,7 +89,8 @@ def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
 
 
 def scaled_axis_distance(t, u, v):
-    return scaled_axis_distance_with_minimizer(t, u, v)[0]
+    """The value of ``scaled_axis_distance_with_minimizer`` alone."""
+    return np.sqrt(np.sqrt(minimize_convex_quartic(t * u / 3.0, v)[1]))
 
 
 def counterexample_field(alg: GradedAlgebra | None = None,
@@ -143,7 +144,8 @@ def uv_rhs(sys: SingularUVSystem, t, u, v) -> tuple:
     u and v may be arrays, one entry per epsilon of ``sys``.
     """
     den = t + sys.epsilon
-    if np.less_equal(den, 0.0).any():
+    # epsilon >= 0 is checked at construction, so a positive float t needs no test
+    if not (isinstance(t, float) and t > 0.0) and np.less_equal(den, 0.0).any():
         raise ZeroDivisionError("right-hand side undefined at t + epsilon = 0")
     g = sys.drive(t, u, v)
     return (-3.0 * u + 3.0 * g) / den, (-4.0 * v + 4.0 * u) / den
@@ -301,11 +303,8 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     if not res <= 1e-6:
         failures.append("integral_residual")
 
-    lower_margin = None
-    c5 = None
-    sigma_sup = None
+    lower_margin = c5 = sigma_sup = fvals = None
     crossing_const = c_hat
-    fvals = None
     if uv.variant == "autonomous":
         fvals, svals = scaled_axis_distance_with_minimizer(uv.times, uv.u, uv.v)
         sigma_sup = float(np.max(np.abs(svals)))
@@ -331,8 +330,7 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     if not lower_mix_margin >= -MONITOR_TOL:
         failures.append("mix_lower_envelope")
 
-    crossing_time = None
-    crossing_threshold = None
+    crossing_time = crossing_threshold = None
     if stop < len(uv.times):
         crossing_time = float(uv.times[stop])
         crossing_threshold = 1.0 / (26.0 * crossing_const)
@@ -456,15 +454,11 @@ def run_epsilon_ladder(
                 f"{', '.join(rep.failures)}"
             )
 
-    gaps = []
-    for a, b in zip(solutions, solutions[1:]):
-        gaps.append(float(max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v)))))
-
-    decreasing_from = None
-    for k0 in range(len(gaps)):
-        if all(gaps[k + 1] < gaps[k] for k in range(k0, len(gaps) - 1)):
-            decreasing_from = k0
-            break
+    gaps = [float(max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))))
+            for a, b in zip(solutions, solutions[1:])]
+    decreasing_from = next((k0 for k0 in range(len(gaps))
+                            if all(gaps[k + 1] < gaps[k] for k in range(k0, len(gaps) - 1))),
+                           None)
     converged = bool(gaps and gaps[-1] <= spec.gap_tol and decreasing_from is not None)
 
     limit = solutions[-1]

@@ -63,11 +63,9 @@ def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
         raise ValueError(f"basis index {i} out of range 1..{q}")
     law = alg.law
     zero_y = {q + k: 0 for k in range(q)}
-    rows = []
-    for j in range(q):
-        row = law[j].diff(q + (i - 1)).substitute(zero_y).project(range(q))
-        rows.append(row)
-    return LeftInvariantField(index=i, rows=tuple(rows))
+    rows = tuple(law[j].diff(q + (i - 1)).substitute(zero_y).project(range(q))
+                 for j in range(q))
+    return LeftInvariantField(index=i, rows=rows)
 
 
 def left_invariant_frame(alg: GradedAlgebra) -> tuple:

@@ -110,10 +110,7 @@ class GradedAlgebra:
         self.layer_offsets = tuple(
             sum(layer_dims[:j]) for j in range(self.step + 1)
         )  # m_0 .. m_step
-        degrees = []
-        for j, n in enumerate(layer_dims):
-            degrees.extend([j + 1] * n)
-        self.degrees = tuple(degrees)
+        self.degrees = tuple(j + 1 for j, n in enumerate(layer_dims) for _ in range(n))
         self.horizontal_dim = layer_dims[0]
 
         self._pairs = self._canonicalize(brackets or {})

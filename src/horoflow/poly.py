@@ -199,18 +199,14 @@ class Poly:
         return frozenset(sum(w * p for w, p in zip(weights, e)) for e in self.terms)
 
     def degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)  # -1 for the zero polynomial
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
         parts = []
         for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"x{i}" if p == 1 else f"x{i}^{p}" for i, p in enumerate(e) if p
-            )
+            mono = "*".join(f"x{i}" if p == 1 else f"x{i}^{p}" for i, p in enumerate(e) if p)
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return "Poly(" + " + ".join(parts) + ")"
 

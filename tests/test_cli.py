@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import horoflow
+from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import Trajectory, write_trajectory_csv
+from horoflow.uniqueness import ConditionNotCertified
 
 HEIS_GROUP = {
     "layers": [2, 1],
@@ -240,6 +242,27 @@ def involutive_config(tmp_path, **overrides):
     return cpath
 
 
+def integrate_config(tmp_path, **overrides):
+    cfg = {"group": "heisenberg",
+           "field": {"coefficients": [{"form": "constant", "value": 1.0},
+                                      {"form": "constant", "value": 0.0}]},
+           "x0": [0, 0, 0], "horizon": 1.0, "domain": {"lo": [-2, -2, -2], "hi": [2, 2, 2]},
+           **overrides}
+    cpath = tmp_path / "problem.json"
+    cpath.write_text(json.dumps(cfg))
+    return cpath
+
+
+def config_path(command, tmp_path, key, value):
+    """The test config of ``command`` with ``key`` set to ``value``."""
+    if command == "equilibrium":
+        cpath = equilibrium_config(tmp_path)
+        cpath.write_text(json.dumps({**json.loads(cpath.read_text()), key: value}))
+        return cpath
+    make = involutive_config if command == "involutive" else integrate_config
+    return make(tmp_path, **{key: value})
+
+
 def test_involutive_command_passes(tmp_path):
     out = tmp_path / "out"
     assert main(["involutive", "--config", str(involutive_config(tmp_path)),
@@ -265,17 +288,70 @@ def test_involutive_command_rejects_non_commuting_basis(tmp_path, capsys):
 @pytest.mark.parametrize("command, key", [
     ("equilibrium", "horizon"), ("equilibrium", "samples"), ("equilibrium", "seed"),
     ("involutive", "horizon"), ("involutive", "deviation_tol"), ("involutive", "match_tol"),
+    ("integrate", "horizon"),
 ])
 def test_bad_number_is_usage_error(tmp_path, capsys, command, key, value):
-    if command == "equilibrium":
-        cpath = equilibrium_config(tmp_path)
-        cpath.write_text(json.dumps({**json.loads(cpath.read_text()), key: value}))
-    else:
-        cpath = involutive_config(tmp_path, **{key: value})
+    cpath = config_path(command, tmp_path, key, value)
     assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"bad {key}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("involutive", "x0", [None, 1, 0]),
+    ("involutive", "x0", [0, 1]),
+    ("involutive", "basis", [[None, 0, 0]]),
+    ("involutive", "basis", []),
+    ("equilibrium", "box", {"lo": [None, -1, -1], "hi": [1, 1, 1]}),
+    ("equilibrium", "box", {"lo": [-1, -1, -1]}),
+    ("equilibrium", "box", [[-1, -1, -1], [1, 1, 1]]),
+    ("equilibrium", "initial_points", [[1e-2, 0, 0], [None, 0, 0]]),
+    ("equilibrium", "initial_points", [1e-2, 0, 0]),
+    ("equilibrium", "equilibrium_point", [None, 0, 0]),
+    ("equilibrium", "equilibrium_point", [0, 0, float("nan")]),
+    ("integrate", "x0", [None, 0, 0]),
+    ("integrate", "x0", [0, 0, float("nan")]),
+    ("integrate", "domain", {"lo": [-1, None, -1], "hi": [1, 1, 1]}),
+])
+def test_bad_point_is_usage_error(tmp_path, capsys, command, key, value):
+    cpath = config_path(command, tmp_path, key, value)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_uncertified_condition_in_the_monitor_writes_report(tmp_path, capsys, monkeypatch):
+    # the command refuses an uncertified condition itself, so the monitor's
+    # own refusal is reached only through a stand-in
+    def refuse(*args, **kwargs):
+        raise ConditionNotCertified("degeneracy condition not certified: stand-in")
+
+    monkeypatch.setattr(cli, "stability_monitor", refuse)
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(equilibrium_config(tmp_path)),
+                 "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"] == {"kind": "condition_not_certified", "t": None,
+                              "message": "degeneracy condition not certified: stand-in"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_rung_monitor_writes_report(tmp_path, capsys):
+    # on grid 256 the thirteenth autonomous rung fails its integral_residual
+    # monitor; the command still writes a report naming the failure
+    out = tmp_path / "out"
+    assert main(["counterexample", "--variant", "autonomous", "--rungs", "13",
+                 "--tau", "0.2", "--grid", "256", "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"]["kind"] == "monitor_violation"
+    assert rep["failure"]["t"] is None
+    assert "integral_residual" in rep["failure"]["message"]
+    err = capsys.readouterr().err
+    assert "integral_residual" in err and "Traceback" not in err
 
 
 def counterexample_args(out, extra=()):

@@ -190,6 +190,23 @@ def test_rhs_rejects_singular_time():
         uv_rhs(SingularUVSystem("time", 0.0), 0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+@pytest.mark.parametrize("t", [0.0, -1e-3, -1, np.array([0.5, 0.0]), np.float64(0.0)])
+def test_rhs_rejects_every_singular_time(variant, t):
+    # a positive float t skips the test, since epsilon >= 0; any other t is tested
+    with pytest.raises(ZeroDivisionError):
+        uv_rhs(SingularUVSystem(variant, 0.0), t, 1.0, 1.0)
+    if np.ndim(t) == 0:  # one rung at t + epsilon <= 0 is enough
+        with pytest.raises(ZeroDivisionError):
+            uv_rhs(SingularUVSystem(variant, np.array([0.0, 1.0])), t, 1.0, 1.0)
+
+
+def test_negative_epsilon_is_rejected_at_construction():
+    for eps in (-1e-3, np.array([0.1, -1e-9])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SingularUVSystem("time", eps)
+
+
 # --------------------------------------------------------------------------- rungs
 
 

@@ -112,14 +112,24 @@ def test_matches_oracle_on_extreme_grid():
         assert_matches_oracle(b, c)
 
 
-def test_newton_step_does_not_overflow_at_the_largest_kappa():
-    # kappa = c / b^2 just below the largest float: the polishing step's cubic
-    # is evaluated halved, so it stays finite and the result is the true one
+def test_largest_kappa_gives_a_finite_true_minimum():
+    # kappa = c / b^2 just below the largest float: the root and the objective
+    # at it stay finite, and the result is the true one
     for b, c in ((1e-100, 1.7976e108), (-1e-100, 1.7976e108), (1e-150, -1.7e8)):
         assert math.isfinite(c / b / b) and abs(c / b / b) > 1.6e308
         s, f = minimize_convex_quartic(b, c)
         assert math.isfinite(s) and math.isfinite(f)
         assert_matches_oracle(b, c)
+
+
+def test_minimum_is_the_objective_at_the_returned_minimiser():
+    # f is the quartic evaluated at the root, not a separate identity; the
+    # summation orders differ, so allow rounding on the extreme grid
+    for b, c in extreme_grid():
+        s, f = minimize_convex_quartic(b, c)
+        direct = quartic_value(s, b, c)
+        if TINY <= min(f, direct) and max(f, direct) <= HUGE:
+            assert abs(f - direct) <= 1e-14 * direct, (b, c, f, direct)
 
 
 def test_array_call_matches_scalar_calls_and_oracle():
