@@ -99,6 +99,14 @@ def _points(value, dim: int, key: str) -> list:
     raise ConfigError(f"bad {key}: expected a list of points, not {value!r}")
 
 
+def _field(alg: GradedAlgebra, cfg: dict):
+    """The field of ``cfg["field"]`` (see ``field_from_spec``); else exit 2."""
+    try:
+        return field_from_spec(alg, cfg["field"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad field spec: {exc}") from exc
+
+
 def _box(value, dim: int, key: str) -> Box:
     """A ``{"lo": point, "hi": point}`` object as a Box; else exit 2."""
     value = value if isinstance(value, dict) else {}
@@ -192,10 +200,7 @@ def _run_check_gauge(args) -> int:
 def _run_integrate(args) -> int:
     cfg = _load_json(args.config)
     alg = _resolve_group(cfg.get("group"))
-    try:
-        field = field_from_spec(alg, cfg["field"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad problem spec: {exc}") from exc
+    field = _field(alg, cfg)
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
     horizon = _number(cfg, "horizon", None)
     domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") else None
@@ -224,7 +229,7 @@ def _run_integrate(args) -> int:
 def _run_equilibrium(args) -> int:
     cfg = _load_json(args.config)
     alg = _resolve_group(cfg.get("group"))
-    field = field_from_spec(alg, cfg["field"])
+    field = _field(alg, cfg)
     xbar = np.array(_point(cfg.get("equilibrium_point", [0.0] * alg.dim), alg.dim,
                            "equilibrium_point"))
     box = _box(cfg.get("box"), alg.dim, "box")
@@ -258,7 +263,7 @@ def _run_involutive(args) -> int:
     basis = _points(cfg.get("basis"), alg.dim, "basis")
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
     mod = check_involutive(alg, basis)
-    field = field_from_spec(alg, dict(cfg["field"]))
+    field = _field(alg, cfg)
     if len(field.coefficients) != mod.rank:
         raise ConfigError("field must provide one coefficient per basis element")
     ambient = module_field(mod, field.coefficients)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import HorizontalField, horizontal_field
 from .flow import Trajectory, residual as flow_residual
-from .gauges import equivalence_constants, koranyi_norm, smooth_gauge
+from .gauges import equivalence_kappa, koranyi_norm
 from .groups import GradedAlgebra, heisenberg, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 from .stepping import IntegratorConfig, cumulative_simpson, solve_to_grid
@@ -39,6 +39,12 @@ MIX_WEIGHT_UPPER = 0.5
 MIX_WEIGHT_LOWER = 0.75
 
 MONITOR_TOL = 1e-9
+# absolute and relative tolerance of every rung solve: the limit is read off
+# Cauchy gaps down to gap_tol = 1e-6, so the solves sit six decades below it
+RUNG_TOL = 1e-12
+# the verdict needs the two solutions apart by this multiple of the worse
+# flow residual, so that their separation cannot be a numerical artifact
+SEPARATION_FACTOR = 1e4
 
 
 class MonitorViolation(RuntimeError):
@@ -224,29 +230,25 @@ class RungReport:
     passed: bool
 
 
-def solve_regularized(
-    sys: SingularUVSystem,
-    tau: float,
-    cfg: IntegratorConfig = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12,
-                                             dense_output_grid=2048),
-) -> tuple:
+def solve_regularized(sys: SingularUVSystem, tau: float, grid_points: int = 2048) -> tuple:
     """Integrate one regularized rung on [0, tau] and monitor the proof bounds.
 
     Returns (UVSolution, RungReport).  Bound violations beyond tolerance are
     recorded as failures: they flag the integrator, not the statement.
     """
-    (uv,) = solve_rungs(sys.variant, [sys.epsilon], tau, cfg)
+    (uv,) = solve_rungs(sys.variant, [sys.epsilon], tau, grid_points)
     return uv, rung_monitor_report(uv)
 
 
 def solve_rungs(variant: str, epsilons: Sequence[float], tau: float,
-                cfg: IntegratorConfig) -> list:
+                grid_points: int) -> list:
     """Integrate the regularized rungs for all ``epsilons`` as one solve.
 
     The rungs advance together as one (rungs, 2) state on a shared step
     sequence whose error norm is the max over every rung, so no rung meets a
     looser tolerance than it would alone; each returned UVSolution carries
-    the stats of that shared solve.
+    the stats of that shared solve.  Every solve runs at ``RUNG_TOL`` and
+    returns its states on ``grid_points`` equally spaced times.
     """
     eps = np.asarray(epsilons, dtype=float)
     if not np.all(eps > 0):
@@ -254,6 +256,7 @@ def solve_rungs(variant: str, epsilons: Sequence[float], tau: float,
     if tau > 1.0:
         raise ValueError("rung horizon must not exceed 1")
     sys = SingularUVSystem(variant, eps)
+    cfg = IntegratorConfig(abs_tol=RUNG_TOL, rel_tol=RUNG_TOL, dense_output_grid=grid_points)
     grid = np.linspace(0.0, tau, cfg.dense_output_grid)
 
     def rhs(t, y):
@@ -430,22 +433,17 @@ class EpsilonLadder:
         }
 
 
-def run_epsilon_ladder(
-    spec: LadderSpec = LadderSpec(),
-    variant: str = "time",
-    cfg: IntegratorConfig | None = None,
-) -> EpsilonLadder:
+def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -> EpsilonLadder:
     """Solve the rung family on a common grid and measure the Cauchy gaps.
 
-    All rungs are one solve (see ``solve_rungs``).  Rung monitors are hard
+    ``spec`` is the whole configuration: the grid is ``spec.grid_points``
+    times on [0, spec.tau], and all rungs are one solve at the fixed
+    ``RUNG_TOL`` (see ``solve_rungs``).  Rung monitors are hard
     requirements: a violated proof bound aborts the ladder.  Non-decreasing
     gaps are reported as non-convergence; the last rung is still exposed as
     the limit candidate, never silently replaced.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12,
-                               dense_output_grid=spec.grid_points)
-    solutions = tuple(solve_rungs(variant, spec.epsilons, spec.tau, cfg))
+    solutions = tuple(solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points))
     reports = tuple(rung_monitor_report(uv) for uv in solutions)
     for rep in reports:
         if not rep.passed:
@@ -499,14 +497,12 @@ def trivial_trajectory(tau: float, n: int) -> Trajectory:
     return Trajectory(t, states, {"source": "axis_line"})
 
 
-def build_nonuniqueness_report(
-    ladder: EpsilonLadder, separation_factor: float = 1e4
-) -> tuple:
+def build_nonuniqueness_report(ladder: EpsilonLadder) -> tuple:
     """Turn a finished ladder into the exhibit report.
 
     Returns (report dict, reconstructed trajectory).  The verdict asserts
     that two certified near-solutions of one Cauchy problem stay apart by at
-    least ``separation_factor`` times the worse residual, i.e. the
+    least ``SEPARATION_FACTOR`` times the worse residual, i.e. the
     separation cannot be a numerical artifact.
     """
     alg = heisenberg()
@@ -523,12 +519,8 @@ def build_nonuniqueness_report(
     max_sep = float(np.max(separation))
 
     worst_res = max(res_trivial, res_nontrivial)
-    sep_ok = max_sep >= separation_factor * worst_res
+    sep_ok = max_sep >= SEPARATION_FACTOR * worst_res
     gamma2_at_tau = float(gamma.states[-1, 1])
-
-    sg = smooth_gauge(alg)
-    lo, hi = equivalence_constants(alg, sg, koranyi_norm, 4000, seed=0)
-    kappa = max(hi, 1.0 / lo)
 
     verdict = bool(ladder.converged and sep_ok and gamma2_at_tau > 0.0)
     last = ladder.rung_reports[-1]
@@ -538,27 +530,21 @@ def build_nonuniqueness_report(
         "residual_trivial": res_trivial,
         "residual_nontrivial": res_nontrivial,
         "max_separation": max_sep,
-        "separation_factor_required": separation_factor,
-        "separation_margin": max_sep - separation_factor * worst_res,
+        "separation_factor_required": SEPARATION_FACTOR,
+        "separation_margin": max_sep - SEPARATION_FACTOR * worst_res,
         "separation": separation.tolist(),
         "gamma2_at_tau": gamma2_at_tau,
         "constants": {
             "exp_linearization": last.exp_linear_constant,
             "lower_bound": last.lower_bound_constant,
-            "gauge_equivalence": kappa,
+            "gauge_equivalence": equivalence_kappa(alg, koranyi_norm),
         },
         "nonuniqueness_certified": verdict,
     }
     return report, gamma
 
 
-def nonuniqueness_report(
-    variant: str = "time",
-    spec: LadderSpec = LadderSpec(),
-    cfg: IntegratorConfig | None = None,
-    separation_factor: float = 1e4,
-) -> dict:
+def nonuniqueness_report(variant: str = "time", spec: LadderSpec = LadderSpec()) -> dict:
     """Run the full exhibit pipeline and return the report."""
-    ladder = run_epsilon_ladder(spec, variant, cfg)
-    report, _ = build_nonuniqueness_report(ladder, separation_factor)
+    report, _ = build_nonuniqueness_report(run_epsilon_ladder(spec, variant))
     return report

@@ -311,24 +311,25 @@ def estimate_lipschitz(
 # --------------------------------------------------------------------------- JSON field specs
 
 
-def field_from_spec(
-    alg: GradedAlgebra,
-    spec: Mapping,
-    distance: HomogeneousDistance | None = None,
-) -> HorizontalField:
+def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     """Build a field from the JSON coefficient forms.
 
-    Supported forms: ``constant``, ``monomial``, ``distance_to_point``,
-    ``axis_distance`` (time-dependent distance to (t,0,0)),
-    ``axis_distance_inf`` (distance to the whole first axis) and
-    ``sin_coordinate``.  Anything richer requires the library API.
+    Supported forms: ``constant``, ``monomial``, ``distance_to_point`` (in
+    ``default_distance(alg)``), ``axis_distance`` (time-dependent distance
+    to (t,0,0)), ``axis_distance_inf`` (distance to the whole first axis)
+    and ``sin_coordinate``.  Anything richer requires the library API.  A
+    spec or coefficient entry that is not an object raises ValueError.
     """
     # local import to avoid a cycle
     from .counterexample import distance_to_axis, distance_to_axis_point
 
-    dst = distance or default_distance(alg)
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"field spec must be an object, not {spec!r}")
+    dst = default_distance(alg)
     coeffs = []
     for c in spec["coefficients"]:
+        if not isinstance(c, Mapping):
+            raise ValueError(f"coefficient entry must be an object, not {c!r}")
         form = c.get("form")
         if form == "constant":
             v = float(c["value"])

@@ -50,16 +50,10 @@ class SmoothGauge:
         return values if x.ndim > 1 else values[0]
 
 
-def smooth_gauge(alg: GradedAlgebra, exponent: int | None = None) -> SmoothGauge:
-    """Construct the smooth gauge; default N is the smallest admissible one."""
-    N = minimal_even_exponent(alg.degrees) if exponent is None else int(exponent)
-    rhos = []
-    for d in alg.degrees:
-        rho, rem = divmod(N, d)
-        if rem or rho % 2 or rho <= 0:
-            raise ValueError(f"N={N} does not give an even natural exponent for degree {d}")
-        rhos.append(rho)
-    return SmoothGauge(alg, N, tuple(rhos))
+def smooth_gauge(alg: GradedAlgebra) -> SmoothGauge:
+    """The smooth gauge with the smallest admissible N (``minimal_even_exponent``)."""
+    N = minimal_even_exponent(alg.degrees)
+    return SmoothGauge(alg, N, tuple(N // d for d in alg.degrees))
 
 
 def koranyi_norm(x: Sequence[float]):
@@ -82,16 +76,14 @@ def koranyi_norm(x: Sequence[float]):
 class HomogeneousDistance:
     """Left-invariant distance d(x, y) = gauge(x^{-1} y).
 
-    ``quasi_triangle_constant`` is an empirical estimate of
-    sup gauge(xy) / (gauge(x) + gauge(y)); it is 1 when the gauge satisfies
-    the exact triangle inequality (as the quartic Heisenberg gauge does) and
-    is only an observed value otherwise.
+    It carries no quasi-triangle constant: that constant is 1 for the quartic
+    Heisenberg gauge, whose triangle inequality is exact, and only an observed
+    value for the smooth gauge, which ``estimate_quasi_triangle_constant``
+    samples on demand.
     """
 
     algebra: GradedAlgebra
     gauge: GaugeFn
-    label: str
-    quasi_triangle_constant: float | None = None
 
     def __call__(self, x: Sequence[float], y: Sequence[float]):
         """d(x, y) of two elements, or row-wise as ``batch`` when either is an array of rows."""
@@ -105,25 +97,20 @@ class HomogeneousDistance:
         return _gauge_batch(self.gauge, self.algebra.multiply_batch(inverse(X), Y))
 
 
-def smooth_distance(alg: GradedAlgebra, quasi_samples: int = 0,
-                    seed: int = 0) -> HomogeneousDistance:
+def smooth_distance(alg: GradedAlgebra) -> HomogeneousDistance:
     """Distance from the smooth gauge; no triangle inequality is assumed.
 
-    With ``quasi_samples`` > 0 the quasi-triangle constant is estimated by
-    sampling and recorded on the returned object.
+    Its quasi-triangle constant is only an observed value: sample it with
+    ``estimate_quasi_triangle_constant(alg, smooth_gauge(alg), ...)``.
     """
-    g = smooth_gauge(alg)
-    quasi = None
-    if quasi_samples > 0:
-        quasi = estimate_quasi_triangle_constant(alg, g, quasi_samples, seed)
-    return HomogeneousDistance(alg, g, "smooth", quasi)
+    return HomogeneousDistance(alg, smooth_gauge(alg))
 
 
 def koranyi_distance(alg: GradedAlgebra | None = None) -> HomogeneousDistance:
     alg = heisenberg() if alg is None else alg
     if not is_heisenberg(alg):
         raise ValueError("the quartic gauge distance requires the Heisenberg preset")
-    return HomogeneousDistance(alg, koranyi_norm, "koranyi", 1.0)
+    return HomogeneousDistance(alg, koranyi_norm)
 
 
 def default_distance(alg: GradedAlgebra) -> HomogeneousDistance:
@@ -176,6 +163,18 @@ def equivalence_constants(
     return float(ratios.min()), float(ratios.max())
 
 
+# samples behind every gauge-equivalence constant kappa: the same fixed count
+# in the stability bound and in the exhibit report keeps both reproducible
+KAPPA_SAMPLES = 4000
+
+
+def equivalence_kappa(alg: GradedAlgebra, gauge: GaugeFn, seed: int = 0) -> float:
+    """kappa = max(upper, 1/lower) of ``gauge`` against the smooth gauge,
+    over ``KAPPA_SAMPLES`` samples (see ``equivalence_constants``)."""
+    lo, hi = equivalence_constants(alg, smooth_gauge(alg), gauge, KAPPA_SAMPLES, seed)
+    return max(hi, 1.0 / lo)
+
+
 def estimate_quasi_triangle_constant(
     alg: GradedAlgebra, gauge: GaugeFn, samples: int, seed: int = 0
 ) -> float:
@@ -210,14 +209,13 @@ def gauge_report(
     gauge: GaugeFn,
     samples: int,
     seed: int = 0,
-    enforce_triangle: bool | None = None,
 ) -> dict:
     """Property-check report for one gauge: homogeneity, symmetry, triangle.
 
     ``triangle_violations`` counts sampled pairs with
-    gauge(xy) > gauge(x) + gauge(y) + 1e-12; it is only a pass/fail criterion
-    when ``enforce_triangle`` (defaults to True exactly for the quartic
-    Heisenberg gauge, whose triangle inequality is exact).
+    gauge(xy) > gauge(x) + gauge(y) + 1e-12; it is a pass/fail criterion
+    exactly for the quartic Heisenberg gauge, whose triangle inequality is
+    exact.
     """
     rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, size=(samples, alg.dim))
@@ -239,10 +237,9 @@ def gauge_report(
     sg = smooth_gauge(alg)
     lo, hi = equivalence_constants(alg, sg, gauge, samples, seed)
 
-    if enforce_triangle is None:
-        enforce_triangle = gauge is koranyi_norm
+    triangle_enforced = gauge is koranyi_norm
     passed = homogeneity_max_err <= 1e-12 and symmetry_max_err <= 1e-12
-    if enforce_triangle:
+    if triangle_enforced:
         passed = passed and triangle_violations == 0
 
     return {
@@ -253,6 +250,6 @@ def gauge_report(
         "triangle_violations": triangle_violations,
         "quasi_triangle_constant": quasi,
         "equivalence_constants": {"lower": lo, "upper": hi, "reference": "smooth"},
-        "triangle_enforced": bool(enforce_triangle),
+        "triangle_enforced": triangle_enforced,
         "passed": bool(passed),
     }

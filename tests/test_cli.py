@@ -322,6 +322,16 @@ def test_bad_point_is_usage_error(tmp_path, capsys, command, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", [[], {"coefficients": [1, 2]}])
+@pytest.mark.parametrize("command", ["integrate", "equilibrium", "involutive"])
+def test_malformed_field_spec_is_usage_error(tmp_path, capsys, command, field):
+    cpath = config_path(command, tmp_path, "field", field)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad field spec" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_uncertified_condition_in_the_monitor_writes_report(tmp_path, capsys, monkeypatch):
     # the command refuses an uncertified condition itself, so the monitor's
     # own refusal is reached only through a stand-in

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from horoflow import (IntegratorConfig, LadderSpec, SingularUVSystem,
-                      comparison_monitor, counterexample_field,
-                      distance_to_axis, distance_to_axis_point, heisenberg,
+from horoflow import (LadderSpec, SingularUVSystem, comparison_monitor,
+                      counterexample_field, distance_to_axis,
+                      distance_to_axis_point, heisenberg,
                       nonuniqueness_report, reconstruct_trajectory,
                       run_epsilon_ladder, scaled_axis_distance,
                       solve_regularized, trivial_trajectory, uv_rhs)
-from horoflow.counterexample import (UVSolution, rung_monitor_report,
+from horoflow.counterexample import (RUNG_TOL, UVSolution, rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
                                      singular_integral_residual)
 
-FAST = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, dense_output_grid=512)
+FAST = 512  # grid points of a rung solve; the default ladder uses 2048
 
 
 def grid_minimum_oracle(t, u, v, n=1_000_000, half_width=10.0):
@@ -312,7 +312,7 @@ def test_comparison_monitor_on_solved_mix():
 
 
 def small_spec(**kw):
-    base = dict(eps0=0.1, ratio=0.5, count=8, tau=0.25, grid_points=512)
+    base = dict(eps0=0.1, ratio=0.5, count=8, tau=0.25, grid_points=FAST)
     base.update(kw)
     return LadderSpec(**base)
 
@@ -327,7 +327,7 @@ def test_ladder_spec_validation():
 
 
 def test_ladder_gaps_decrease_and_converge():
-    lad = run_epsilon_ladder(small_spec(), "time", FAST)
+    lad = run_epsilon_ladder(small_spec(), "time")
     gaps = np.array(lad.sup_differences)
     assert lad.gaps_decreasing_from == 0
     assert np.all(gaps[1:] < gaps[:-1])
@@ -337,28 +337,28 @@ def test_ladder_gaps_decrease_and_converge():
 
 
 def test_ladder_limit_satisfies_singular_integral_form():
-    lad = run_epsilon_ladder(small_spec(), "time", FAST)
+    lad = run_epsilon_ladder(small_spec(), "time")
     assert lad.limit_residual <= 1e-5
     # direct recomputation agrees
     assert singular_integral_residual(lad.limit, as_limit=True) == lad.limit_residual
 
 
 def test_ladder_nonconvergence_never_fabricates():
-    lad = run_epsilon_ladder(small_spec(gap_tol=1e-18), "time", FAST)
+    lad = run_epsilon_ladder(small_spec(gap_tol=1e-18), "time")
     assert not lad.converged
     assert lad.limit is lad.solutions[-1]
 
 
 def test_ladders_with_different_ratios_agree():
-    a = run_epsilon_ladder(small_spec(count=10), "time", FAST)
-    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time", FAST)
+    a = run_epsilon_ladder(small_spec(count=10), "time")
+    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")
     du = np.max(np.abs(a.limit.u - b.limit.u))
     dv = np.max(np.abs(a.limit.v - b.limit.v))
     assert max(du, dv) <= 10 * a.spec.gap_tol
 
 
 def test_ladder_window_warning_flag():
-    lad = run_epsilon_ladder(small_spec(), "time", FAST)
+    lad = run_epsilon_ladder(small_spec(), "time")
     # tau = 0.25 exceeds the proof-guaranteed window 1/(26 c); still accepted
     assert lad.window_warning
     assert lad.converged
@@ -369,25 +369,25 @@ def test_batched_time_ladder_matches_single_rung_solves():
     # it takes at least as many steps as any single rung, and every rung
     # agrees with its single solve well inside the tolerance
     spec = small_spec(count=5)
-    lad = run_epsilon_ladder(spec, "time", FAST)
+    lad = run_epsilon_ladder(spec, "time")
     for sol in lad.solutions:
         alone, _ = solve_regularized(SingularUVSystem("time", sol.epsilon), spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
         assert sol.stats["steps"] >= alone.stats["steps"]
-        assert np.max(np.abs(sol.u - alone.u)) <= FAST.abs_tol
-        assert np.max(np.abs(sol.v - alone.v)) <= FAST.abs_tol
+        assert np.max(np.abs(sol.u - alone.u)) <= RUNG_TOL
+        assert np.max(np.abs(sol.v - alone.v)) <= RUNG_TOL
 
 
 def test_batched_autonomous_ladder_matches_single_rung_solves():
     # the shared sequence takes the smallest step any rung needs, so the
     # rungs differ from their single solves by the tolerance scale at most
     spec = small_spec(count=5)
-    lad = run_epsilon_ladder(spec, "autonomous", FAST)
+    lad = run_epsilon_ladder(spec, "autonomous")
     for sol in lad.solutions:
         alone, _ = solve_regularized(SingularUVSystem("autonomous", sol.epsilon), spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
-        assert np.max(np.abs(sol.u - alone.u)) <= 10 * FAST.abs_tol
-        assert np.max(np.abs(sol.v - alone.v)) <= 10 * FAST.abs_tol
+        assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
+        assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
 
 
 # --------------------------------------------------------------------------- reconstruction
@@ -404,14 +404,14 @@ def test_reconstruct_formal_unit_pair():
 
 
 def test_reconstructed_limit_moves_off_axis():
-    lad = run_epsilon_ladder(small_spec(), "time", FAST)
+    lad = run_epsilon_ladder(small_spec(), "time")
     tr = reconstruct_trajectory(lad.limit)
     assert np.all(tr.states[1:, 1] > 0.0)  # second coordinate strictly positive
     assert np.max(np.abs(tr.states[:, 0] - tr.times)) == 0.0
 
 
 def test_nonuniqueness_report_small_ladder_time():
-    rep = nonuniqueness_report("time", small_spec(), FAST)
+    rep = nonuniqueness_report("time", small_spec())
     assert rep["residual_trivial"] <= 1e-6
     assert rep["residual_nontrivial"] <= 1e-6
     assert rep["max_separation"] >= 1e4 * max(rep["residual_trivial"],
@@ -425,7 +425,7 @@ def test_nonuniqueness_report_small_ladder_autonomous():
     # autonomous gaps shrink ~2x per rung from ~1e-3, so a 10-rung ladder
     # certifies at a looser gap tolerance; the 14-rung default reaches 1e-6
     # and is exercised by the acceptance suite
-    rep = nonuniqueness_report("autonomous", small_spec(count=10, gap_tol=1e-4), FAST)
+    rep = nonuniqueness_report("autonomous", small_spec(count=10, gap_tol=1e-4))
     assert rep["residual_nontrivial"] <= 1e-6
     assert rep["nonuniqueness_certified"]
     assert rep["constants"]["lower_bound"] is not None

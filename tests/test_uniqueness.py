@@ -309,7 +309,7 @@ def test_stability_ratios_match_loop_oracle(case):
     cond = verify_equilibrium_condition(b, xbar, box, 200, seed=9, distance=dst)
     starts = [alg.multiply(xbar, alg.dilate(10.0 ** -k, np.full(alg.dim, 0.3)))
               for k in range(1, 4)]
-    rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5, dst, kappa_samples=500)
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5, dst)
     want = []
     for x0 in starts:
         tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG, with_residual=False)
