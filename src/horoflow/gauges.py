@@ -19,7 +19,8 @@ import numpy as np
 
 from .groups import GradedAlgebra, heisenberg, inverse, is_heisenberg
 
-GaugeFn = Callable[[np.ndarray], float]
+# one element (dim,) gives a number, (n, dim) rows one value per row, as for a coefficient
+GaugeFn = Callable[[np.ndarray], object]
 
 
 def minimal_even_exponent(degrees: Sequence[int]) -> int:
@@ -94,7 +95,7 @@ class HomogeneousDistance:
 
     def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise distances; a (dim,) argument is paired with every row of the other."""
-        return _gauge_batch(self.gauge, self.algebra.multiply_batch(inverse(X), Y))
+        return self.gauge(self.algebra.multiply_batch(inverse(X), Y))
 
 
 def smooth_distance(alg: GradedAlgebra) -> HomogeneousDistance:
@@ -129,14 +130,6 @@ def _sample_nonzero(alg: GradedAlgebra, rng: np.random.Generator, n: int) -> np.
     return X
 
 
-def _gauge_batch(gauge: GaugeFn, X: np.ndarray) -> np.ndarray:
-    """The gauge on each row of X; any other callable than the two gauges
-    above is called once per row."""
-    if isinstance(gauge, SmoothGauge) or gauge is koranyi_norm:
-        return gauge(X)
-    return np.array([gauge(x) for x in X])
-
-
 def equivalence_constants(
     alg: GradedAlgebra,
     g1: GaugeFn,
@@ -153,11 +146,11 @@ def equivalence_constants(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     X = _sample_nonzero(alg, rng, sample_count)
-    v1 = _gauge_batch(g1, X)
+    v1 = g1(X)
     if not np.all(np.isfinite(v1)) or np.any(v1 <= 0):
         raise ValueError("degenerate gauge: vanishing or non-finite on nonzero samples")
     unit = alg.dilate(1.0 / v1, X)
-    ratios = _gauge_batch(g2, unit)
+    ratios = g2(unit)
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
         raise ValueError("degenerate gauge ratio encountered (0 or infinity)")
     return float(ratios.min()), float(ratios.max())
@@ -182,8 +175,8 @@ def estimate_quasi_triangle_constant(
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2.0, 2.0, size=(samples, alg.dim))
     Y = rng.uniform(-2.0, 2.0, size=(samples, alg.dim))
-    num = _gauge_batch(gauge, alg.multiply_batch(X, Y))
-    den = _gauge_batch(gauge, X) + _gauge_batch(gauge, Y)
+    num = gauge(alg.multiply_batch(X, Y))
+    den = gauge(X) + gauge(Y)
     ok = den > 0
     return float(np.max(num[ok] / den[ok]))
 
@@ -199,7 +192,7 @@ def homogeneous_domination_constant(
     """Estimate C with |f(x)| <= C * gauge(x)^degree via unit-sphere sampling."""
     rng = np.random.default_rng(seed)
     X = _sample_nonzero(alg, rng, samples)
-    norms = _gauge_batch(gauge, X)
+    norms = gauge(X)
     unit = alg.dilate(1.0 / norms, X)
     return float(max(abs(f(u)) for u in unit))
 
@@ -222,14 +215,14 @@ def gauge_report(
     Y = rng.uniform(-3.0, 3.0, size=(samples, alg.dim))
     scales = rng.uniform(0.25, 4.0, size=samples)
 
-    gX = _gauge_batch(gauge, X)
-    homogeneity_max_err = float(np.max(np.abs(_gauge_batch(gauge, alg.dilate(scales, X))
+    gX = gauge(X)
+    homogeneity_max_err = float(np.max(np.abs(gauge(alg.dilate(scales, X))
                                               - scales * gX)))
 
-    symmetry_max_err = float(np.max(np.abs(_gauge_batch(gauge, -X) - gX)))
+    symmetry_max_err = float(np.max(np.abs(gauge(-X) - gX)))
 
-    lhs = _gauge_batch(gauge, alg.multiply_batch(X, Y))
-    rhs = gX + _gauge_batch(gauge, Y)
+    lhs = gauge(alg.multiply_batch(X, Y))
+    rhs = gX + gauge(Y)
     excess = lhs - rhs
     triangle_violations = int(np.sum(excess > 1e-12))
     quasi = float(np.max(lhs / np.where(rhs > 0, rhs, np.inf)))

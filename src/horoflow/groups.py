@@ -107,9 +107,6 @@ class GradedAlgebra:
         self.layer_dims = layer_dims
         self.step = len(layer_dims)
         self.dim = sum(layer_dims)
-        self.layer_offsets = tuple(
-            sum(layer_dims[:j]) for j in range(self.step + 1)
-        )  # m_0 .. m_step
         self.degrees = tuple(j + 1 for j, n in enumerate(layer_dims) for _ in range(n))
         self.horizontal_dim = layer_dims[0]
 
@@ -173,44 +170,36 @@ class GradedAlgebra:
                         f"of degree {d[k]} != {d[i] + d[j]}"
                     )
 
-    def _basis_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return self._pairs.get((i, j), {})
-        return {k: -c for k, c in self._pairs.get((j, i), {}).items()}
-
     def _validate_jacobi(self) -> None:
-        q = self.dim
         exact = all(
             c.denominator == 1 for vec in self._pairs.values() for c in vec.values()
         )
         tol = Fraction(0) if exact else Fraction(1, 10**12)
-        for i, j, k in itertools.combinations(range(q), 3):
-            acc: dict[int, Fraction] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self._basis_bracket(b, c)
-                for m, cm in inner.items():
-                    for n, cn in self._basis_bracket(a, m).items():
-                        acc[n] = acc.get(n, Fraction(0)) + cm * cn
-            bad = {n: v for n, v in acc.items() if abs(v) > tol}
+        unit = [[int(a == b) for b in range(self.dim)] for a in range(self.dim)]
+        br = self.ring_bracket
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            x, y, z = unit[i], unit[j], unit[k]
+            cyclic = zip(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))
+            bad = {n: str(v) for n, v in enumerate(map(sum, cyclic)) if abs(v) > tol}
             if bad:
                 raise AlgebraValidationError(
-                    f"Jacobi identity violated on basis triple ({i},{j},{k}): "
-                    f"residual {dict((n, str(v)) for n, v in bad.items())}"
+                    f"Jacobi identity violated on basis triple ({i},{j},{k}): residual {bad}"
                 )
 
     # ----------------------------------------------------------------- brackets
 
-    def _bracket_table(self) -> list[tuple]:
-        """Flattened (i, j, k, float c) with i < j."""
-        if "table" not in self._cache:
-            self._cache["table"] = [
-                (i, j, k, float(c))
-                for (i, j), vec in sorted(self._pairs.items())
-                for k, c in sorted(vec.items())
-            ]
-        return self._cache["table"]
+    def ring_bracket(self, X: Sequence, Y: Sequence) -> list:
+        """[X, Y] from the structure constants, for coordinates in any ring.
+
+        Entries may be floats, `Fraction`s or `Poly`s; a coordinate no
+        structure constant reaches is the integer 0.
+        """
+        out = [0] * self.dim
+        for (i, j), vec in self._pairs.items():
+            cross = X[i] * Y[j] - X[j] * Y[i]
+            for k, c in vec.items():
+                out[k] = out[k] + cross * c
+        return out
 
     def bracket(self, X: Sequence[float], Y: Sequence[float]) -> np.ndarray:
         """Lie bracket of two algebra elements in the graded basis."""
@@ -218,19 +207,7 @@ class GradedAlgebra:
         Y = np.asarray(Y, dtype=float)
         if X.shape != (self.dim,) or Y.shape != (self.dim,):
             raise ValueError(f"expected vectors of length {self.dim}")
-        out = np.zeros(self.dim)
-        for i, j, k, c in self._bracket_table():
-            out[k] += c * (X[i] * Y[j] - X[j] * Y[i])
-        return out
-
-    def _bracket_generic(self, X: list, Y: list) -> list:
-        """Bracket of vectors with ring-element entries (e.g. Poly)."""
-        out = [Poly.zero(X[0].nvars) if isinstance(X[0], Poly) else 0 for _ in range(self.dim)]
-        for (i, j), vec in self._pairs.items():
-            cross = X[i] * Y[j] - X[j] * Y[i]
-            for k, c in vec.items():
-                out[k] = out[k] + cross * c
-        return out
+        return np.array(self.ring_bracket(X.tolist(), Y.tolist()), dtype=float)
 
     # ----------------------------------------------------------------- group law
 
@@ -248,8 +225,8 @@ class GradedAlgebra:
                 vecs = [X if letter == 0 else Y for letter in word]
                 nested = vecs[-1]
                 for v in reversed(vecs[:-1]):
-                    nested = self._bracket_generic(v, nested)
-                    if all(p.is_zero for p in nested):
+                    nested = self.ring_bracket(v, nested)
+                    if all(p == 0 for p in nested):
                         break
                 else:
                     acc = [acc[i] + nested[i] * weight for i in range(q)]
@@ -289,9 +266,6 @@ class GradedAlgebra:
         if np.any(r <= 0):
             raise ValueError("dilation scale must be positive")
         return np.asarray(x, dtype=float) * r[..., None] ** np.array(self.degrees)
-
-    def identity(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra(layers={self.layer_dims}, dim={self.dim}, step={self.step})"

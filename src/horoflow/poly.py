@@ -198,9 +198,6 @@ class Poly:
         """Set of weighted monomial degrees sum_i w_i * e_i over the support."""
         return frozenset(sum(w * p for w, p in zip(weights, e)) for e in self.terms)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)  # -1 for the zero polynomial
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"

@@ -13,9 +13,9 @@ the confinement defect and compare the reduced solve against the full one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,9 +204,6 @@ class InvolutiveModule:
         x = np.asarray(x, dtype=float)
         return np.linalg.norm(x - x @ self.projector.T, axis=-1)
 
-    def project(self, x: Sequence[float]) -> np.ndarray:
-        return self.projector @ np.asarray(x, dtype=float)
-
 
 def check_involutive(alg: GradedAlgebra, basis: Sequence[Sequence[float]]) -> InvolutiveModule:
     """Build the commuting-module data, or report the first non-commuting pair.
@@ -228,21 +225,14 @@ def check_involutive(alg: GradedAlgebra, basis: Sequence[Sequence[float]]) -> In
     if np.linalg.matrix_rank(V) < len(vecs):
         raise ValueError("basis fields are linearly dependent")
 
-    exact = [[_frac(float(c)) for c in v] for v in vecs]
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            acc: dict[int, Fraction] = {}
-            for (i, j), vec in alg._pairs.items():
-                cross = exact[a][i] * exact[b][j] - exact[a][j] * exact[b][i]
-                if cross:
-                    for k, c in vec.items():
-                        acc[k] = acc.get(k, Fraction(0)) + cross * c
-            nonzero = {k: v for k, v in acc.items() if v != 0}
-            if nonzero:
-                pretty = " + ".join(f"({v})e_{k + 1}" for k, v in sorted(nonzero.items()))
-                raise NotInvolutiveError(
-                    f"basis fields {a + 1} and {b + 1} do not commute: bracket = {pretty}"
-                )
+    exact = [[_frac(c) for c in v.tolist()] for v in vecs]
+    for a, b in itertools.combinations(range(len(vecs)), 2):
+        pretty = " + ".join(f"({v})e_{k + 1}"
+                            for k, v in enumerate(alg.ring_bracket(exact[a], exact[b])) if v != 0)
+        if pretty:
+            raise NotInvolutiveError(
+                f"basis fields {a + 1} and {b + 1} do not commute: bracket = {pretty}"
+            )
 
     Q, _ = np.linalg.qr(V)
     projector = Q @ Q.T

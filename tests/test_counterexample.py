@@ -9,7 +9,8 @@ from horoflow import (LadderSpec, SingularUVSystem, comparison_monitor,
                       nonuniqueness_report, reconstruct_trajectory,
                       run_epsilon_ladder, scaled_axis_distance,
                       solve_regularized, trivial_trajectory, uv_rhs)
-from horoflow.counterexample import (RUNG_TOL, UVSolution, rung_monitor_report,
+from horoflow.counterexample import (GAP_TOL, RUNG_TOL, UVSolution, gap_convergence,
+                                     rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
                                      singular_integral_residual)
 
@@ -344,9 +345,23 @@ def test_ladder_limit_satisfies_singular_integral_form():
 
 
 def test_ladder_nonconvergence_never_fabricates():
-    lad = run_epsilon_ladder(small_spec(gap_tol=1e-18), "time")
+    # four autonomous rungs leave a last gap of about 5e-4, far above GAP_TOL
+    lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
+    assert lad.sup_differences[-1] > 100 * GAP_TOL
     assert not lad.converged
     assert lad.limit is lad.solutions[-1]
+
+
+@pytest.mark.parametrize("gaps, decreasing_from, converged", [
+    ([4e-7, 2e-7, 1e-7], 0, True),
+    ([9e-7, 1e-7, 4e-7, 2e-7, 1e-7], 2, True),
+    ([1e-7, 2e-7, 5e-7], 2, False),  # increasing
+    ([1e-7, 3e-7, 2e-7], 1, False),  # a tail of only two decreasing gaps
+    ([2e-7, 2e-7, 1e-7], 1, False),  # equal gaps do not decrease
+    ([4e-6, 2e-6, 1.5e-6], 0, False),  # decreasing, but above GAP_TOL
+])
+def test_gap_convergence_rule(gaps, decreasing_from, converged):
+    assert gap_convergence(gaps) == (decreasing_from, converged)
 
 
 def test_ladders_with_different_ratios_agree():
@@ -354,7 +369,7 @@ def test_ladders_with_different_ratios_agree():
     b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")
     du = np.max(np.abs(a.limit.u - b.limit.u))
     dv = np.max(np.abs(a.limit.v - b.limit.v))
-    assert max(du, dv) <= 10 * a.spec.gap_tol
+    assert max(du, dv) <= 10 * GAP_TOL
 
 
 def test_ladder_window_warning_flag():
@@ -422,10 +437,10 @@ def test_nonuniqueness_report_small_ladder_time():
 
 
 def test_nonuniqueness_report_small_ladder_autonomous():
-    # autonomous gaps shrink ~2x per rung from ~1e-3, so a 10-rung ladder
-    # certifies at a looser gap tolerance; the 14-rung default reaches 1e-6
-    # and is exercised by the acceptance suite
-    rep = nonuniqueness_report("autonomous", small_spec(count=10, gap_tol=1e-4))
+    # autonomous gaps shrink ~2x per rung from ~1e-3, so 14 rungs are needed
+    # to bring the last gap under GAP_TOL
+    rep = nonuniqueness_report("autonomous", small_spec(count=14))
+    assert rep["ladder"]["sup_differences"][-1] <= GAP_TOL
     assert rep["residual_nontrivial"] <= 1e-6
     assert rep["nonuniqueness_certified"]
     assert rep["constants"]["lower_bound"] is not None

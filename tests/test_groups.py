@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -49,6 +51,33 @@ def test_bracket_antisymmetry_and_grading(heis, rng):
     assert np.allclose(heis.bracket([0, 0, 1], [1, 0, 0]), 0)
     Y = rng.uniform(-5, 5, 3)
     assert np.allclose(heis.bracket(X, Y), -heis.bracket(Y, X))
+
+
+FILIFORM = ((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+# layers (3,1,1) with every bracket allowed by the grading; Jacobi on
+# (e1, e2, e3) reads [e2,e3]*[e1,e4] - [e1,e3]*[e2,e4] + [e1,e2]*[e3,e4]
+# = 3*1 - 2*3 + 1*3 = 0
+THREE_ONE_ONE = ((3, 1, 1), {(0, 1): {3: 1}, (0, 2): {3: 2}, (1, 2): {3: 3},
+                             (0, 3): {4: 1}, (1, 3): {4: 3}, (2, 3): {4: 3}})
+
+
+@pytest.mark.parametrize("layers, brackets",
+                         [((2, 1), {(0, 1): {2: 2}}), FILIFORM, THREE_ONE_ONE],
+                         ids=["heisenberg", "filiform", "3-1-1"])
+def test_float_bracket_is_the_exact_bracket(layers, brackets):
+    # eighths with small numerators keep every float operation exact, so the
+    # float bracket must equal the rational one converted to float
+    alg = GradedAlgebra(layers, brackets)
+    rng = np.random.default_rng(5)
+    for X, Y in rng.integers(-16, 17, (20, 2, alg.dim)) / 8:
+        exact = alg.ring_bracket([Fraction(x) for x in X], [Fraction(y) for y in Y])
+        assert np.array_equal(alg.bracket(X, Y), [float(v) for v in exact])
+    # the same bracket over polynomials, evaluated at the last pair; a
+    # coordinate no structure constant reaches comes back as the integer 0
+    q = alg.dim
+    sym = alg.ring_bracket([Poly.variable(2 * q, i) for i in range(q)],
+                           [Poly.variable(2 * q, q + i) for i in range(q)])
+    assert [(Poly.zero(2 * q) + p).evaluate_exact([*X, *Y]) for p in sym] == exact
 
 
 def test_bracket_dimension_mismatch(heis):
@@ -166,8 +195,28 @@ def test_construction_rejects_jacobi_violation():
     GradedAlgebra((3, 1, 1), good)  # sanity: this one is a Lie algebra
     bad = dict(good)
     bad[(2, 3)] = {4: 1}
-    with pytest.raises(AlgebraValidationError, match="Jacobi"):
+    with pytest.raises(AlgebraValidationError) as exc:
         GradedAlgebra((3, 1, 1), bad)
+    assert str(exc.value) == ("Jacobi identity violated on basis triple (0,1,2): "
+                              "residual {4: '1'}")
+
+
+def test_jacobi_accepts_float_constants_up_to_rounding():
+    # layers (3,1,1): Jacobi on (e1, e2, e3) reads c p - b q + a r = 0, which
+    # the float r = b q - c p meets only up to rounding
+    b, q, c, p = 0.7, 0.3, 0.1, 0.9
+
+    def algebra(r):
+        return GradedAlgebra((3, 1, 1), {(0, 1): {3: 1.0}, (0, 2): {3: b}, (1, 2): {3: c},
+                                         (0, 3): {4: p}, (1, 3): {4: q}, (2, 3): {4: r}})
+
+    r = b * q - c * p
+    residual = Fraction(c) * Fraction(p) - Fraction(b) * Fraction(q) + Fraction(r)
+    assert 0 < abs(residual) < 1e-16
+    algebra(r)
+    with pytest.raises(AlgebraValidationError, match=r"Jacobi identity violated on basis "
+                                                     r"triple \(0,1,2\): residual \{4: "):
+        algebra(r + 1e-6)
 
 
 def test_json_roundtrip_and_validation(heis):
