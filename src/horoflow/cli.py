@@ -43,13 +43,16 @@ class ConfigError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad config {path}: expected a JSON object at the top level")
+    return data
 
 
 def _resolve_group(preset: dict | str | None, group_path: str | None = None) -> GradedAlgebra:
@@ -83,6 +86,13 @@ def _number(cfg: dict, key: str, default, kind=float):
         if not isinstance(value, bool) and math.isfinite(value):
             return kind(value)
     raise ConfigError(f"bad {key}: expected a finite number, not {value!r}")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a count of at least one."""
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
 
 
 def _point(value, dim: int, key: str) -> tuple:
@@ -235,6 +245,8 @@ def _run_equilibrium(args) -> int:
     box = _box(cfg.get("box"), alg.dim, "box")
     starts = _points(cfg.get("initial_points"), alg.dim, "initial_points")
     samples = _number(cfg, "samples", 2000, int)
+    if samples < 1:
+        raise ConfigError(f"bad samples: expected at least 1, not {samples}")
     seed = _number(cfg, "seed", 0, int)
     horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
@@ -344,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--preset", default="heisenberg")
         p.add_argument("--group", help="path to a group-spec JSON")
-        p.add_argument("--samples", type=int, default=samples)
+        p.add_argument("--samples", type=_positive_int, default=samples)
         p.add_argument("--seed", type=int, default=0)
         common(p)
         if name == "check-gauge":

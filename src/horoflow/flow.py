@@ -63,7 +63,6 @@ def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig(),
     sol = solve_to_grid(partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
                         cfg, inside)
     meta = {
-        "method": cfg.method,
         "abs_tol": cfg.abs_tol,
         "rel_tol": cfg.rel_tol,
         "exited": sol.exited,

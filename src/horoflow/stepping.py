@@ -1,13 +1,11 @@
-"""Explicit steppers and quadrature shared by every solve in the package.
+"""The explicit stepper and the quadrature shared by every solve in the package.
 
 The adaptive method is the Dormand-Prince 5(4) embedded pair.  Its step size
 is set by the tolerance alone (capped by ``max_step`` and the horizon); every
 output grid time an accepted step passes over is filled from the pair's own
 fourth-order continuous extension (Hairer's ``contd5``), and the horizon is
 reached by stretching the last step rather than by a sliver step.  Domain
-exits are located by bisection on the same interpolant.  The fixed-step
-method is classical RK4 (kept for order studies); it lands exactly on each
-grid time and locates exits on the cubic Hermite interpolant.
+exits are located by bisection on the same interpolant.
 
 Every solve takes its settings as one ``IntegratorConfig``, passed whole; the
 config holds the only defaults of those settings and the only checks on them.
@@ -52,7 +50,6 @@ _STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk45"  # "rk45" (adaptive embedded pair) or "rk4" (fixed step)
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_step: float = math.inf
@@ -60,8 +57,6 @@ class IntegratorConfig:
     dense_output_grid: int = 1025  # output grid points of a solve on [0, horizon]
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         # a bool is an int to Python, but never a tolerance, step or grid size
         for name in ("abs_tol", "rel_tol", "max_step", "min_step"):
             value = getattr(self, name)
@@ -130,18 +125,6 @@ class GridSolution:
     exit_time: float | None = None
 
 
-def hermite(t0: float, y0: np.ndarray, f0: np.ndarray,
-            t1: float, y1: np.ndarray, f1: np.ndarray, t: float) -> np.ndarray:
-    """Cubic Hermite interpolant on [t0, t1]."""
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
 def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
     out = np.asarray(f(t, y), dtype=float)
     stats.rhs_evals += 1
@@ -200,11 +183,10 @@ def solve_to_grid(
     meets the tolerance it would meet alone.  ``cfg.dense_output_grid`` is
     not read: the grid is given.
 
-    With "rk45" the steps follow the tolerance and grid states between step
-    ends come from the step's continuous extension; "rk4" steps onto every
-    grid time.  If ``inside`` is given and the solution leaves the region,
-    the returned arrays are truncated at the exit time, located within 1e-10
-    by bisection on the last step's interpolant.
+    The steps follow the tolerance, and grid states between step ends come
+    from the step's continuous extension.  If ``inside`` is given and the
+    solution leaves the region, the returned arrays are truncated at the exit
+    time, located within 1e-10 by bisection on the last step's interpolant.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -216,20 +198,10 @@ def solve_to_grid(
     stats = StepStats()
     states = np.empty((len(grid),) + y.shape)
     states[0] = y
-    # overflow and invalid operations in f surface as NonFiniteRHSError from
-    # the per-evaluation check rather than as floating-point warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method == "rk4":
-            return _rk4_to_grid(f, grid, y, states, stats, inside, cfg.max_step)
-        return _dp45_to_grid(f, grid, y, states, stats, inside, cfg)
-
-
-def _dp45_to_grid(f, grid, y, states, stats, inside, cfg):
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_step, min_step = cfg.max_step, cfg.min_step
     t, t_end = float(grid[0]), float(grid[-1])
     span = t_end - t
-    fcur = _checked(f, t, y, stats)
     h = min(max_step, grid[1] - grid[0])
     k = np.empty((7,) + y.shape)
     kf = k.reshape(7, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
@@ -237,82 +209,63 @@ def _dp45_to_grid(f, grid, y, states, stats, inside, cfg):
     stages = [(s, _DP_A[s, :s], kf[:s], float(_DP_C[s])) for s in range(1, 7)]
     g = 1  # next grid time to fill
 
-    while t < t_end:
-        rest = t_end - t
-        h_try = min(h, max_step)
-        if _STRETCH * h_try >= rest and rest <= max_step:
-            h_try = rest
-        # one attempted step, repeated with smaller h on rejection; local
-        # error is budgeted per unit time so the accumulated defect over the
-        # whole horizon stays at the tolerance scale
-        while True:
-            k[0] = fcur
-            for s, a_s, k_s, c_s in stages:
-                ys = y + h_try * (a_s @ k_s).reshape(y.shape)
-                k[s] = _checked(f, t + c_s * h_try, ys, stats)
-            y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
-            err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
-            scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
-            err = float((np.abs(err_vec) / scale).max())
-            if err <= 1.0 or h_try <= min_step:
-                break
-            stats.rejected += 1
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.25))
-            h_try = max(h_try * min(factor, 1.0), min_step)
-        if err > 1.0 and h_try <= min_step:
-            raise StepUnderflowError(t)
-        stats.record(h_try, t)
+    # overflow and invalid operations in f surface as NonFiniteRHSError from
+    # the per-evaluation check rather than as floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fcur = _checked(f, t, y, stats)
+        while t < t_end:
+            rest = t_end - t
+            h_try = min(h, max_step)
+            if _STRETCH * h_try >= rest and rest <= max_step:
+                h_try = rest
+            # one attempted step, repeated with smaller h on rejection; local
+            # error is budgeted per unit time so the accumulated defect over the
+            # whole horizon stays at the tolerance scale
+            while True:
+                k[0] = fcur
+                for s, a_s, k_s, c_s in stages:
+                    ys = y + h_try * (a_s @ k_s).reshape(y.shape)
+                    k[s] = _checked(f, t + c_s * h_try, ys, stats)
+                y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
+                err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
+                scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
+                err = float((np.abs(err_vec) / scale).max())
+                if err <= 1.0 or h_try <= min_step:
+                    break
+                stats.rejected += 1
+                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.25))
+                h_try = max(h_try * min(factor, 1.0), min_step)
+            if err > 1.0 and h_try <= min_step:
+                raise StepUnderflowError(t)
+            stats.record(h_try, t)
 
-        t_new = t_end if h_try == rest else t + h_try
-        j = int(np.searchsorted(grid, t_new, side="right"))  # grid[g:j] lie in (t, t_new]
-        if j > g or inside is not None:
-            dense = dp5_dense(y, y5, h_try, k)
-        if j > g:
-            states[g:j] = dense((grid[g:j] - t) / h_try)
-            if grid[j - 1] == t_new:
-                states[j - 1] = y5
-        if inside is not None:
-            n_in = g
-            while n_in < j and inside(states[n_in]):
-                n_in += 1
-            if n_in < j or not inside(y5):
-                a = grid[n_in - 1] if n_in > g else t
-                b = grid[n_in] if n_in < j else t_new
-                return _exit_solution(grid, states, n_in, stats, inside,
-                                      lambda s: dense((s - t) / h_try), a, b)
+            t_new = t_end if h_try == rest else t + h_try
+            j = int(np.searchsorted(grid, t_new, side="right"))  # grid[g:j] lie in (t, t_new]
+            if j > g or inside is not None:
+                dense = dp5_dense(y, y5, h_try, k)
+            if j > g:
+                states[g:j] = dense((grid[g:j] - t) / h_try)
+                if grid[j - 1] == t_new:
+                    states[j - 1] = y5
+            if inside is not None:
+                n_in = g
+                while n_in < j and inside(states[n_in]):
+                    n_in += 1
+                if n_in < j or not inside(y5):
+                    a = grid[n_in - 1] if n_in > g else t
+                    b = grid[n_in] if n_in < j else t_new
+                    return _exit_solution(grid, states, n_in, stats, inside,
+                                          lambda s: dense((s - t) / h_try), a, b)
 
-        # FSAL: the last stage is f(t+h, y5).  Copied, because the next
-        # attempt overwrites k[6], and after a rejection k[0] must still be
-        # f(t, y)
-        fcur = k[6].copy()
-        y, t, g = y5, t_new, j
-        if err > 0:
-            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.25)))
-        else:
-            h = h_try * _MAX_FACTOR
-    return GridSolution(grid.copy(), states, stats)
-
-
-def _rk4_to_grid(f, grid, y, states, stats, inside, max_step):
-    t = float(grid[0])
-    for g in range(1, len(grid)):
-        target = float(grid[g])
-        while t < target:
-            h = min(max_step, target - t)
-            k1 = _checked(f, t, y, stats)
-            k2 = _checked(f, t + 0.5 * h, y + 0.5 * h * k1, stats)
-            k3 = _checked(f, t + 0.5 * h, y + 0.5 * h * k2, stats)
-            k4 = _checked(f, t + h, y + h * k3, stats)
-            y_new = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_new = target if abs(t + h - target) <= 1e-15 * max(1.0, abs(target)) else t + h
-            stats.record(h, t)
-            if inside is not None and not inside(y_new):
-                f_new = _checked(f, t_new, y_new, stats)
-                return _exit_solution(
-                    grid, states, g, stats, inside,
-                    lambda s: hermite(t, y, k1, t_new, y_new, f_new, s), t, t_new)
-            y, t = y_new, t_new
-        states[g] = y
+            # FSAL: the last stage is f(t+h, y5).  Copied, because the next
+            # attempt overwrites k[6], and after a rejection k[0] must still be
+            # f(t, y)
+            fcur = k[6].copy()
+            y, t, g = y5, t_new, j
+            if err > 0:
+                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-0.25)))
+            else:
+                h = h_try * _MAX_FACTOR
     return GridSolution(grid.copy(), states, stats)
 
 

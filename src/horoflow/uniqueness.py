@@ -309,7 +309,6 @@ def reduced_solve(
     sol = solve_to_grid(rhs, grid, np.zeros(mod.rank), cfg)
     lifted = alg.multiply_batch(x0, sol.states @ V.T)
     meta = {
-        "method": cfg.method,
         "abs_tol": cfg.abs_tol,
         "rel_tol": cfg.rel_tol,
         "reduced_rank": mod.rank,

@@ -213,16 +213,28 @@ def test_criterion_09_involutive_confinement(heis):
 
 
 def test_criterion_10_integrator_order(heis):
+    # the DP5(4) pair at a fixed step: max_step is the step, and the
+    # tolerance is loose enough that no step is rejected.  The Simpson
+    # residual is fourth order in the step, so its >= 8x per halving cannot
+    # tell a fifth-order integrator from a fourth-order one; the error at
+    # the final time against a tight reference can, at >= 24x per halving
+    # (a fourth-order integrator gives about 16x)
     with criterion(10, "fixed-step order study"):
         b = hf.horizontal_field(
             heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0])
         )
-        residuals = []
-        for k in range(4):
-            n = 16 * 2**k
-            cfg = hf.IntegratorConfig(method="rk4", max_step=1.0 / n,
+        p = hf.CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
+        ref = hf.integrate(p, hf.IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
+                           with_residual=False).final_state
+        residuals, errors = [], []
+        for n in (8, 16, 32, 64, 128):
+            cfg = hf.IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,
                                       dense_output_grid=n + 1)
-            tr = hf.integrate(hf.CauchyProblem(b, (0.1, 0.2, 0.0), 1.0), cfg)
+            tr = hf.integrate(p, cfg)
+            assert (tr.meta["steps"], tr.meta["rejected"]) == (n, 0)
             residuals.append(tr.residual)
-        for a, c in zip(residuals, residuals[1:]):
+            errors.append(np.max(np.abs(tr.final_state - ref)))
+        for a, c in zip(residuals[1:], residuals[2:]):  # n = 16 .. 128
             assert c <= a / 8.0
+        for a, c in zip(errors, errors[1:-1]):  # n = 8 .. 64
+            assert c <= a / 24.0

@@ -145,6 +145,7 @@ def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     {"method": "euler"},
     {"abs_tol": True},
     5,
+    {"method": "rk4"},
 ])
 def test_integrate_bad_integrator_value_is_usage_error(tmp_path, capsys, integrator):
     cfg = {"group": "heisenberg",
@@ -155,7 +156,10 @@ def test_integrate_bad_integrator_value_is_usage_error(tmp_path, capsys, integra
     cpath.write_text(json.dumps(cfg))
     assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "bad integrator options" in err and "Traceback" not in err
+    # one integrator is left, so "method" is an unknown key
+    unknown = isinstance(integrator, dict) and "method" in integrator
+    message = "unknown integrator options ['method']" if unknown else "bad integrator options"
+    assert message in err and "Traceback" not in err
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
@@ -164,6 +168,27 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "column" in err
+
+
+@pytest.mark.parametrize("top", [[], 3, "x", None])
+@pytest.mark.parametrize("command", ["integrate", "equilibrium", "involutive"])
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, command, top):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(top))
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "expected a JSON object at the top level" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("command", ["check-group", "check-gauge"])
+def test_nonpositive_samples_flag_is_usage_error(tmp_path, capsys, command, samples):
+    assert main([command, "--samples", samples, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --samples: expected a positive integer, not '{samples}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def equilibrium_config(tmp_path):
@@ -295,6 +320,15 @@ def test_bad_number_is_usage_error(tmp_path, capsys, command, key, value):
     assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"bad {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_equilibrium_nonpositive_samples_is_usage_error(tmp_path, capsys, samples):
+    cpath = config_path("equilibrium", tmp_path, "samples", samples)
+    assert main(["equilibrium", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad samples: expected at least 1, not {samples}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

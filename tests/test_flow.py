@@ -223,20 +223,6 @@ def test_translate_counterexample_trivial_branch(heis):
     assert residual(Trajectory(t, moved, {}), q.field) <= 1e-7
 
 
-def test_rk4_order_study(heis):
-    # smooth polynomial coefficients; residual (independent Simpson check)
-    # must fall by >= 8x per step halving, three times
-    b = horizontal_field(heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0]))
-    residuals = []
-    for k in range(4):
-        n = 16 * 2**k
-        cfg = IntegratorConfig(method="rk4", max_step=1.0 / n, dense_output_grid=n + 1)
-        tr = integrate(CauchyProblem(b, (0.1, 0.2, 0.0), 1.0), cfg)
-        residuals.append(tr.residual)
-    for a, c in zip(residuals, residuals[1:]):
-        assert c <= a / 8.0
-
-
 def test_adaptive_residual_meets_tolerance_contract(heis):
     # error-per-unit-step control keeps the whole-horizon defect at the
     # tolerance scale; the default output grid keeps the Simpson check from
@@ -266,17 +252,6 @@ def test_domain_exit_interpolates_with_the_step_start_slope():
     sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
                         inside=lambda y: y[0] < 0.5)
     assert sol.exited
-    assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
-    assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-9)
-
-
-def test_rk4_domain_exit_interpolates_with_the_step_start_slope():
-    # RK4 lands on the grid and bisects the cubic Hermite interpolant, which
-    # is y = t^2 itself when both end slopes are right
-    sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), np.linspace(0.0, 1.0, 5), [0.0],
-                        IntegratorConfig(method="rk4"), inside=lambda y: y[0] < 0.5)
-    assert sol.exited
-    assert np.array_equal(sol.times[:-1], [0.0, 0.25, 0.5])
     assert sol.exit_time == pytest.approx(math.sqrt(0.5), abs=1e-9)
     assert sol.states[-1, 0] == pytest.approx(0.5, abs=1e-9)
 
@@ -363,7 +338,7 @@ def test_horizon_is_reached_without_a_sliver_step():
 
 
 @pytest.mark.parametrize("kw, match", [
-    ({"method": "euler"}, "unknown method"),
+    ({"dense_output_grid": True}, "dense_output_grid must be an integer"),
     ({"abs_tol": "x"}, "abs_tol must be a number"),
     ({"max_step": None}, "max_step must be a number"),
     ({"rel_tol": True}, "rel_tol must be a number"),
