@@ -79,20 +79,34 @@ def _integrator(cfg: dict | None) -> IntegratorConfig:
         raise ConfigError(f"bad integrator options: {exc}") from exc
 
 
-def _number(cfg: dict, key: str, default, kind=float):
-    """The finite JSON number ``cfg[key]`` (or ``default``) as a ``kind``; else exit 2."""
+def _number(cfg: dict, key: str, default) -> float:
+    """The finite JSON number ``cfg[key]`` (or ``default``) as a float; else exit 2."""
     value = cfg.get(key, default)
     with contextlib.suppress(OverflowError, TypeError):  # a huge int, a non-number
         if not isinstance(value, bool) and math.isfinite(value):
-            return kind(value)
+            return float(value)
     raise ConfigError(f"bad {key}: expected a finite number, not {value!r}")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a count of at least one."""
-    if text.isdecimal() and int(text) >= 1:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+def _count(cfg: dict, key: str, default, least: int) -> int:
+    """The integral JSON number ``cfg[key]`` (or ``default``) of at least
+    ``least``; else exit 2.  Read whole, so a large seed keeps every digit."""
+    _number(cfg, key, default)
+    value = cfg.get(key, default)
+    if value != int(value):
+        raise ConfigError(f"bad {key}: expected an integer, not {value!r}")
+    if value < least:
+        raise ConfigError(f"bad {key}: expected at least {least}, not {value!r}")
+    return int(value)
+
+
+def _decimal(least: int, what: str):
+    """An argparse type: a decimal integer of at least ``least``."""
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= least:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, not {text!r}")
+    return parse
 
 
 def _point(value, dim: int, key: str) -> tuple:
@@ -244,10 +258,8 @@ def _run_equilibrium(args) -> int:
                            "equilibrium_point"))
     box = _box(cfg.get("box"), alg.dim, "box")
     starts = _points(cfg.get("initial_points"), alg.dim, "initial_points")
-    samples = _number(cfg, "samples", 2000, int)
-    if samples < 1:
-        raise ConfigError(f"bad samples: expected at least 1, not {samples}")
-    seed = _number(cfg, "seed", 0, int)
+    samples = _count(cfg, "samples", 2000, 1)
+    seed = _count(cfg, "seed", 0, 0)
     horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
     dst = default_distance(alg)
@@ -356,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--preset", default="heisenberg")
         p.add_argument("--group", help="path to a group-spec JSON")
-        p.add_argument("--samples", type=_positive_int, default=samples)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=_decimal(1, "positive"), default=samples)
+        p.add_argument("--seed", type=_decimal(0, "non-negative"), default=0)
         common(p)
         if name == "check-gauge":
             p.add_argument("--gauge", choices=["koranyi", "smooth"], default="koranyi")

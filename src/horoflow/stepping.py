@@ -7,6 +7,17 @@ fourth-order continuous extension (Hairer's ``contd5``), and the horizon is
 reached by stretching the last step rather than by a sliver step.  Domain
 exits are located by bisection on the same interpolant.
 
+Local error is budgeted per unit time: a step of length h on a span of
+length L may make an error of ``h / L`` times the tolerance, so the defects
+of a whole solve add up to the tolerance scale (Shampine 1977, "error per
+unit step").  The factor is floored at ``_BUDGET_FLOOR`` = 1 %: steps above
+1 % of the span keep the per-unit-time budget, and shorter steps, which the
+singular start t = 0 of the ε-ladder calls for, meet 1 % of the tolerance,
+which stays well above rounding.  Without the floor the budget shrinks with
+the step, so steps and budget drive each other down: at the ε-ladder's
+tolerance of 1e-12 on a span of 0.3, a 5e-9 step would get a local
+tolerance of about 2e-20, below the rounding of O(1) states.
+
 Every solve takes its settings as one ``IntegratorConfig``, passed whole; the
 config holds the only defaults of those settings and the only checks on them.
 """
@@ -46,6 +57,7 @@ _MAX_FACTOR = 5.0
 _MIN_FACTOR = 0.2
 _SAFETY = 0.9
 _STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
+_BUDGET_FLOOR = 0.01  # least share of the tolerance one step may spend (module docstring)
 
 
 @dataclass(frozen=True)
@@ -219,8 +231,8 @@ def solve_to_grid(
             if _STRETCH * h_try >= rest and rest <= max_step:
                 h_try = rest
             # one attempted step, repeated with smaller h on rejection; local
-            # error is budgeted per unit time so the accumulated defect over the
-            # whole horizon stays at the tolerance scale
+            # error is budgeted per unit time, floored at _BUDGET_FLOOR of the
+            # tolerance so that short steps keep a budget above rounding
             while True:
                 k[0] = fcur
                 for s, a_s, k_s, c_s in stages:
@@ -228,7 +240,8 @@ def solve_to_grid(
                     k[s] = _checked(f, t + c_s * h_try, ys, stats)
                 y5 = y + h_try * (_DP_B5 @ kf).reshape(y.shape)
                 err_vec = h_try * (_DP_E @ kf).reshape(y.shape)
-                scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * (h_try / span)
+                budget = max(h_try / span, _BUDGET_FLOOR)
+                scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))) * budget
                 err = float((np.abs(err_vec) / scale).max())
                 if err <= 1.0 or h_try <= min_step:
                     break

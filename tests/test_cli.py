@@ -117,13 +117,22 @@ def test_integrate_x0_outside_domain_is_usage_error(tmp_path, capsys):
           {"form": "monomial", "exponents": [300, 0, 0], "scale": 1e300},
           {"form": "constant", "value": 0.0}]},
       "x0": [2, 0, 0], "horizon": 1.0}, "non_finite_rhs"),
-    # x2' = x2^2 from x2 = 1 blows up at t = 1, before the horizon
+    # x2' = x2^2 from x2 = 1 blows up at t = 1, before the horizon; the steps
+    # follow the blow-up until the field overflows
     ({"group": "heisenberg",
       "field": {"coefficients": [
           {"form": "constant", "value": 0.0},
           {"form": "monomial", "exponents": [0, 2, 0]}]},
       "x0": [0, 1, 0], "horizon": 2.0,
-      "integrator": {"min_step": 1e-6, "dense_output_grid": 65}}, "step_underflow"),
+      "integrator": {"min_step": 1e-6, "dense_output_grid": 65}}, "non_finite_rhs"),
+    # x2' = -1e8 x2 is stiff: the explicit pair is stable only for steps
+    # below about 3e-8, so the step falls under min_step at t = 0
+    ({"group": "heisenberg",
+      "field": {"coefficients": [
+          {"form": "constant", "value": 0.0},
+          {"form": "monomial", "exponents": [0, 1, 0], "scale": -1e8}]},
+      "x0": [0, 1, 0], "horizon": 1.0,
+      "integrator": {"min_step": 1e-6}}, "step_underflow"),
 ])
 def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     cpath = tmp_path / "problem.json"
@@ -187,6 +196,16 @@ def test_nonpositive_samples_flag_is_usage_error(tmp_path, capsys, command, samp
     assert main([command, "--samples", samples, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"argument --samples: expected a positive integer, not '{samples}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3", "1.5", "x"])
+@pytest.mark.parametrize("command", ["check-group", "check-gauge"])
+def test_bad_seed_flag_is_usage_error(tmp_path, capsys, command, seed):
+    assert main([command, "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: expected a non-negative integer, not '{seed}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -330,6 +349,37 @@ def test_equilibrium_nonpositive_samples_is_usage_error(tmp_path, capsys, sample
     err = capsys.readouterr().err
     assert f"bad samples: expected at least 1, not {samples}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("samples", 2.7, "expected an integer, not 2.7"),
+    ("samples", 400.5, "expected an integer, not 400.5"),
+    ("seed", 0.5, "expected an integer, not 0.5"),
+    ("seed", -3, "expected at least 0, not -3"),
+    ("seed", -1.0, "expected at least 0, not -1.0"),
+])
+def test_equilibrium_bad_count_is_usage_error(tmp_path, capsys, key, value, message):
+    # a count is never truncated, and a negative seed is named before numpy
+    # sees it
+    cpath = config_path("equilibrium", tmp_path, key, value)
+    assert main(["equilibrium", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad {key}: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_equilibrium_integral_float_counts_run_as_integers(tmp_path):
+    # 400.0 and 11.0 are the counts 400 and 11: the report is the one the
+    # integer config writes
+    reports = []
+    for samples, seed in ((400, 11), (400.0, 11.0)):
+        cpath = config_path("equilibrium", tmp_path, "samples", samples)
+        cpath.write_text(json.dumps({**json.loads(cpath.read_text()), "seed": seed}))
+        out = tmp_path / f"out-{samples!r}"
+        assert main(["equilibrium", "--config", str(cpath), "--out", str(out)]) == 0
+        reports.append(masked(read_report(out)))
+    assert reports[0] == reports[1]
+    assert reports[1]["seed"] == 11 and type(reports[1]["seed"]) is int
 
 
 @pytest.mark.parametrize("command, key, value", [

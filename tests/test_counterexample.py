@@ -12,7 +12,7 @@ from horoflow import (LadderSpec, SingularUVSystem, comparison_monitor,
 from horoflow.counterexample import (GAP_TOL, RUNG_TOL, UVSolution, gap_convergence,
                                      rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
-                                     singular_integral_residual)
+                                     singular_integral_residual, solve_rungs)
 
 FAST = 512  # grid points of a rung solve; the default ladder uses 2048
 
@@ -403,6 +403,20 @@ def test_batched_autonomous_ladder_matches_single_rung_solves():
         assert sol.stats == lad.solutions[0].stats
         assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
         assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
+
+
+@pytest.mark.parametrize("variant, max_steps, min_step", [
+    ("time", 73, 1e-4),
+    ("autonomous", 450, 1e-7),
+])
+def test_default_ladder_step_counts(variant, max_steps, min_step):
+    # machine-independent cost of the default ladder: 72 and 404 steps with
+    # the per-unit-time budget floored at 1 % of the tolerance; without the
+    # floor the autonomous start shrank its steps to 5.3e-9 and took 839
+    spec = LadderSpec()
+    (sol, *_) = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
+    assert sol.stats["steps"] <= max_steps
+    assert sol.stats["min_step"] >= min_step
 
 
 # --------------------------------------------------------------------------- reconstruction
