@@ -326,9 +326,9 @@ def _write_uv_csv(sol, path, t_col=None) -> list:
     if t_col is None:
         t_col = list(map("%.17g".__mod__, sol.times.tolist()))
     rows = zip(t_col, sol.u.tolist(), sol.v.tolist())
+    text = "t,u,v\n" + "".join(map("%s,%.17g,%.17g\n".__mod__, rows))
     with open(path, "w") as fh:
-        fh.write("t,u,v\n")
-        fh.writelines(map("%s,%.17g,%.17g\n".__mod__, rows))
+        fh.write(text)
     return t_col
 
 

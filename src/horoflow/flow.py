@@ -120,6 +120,7 @@ def write_trajectory_csv(tr: Trajectory, path) -> None:
     q = tr.states.shape[1]
     row = ",".join(["%.17g"] * (q + 1)) + "\n"
     rows = zip(tr.times.tolist(), *tr.states.T.tolist())
+    text = ("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n"
+            + "".join(map(row.__mod__, rows)))
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n")
-        fh.writelines(map(row.__mod__, rows))
+        fh.write(text)

@@ -213,12 +213,14 @@ def test_criterion_09_involutive_confinement(heis):
 
 
 def test_criterion_10_integrator_order(heis):
-    # the DP5(4) pair at a fixed step: max_step is the step, and the
+    # the DOP853 pair at a fixed step: max_step is the step, and the
     # tolerance is loose enough that no step is rejected.  The Simpson
     # residual is fourth order in the step, so its >= 8x per halving cannot
-    # tell a fifth-order integrator from a fourth-order one; the error at
-    # the final time against a tight reference can, at >= 24x per halving
-    # (a fourth-order integrator gives about 16x)
+    # tell an eighth-order integrator from a fifth-order one.  The error at
+    # the final time against a tight reference can: it falls about 250x per
+    # halving (2^8), and >= 128x fails a fifth-order pair (about 32x).  The
+    # steps 1/2 .. 1/16 keep that error (9e-8 .. 9e-15) above the
+    # reference's own error (about 1e-15); at 1/32 it reaches rounding
     with criterion(10, "fixed-step order study"):
         b = hf.horizontal_field(
             heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0])
@@ -227,14 +229,16 @@ def test_criterion_10_integrator_order(heis):
         ref = hf.integrate(p, hf.IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
                            with_residual=False).final_state
         residuals, errors = [], []
-        for n in (8, 16, 32, 64, 128):
+        for n in (2, 4, 8, 16, 32, 64, 128):
             cfg = hf.IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,
                                       dense_output_grid=n + 1)
             tr = hf.integrate(p, cfg)
             assert (tr.meta["steps"], tr.meta["rejected"]) == (n, 0)
-            residuals.append(tr.residual)
-            errors.append(np.max(np.abs(tr.final_state - ref)))
-        for a, c in zip(residuals[1:], residuals[2:]):  # n = 16 .. 128
+            if n >= 16:  # a residual needs at least 8 grid points
+                residuals.append(tr.residual)
+            if n <= 16:
+                errors.append(np.max(np.abs(tr.final_state - ref)))
+        for a, c in zip(residuals, residuals[1:]):  # n = 16 .. 128
             assert c <= a / 8.0
-        for a, c in zip(errors, errors[1:-1]):  # n = 8 .. 64
-            assert c <= a / 24.0
+        for a, c in zip(errors, errors[1:]):  # n = 2 .. 16
+            assert c <= a / 128.0

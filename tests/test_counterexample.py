@@ -13,6 +13,7 @@ from horoflow.counterexample import (GAP_TOL, RUNG_TOL, UVSolution, gap_converge
                                      rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
                                      singular_integral_residual, solve_rungs)
+from horoflow.stepping import IntegratorConfig, solve_to_grid
 
 FAST = 512  # grid points of a rung solve; the default ladder uses 2048
 
@@ -405,18 +406,39 @@ def test_batched_autonomous_ladder_matches_single_rung_solves():
         assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
 
 
-@pytest.mark.parametrize("variant, max_steps, min_step", [
-    ("time", 73, 1e-4),
-    ("autonomous", 450, 1e-7),
+@pytest.mark.parametrize("variant, max_steps, max_rhs, min_step", [
+    ("time", 40, 600, 1e-4),
+    ("autonomous", 130, 2000, 1e-7),
 ])
-def test_default_ladder_step_counts(variant, max_steps, min_step):
-    # machine-independent cost of the default ladder: 72 and 404 steps with
-    # the per-unit-time budget floored at 1 % of the tolerance; without the
-    # floor the autonomous start shrank its steps to 5.3e-9 and took 839
+def test_default_ladder_step_counts(variant, max_steps, max_rhs, min_step):
+    # machine-independent cost of the default ladder with the DOP853 pair:
+    # 34 steps / 556 RHS evaluations (time) and 107 / 1,615 (autonomous);
+    # the DP5(4) pair took 72 / 439 and 404 / 2,443.  Without the budget
+    # floor the autonomous start shrank its steps to 5.3e-9
     spec = LadderSpec()
     (sol, *_) = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
     assert sol.stats["steps"] <= max_steps
+    assert sol.stats["rhs_evals"] <= max_rhs
     assert sol.stats["min_step"] >= min_step
+
+
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+def test_default_ladder_grid_states_meet_the_rung_tolerance(variant):
+    # every rung's grid states, step ends and interpolated alike, against
+    # the same ladder solved at 1e-14: 1.8e-14 (time) and 2.1e-14
+    # (autonomous) apart
+    spec = LadderSpec()
+    sols = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
+    sys = SingularUVSystem(variant, np.asarray(spec.epsilons))
+
+    def rhs(t, y):
+        return np.stack(uv_rhs(sys, t, y[:, 0], y[:, 1]), axis=1)
+
+    ref = solve_to_grid(rhs, sols[0].times, np.ones((len(sols), 2)),
+                        IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14)).states
+    for i, sol in enumerate(sols):
+        assert np.max(np.abs(sol.u - ref[:, i, 0])) <= RUNG_TOL
+        assert np.max(np.abs(sol.v - ref[:, i, 1])) <= RUNG_TOL
 
 
 # --------------------------------------------------------------------------- reconstruction

@@ -9,7 +9,7 @@ from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
 from horoflow.counterexample import counterexample_field
 from horoflow.stepping import (NonFiniteRHSError, StepStats,
                                StepUnderflowError, cumulative_simpson,
-                               dp5_dense, solve_to_grid)
+                               dop853_dense, solve_to_grid)
 
 CFG = IntegratorConfig(dense_output_grid=257)
 
@@ -261,28 +261,30 @@ def test_domain_exit_interpolates_with_the_step_start_slope():
 
 def test_dense_output_matches_step_ends_and_slopes():
     rng = np.random.default_rng(5)
-    y, y5 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    k = rng.normal(size=(7, 3, 2))
+    y, y8 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    k = rng.normal(size=(16, 3, 2))
     h = 0.37
-    dense = dp5_dense(y, y5, h, k)
+    dense = dop853_dense(y, y8, h, k)
     assert np.allclose(dense(0.0), y, rtol=0, atol=1e-15)
-    assert np.allclose(dense(1.0), y5, rtol=0, atol=1e-15)
+    assert np.allclose(dense(1.0), y8, rtol=0, atol=1e-15)
     # the interpolant is a polynomial in theta, so a complex step gives its
-    # theta-derivative to roundoff
-    for theta, slope in ((0.0, k[0]), (1.0, k[6])):
+    # theta-derivative to roundoff; its end slopes are the step-start slope
+    # and the FSAL slope f(t+h, y8)
+    for theta, slope in ((0.0, k[0]), (1.0, k[12])):
         d = dense(theta + 1e-30j).imag / 1e-30
         assert np.allclose(d, h * slope, rtol=0, atol=1e-14)
     # an array of fractions is one state per fraction
     both = dense(np.array([0.0, 1.0]))
     assert both.shape == (2, 3, 2)
-    assert np.allclose(both, [y, y5], rtol=0, atol=1e-15)
+    assert np.allclose(both, [y, y8], rtol=0, atol=1e-15)
 
 
 def test_dense_grid_states_meet_the_tolerance_on_a_rotation():
-    # y' = A y rotates; a 2049-point grid puts about 12 grid times inside
-    # every step.  The interpolated states carry the error of the step ends
-    # (1.4e-10 here); the cubic Hermite interpolant of the same steps is
-    # 6e-9 off
+    # y' = A y rotates; a 2049-point grid puts about 100 grid times inside
+    # every step.  The interpolated states are 3.1e-10 off; without the
+    # interpolant's own error test (``stepping`` docstring) the steps meet
+    # the tolerance at their ends, and the states between them are 1.6e-9
+    # off
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     grid = np.linspace(0.0, 2.0 * np.pi, 2049)
     sol = solve_to_grid(lambda t, y: rot @ y, grid, [1.0, 0.0],
@@ -303,8 +305,8 @@ def test_step_count_does_not_depend_on_the_grid():
 
 
 def test_box_exit_inside_a_long_step_fills_the_grid_before_it():
-    # y = (t, t^4) is a quartic, which the fourth-order continuous extension
-    # reproduces and the cubic Hermite interpolant does not.  Every step is
+    # y = (t, t^4) is a quartic, which the seventh-order continuous extension
+    # reproduces and a cubic Hermite interpolant does not.  Every step is
     # accepted at five times the last, so the exit at t = 0.7 falls inside a
     # step that spans hundreds of grid times
     box = Box((-1.0, -1.0), (2.0, 0.7**4))
@@ -405,3 +407,20 @@ def test_trajectory_invariants(heis):
     assert tr.times[0] == 0.0
     assert np.allclose(tr.states[0], [0.5, 0.5, 0.5])
     assert np.all(np.diff(tr.times) > 0)
+
+
+def test_blow_up_raises_once_t_stops_moving():
+    # x' = x^2 from x = 1 blows up at t = 1.  The steps follow the blow-up at
+    # about 35 a decade of 1 - t; once a step no longer moves t, the solve
+    # raises instead of stepping on at a frozen t, where 205,050 of 225,887
+    # evaluations were spent before the guard
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return y * y
+
+    with pytest.raises(StepUnderflowError) as exc:
+        solve_to_grid(f, np.linspace(0.0, 2.0, 65), [1.0], IntegratorConfig(min_step=1e-6))
+    assert exc.value.time == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) < 10_000
