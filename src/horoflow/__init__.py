@@ -25,8 +25,7 @@ from .uniqueness import (ConditionNotCertified, EquilibriumCondition,
                          check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
                          verify_equilibrium_condition)
-from .counterexample import (EpsilonLadder, LadderSpec, MonitorViolation,
-                             SingularUVSystem, UVSolution,
+from .counterexample import (EpsilonLadder, LadderSpec, MonitorViolation, UVSolution,
                              build_nonuniqueness_report, comparison_monitor,
                              counterexample_field, distance_to_axis,
                              distance_to_axis_point, nonuniqueness_report,

@@ -29,9 +29,9 @@ from .gauges import default_distance, gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
                      heisenberg, is_heisenberg)
 from .stepping import IntegratorConfig, NonFiniteRHSError, StepUnderflowError
-from .uniqueness import (ConditionNotCertified, check_involutive,
-                         confinement_check, module_field, reduced_solve,
-                         stability_monitor, verify_equilibrium_condition)
+from .uniqueness import (check_involutive, confinement_check, module_field,
+                         reduced_solve, stability_monitor,
+                         verify_equilibrium_condition)
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -407,7 +407,6 @@ _FAILURE_KINDS = {
     NonFiniteRHSError: "non_finite_rhs",
     StepUnderflowError: "step_underflow",
     cx.MonitorViolation: "monitor_violation",
-    ConditionNotCertified: "condition_not_certified",
 }
 
 
@@ -423,7 +422,7 @@ def main(argv=None) -> int:
         print(f"horoflow: config error: {exc}", file=sys.stderr)
         return USAGE
     except tuple(_FAILURE_KINDS) as exc:
-        # t is null where a monitor or a condition fails on a whole solve
+        # t is null where a monitor fails on a whole solve
         failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
                    "t": float(exc.time) if hasattr(exc, "time") else None}
         _emit({"passed": False, "failure": failure}, args)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .flow import Trajectory, residual as flow_residual
 from .gauges import equivalence_kappa, koranyi_norm
 from .groups import GradedAlgebra, heisenberg, is_heisenberg
 from .scalarmin import minimize_convex_quartic
-from .stepping import IntegratorConfig, cumulative_simpson, solve_to_grid
+from .stepping import IntegratorConfig, integral_defect, solve_to_grid
 
 # positive root of 8 w^2 + 2 w - 3 = 0: u + w v obeys the exponential bound
 MIX_WEIGHT_UPPER = 0.5
@@ -119,43 +120,28 @@ def counterexample_field(alg: GradedAlgebra | None = None,
 # --------------------------------------------------------------------------- the (u, v) system
 
 
-@dataclass(frozen=True)
-class SingularUVSystem:
-    """Rescaled transverse system with kernel 1/(t + epsilon).
+def uv_rhs(variant: str, eps, t, y) -> np.ndarray:
+    """((-3u + 3G)/(t+eps), (-4v + 4u)/(t+eps)) at states y = (..., (u, v)).
 
-    epsilon = 0 denotes the singular limit system itself.  An array of
-    epsilons stands for one system per entry, evaluated together.
+    G is the variant's drive: the scaled distance to the axis point ("time")
+    or to the whole axis ("autonomous").  eps = 0 is the singular limit
+    system; eps may also hold one epsilon >= 0 per row of a (rungs, 2) state.
     """
-
-    variant: str = "time"  # "time" or "autonomous"
-    epsilon: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        if self.variant not in ("time", "autonomous"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if np.any(np.asarray(self.epsilon) < 0):
-            raise ValueError("epsilon must be nonnegative")
-
-    def drive(self, t, u, v):
-        """The variant's drive G(t, u, v); arguments may be arrays."""
-        if self.variant == "time":
-            w = t * u / 3.0
-            w2 = w * w
-            return np.sqrt(np.sqrt(w2 * w2 + v * v))
-        return scaled_axis_distance(t, u, v)
-
-
-def uv_rhs(sys: SingularUVSystem, t, u, v) -> tuple:
-    """((-3u + 3G)/(t+eps), (-4v + 4u)/(t+eps)) with G the variant drive.
-
-    u and v may be arrays, one entry per epsilon of ``sys``.
-    """
-    den = t + sys.epsilon
-    # epsilon >= 0 is checked at construction, so a positive float t needs no test
+    u, v = y[..., 0], y[..., 1]
+    den = t + eps
+    # eps >= 0 (solve_rungs checks it), so a positive float t needs no test
     if not (isinstance(t, float) and t > 0.0) and np.less_equal(den, 0.0).any():
         raise ZeroDivisionError("right-hand side undefined at t + epsilon = 0")
-    g = sys.drive(t, u, v)
-    return (-3.0 * u + 3.0 * g) / den, (-4.0 * v + 4.0 * u) / den
+    if variant == "time":
+        w = t * u / 3.0
+        w2 = w * w
+        g = np.sqrt(np.sqrt(w2 * w2 + v * v))
+    else:
+        g = scaled_axis_distance(t, u, v)
+    out = np.empty_like(y)
+    out[..., 0] = (-3.0 * u + 3.0 * g) / den
+    out[..., 1] = (-4.0 * v + 4.0 * u) / den
+    return out
 
 
 # --------------------------------------------------------------------------- comparison bounds
@@ -231,13 +217,13 @@ class RungReport:
     passed: bool
 
 
-def solve_regularized(sys: SingularUVSystem, tau: float, grid_points: int = 2048) -> tuple:
+def solve_regularized(variant: str, eps: float, tau: float, grid_points: int = 2048) -> tuple:
     """Integrate one regularized rung on [0, tau] and monitor the proof bounds.
 
     Returns (UVSolution, RungReport).  Bound violations beyond tolerance are
     recorded as failures: they flag the integrator, not the statement.
     """
-    (uv,) = solve_rungs(sys.variant, [sys.epsilon], tau, grid_points)
+    (uv,) = solve_rungs(variant, [eps], tau, grid_points)
     return uv, rung_monitor_report(uv)
 
 
@@ -251,21 +237,16 @@ def solve_rungs(variant: str, epsilons: Sequence[float], tau: float,
     the stats of that shared solve.  Every solve runs at ``RUNG_TOL`` and
     returns its states on ``grid_points`` equally spaced times.
     """
+    if variant not in ("time", "autonomous"):
+        raise ValueError(f"unknown variant {variant!r}")
     eps = np.asarray(epsilons, dtype=float)
     if not np.all(eps > 0):
         raise ValueError("regularized solve needs epsilon > 0")
     if tau > 1.0:
         raise ValueError("rung horizon must not exceed 1")
-    sys = SingularUVSystem(variant, eps)
-    cfg = IntegratorConfig(abs_tol=RUNG_TOL, rel_tol=RUNG_TOL, dense_output_grid=grid_points)
-    grid = np.linspace(0.0, tau, cfg.dense_output_grid)
-
-    def rhs(t, y):
-        out = np.empty_like(y)
-        out[:, 0], out[:, 1] = uv_rhs(sys, t, y[:, 0], y[:, 1])
-        return out
-
-    sol = solve_to_grid(rhs, grid, np.ones((len(eps), 2)), cfg)
+    cfg = IntegratorConfig(abs_tol=RUNG_TOL, rel_tol=RUNG_TOL)
+    sol = solve_to_grid(partial(uv_rhs, variant, eps), np.linspace(0.0, tau, grid_points),
+                        np.ones((len(eps), 2)), cfg)
     stats = sol.stats.as_dict()
     return [UVSolution(sol.times, sol.states[:, i, 0], sol.states[:, i, 1],
                        float(e), variant, dict(stats))
@@ -295,8 +276,7 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
     if not ok:
         failures.append("v_linear_envelope")
 
-    sys = SingularUVSystem(uv.variant, eps)
-    du0, dv0 = uv_rhs(sys, 0.0, 1.0, 1.0)
+    du0, dv0 = uv_rhs(uv.variant, eps, 0.0, np.ones(2)).tolist()
     stationarity = (abs(du0), abs(dv0))
     if not all(x <= 1e-12 for x in stationarity):
         failures.append("stationarity_at_zero")
@@ -367,13 +347,8 @@ def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
     eps = 0.0 if as_limit else uv.epsilon
     start = 1 if as_limit else 0
     t = uv.times[start:]
-    u = uv.u[start:]
-    v = uv.v[start:]
-    integrand = np.column_stack(uv_rhs(SingularUVSystem(uv.variant, eps), t, u, v))
-    integral = cumulative_simpson(integrand, t)
-    defect_u = u - u[0] - integral[:, 0]
-    defect_v = v - v[0] - integral[:, 1]
-    return float(np.max(np.abs([defect_u, defect_v])))
+    y = np.column_stack([uv.u[start:], uv.v[start:]])
+    return integral_defect(uv_rhs(uv.variant, eps, t, y), t, y)
 
 
 # --------------------------------------------------------------------------- epsilon ladder
@@ -396,6 +371,8 @@ class LadderSpec:
             raise ValueError("need at least 4 rungs")
         if not 0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
+        if self.grid_points < 8:  # the fewest points flow.residual integrates
+            raise ValueError("grid_points must be at least 8")
 
     @property
     def epsilons(self) -> tuple:

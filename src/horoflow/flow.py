@@ -17,7 +17,7 @@ import numpy as np
 from .domain import Box, TranslatedBox
 from .fields import HorizontalField, evaluate_field
 from .groups import inverse
-from .stepping import IntegratorConfig, cumulative_simpson, solve_to_grid
+from .stepping import IntegratorConfig, integral_defect, solve_to_grid
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ def residual(tr: Trajectory, field: HorizontalField) -> float:
     """Max-norm defect of the integral identity on the trajectory's grid."""
     if len(tr.times) < 8:
         raise ValueError("trajectory grid too coarse for a quadrature residual")
-    integral = cumulative_simpson(evaluate_field(field, tr.times, tr.states), tr.times)
-    defect = tr.states - tr.states[0] - integral
-    return float(np.max(np.abs(defect)))
+    return integral_defect(evaluate_field(field, tr.times, tr.states), tr.times, tr.states)
 
 
 def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:

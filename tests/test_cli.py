@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 import horoflow
-from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import Trajectory, write_trajectory_csv
-from horoflow.uniqueness import ConditionNotCertified
 
 HEIS_GROUP = {
     "layers": [2, 1],
@@ -316,6 +314,20 @@ def test_involutive_command_passes(tmp_path):
     assert rep["reduced_vs_full_max_err"] <= 1e-8
 
 
+def test_involutive_command_passes_on_a_large_basis_vector(tmp_path, capsys):
+    # the group law on the span of (1000, 3000, 0) is addition up to rounding
+    # of about 2e-10; the exact bracket check proves it commutes, and the
+    # gates read the solves, not a float re-check of the law
+    out = tmp_path / "out"
+    cpath = involutive_config(tmp_path, basis=[[1000.0, 3000.0, 0.0]], x0=[0.0, 0.0, 0.0],
+                              field={"coefficients": [{"form": "constant", "value": 1.0}],
+                                     "indices": [1]}, integrator={})
+    assert main(["involutive", "--config", str(cpath), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert rep["passed"] and rep["confinement_deviation"] <= rep["deviation_tol"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_involutive_command_rejects_non_commuting_basis(tmp_path, capsys):
     cpath = involutive_config(
         tmp_path,
@@ -414,23 +426,6 @@ def test_malformed_field_spec_is_usage_error(tmp_path, capsys, command, field):
     err = capsys.readouterr().err
     assert "bad field spec" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-def test_uncertified_condition_in_the_monitor_writes_report(tmp_path, capsys, monkeypatch):
-    # the command refuses an uncertified condition itself, so the monitor's
-    # own refusal is reached only through a stand-in
-    def refuse(*args, **kwargs):
-        raise ConditionNotCertified("degeneracy condition not certified: stand-in")
-
-    monkeypatch.setattr(cli, "stability_monitor", refuse)
-    out = tmp_path / "out"
-    assert main(["equilibrium", "--config", str(equilibrium_config(tmp_path)),
-                 "--out", str(out)]) == 1
-    rep = read_report(out)
-    assert rep["passed"] is False
-    assert rep["failure"] == {"kind": "condition_not_certified", "t": None,
-                              "message": "degeneracy condition not certified: stand-in"}
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_failed_rung_monitor_writes_report(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from horoflow import (LadderSpec, SingularUVSystem, comparison_monitor,
+from horoflow import (LadderSpec, comparison_monitor,
                       counterexample_field, distance_to_axis,
                       distance_to_axis_point, heisenberg,
                       nonuniqueness_report, reconstruct_trajectory,
@@ -138,7 +139,7 @@ def test_scaled_term_scalar_time_matches_array_time():
     for t in (0, 0.0, np.zeros(14)):
         value, sbar = scaled_axis_distance_with_minimizer(t, u, -v)
         assert np.array_equal(value, np.sqrt(v)) and not np.any(sbar)
-    assert uv_rhs(SingularUVSystem("autonomous", 1e-3), 0, 1, 1) == (0.0, 0.0)
+    assert uv_rhs("autonomous", 1e-3, 0, np.ones(2)).tolist() == [0.0, 0.0]
 
 
 def test_scaled_term_at_zero_is_exact_without_a_special_case():
@@ -150,9 +151,7 @@ def test_scaled_term_at_zero_is_exact_without_a_special_case():
     value_rows, _ = scaled_axis_distance_with_minimizer(np.zeros(400), 2.0, v)
     assert np.array_equal(value_rows, value)
     assert scaled_axis_distance(0.0, 1.0, 1.0) == 1.0
-    du, dv = uv_rhs(SingularUVSystem("autonomous", np.array([1e-3, 0.1])), 0.0,
-                    np.ones(2), np.ones(2))
-    assert not np.any(du) and not np.any(dv)
+    assert not np.any(uv_rhs("autonomous", np.array([1e-3, 0.1]), 0.0, np.ones((2, 2))))
 
 
 def test_minimizer_continuity_against_oracle():
@@ -176,20 +175,18 @@ def test_minimizer_continuity_against_oracle():
 def test_rhs_stationary_at_start():
     for eps in (1.0, 0.1, 1e-6):
         for variant in ("time", "autonomous"):
-            du, dv = uv_rhs(SingularUVSystem(variant, eps), 0.0, 1.0, 1.0)
-            assert du == 0.0
-            assert dv == 0.0
+            assert uv_rhs(variant, eps, 0.0, np.ones(2)).tolist() == [0.0, 0.0]
 
 
 def test_rhs_formula_example():
-    du, dv = uv_rhs(SingularUVSystem("time", 1.0), 0.0, 1.0, 4.0)
+    du, dv = uv_rhs("time", 1.0, 0.0, np.array([1.0, 4.0]))
     assert du == pytest.approx(3.0)
     assert dv == pytest.approx(-12.0)
 
 
 def test_rhs_rejects_singular_time():
     with pytest.raises(ZeroDivisionError):
-        uv_rhs(SingularUVSystem("time", 0.0), 0.0, 1.0, 1.0)
+        uv_rhs("time", 0.0, 0.0, np.ones(2))
 
 
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
@@ -197,16 +194,18 @@ def test_rhs_rejects_singular_time():
 def test_rhs_rejects_every_singular_time(variant, t):
     # a positive float t skips the test, since epsilon >= 0; any other t is tested
     with pytest.raises(ZeroDivisionError):
-        uv_rhs(SingularUVSystem(variant, 0.0), t, 1.0, 1.0)
+        uv_rhs(variant, 0.0, t, np.ones(np.shape(t) + (2,)))
     if np.ndim(t) == 0:  # one rung at t + epsilon <= 0 is enough
         with pytest.raises(ZeroDivisionError):
-            uv_rhs(SingularUVSystem(variant, np.array([0.0, 1.0])), t, 1.0, 1.0)
+            uv_rhs(variant, np.array([0.0, 1.0]), t, np.ones((2, 2)))
 
 
-def test_negative_epsilon_is_rejected_at_construction():
-    for eps in (-1e-3, np.array([0.1, -1e-9])):
-        with pytest.raises(ValueError, match="nonnegative"):
-            SingularUVSystem("time", eps)
+def test_rungs_reject_an_unknown_variant_or_a_nonpositive_epsilon():
+    with pytest.raises(ValueError, match="unknown variant 'timed'"):
+        solve_rungs("timed", [0.1], 0.3, FAST)
+    for eps in ([-1e-3], [0.1, -1e-9], [0.1, 0.0]):
+        with pytest.raises(ValueError, match="epsilon > 0"):
+            solve_rungs("time", eps, 0.3, FAST)
 
 
 # --------------------------------------------------------------------------- rungs
@@ -214,7 +213,7 @@ def test_negative_epsilon_is_rejected_at_construction():
 
 @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6])
 def test_regularized_rung_monitors_pass(eps):
-    uv, rep = solve_regularized(SingularUVSystem("time", eps), 0.5, FAST)
+    uv, rep = solve_regularized("time", eps, 0.5, FAST)
     assert rep.passed, rep.failures
     assert rep.min_u >= -1e-9 and rep.min_v >= -1e-9
     assert rep.mix_bound_margin >= -1e-9
@@ -225,7 +224,7 @@ def test_regularized_rung_monitors_pass(eps):
 
 
 def test_regularized_rung_autonomous_lower_bound():
-    uv, rep = solve_regularized(SingularUVSystem("autonomous", 0.01), 0.3, FAST)
+    uv, rep = solve_regularized("autonomous", 0.01, 0.3, FAST)
     assert rep.passed, rep.failures
     assert rep.lower_bound_margin >= -1e-9
     assert rep.lower_bound_constant >= rep.exp_linear_constant - 1e-12
@@ -234,9 +233,9 @@ def test_regularized_rung_autonomous_lower_bound():
 
 def test_rung_rejects_bad_epsilon_or_horizon():
     with pytest.raises(ValueError):
-        solve_regularized(SingularUVSystem("time", 0.0), 0.3, FAST)
+        solve_regularized("time", 0.0, 0.3, FAST)
     with pytest.raises(ValueError):
-        solve_regularized(SingularUVSystem("time", 0.1), 1.5, FAST)
+        solve_regularized("time", 0.1, 1.5, FAST)
 
 
 def test_monitor_flags_synthetic_violations():
@@ -304,7 +303,7 @@ def test_comparison_monitor_rejects_bad_constants():
 
 
 def test_comparison_monitor_on_solved_mix():
-    uv, _ = solve_regularized(SingularUVSystem("time", 0.05), 0.5, FAST)
+    uv, _ = solve_regularized("time", 0.05, 0.5, FAST)
     ok, margin = comparison_monitor(uv.times, uv.u + 0.5 * uv.v, uv.epsilon,
                                     1.5, 1.0, 1.0, 0.0)
     assert ok and margin >= 0.0
@@ -326,6 +325,9 @@ def test_ladder_spec_validation():
         LadderSpec(ratio=1.0)
     with pytest.raises(ValueError):
         LadderSpec(count=2)
+    for grid in (7, 1, -5):
+        with pytest.raises(ValueError, match="grid_points"):
+            LadderSpec(grid_points=grid)
 
 
 def test_ladder_gaps_decrease_and_converge():
@@ -387,7 +389,7 @@ def test_batched_time_ladder_matches_single_rung_solves():
     spec = small_spec(count=5)
     lad = run_epsilon_ladder(spec, "time")
     for sol in lad.solutions:
-        alone, _ = solve_regularized(SingularUVSystem("time", sol.epsilon), spec.tau, FAST)
+        alone, _ = solve_regularized("time", sol.epsilon, spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
         assert sol.stats["steps"] >= alone.stats["steps"]
         assert np.max(np.abs(sol.u - alone.u)) <= RUNG_TOL
@@ -400,7 +402,7 @@ def test_batched_autonomous_ladder_matches_single_rung_solves():
     spec = small_spec(count=5)
     lad = run_epsilon_ladder(spec, "autonomous")
     for sol in lad.solutions:
-        alone, _ = solve_regularized(SingularUVSystem("autonomous", sol.epsilon), spec.tau, FAST)
+        alone, _ = solve_regularized("autonomous", sol.epsilon, spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
         assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
         assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
@@ -429,11 +431,7 @@ def test_default_ladder_grid_states_meet_the_rung_tolerance(variant):
     # (autonomous) apart
     spec = LadderSpec()
     sols = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
-    sys = SingularUVSystem(variant, np.asarray(spec.epsilons))
-
-    def rhs(t, y):
-        return np.stack(uv_rhs(sys, t, y[:, 0], y[:, 1]), axis=1)
-
+    rhs = partial(uv_rhs, variant, np.asarray(spec.epsilons))
     ref = solve_to_grid(rhs, sols[0].times, np.ones((len(sols), 2)),
                         IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14)).states
     for i, sol in enumerate(sols):

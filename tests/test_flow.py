@@ -327,8 +327,8 @@ def test_box_exit_inside_a_long_step_fills_the_grid_before_it():
 def test_horizon_is_reached_without_a_sliver_step():
     # y = t^2 is solved exactly, so after the first step (the grid spacing
     # 0.2) the step grows to 1.0.  A remainder within 1 % of that step is
-    # taken as one stretched step; a longer one, or a stretch past max_step,
-    # is not
+    # taken as one stretched step, as in dop853, even past max_step; a
+    # longer one is not
     def steps(t_end, cfg=IntegratorConfig()):
         sol = solve_to_grid(lambda t, y: np.array([2.0 * t]), [0.0, 0.2, t_end], [0.0], cfg)
         assert sol.states[-1, 0] == pytest.approx(t_end**2, abs=1e-12)
@@ -336,7 +336,12 @@ def test_horizon_is_reached_without_a_sliver_step():
 
     assert steps(1.205) == (2, 0.2)
     assert steps(1.25) == (3, pytest.approx(0.05))
-    assert steps(1.205, IntegratorConfig(max_step=1.0)) == (3, pytest.approx(0.005))
+    assert steps(1.205, IntegratorConfig(max_step=1.0)) == (2, 0.2)
+    # six steps of max_step = 1/6 leave a remainder one rounding unit past
+    # max_step; it is stretched onto, not followed by a 1e-16 seventh step
+    sol = solve_to_grid(lambda t, y: np.cos(t), np.linspace(0.0, 1.0, 7), [0.0],
+                        IntegratorConfig(max_step=1 / 6))
+    assert (sol.stats.steps, sol.stats.rhs_evals) == (6, 91)
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -421,6 +426,23 @@ def test_blow_up_raises_once_t_stops_moving():
         return y * y
 
     with pytest.raises(StepUnderflowError) as exc:
-        solve_to_grid(f, np.linspace(0.0, 2.0, 65), [1.0], IntegratorConfig(min_step=1e-6))
+        solve_to_grid(f, np.linspace(0.0, 2.0, 65), [1.0], IntegratorConfig(min_step=0.0))
     assert exc.value.time == pytest.approx(1.0, abs=1e-12)
     assert len(calls) < 10_000
+
+
+def test_min_step_bounds_every_step():
+    # the same blow-up with min_step = 1e-6: a step attempt shorter than
+    # min_step raises, first try or retry, so the solve stops near
+    # 1 - t = 1.4e-5 (2,470 evaluations) instead of following the blow-up
+    # down to rounding (4.4e-16 after 5,965, when only retries were floored)
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return y * y
+
+    with pytest.raises(StepUnderflowError) as exc:
+        solve_to_grid(f, np.linspace(0.0, 2.0, 65), [1.0], IntegratorConfig(min_step=1e-6))
+    assert 1e-5 < 1.0 - exc.value.time < 2e-5
+    assert len(calls) < 3_000
