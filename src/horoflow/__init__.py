@@ -26,11 +26,10 @@ from .uniqueness import (ConditionNotCertified, EquilibriumCondition,
                          reduced_solve, stability_monitor,
                          verify_equilibrium_condition)
 from .counterexample import (EpsilonLadder, LadderSpec, MonitorViolation, UVSolution,
-                             build_nonuniqueness_report, comparison_monitor,
-                             counterexample_field, distance_to_axis,
-                             distance_to_axis_point, nonuniqueness_report,
-                             reconstruct_trajectory, run_epsilon_ladder,
-                             scaled_axis_distance, solve_regularized,
-                             trivial_trajectory, uv_rhs)
+                             build_nonuniqueness_report, counterexample_field,
+                             distance_to_axis, distance_to_axis_point,
+                             nonuniqueness_report, reconstruct_trajectory,
+                             run_epsilon_ladder, scaled_axis_distance,
+                             solve_regularized, trivial_trajectory, uv_rhs)
 
 __version__ = "0.1.0"

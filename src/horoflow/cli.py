@@ -17,6 +17,7 @@ import math
 import shutil
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -320,16 +321,15 @@ def _run_involutive(args) -> int:
 # --------------------------------------------------------------------------- counterexample
 
 
-def _write_uv_csv(sol, path, t_col=None) -> list:
-    """Write the t,u,v rows of ``sol``; return its formatted t column, which
-    a solution on the same times can take as ``t_col``."""
+def _write_uv_csv(sol, path, t_col=None) -> None:
+    """Write the t,u,v rows of ``sol``; ``t_col`` is its times already
+    formatted, as the rungs of one ladder share them."""
     if t_col is None:
         t_col = list(map("%.17g".__mod__, sol.times.tolist()))
     rows = zip(t_col, sol.u.tolist(), sol.v.tolist())
     text = "t,u,v\n" + "".join(map("%s,%.17g,%.17g\n".__mod__, rows))
     with open(path, "w") as fh:
         fh.write(text)
-    return t_col
 
 
 def _run_counterexample(args) -> int:
@@ -338,16 +338,14 @@ def _run_counterexample(args) -> int:
     ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(ladder)
 
-    if not args.json:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        t_col = None  # the rungs share one grid
-        for sol in ladder.solutions:
-            path = out / f"rung_eps_{sol.epsilon:.9g}.csv"
-            t_col = _write_uv_csv(sol, path, t_col)
-        shutil.copyfile(path, out / "limit_uv.csv")  # the limit is the last rung
-        write_trajectory_csv(gamma, out / "gamma.csv")
-    _emit(report, args)
+    # the rungs share one grid, and the limit is the last rung
+    t_col = list(map("%.17g".__mod__, ladder.limit.times.tolist()))
+    writers = [(f"rung_eps_{sol.epsilon:.9g}.csv", partial(_write_uv_csv, sol, t_col=t_col))
+               for sol in ladder.solutions]
+    last = writers[-1][0]
+    writers += [("limit_uv.csv", lambda path: shutil.copyfile(path.with_name(last), path)),
+                ("gamma.csv", partial(write_trajectory_csv, gamma))]
+    _emit(report, args, writers)
     return PASS if report["nonuniqueness_certified"] else FAIL
 
 

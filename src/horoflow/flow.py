@@ -54,8 +54,7 @@ class Trajectory:
         return bool(self.meta.get("exited", False))
 
 
-def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig(),
-              with_residual: bool = True) -> Trajectory:
+def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Solve the componentwise system x_i' = sum_j a_j(t, x) p_j^i(x) on [0, T]."""
     grid = np.linspace(0.0, p.horizon, cfg.dense_output_grid)
     b = p.field
@@ -70,7 +69,7 @@ def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig(),
         **sol.stats.as_dict(),
     }
     tr = Trajectory(sol.times, sol.states, meta)
-    if with_residual and len(sol.times) >= 8:
+    if len(sol.times) >= 8:
         tr = replace(tr, residual=residual(tr, b))
     return tr
 

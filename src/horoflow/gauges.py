@@ -156,8 +156,8 @@ def equivalence_constants(
     return float(ratios.min()), float(ratios.max())
 
 
-# samples behind every gauge-equivalence constant kappa: the same fixed count
-# in the stability bound and in the exhibit report keeps both reproducible
+# samples behind the gauge-equivalence constant kappa of the stability bound:
+# a fixed count keeps the bound reproducible
 KAPPA_SAMPLES = 4000
 
 

@@ -226,8 +226,7 @@ def test_criterion_10_integrator_order(heis):
             heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0])
         )
         p = hf.CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
-        ref = hf.integrate(p, hf.IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13),
-                           with_residual=False).final_state
+        ref = hf.integrate(p, hf.IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)).final_state
         residuals, errors = [], []
         for n in (2, 4, 8, 16, 32, 64, 128):
             cfg = hf.IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,

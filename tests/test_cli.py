@@ -250,6 +250,31 @@ def test_equilibrium_command_refuses_constant_field(tmp_path):
     assert "refusal" in rep
 
 
+def test_equilibrium_command_fails_a_start_that_leaves_the_point(tmp_path):
+    # the coefficient equals t at the origin: the condition certifies at
+    # t = 0, but the start at the origin moves 0.547 away by t = 1
+    cfg = {
+        "group": "heisenberg",
+        "field": {"coefficients": [{"form": "constant", "value": 0.0},
+                                   {"form": "axis_distance"}]},
+        "equilibrium_point": [0, 0, 0],
+        "box": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
+        "initial_points": [[0, 0, 0]],
+        "samples": 500,
+        "seed": 0,
+        "horizon": 1.0,
+    }
+    cpath = tmp_path / "moving.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(cpath), "--out", str(out)]) == 1
+    rep = read_report(out)
+    assert rep["condition"]["certified"]
+    assert rep["stability"]["passed"] is False and rep["passed"] is False
+    assert rep["stability"]["ratios"] == [1.0]
+    assert rep["stability"]["equilibrium_deviation"] > 0.5
+
+
 def test_equilibrium_non_finite_coefficient_writes_report(tmp_path, capsys):
     # x1^400 overflows on most of the box: a numerical failure, not bad input
     cfg = json.loads((equilibrium_config(tmp_path)).read_text())

@@ -4,8 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from horoflow import (LadderSpec, comparison_monitor,
-                      counterexample_field, distance_to_axis,
+from horoflow import (LadderSpec, counterexample_field, distance_to_axis,
                       distance_to_axis_point, heisenberg,
                       nonuniqueness_report, reconstruct_trajectory,
                       run_epsilon_ladder, scaled_axis_distance,
@@ -13,7 +12,7 @@ from horoflow import (LadderSpec, comparison_monitor,
 from horoflow.counterexample import (GAP_TOL, RUNG_TOL, UVSolution, gap_convergence,
                                      rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
-                                     singular_integral_residual, solve_rungs)
+                                     singular_integral_residual)
 from horoflow.stepping import IntegratorConfig, solve_to_grid
 
 FAST = 512  # grid points of a rung solve; the default ladder uses 2048
@@ -202,18 +201,23 @@ def test_rhs_rejects_every_singular_time(variant, t):
 
 def test_rungs_reject_an_unknown_variant_or_a_nonpositive_epsilon():
     with pytest.raises(ValueError, match="unknown variant 'timed'"):
-        solve_rungs("timed", [0.1], 0.3, FAST)
+        solve_regularized("timed", [0.1], 0.3, FAST)
     for eps in ([-1e-3], [0.1, -1e-9], [0.1, 0.0]):
         with pytest.raises(ValueError, match="epsilon > 0"):
-            solve_rungs("time", eps, 0.3, FAST)
+            solve_regularized("time", eps, 0.3, FAST)
 
 
 # --------------------------------------------------------------------------- rungs
 
 
+def solve_one_rung(variant, eps, tau):
+    (uv,) = solve_regularized(variant, [eps], tau, FAST)
+    return uv, rung_monitor_report(uv)
+
+
 @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6])
 def test_regularized_rung_monitors_pass(eps):
-    uv, rep = solve_regularized("time", eps, 0.5, FAST)
+    uv, rep = solve_one_rung("time", eps, 0.5)
     assert rep.passed, rep.failures
     assert rep.min_u >= -1e-9 and rep.min_v >= -1e-9
     assert rep.mix_bound_margin >= -1e-9
@@ -224,7 +228,7 @@ def test_regularized_rung_monitors_pass(eps):
 
 
 def test_regularized_rung_autonomous_lower_bound():
-    uv, rep = solve_regularized("autonomous", 0.01, 0.3, FAST)
+    uv, rep = solve_one_rung("autonomous", 0.01, 0.3)
     assert rep.passed, rep.failures
     assert rep.lower_bound_margin >= -1e-9
     assert rep.lower_bound_constant >= rep.exp_linear_constant - 1e-12
@@ -233,9 +237,9 @@ def test_regularized_rung_autonomous_lower_bound():
 
 def test_rung_rejects_bad_epsilon_or_horizon():
     with pytest.raises(ValueError):
-        solve_regularized("time", 0.0, 0.3, FAST)
+        solve_regularized("time", [0.0], 0.3, FAST)
     with pytest.raises(ValueError):
-        solve_regularized("time", 0.1, 1.5, FAST)
+        solve_regularized("time", [0.1], 1.5, FAST)
 
 
 def test_monitor_flags_synthetic_violations():
@@ -275,38 +279,38 @@ def test_monitor_accepts_late_crossing():
 # --------------------------------------------------------------------------- comparison lemma
 
 
-def test_comparison_monitor_constant_solution():
+def test_comparison_envelopes_pass_on_the_constant_solution():
     t = np.linspace(0.0, 1.0, 64)
-    c1, c2, c3, eps = 1.5, 1.0, 1.0, 0.1
-    z = np.full_like(t, c1 / c2)
-    ok, margin = comparison_monitor(t, z, eps, c1, c2, c3, 0.0)
-    assert ok
-    # worst margin sits at t = 0: (c1/c2)(e^(c3 eps) - 1)
-    assert margin == pytest.approx((c1 / c2) * (math.exp(c3 * eps) - 1.0))
+    eps = 0.1
+    rep = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), eps, "time", {}))
+    assert "mix_exponential_bound" not in rep.failures
+    assert "v_linear_envelope" not in rep.failures
+    # both worst margins sit at t = 0: (3/2)(e^eps - 1) and c_hat eps
+    assert rep.mix_bound_margin == pytest.approx(1.5 * (math.exp(eps) - 1.0))
+    assert rep.linear_envelope_margin == pytest.approx(rep.exp_linear_constant * eps)
+    assert rep.exp_linear_constant == pytest.approx(1.5 * (math.exp(1.1) - 1.0) / 1.1)
 
 
-def test_comparison_monitor_detects_violation():
-    t = np.linspace(0.0, 1.0, 64)
-    z = 2.0 + 0.0 * t
-    ok, margin = comparison_monitor(t, z, 0.0, 1.0, 1.0, 0.0, 0.0)
-    assert not ok
-    assert margin == pytest.approx(-1.0)
+def test_comparison_envelopes_each_fire_on_a_violating_rung():
+    t = np.linspace(0.0, 0.3, 129)
+    one = np.ones_like(t)
+    # u + v/2 climbing to 2.5 at t = 0.3 overtakes (3/2) e^(t + eps) = 2.1;
+    # v alone stays under its linear envelope, so only the mix bound fires
+    rep = rung_monitor_report(UVSolution(t, 1.0 + 5.0 * t, one, 0.05, "time", {}))
+    assert "mix_exponential_bound" in rep.failures and rep.mix_bound_margin < -0.3
+    assert "v_linear_envelope" not in rep.failures
+    # v climbing at twice c_hat crosses its envelope, while u + v/2 stays
+    # under the exponential bound (u is lowered to make room)
+    c_hat = 1.5 * (math.exp(0.35) - 1.0) / 0.35
+    v = 1.0 + 2.0 * c_hat * t
+    rep = rung_monitor_report(UVSolution(t, 1.0 - 0.5 * (v - 1.0), v, 0.05, "time", {}))
+    assert "v_linear_envelope" in rep.failures and rep.linear_envelope_margin < -0.4
+    assert "mix_exponential_bound" not in rep.failures
 
 
-def test_comparison_monitor_rejects_bad_constants():
-    t = np.linspace(0.0, 1.0, 64)
-    z = 1.0 + 0.0 * t
-    with pytest.raises(ValueError, match="c2"):
-        comparison_monitor(t, z, 0.05, 1.0, 0.0, 0.0, 0.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        comparison_monitor(t, z, 0.05, -1.0, 1.0, 0.0, 0.5)
-
-
-def test_comparison_monitor_on_solved_mix():
-    uv, _ = solve_regularized("time", 0.05, 0.5, FAST)
-    ok, margin = comparison_monitor(uv.times, uv.u + 0.5 * uv.v, uv.epsilon,
-                                    1.5, 1.0, 1.0, 0.0)
-    assert ok and margin >= 0.0
+def test_comparison_envelopes_hold_on_a_solved_rung():
+    _, rep = solve_one_rung("time", 0.05, 0.5)
+    assert rep.mix_bound_margin >= 0.0 and rep.linear_envelope_margin >= 0.0
 
 
 # --------------------------------------------------------------------------- ladder
@@ -389,7 +393,7 @@ def test_batched_time_ladder_matches_single_rung_solves():
     spec = small_spec(count=5)
     lad = run_epsilon_ladder(spec, "time")
     for sol in lad.solutions:
-        alone, _ = solve_regularized("time", sol.epsilon, spec.tau, FAST)
+        (alone,) = solve_regularized("time", [sol.epsilon], spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
         assert sol.stats["steps"] >= alone.stats["steps"]
         assert np.max(np.abs(sol.u - alone.u)) <= RUNG_TOL
@@ -402,7 +406,7 @@ def test_batched_autonomous_ladder_matches_single_rung_solves():
     spec = small_spec(count=5)
     lad = run_epsilon_ladder(spec, "autonomous")
     for sol in lad.solutions:
-        alone, _ = solve_regularized("autonomous", sol.epsilon, spec.tau, FAST)
+        (alone,) = solve_regularized("autonomous", [sol.epsilon], spec.tau, FAST)
         assert sol.stats == lad.solutions[0].stats
         assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
         assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
@@ -418,7 +422,7 @@ def test_default_ladder_step_counts(variant, max_steps, max_rhs, min_step):
     # the DP5(4) pair took 72 / 439 and 404 / 2,443.  Without the budget
     # floor the autonomous start shrank its steps to 5.3e-9
     spec = LadderSpec()
-    (sol, *_) = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
+    (sol, *_) = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
     assert sol.stats["steps"] <= max_steps
     assert sol.stats["rhs_evals"] <= max_rhs
     assert sol.stats["min_step"] >= min_step
@@ -430,7 +434,7 @@ def test_default_ladder_grid_states_meet_the_rung_tolerance(variant):
     # the same ladder solved at 1e-14: 1.8e-14 (time) and 2.1e-14
     # (autonomous) apart
     spec = LadderSpec()
-    sols = solve_rungs(variant, spec.epsilons, spec.tau, spec.grid_points)
+    sols = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
     rhs = partial(uv_rhs, variant, np.asarray(spec.epsilons))
     ref = solve_to_grid(rhs, sols[0].times, np.ones((len(sols), 2)),
                         IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14)).states
@@ -477,7 +481,7 @@ def test_nonuniqueness_report_small_ladder_autonomous():
     assert rep["ladder"]["sup_differences"][-1] <= GAP_TOL
     assert rep["residual_nontrivial"] <= 1e-6
     assert rep["nonuniqueness_certified"]
-    assert rep["constants"]["lower_bound"] is not None
+    assert rep["ladder"]["rungs"][-1]["lower_bound_constant"] is not None
 
 
 def test_trivial_trajectory_shape():

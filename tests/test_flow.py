@@ -156,12 +156,11 @@ def per_point_residual(tr, field):
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
 def test_residual_equals_the_per_point_residual(heis, variant):
     b = counterexample_field(heis, variant)
-    tr = integrate(CauchyProblem(b, (0.0, 0.05, 0.0), 0.5), CFG, with_residual=False)
+    tr = integrate(CauchyProblem(b, (0.0, 0.05, 0.0), 0.5), CFG)
     spec = {"coefficients": [{"form": "sin_coordinate", "index": 3, "scale": 2.0},
                              {"form": "distance_to_point", "point": [-0.838, 0.215, -0.247]}]}
     kinked = field_from_spec(heis, spec)
-    free = integrate(CauchyProblem(kinked, (0.443, 0.011, 0.476), 2.0), CFG,
-                     with_residual=False)
+    free = integrate(CauchyProblem(kinked, (0.443, 0.011, 0.476), 2.0), CFG)
     for field, path in ((b, tr), (kinked, free)):
         assert residual(path, field) == per_point_residual(path, field)
 
@@ -236,7 +235,7 @@ def test_adaptive_residual_meets_tolerance_contract(heis):
 def test_domain_exit_truncates_at_boundary(heis):
     box = Box((-1, -1, -1), (0.5, 1, 1))
     p = CauchyProblem(x1_field(heis), (0, 0, 0), 2.0, box)
-    tr = integrate(p, CFG, with_residual=False)
+    tr = integrate(p, CFG)
     assert tr.exited
     assert tr.meta["exit_time"] == pytest.approx(0.5, abs=1e-9)
     assert tr.times[-1] == pytest.approx(0.5, abs=1e-9)

@@ -5,8 +5,8 @@ import pytest
 
 from horoflow import (Box, CauchyProblem, ConditionNotCertified, GradedAlgebra,
                       IntegratorConfig, NotInvolutiveError, check_involutive,
-                      confinement_check, default_distance, frame_field,
-                      heisenberg, horizontal_field, integrate, module_field,
+                      confinement_check, default_distance, field_from_spec,
+                      frame_field, heisenberg, horizontal_field, integrate, module_field,
                       reduced_solve, stability_monitor,
                       verify_equilibrium_condition)
 from horoflow.counterexample import counterexample_field
@@ -71,6 +71,27 @@ def test_monitor_equilibrium_start_stays_put(heis, heis_dist):
     assert rep.passed
 
 
+def test_monitor_fails_an_equilibrium_start_that_moves(heis, heis_dist):
+    # the coefficient equals t at the origin, so the origin is no equilibrium
+    # for t > 0, although the condition, sampled at t = 0, certifies it
+    b = field_from_spec(heis, {"coefficients": [{"form": "constant", "value": 0.0},
+                                                {"form": "axis_distance"}]})
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 500, seed=0, distance=heis_dist)
+    assert cond.certified
+    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0, heis_dist)
+    assert rep.ratios == (1.0,) and rep.certified_bound > 1.0
+    assert rep.equilibrium_deviation > 0.5
+    assert not rep.passed
+    # a genuine equilibrium off the origin stays put to the bit and passes
+    xbar = np.array([0.3, -0.2, 0.1])
+    b = horizontal_field(heis, (lambda t, x: heis_dist(xbar, x), lambda t, x: 0.0))
+    cond = verify_equilibrium_condition(b, xbar, BOX, 400, seed=3, distance=heis_dist)
+    starts = [xbar, heis.multiply(xbar, [1e-3, 0.0, 0.0])]
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 1.0, heis_dist)
+    assert rep.equilibrium_deviation == 0.0 and rep.ratios[0] == 1.0
+    assert rep.passed
+
+
 def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
@@ -91,17 +112,6 @@ def test_monitor_refuses_uncertified_condition(heis, heis_dist):
         stability_monitor(b, np.zeros(3), cond, [(0.1, 0, 0)], CFG, 1.0, heis_dist)
 
 
-def test_monitor_time_profile_quadrature(heis, heis_dist):
-    b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
-    rep = stability_monitor(
-        b, np.zeros(3), cond, [(1e-3, 0, 0)], CFG, 1.0, heis_dist,
-        c_profile=lambda t: 1.0 + 0.0 * t,
-    )
-    assert rep.c_integral == pytest.approx(1.0, rel=1e-10)
-    assert rep.passed
-
-
 def test_monitor_mixes_an_equilibrium_start_with_others(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
@@ -112,24 +122,6 @@ def test_monitor_mixes_an_equilibrium_start_with_others(heis, heis_dist):
     assert np.allclose([rep.ratios[0], rep.ratios[2]], math.e, rtol=1e-6)
     with pytest.raises(ValueError, match="dimension"):
         stability_monitor(b, np.zeros(3), cond, [(0.1, 0.0)], CFG, 1.0, heis_dist)
-
-
-def test_monitor_profile_is_called_once_on_the_time_array(heis, heis_dist):
-    b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
-    calls = []
-
-    def ramp(t):
-        calls.append(np.shape(t))
-        return 2.0 * t  # the trapezoid rule is exact on a linear profile
-
-    rep = stability_monitor(b, np.zeros(3), cond, [(1e-3, 0, 0)], CFG, 1.0, heis_dist,
-                            c_profile=ramp)
-    assert calls == [(2049,)]
-    assert rep.c_integral == pytest.approx(1.0, rel=1e-14)
-    flat = stability_monitor(b, np.zeros(3), cond, [(1e-3, 0, 0)], CFG, 1.0, heis_dist,
-                             c_profile=lambda t: 0.5)  # a number holds at every time
-    assert flat.c_integral == pytest.approx(0.5, rel=1e-14)
 
 
 def test_non_finite_condition_names_the_first_sample_then_time(heis, heis_dist):
@@ -249,7 +241,7 @@ def test_confinement_deviation_tracks_tolerance(heis):
     devs = []
     for tol in (1e-8, 1e-10, 1e-12):
         cfg = IntegratorConfig(abs_tol=tol, rel_tol=tol, dense_output_grid=257)
-        tr = integrate(CauchyProblem(b, x0, 1.0), cfg, with_residual=False)
+        tr = integrate(CauchyProblem(b, x0, 1.0), cfg)
         devs.append(confinement_check(tr, mod, x0))
     assert devs[1] <= devs[0] + 1e-12
     assert devs[2] <= devs[1] + 1e-12
@@ -313,7 +305,7 @@ def test_stability_ratios_match_loop_oracle(case):
     rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5, dst)
     want = []
     for x0 in starts:
-        tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG, with_residual=False)
+        tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG)
         want.append(max(dst(x, xbar) for x in tr.states) / dst(x0, xbar))
     assert list(rep.initial_distances) == [dst(x0, xbar) for x0 in starts]
     # the monitor solves all starts together, on steps at least as fine as
@@ -326,7 +318,7 @@ def test_stability_ratios_match_loop_oracle(case):
 def test_confinement_matches_loop_oracle(heis, x0, extra):
     mod = check_involutive(heis, [[1.0, 0, 0]])
     b = frame_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: extra * x[..., 2]), (1, 2))
-    tr = integrate(CauchyProblem(b, x0, 1.0), CFG, with_residual=False)
+    tr = integrate(CauchyProblem(b, x0, 1.0), CFG)
     P = mod.projector
     rel = [heis.multiply(-np.asarray(x0), z) for z in tr.states]
     want = max(float(np.linalg.norm(z - P @ z)) for z in rel)
