@@ -17,7 +17,7 @@ import math
 import shutil
 import sys
 from dataclasses import asdict, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +128,7 @@ def _field(alg: GradedAlgebra, cfg: dict):
     """The field of ``cfg["field"]`` (see ``field_from_spec``); else exit 2."""
     try:
         return field_from_spec(alg, cfg["field"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # overflow: a huge int
         raise ConfigError(f"bad field spec: {exc}") from exc
 
 
@@ -322,10 +322,9 @@ def _run_involutive(args) -> int:
 
 
 def _write_uv_csv(sol, path, t_col=None) -> None:
-    """Write the t,u,v rows of ``sol``; ``t_col`` is its times already
-    formatted, as the rungs of one ladder share them."""
-    if t_col is None:
-        t_col = list(map("%.17g".__mod__, sol.times.tolist()))
+    """Write the t,u,v rows of ``sol``; ``t_col()``, if given, returns its
+    times formatted, so the rungs of one ladder can share one formatting."""
+    t_col = t_col() if t_col else list(map("%.17g".__mod__, sol.times.tolist()))
     rows = zip(t_col, sol.u.tolist(), sol.v.tolist())
     text = "t,u,v\n" + "".join(map("%s,%.17g,%.17g\n".__mod__, rows))
     with open(path, "w") as fh:
@@ -338,8 +337,9 @@ def _run_counterexample(args) -> int:
     ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(ladder)
 
-    # the rungs share one grid, and the limit is the last rung
-    t_col = list(map("%.17g".__mod__, ladder.limit.times.tolist()))
+    # the rungs share one grid, and the limit is the last rung; the times
+    # are formatted on the first CSV write, so --json formats none
+    t_col = cache(lambda: list(map("%.17g".__mod__, ladder.limit.times.tolist())))
     writers = [(f"rung_eps_{sol.epsilon:.9g}.csv", partial(_write_uv_csv, sol, t_col=t_col))
                for sol in ladder.solutions]
     last = writers[-1][0]

@@ -11,7 +11,8 @@ the pair (u, v) satisfies a singular system whose kernel 1/t is regularized
 to 1/(t + eps).  Solving a ladder of regularized systems and passing to the
 small-eps limit produces the second solution; proof-grade bounds (sign
 retention, exponential mix bound, linear envelopes) are monitored along
-every rung, since their violation can only mean integrator failure.
+every rung; a violated bound means a failed solve or, for the integral-form
+residual (a Simpson sum), too coarse an output grid.
 
 The autonomous variant replaces a by the distance to the whole axis; its
 scaled form extends continuously to t = 0 via a one-dimensional convex
@@ -50,7 +51,8 @@ SEPARATION_FACTOR = 1e4
 
 
 class MonitorViolation(RuntimeError):
-    """A proven bound failed along a numerical solution (integrator failure)."""
+    """A proven bound failed along a numerical solution: an integrator failure,
+    or, for the integral-form residual, Simpson error of too coarse a grid."""
 
 
 # --------------------------------------------------------------------------- coefficients
@@ -340,7 +342,6 @@ class EpsilonLadder:
     sup_differences: tuple
     converged: bool
     gaps_decreasing_from: int
-    window_warning: bool
     limit_residual: float
     continuity_at_zero: tuple  # (|u(t1)-1|, |v(t1)-1|, allowed bound)
 
@@ -355,7 +356,6 @@ class EpsilonLadder:
             "sup_differences": list(self.sup_differences),
             "converged": self.converged,
             "gaps_decreasing_from": self.gaps_decreasing_from,
-            "window_warning": self.window_warning,
             "limit_residual": self.limit_residual,
             "continuity_at_zero": list(self.continuity_at_zero),
             "gap_tol": GAP_TOL,
@@ -399,7 +399,6 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
 
     limit = solutions[-1]
     c_hat = reports[-1].exp_linear_constant
-    window_warning = bool(spec.tau > 1.0 / (26.0 * c_hat))
     limit_residual = singular_integral_residual(limit, as_limit=True)
     t1 = float(limit.times[1])
     allowed = 12.0 * c_hat * (t1 + limit.epsilon) + MONITOR_TOL
@@ -407,8 +406,7 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
 
     return EpsilonLadder(
         spec=spec, variant=variant, solutions=solutions, rung_reports=reports,
-        sup_differences=tuple(gaps), converged=converged,
-        gaps_decreasing_from=decreasing_from, window_warning=window_warning,
+        sup_differences=tuple(gaps), converged=converged, gaps_decreasing_from=decreasing_from,
         limit_residual=limit_residual, continuity_at_zero=continuity,
     )
 

@@ -1,12 +1,12 @@
 """Left-invariant frames, horizontal vector fields and derivations.
 
 The left-invariant field with value e_i at the origin has polynomial
-coefficients in graded coordinates; we obtain them exactly by
-differentiating the symbolic group law in the second argument at the
-identity.  A horizontal field is a combination of the first-layer frame
-fields with scalar coefficient functions; it induces a derivation on test
-functions, and conversely the coefficients can be recovered from the
-derivation by applying it to left-translated coordinate functions.
+coefficients in graded coordinates, read exactly off the symbolic group law
+x * y as its terms linear in y_i and free of the other y's.  A horizontal
+field is a combination of the first-layer frame fields with scalar
+coefficient functions; it induces a derivation on test functions, and
+conversely the coefficients can be recovered from the derivation by
+applying it to left-translated coordinate functions.
 
 A coefficient is a pure function (t, x) -> value, where x is one point
 (dim,) or an (n, dim) array of rows and t a number or an (n,) array; written
@@ -61,10 +61,10 @@ def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
     q = alg.dim
     if not 1 <= i <= q:
         raise ValueError(f"basis index {i} out of range 1..{q}")
-    law = alg.law
-    zero_y = {q + k: 0 for k in range(q)}
-    rows = tuple(law[j].diff(q + (i - 1)).substitute(zero_y).project(range(q))
-                 for j in range(q))
+    # d/dy_i of x^a y^b at y = 0 vanishes unless b is the unit exponent of y_i
+    unit_i = tuple(int(k == i - 1) for k in range(q))
+    rows = tuple(Poly(q, {e[:q]: c for e, c in row.terms.items() if e[q:] == unit_i})
+                 for row in alg.law)
     return LeftInvariantField(index=i, rows=rows)
 
 
@@ -311,6 +311,14 @@ def estimate_lipschitz(
 # --------------------------------------------------------------------------- JSON field specs
 
 
+def _finite(form: str, key: str, value) -> float:
+    """``value`` as a finite float; else ValueError naming the form and key."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{form} {key} must be a finite number, not {value!r}")
+    return v
+
+
 def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     """Build a field from the JSON coefficient forms.
 
@@ -318,7 +326,8 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     ``default_distance(alg)``), ``axis_distance`` (time-dependent distance
     to (t,0,0)), ``axis_distance_inf`` (distance to the whole first axis)
     and ``sin_coordinate``.  Anything richer requires the library API.  A
-    spec or coefficient entry that is not an object raises ValueError.
+    non-object spec or entry, or a non-finite ``value``, ``scale`` or ``point``
+    entry (or a ``point`` of the wrong length), raises ValueError.
     """
     # local import to avoid a cycle
     from .counterexample import distance_to_axis, distance_to_axis_point
@@ -332,17 +341,19 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
             raise ValueError(f"coefficient entry must be an object, not {c!r}")
         form = c.get("form")
         if form == "constant":
-            v = float(c["value"])
+            v = _finite(form, "value", c["value"])
             coeffs.append(lambda t, x, _v=v: _v)
         elif form == "monomial":
             expo = tuple(int(e) for e in c["exponents"])
             if len(expo) != alg.dim:
                 raise ValueError("monomial exponents must have one entry per coordinate")
-            scale = float(c.get("scale", 1.0))
+            scale = _finite(form, "scale", c.get("scale", 1.0))
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
             coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])
         elif form == "distance_to_point":
             point = np.asarray(c.get("point", np.zeros(alg.dim)), dtype=float)
+            if point.shape != (alg.dim,) or not np.isfinite(point).all():
+                raise ValueError(f"{form} point must be {alg.dim} finite numbers: {c['point']!r}")
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
         elif form == "axis_distance":
             if not is_heisenberg(alg):
@@ -356,7 +367,7 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
             idx = int(c.get("index", 1)) - 1
             if not 0 <= idx < alg.dim:
                 raise ValueError(f"sin_coordinate index {idx + 1} out of range")
-            scale = float(c.get("scale", 1.0))
+            scale = _finite(form, "scale", c.get("scale", 1.0))
             coeffs.append(lambda t, x, _i=idx, _s=scale: _s * np.sin(x.T[_i]))
         else:
             raise ValueError(f"unknown coefficient form {form!r}")

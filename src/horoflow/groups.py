@@ -56,8 +56,6 @@ def _dynkin_words(max_len: int) -> tuple:
     for n in range(1, max_len + 1):
         sign = Fraction((-1) ** (n - 1), n)
         for comp in blocks(max_len, n):
-            if len(comp) != n:
-                continue
             total = sum(r + s for r, s in comp)
             denom = total
             for r, s in comp:

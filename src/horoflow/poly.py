@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Deliberately small: only what symbolic group-law manipulation needs
-(ring arithmetic, partial derivatives, restriction, evaluation, weighted
-degrees).  Coefficients are `fractions.Fraction`, so every identity that is
-rational in the structure constants stays exact; binary floats convert to
-fractions without loss.
+(ring arithmetic, partial derivatives, evaluation, weighted degrees).
+Coefficients are `fractions.Fraction`, so every identity that is rational in
+the structure constants stays exact; binary floats convert to fractions
+without loss.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Poly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # ------------------------------------------------------------------ calculus
 
     def diff(self, i: int) -> "Poly":
@@ -143,41 +131,6 @@ class Poly:
             de[i] -= 1
             out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
         return Poly(self.nvars, out)
-
-    def substitute(self, values: Mapping[int, Scalar]) -> "Poly":
-        """Substitute exact values for a subset of variables."""
-        vals = {int(i): _frac(v) for i, v in values.items()}
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            coeff = c
-            ne = list(e)
-            for i, v in vals.items():
-                if e[i]:
-                    coeff *= v ** e[i]
-                ne[i] = 0
-            if coeff != 0:
-                key = tuple(ne)
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(self.nvars, out)
-
-    def project(self, keep: Sequence[int]) -> "Poly":
-        """Re-express over the subset ``keep`` of variables (order given).
-
-        Raises if any term involves a variable outside ``keep``.
-        """
-        keep = [int(k) for k in keep]
-        pos = {k: j for j, k in enumerate(keep)}
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(keep)
-            for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                if i not in pos:
-                    raise ValueError(f"term involves variable {i} outside projection")
-                ne[pos[i]] = p
-            out[tuple(ne)] = c
-        return Poly(len(keep), out)
 
     # ------------------------------------------------------------------ evaluation
 

@@ -453,6 +453,27 @@ def test_malformed_field_spec_is_usage_error(tmp_path, capsys, command, field):
     assert not (tmp_path / "out").exists()
 
 
+INF = float("inf")  # what the JSON literal 1e999 reads as
+
+
+@pytest.mark.parametrize("coefficient, key", [
+    ({"form": "monomial", "exponents": [1, 0, 0], "scale": INF}, "scale"),
+    ({"form": "constant", "value": INF}, "value"),
+    ({"form": "sin_coordinate", "index": 1, "scale": INF}, "scale"),
+    ({"form": "distance_to_point", "point": [0, INF, 0]}, "point"),
+    ({"form": "distance_to_point", "point": [0, 0]}, "point"),
+], ids=["monomial-scale", "constant-value", "sin-scale", "point-entry", "short-point"])
+def test_non_finite_field_spec_is_usage_error(tmp_path, capsys, coefficient, key):
+    # a non-finite number or a short point is refused when the field is
+    # built, naming its form and key, not met as a failure inside the solve
+    field = {"coefficients": [coefficient, {"form": "constant", "value": 0.0}]}
+    cpath = integrate_config(tmp_path, field=field)
+    assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad field spec: {coefficient['form']} {key} " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_rung_monitor_writes_report(tmp_path, capsys):
     # on grid 256 the thirteenth autonomous rung fails its integral_residual
     # monitor; the command still writes a report naming the failure

@@ -379,13 +379,6 @@ def test_ladders_with_different_ratios_agree():
     assert max(du, dv) <= 10 * GAP_TOL
 
 
-def test_ladder_window_warning_flag():
-    lad = run_epsilon_ladder(small_spec(), "time")
-    # tau = 0.25 exceeds the proof-guaranteed window 1/(26 c); still accepted
-    assert lad.window_warning
-    assert lad.converged
-
-
 def test_batched_time_ladder_matches_single_rung_solves():
     # the shared step sequence meets the tolerance of the hardest rung, so
     # it takes at least as many steps as any single rung, and every rung

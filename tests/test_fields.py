@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ def test_frame_graded_homogeneity_symbolic():
         for j, row in enumerate(f.rows):
             degs = row.weighted_degrees(d)
             assert degs in (frozenset(), frozenset({d[j] - d[i]}))
+
+
+@pytest.mark.parametrize("layers, brackets", [
+    ((2, 1), {(0, 1): {2: 2}}),
+    ((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    ((3, 1, 1), {(0, 1): {3: 1}, (0, 2): {3: 2}, (1, 2): {3: 3},
+                 (0, 3): {4: 1}, (1, 3): {4: 3}, (2, 3): {4: 3}}),
+    ((2, 1, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}}),
+], ids=["heisenberg", "filiform", "3-1-1", "filiform-step4"])
+def test_frame_rows_are_the_law_derivative_at_the_identity(layers, brackets):
+    # row j of X_i is d(law_j)/dy_i at (x, 0): compared exactly at rational x
+    alg = GradedAlgebra(layers, brackets)
+    q = alg.dim
+    rng = np.random.default_rng(7)
+    for i in range(1, q + 1):
+        rows = compute_p(alg, i).rows
+        derivs = [law_j.diff(q + i - 1) for law_j in alg.law]
+        for num in rng.integers(-40, 41, size=(10, q)):
+            x = [Fraction(int(k), 7) for k in num]
+            for row, deriv in zip(rows, derivs):
+                assert row.evaluate_exact(x) == deriv.evaluate_exact(x + [0] * q)
 
 
 def test_compute_p_index_range(heis):
