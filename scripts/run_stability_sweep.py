@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from horoflow import (Box, IntegratorConfig, heisenberg, horizontal_field,
-                      koranyi_distance, stability_monitor,
-                      verify_equilibrium_condition)
+from horoflow import (Box, IntegratorConfig, horizontal_field, koranyi_distance,
+                      stability_monitor, verify_equilibrium_condition)
 
 
 def main():
@@ -27,15 +26,14 @@ def main():
     ap.add_argument("--seed", type=int, default=8)
     args = ap.parse_args()
 
-    alg = heisenberg()
-    dst = koranyi_distance(alg)
-    b = horizontal_field(alg, (lambda t, x: dst(np.zeros(3), x), lambda t, x: 0.0))
+    dst = koranyi_distance()
+    b = horizontal_field(dst.algebra, (lambda t, x: dst(np.zeros(3), x), lambda t, x: 0.0))
     box = Box((-1, -1, -1), (1, 1, 1))
-    cond = verify_equilibrium_condition(b, np.zeros(3), box, 800, args.seed, dst)
+    cond = verify_equilibrium_condition(b, np.zeros(3), box, 800, args.seed)
     starts = [(10.0 ** (-2 - k), 0.0, 0.0) for k in range(args.decades)]
     rep = stability_monitor(
         b, np.zeros(3), cond, starts,
-        IntegratorConfig(dense_output_grid=513), args.horizon, dst,
+        IntegratorConfig(dense_output_grid=513), args.horizon,
     )
 
     print(f"estimated degeneracy constant: {cond.estimated_c:.12g} "

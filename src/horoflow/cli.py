@@ -10,10 +10,8 @@ CSV trajectories, and exits 0 only if all certified checks pass.  Exit code
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import json
-import math
 import shutil
 import sys
 from dataclasses import asdict, fields
@@ -26,9 +24,9 @@ from . import counterexample as cx
 from .domain import Box
 from .fields import field_from_spec
 from .flow import CauchyProblem, integrate, write_trajectory_csv
-from .gauges import default_distance, gauge_report, koranyi_norm, smooth_gauge
+from .gauges import gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
-                     heisenberg, is_heisenberg)
+                     heisenberg, is_heisenberg, json_integer, json_number)
 from .stepping import IntegratorConfig, NonFiniteRHSError, StepUnderflowError
 from .uniqueness import (check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
@@ -81,22 +79,15 @@ def _integrator(cfg: dict | None) -> IntegratorConfig:
 
 
 def _number(cfg: dict, key: str, default) -> float:
-    """The finite JSON number ``cfg[key]`` (or ``default``) as a float; else exit 2."""
-    value = cfg.get(key, default)
-    with contextlib.suppress(OverflowError, TypeError):  # a huge int, a non-number
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    raise ConfigError(f"bad {key}: expected a finite number, not {value!r}")
+    """``cfg[key]`` (or ``default``) read by ``json_number``; else exit 2."""
+    return json_number(cfg.get(key, default), f"bad {key}")
 
 
 def _count(cfg: dict, key: str, default, least: int) -> int:
-    """The integral JSON number ``cfg[key]`` (or ``default``) of at least
-    ``least``; else exit 2.  Read whole, so a large seed keeps every digit."""
-    _number(cfg, key, default)
+    """``cfg[key]`` (or ``default``) read by ``json_integer``, at least
+    ``least``; else exit 2."""
     value = cfg.get(key, default)
-    if value != int(value):
-        raise ConfigError(f"bad {key}: expected an integer, not {value!r}")
-    if value < least:
+    if json_integer(value, f"bad {key}") < least:
         raise ConfigError(f"bad {key}: expected at least {least}, not {value!r}")
     return int(value)
 
@@ -113,7 +104,7 @@ def _decimal(least: int, what: str):
 def _point(value, dim: int, key: str) -> tuple:
     """``value`` as a point of ``dim`` finite JSON numbers; else exit 2."""
     if isinstance(value, list) and len(value) == dim:
-        return tuple(_number({key: v}, key, None) for v in value)
+        return tuple(json_number(v, f"bad {key}") for v in value)
     raise ConfigError(f"bad {key}: expected a list of {dim} numbers, not {value!r}")
 
 
@@ -128,7 +119,7 @@ def _field(alg: GradedAlgebra, cfg: dict):
     """The field of ``cfg["field"]`` (see ``field_from_spec``); else exit 2."""
     try:
         return field_from_spec(alg, cfg["field"])
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # overflow: a huge int
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
 
@@ -263,16 +254,15 @@ def _run_equilibrium(args) -> int:
     seed = _count(cfg, "seed", 0, 0)
     horizon = _number(cfg, "horizon", 1.0)
     icfg = _integrator(cfg.get("integrator"))
-    dst = default_distance(alg)
 
-    cond = verify_equilibrium_condition(field, xbar, box, samples, seed, dst)
+    cond = verify_equilibrium_condition(field, xbar, box, samples, seed)
     report = {"condition": asdict(cond), "horizon": horizon, "seed": seed}
     if not cond.certified:
         report.update(passed=False, refusal="degeneracy condition not certified: coefficient "
                       "sizes do not vanish linearly toward the equilibrium point")
         _emit(report, args)
         return FAIL
-    monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, dst, seed=seed)
+    monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, seed)
     report["stability"] = asdict(monitor)
     report["passed"] = bool(monitor.passed)
     _emit(report, args)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .domain import Box
 from .gauges import HomogeneousDistance, default_distance
-from .groups import GradedAlgebra, inverse, is_heisenberg
+from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number
 from .poly import Poly, evaluator
 
 CoefficientFn = Callable[[object, np.ndarray], object]  # see the module docstring
@@ -119,15 +119,6 @@ def horizontal_field(
     if len(coefficients) != m:
         raise ValueError(f"expected {m} coefficients for the first layer")
     return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)))
-
-
-def frame_field(
-    alg: GradedAlgebra,
-    coefficients: Sequence[CoefficientFn],
-    indices: Sequence[int],
-) -> HorizontalField:
-    """General frame combination; not necessarily horizontal."""
-    return HorizontalField(alg, tuple(coefficients), tuple(int(i) for i in indices))
 
 
 def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
@@ -302,21 +293,13 @@ def estimate_lipschitz(
     rng = np.random.default_rng(seed)
     X = box.sample(rng, samples)
     Y = box.sample(rng, samples)
-    d = dst.batch(X, Y)
+    d = dst(X, Y)
     ok = d > 0
     gaps = np.abs([a(x) - a(y) for x, y in zip(X[ok], Y[ok])])
     return float(np.max(gaps / d[ok], initial=0.0))
 
 
 # --------------------------------------------------------------------------- JSON field specs
-
-
-def _finite(form: str, key: str, value) -> float:
-    """``value`` as a finite float; else ValueError naming the form and key."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{form} {key} must be a finite number, not {value!r}")
-    return v
 
 
 def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
@@ -326,8 +309,10 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     ``default_distance(alg)``), ``axis_distance`` (time-dependent distance
     to (t,0,0)), ``axis_distance_inf`` (distance to the whole first axis)
     and ``sin_coordinate``.  Anything richer requires the library API.  A
-    non-object spec or entry, or a non-finite ``value``, ``scale`` or ``point``
-    entry (or a ``point`` of the wrong length), raises ValueError.
+    non-object spec or entry, a ``value``, ``scale`` or ``point`` entry that
+    ``json_number`` refuses, an ``exponents`` entry, ``index`` or ``indices``
+    entry that ``json_integer`` refuses, or a ``point`` of the wrong length
+    raises ValueError naming the form and key.
     """
     # local import to avoid a cycle
     from .counterexample import distance_to_axis, distance_to_axis_point
@@ -341,19 +326,21 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
             raise ValueError(f"coefficient entry must be an object, not {c!r}")
         form = c.get("form")
         if form == "constant":
-            v = _finite(form, "value", c["value"])
+            v = json_number(c["value"], f"{form} value")
             coeffs.append(lambda t, x, _v=v: _v)
         elif form == "monomial":
-            expo = tuple(int(e) for e in c["exponents"])
+            expo = tuple(json_integer(e, f"{form} exponents") for e in c["exponents"])
             if len(expo) != alg.dim:
                 raise ValueError("monomial exponents must have one entry per coordinate")
-            scale = _finite(form, "scale", c.get("scale", 1.0))
+            scale = json_number(c.get("scale", 1.0), f"{form} scale")
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
             coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])
         elif form == "distance_to_point":
-            point = np.asarray(c.get("point", np.zeros(alg.dim)), dtype=float)
-            if point.shape != (alg.dim,) or not np.isfinite(point).all():
-                raise ValueError(f"{form} point must be {alg.dim} finite numbers: {c['point']!r}")
+            point = c.get("point", [0.0] * alg.dim)
+            if not isinstance(point, (list, tuple)) or len(point) != alg.dim:
+                raise ValueError(f"{form} point: expected a list of {alg.dim} numbers, "
+                                 f"not {point!r}")
+            point = np.array([json_number(v, f"{form} point") for v in point])
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
         elif form == "axis_distance":
             if not is_heisenberg(alg):
@@ -364,14 +351,14 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
                 raise ValueError("axis_distance_inf form requires the Heisenberg preset")
             coeffs.append(lambda t, x: distance_to_axis(x))
         elif form == "sin_coordinate":
-            idx = int(c.get("index", 1)) - 1
+            idx = json_integer(c.get("index", 1), f"{form} index") - 1
             if not 0 <= idx < alg.dim:
                 raise ValueError(f"sin_coordinate index {idx + 1} out of range")
-            scale = _finite(form, "scale", c.get("scale", 1.0))
+            scale = json_number(c.get("scale", 1.0), f"{form} scale")
             coeffs.append(lambda t, x, _i=idx, _s=scale: _s * np.sin(x.T[_i]))
         else:
             raise ValueError(f"unknown coefficient form {form!r}")
     indices = spec.get("indices")
     if indices is None:
         return horizontal_field(alg, coeffs)
-    return frame_field(alg, coeffs, indices)
+    return HorizontalField(alg, tuple(coeffs), tuple(json_integer(i, "indices") for i in indices))

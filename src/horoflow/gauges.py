@@ -87,38 +87,22 @@ class HomogeneousDistance:
     gauge: GaugeFn
 
     def __call__(self, x: Sequence[float], y: Sequence[float]):
-        """d(x, y) of two elements, or row-wise as ``batch`` when either is an array of rows."""
+        """d(x, y) of two elements, or one distance per row when either is an
+        (n, dim) array of rows; a (dim,) argument is paired with every row."""
         x_inv, y = inverse(x), np.asarray(y, dtype=float)
         if x_inv.ndim == y.ndim == 1:
             return self.gauge(self.algebra.multiply(x_inv, y))
-        return self.batch(x, y)
-
-    def batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Row-wise distances; a (dim,) argument is paired with every row of the other."""
-        return self.gauge(self.algebra.multiply_batch(inverse(X), Y))
+        return self.gauge(self.algebra.multiply_batch(x_inv, y))
 
 
-def smooth_distance(alg: GradedAlgebra) -> HomogeneousDistance:
-    """Distance from the smooth gauge; no triangle inequality is assumed.
-
-    Its quasi-triangle constant is only an observed value: sample it with
-    ``estimate_quasi_triangle_constant(alg, smooth_gauge(alg), ...)``.
-    """
-    return HomogeneousDistance(alg, smooth_gauge(alg))
-
-
-def koranyi_distance(alg: GradedAlgebra | None = None) -> HomogeneousDistance:
-    alg = heisenberg() if alg is None else alg
-    if not is_heisenberg(alg):
-        raise ValueError("the quartic gauge distance requires the Heisenberg preset")
-    return HomogeneousDistance(alg, koranyi_norm)
+def koranyi_distance() -> HomogeneousDistance:
+    """Quartic-gauge distance on the Heisenberg preset."""
+    return HomogeneousDistance(heisenberg(), koranyi_norm)
 
 
 def default_distance(alg: GradedAlgebra) -> HomogeneousDistance:
     """Quartic norm on the Heisenberg preset, smooth gauge otherwise."""
-    if is_heisenberg(alg):
-        return koranyi_distance(alg)
-    return smooth_distance(alg)
+    return HomogeneousDistance(alg, koranyi_norm if is_heisenberg(alg) else smooth_gauge(alg))
 
 
 # --------------------------------------------------------------------------- sampling helpers
@@ -184,12 +168,12 @@ def estimate_quasi_triangle_constant(
 def homogeneous_domination_constant(
     alg: GradedAlgebra,
     f: Callable[[np.ndarray], float],
-    degree: float,
     gauge: GaugeFn,
     samples: int,
     seed: int = 0,
 ) -> float:
-    """Estimate C with |f(x)| <= C * gauge(x)^degree via unit-sphere sampling."""
+    """Estimate C with |f(x)| <= C * gauge(x)^degree for f homogeneous of that
+    degree: the max of |f| over sampled points of the gauge's unit sphere."""
     rng = np.random.default_rng(seed)
     X = _sample_nonzero(alg, rng, samples)
     norms = gauge(X)

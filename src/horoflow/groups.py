@@ -10,6 +10,7 @@ all numeric products.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -116,9 +117,10 @@ class GradedAlgebra:
     # ----------------------------------------------------------------- validation
 
     def _canonicalize(self, brackets) -> dict[tuple, dict[int, Fraction]]:
+        """Each pair as (i, j) with i < j and its nonzero constants; a pair given
+        in both orientations must agree up to sign."""
         q = self.dim
         pairs: dict[tuple, dict[int, Fraction]] = {}
-        seen: dict[tuple, dict[int, Fraction]] = {}
         for (i, j), coeffs in brackets.items():
             i, j = int(i), int(j)
             if not (0 <= i < q and 0 <= j < q):
@@ -133,25 +135,12 @@ class GradedAlgebra:
                         f"antisymmetry violated: [e_{i},e_{i}] must vanish"
                     )
                 continue
-            seen[(i, j)] = vec
-        for (i, j), vec in seen.items():
-            if (j, i) in seen:
-                other = seen[(j, i)]
-                keys = set(vec) | set(other)
-                if any(vec.get(k, Fraction(0)) != -other.get(k, Fraction(0)) for k in keys):
-                    raise AlgebraValidationError(
-                        f"antisymmetry violated between ({i},{j}) and ({j},{i})"
-                    )
-            a, b = (i, j) if i < j else (j, i)
             canon = vec if i < j else {k: -c for k, c in vec.items()}
-            if (a, b) in pairs:
-                if pairs[(a, b)] != canon:
-                    raise AlgebraValidationError(
-                        f"antisymmetry violated between ({i},{j}) and ({j},{i})"
-                    )
-            elif canon:
-                pairs[(a, b)] = canon
-        return pairs
+            if pairs.setdefault((min(i, j), max(i, j)), canon) != canon:
+                raise AlgebraValidationError(
+                    f"antisymmetry violated between ({i},{j}) and ({j},{i})"
+                )
+        return {pair: vec for pair, vec in pairs.items() if vec}
 
     def _validate_grading(self) -> None:
         d = self.degrees
@@ -198,14 +187,6 @@ class GradedAlgebra:
             for k, c in vec.items():
                 out[k] = out[k] + cross * c
         return out
-
-    def bracket(self, X: Sequence[float], Y: Sequence[float]) -> np.ndarray:
-        """Lie bracket of two algebra elements in the graded basis."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if X.shape != (self.dim,) or Y.shape != (self.dim,):
-            raise ValueError(f"expected vectors of length {self.dim}")
-        return np.array(self.ring_bracket(X.tolist(), Y.tolist()), dtype=float)
 
     # ----------------------------------------------------------------- group law
 
@@ -297,18 +278,45 @@ def is_heisenberg(alg: GradedAlgebra) -> bool:
 # --------------------------------------------------------------------------- JSON interface
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (a string or boolean
+    is not); else ValueError naming ``what``."""
+    with contextlib.suppress(OverflowError, TypeError):  # a huge int, a non-number
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    raise ValueError(f"{what}: expected a finite number, not {value!r}")
+
+
+def json_integer(value, what: str) -> int:
+    """``value`` as an int if it is an integral finite JSON number (``3.0``
+    reads as 3), read whole; else ValueError naming ``what``."""
+    json_number(value, what)
+    if value != int(value):
+        raise ValueError(f"{what}: expected an integer, not {value!r}")
+    return int(value)
+
+
 def algebra_from_json(data: str | dict) -> GradedAlgebra:
-    """Load a group spec ``{"layers": [...], "brackets": [...]}`` (1-based indices)."""
+    """Load a group spec ``{"layers": [...], "brackets": [...]}`` (1-based indices).
+
+    Layers and indices are read by ``json_integer``, coefficients by
+    ``json_number`` and kept as given, so an integer constant stays exact.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or "layers" not in data:
-        raise AlgebraValidationError("group spec must be an object with a 'layers' key")
-    layers = data["layers"]
-    brackets: dict[tuple, dict[int, Fraction]] = {}
+    if not (isinstance(data, dict) and isinstance(data.get("layers"), list)
+            and isinstance(data.get("brackets", []), list)):
+        raise AlgebraValidationError(
+            "group spec must be an object with a 'layers' list and an optional 'brackets' list")
+    layers = [json_integer(n, "group spec layers") for n in data["layers"]]
+    brackets: dict[tuple, dict[int, Scalar]] = {}
     for entry in data.get("brackets", []):
         try:
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-            coeffs = {int(c["k"]) - 1: c["c"] for c in entry["coeffs"]}
+            i, j = (json_integer(entry[key], f"group spec bracket {key}") - 1 for key in "ij")
+            coeffs = {}
+            for c in entry["coeffs"]:
+                json_number(c["c"], "group spec bracket c")
+                coeffs[json_integer(c["k"], "group spec bracket k") - 1] = c["c"]
         except (KeyError, TypeError) as exc:
             raise AlgebraValidationError(f"malformed bracket entry {entry!r}") from exc
         key = (i, j)

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Box
-from .fields import CoefficientFn, HorizontalField, evaluate_field, frame_field
+from .fields import CoefficientFn, HorizontalField, evaluate_field, horizontal_field
 from .flow import Trajectory
-from .gauges import HomogeneousDistance, default_distance, equivalence_kappa
+from .gauges import default_distance, equivalence_kappa
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
 from .stepping import IntegratorConfig, NonFiniteRHSError, solve_to_grid
@@ -63,12 +63,12 @@ def verify_equilibrium_condition(
     box: Box,
     samples: int,
     seed: int,
-    distance: HomogeneousDistance | None = None,
     time_samples: Sequence[float] = (0.0,),
 ) -> EquilibriumCondition:
     """Estimate the degeneracy constant by sampling, swept toward the point.
 
-    The ratio at a sample x is sum_i |a_i(t,x)|^(1/d_i) divided by d(x, xbar).
+    The ratio at a sample x is sum_i |a_i(t,x)|^(1/d_i) divided by d(x, xbar),
+    with d the algebra's ``default_distance``.
     Samples are pulled toward the equilibrium point by ``SCALES`` dyadic
     dilations; a field that does not degenerate there shows ratios growing
     across scales, and when the last scale's maximum exceeds
@@ -80,7 +80,7 @@ def verify_equilibrium_condition(
     if samples < 1:
         raise ValueError("need at least one sample")
     alg = field.algebra
-    dst = distance or default_distance(alg)
+    dst = default_distance(alg)
     xbar = np.asarray(xbar, dtype=float)
     rng = np.random.default_rng(seed)
     rel = alg.multiply_batch(inverse(xbar), box.sample(rng, samples))
@@ -91,7 +91,7 @@ def verify_equilibrium_condition(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(SCALES):
             XS = alg.multiply_batch(xbar, alg.dilate(2.0 ** (-k), rel))
-            d = dst.batch(XS, xbar)
+            d = dst(XS, xbar)
             keep = d != 0.0  # a sample at the point itself has no ratio
             # ratios[sample, time], so the first non-finite entry in reading
             # order is the first in sample-major order
@@ -133,7 +133,6 @@ def stability_monitor(
     initial_points: Sequence[Sequence[float]],
     cfg: IntegratorConfig = IntegratorConfig(),
     horizon: float = 1.0,
-    distance: HomogeneousDistance | None = None,
     seed: int = 0,
 ) -> StabilityReport:
     """Integrate from each start and compare growth against the Gronwall bound.
@@ -142,8 +141,9 @@ def stability_monitor(
     over every entry, so no start meets a looser tolerance than it would
     alone.  The certified bound is kappa * exp(kappa * c * horizon), with c
     the estimated degeneracy constant and kappa the empirical equivalence
-    constant between the smooth gauge and the active distance (the constant
-    the Gronwall argument routes through; see ``gauges.equivalence_kappa``).
+    constant between the smooth gauge and the algebra's ``default_distance``
+    (the constant the Gronwall argument routes through; see
+    ``gauges.equivalence_kappa``).
     A start at the point itself has no ratio: its ratio reads 1.0, and the
     monitor fails when it moves farther than 100 * ``cfg.abs_tol`` from the
     point (``equilibrium_deviation``), the scale of ``integrate``'s residual
@@ -155,7 +155,7 @@ def stability_monitor(
             f"equilibrium point (scale maxima {list(cond.scale_maxima)})"
         )
     alg = field.algebra
-    dst = distance or default_distance(alg)
+    dst = default_distance(alg)
     xbar = np.asarray(xbar, dtype=float)
     starts = np.array(initial_points, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != alg.dim:
@@ -167,8 +167,8 @@ def stability_monitor(
 
     sol = solve_to_grid(lambda t, x: evaluate_field(field, t, x),
                         np.linspace(0.0, horizon, cfg.dense_output_grid), starts, cfg)
-    dists = dst.batch(starts, xbar)
-    devs = dst.batch(sol.states.reshape(-1, alg.dim), xbar).reshape(sol.states.shape[:2]).max(0)
+    dists = dst(starts, xbar)
+    devs = dst(sol.states.reshape(-1, alg.dim), xbar).reshape(sol.states.shape[:2]).max(0)
     at_point = dists == 0.0
     ratios = np.where(at_point, 1.0, devs / np.where(at_point, 1.0, dists))
     eq_dev = float(np.max(devs[at_point])) if at_point.any() else None
@@ -247,7 +247,6 @@ def module_field(
 ) -> HorizontalField:
     """Ambient field sum_j a_j Y_j expressed over the first-layer frame."""
     alg = mod.algebra
-    m = alg.horizontal_dim
     basis = mod.basis
 
     def frame_coeff(i):
@@ -255,7 +254,7 @@ def module_field(
             return sum(a(t, x) * v[i] for a, v in zip(coefficients, basis) if v[i] != 0.0)
         return total
 
-    return frame_field(alg, tuple(frame_coeff(i) for i in range(m)), tuple(range(1, m + 1)))
+    return horizontal_field(alg, [frame_coeff(i) for i in range(alg.horizontal_dim)])
 
 
 def reduced_solve(

@@ -16,8 +16,8 @@ def heis():
 
 
 @pytest.fixture(scope="session")
-def heis_dist(heis):
-    return koranyi_distance(heis)
+def heis_dist():
+    return koranyi_distance()
 
 
 @pytest.fixture(scope="session")

@@ -175,17 +175,16 @@ def test_criterion_07_autonomous_variant():
 
 def test_criterion_08_equilibrium_stability(heis):
     with criterion(8, "equilibrium stability", limit_s=10.0):
-        dst = hf.koranyi_distance(heis)
+        dst = hf.koranyi_distance()
         b = hf.horizontal_field(
             heis, (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0))
         box = hf.Box((-1, -1, -1), (1, 1, 1))
-        cond = hf.verify_equilibrium_condition(b, np.zeros(3), box, 800, seed=8,
-                                               distance=dst)
+        cond = hf.verify_equilibrium_condition(b, np.zeros(3), box, 800, seed=8)
         assert cond.estimated_c <= 1.0 + 1e-9
         starts = [(10.0**-k, 0.0, 0.0) for k in range(2, 6)]
         rep = hf.stability_monitor(
             b, np.zeros(3), cond, starts,
-            hf.IntegratorConfig(dense_output_grid=257), 1.0, dst,
+            hf.IntegratorConfig(dense_output_grid=257), 1.0,
         )
         ratios = np.array(rep.ratios)
         assert np.max(ratios) <= 2.0 * np.min(ratios)
@@ -205,9 +204,7 @@ def test_criterion_09_involutive_confinement(heis):
         red = hf.reduced_solve(mod, coeffs, x0, 1.0, cfg)
         assert np.max(np.abs(full.states - red.states)) <= 1e-8
 
-        neg = hf.frame_field(
-            heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0), (1, 2)
-        )
+        neg = hf.horizontal_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0))
         tr = hf.integrate(hf.CauchyProblem(neg, x0, 1.0), cfg)
         assert hf.confinement_check(tr, mod, x0) > 1e-3
 

@@ -462,16 +462,71 @@ INF = float("inf")  # what the JSON literal 1e999 reads as
     ({"form": "sin_coordinate", "index": 1, "scale": INF}, "scale"),
     ({"form": "distance_to_point", "point": [0, INF, 0]}, "point"),
     ({"form": "distance_to_point", "point": [0, 0]}, "point"),
-], ids=["monomial-scale", "constant-value", "sin-scale", "point-entry", "short-point"])
+    ({"form": "distance_to_point", "point": [0, "1", 0]}, "point"),
+    ({"form": "sin_coordinate", "index": 1.7}, "index"),
+    ({"form": "monomial", "exponents": [1.9, 0, 0]}, "exponents"),
+    ({"form": "constant", "value": "1"}, "value"),
+    ({"form": "constant", "value": True}, "value"),
+], ids=["monomial-scale", "constant-value", "sin-scale", "point-entry", "short-point",
+        "string-point-entry", "fractional-index", "fractional-exponent", "string-value",
+        "boolean-value"])
 def test_non_finite_field_spec_is_usage_error(tmp_path, capsys, coefficient, key):
-    # a non-finite number or a short point is refused when the field is
-    # built, naming its form and key, not met as a failure inside the solve
+    # a number that is not finite, a JSON number or integral where an integer
+    # is due, or a short point, is refused when the field is built, naming its
+    # form and key, not met as a failure inside the solve or read otherwise
     field = {"coefficients": [coefficient, {"form": "constant", "value": 0.0}]}
     cpath = integrate_config(tmp_path, field=field)
     assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"bad field spec: {coefficient['form']} {key} " in err and "Traceback" not in err
+    assert f"bad field spec: {coefficient['form']} {key}: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("group, named", [
+    ({"layers": 5}, "a 'layers' list"),
+    ({"layers": [2, 1], "brackets": 5}, "an optional 'brackets' list"),
+    ({"layers": [2.7, 1]}, "group spec layers: expected an integer"),
+    ({"layers": [2, True]}, "group spec layers: expected a finite number"),
+    ({"layers": [2, 1], "brackets": [{"i": 1.9, "j": 2, "coeffs": [{"k": 3, "c": 2}]}]},
+     "group spec bracket i: expected an integer"),
+    ({"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": "2"}]}]},
+     "group spec bracket c: expected a finite number"),
+])
+def test_bad_group_spec_is_usage_error(tmp_path, capsys, group, named):
+    gpath = tmp_path / "group.json"
+    gpath.write_text(json.dumps(group))
+    assert main(["check-group", "--group", str(gpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_field_spec_indices_are_integers(tmp_path, capsys):
+    field = {"coefficients": [{"form": "constant", "value": 1.0}], "indices": [1.5]}
+    cpath = integrate_config(tmp_path, field=field)
+    assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad field spec: indices: expected an integer, not 1.5" in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_spec_numbers_read_as_integers(tmp_path):
+    # 2.0 is the integer 2 in a group spec and in a field spec alike: the
+    # report is the one the integer specs write
+    def spec(n):
+        group = {"layers": [n(2), n(1)],
+                 "brackets": [{"i": n(1), "j": n(2), "coeffs": [{"k": n(3), "c": 2}]}]}
+        field = {"coefficients": [{"form": "sin_coordinate", "index": n(3)},
+                                  {"form": "monomial", "exponents": [n(1), n(0), n(2)]}],
+                 "indices": [n(1), n(2)]}
+        return integrate_config(tmp_path, group=group, field=field)
+
+    reports = []
+    for n in (int, float):
+        out = tmp_path / n.__name__
+        assert main(["integrate", "--config", str(spec(n)), "--out", str(out)]) == 0
+        reports.append(masked(read_report(out)))
+    assert reports[0] == reports[1]
 
 
 def test_failed_rung_monitor_writes_report(tmp_path, capsys):

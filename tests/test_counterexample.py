@@ -9,7 +9,7 @@ from horoflow import (LadderSpec, counterexample_field, distance_to_axis,
                       nonuniqueness_report, reconstruct_trajectory,
                       run_epsilon_ladder, scaled_axis_distance,
                       solve_regularized, trivial_trajectory, uv_rhs)
-from horoflow.counterexample import (GAP_TOL, RUNG_TOL, UVSolution, gap_convergence,
+from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, UVSolution, gap_convergence,
                                      rung_monitor_report,
                                      scaled_axis_distance_with_minimizer,
                                      singular_integral_residual)
@@ -340,8 +340,24 @@ def test_ladder_gaps_decrease_and_converge():
     assert lad.gaps_decreasing_from == 0
     assert np.all(gaps[1:] < gaps[:-1])
     assert lad.converged
-    u1, v1, allowed = lad.continuity_at_zero
-    assert max(u1, v1) <= allowed
+
+
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+def test_last_rung_envelopes_bound_the_approach_to_the_start(variant):
+    # with s = t + eps, the last rung's gated envelopes v <= 1 + c s,
+    # u + v/2 <= (3/2) e^s <= 1 + c s and, before the first crossing,
+    # u + 3v/4 >= 7/4 - 3 C s (C = c, or c5 on the autonomous variant), each
+    # to MONITOR_TOL, solve to |u - 1| <= (6C + 3c) s + 5 tol and
+    # |v - 1| <= (12C + 4c) s + 8 tol at the first positive grid time
+    lad = run_epsilon_ladder(small_spec(), variant)
+    uv, rep = lad.limit, lad.rung_reports[-1]
+    assert rep.passed
+    assert rep.crossing_time is None or rep.crossing_time > uv.times[1]
+    c = rep.exp_linear_constant
+    C = c if variant == "time" else rep.lower_bound_constant
+    s1 = uv.times[1] + uv.epsilon
+    assert abs(uv.u[1] - 1.0) <= (6.0 * C + 3.0 * c) * s1 + 5.0 * MONITOR_TOL
+    assert abs(uv.v[1] - 1.0) <= (12.0 * C + 4.0 * c) * s1 + 8.0 * MONITOR_TOL
 
 
 def test_ladder_limit_satisfies_singular_integral_form():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horoflow import (Box, GradedAlgebra, TestFunction, apply_derivation,
+from horoflow import (Box, GradedAlgebra, HorizontalField, TestFunction, apply_derivation,
                       compute_p, derivation_of, estimate_lipschitz,
-                      evaluate_field, field_from_spec, frame_field, heisenberg,
+                      evaluate_field, field_from_spec, heisenberg,
                       horizontal_field, horizontal_gradient, koranyi_distance,
                       left_invariant_frame, recover_coefficients)
 from horoflow.counterexample import counterexample_field
@@ -84,7 +84,7 @@ def test_compute_p_index_range(heis):
 
 
 def test_evaluate_field_examples(heis):
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     assert np.allclose(evaluate_field(b, 0.0, np.zeros(3)), [1, 0, 0])
 
     zero = horizontal_field(heis, (lambda t, x: 0.0, lambda t, x: 0.0))
@@ -97,12 +97,12 @@ def test_evaluate_field_examples(heis):
 def test_field_horizontality_flag(heis):
     b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
     assert b.is_horizontal
-    g = frame_field(heis, (lambda t, x: 1.0,), (3,))
+    g = HorizontalField(heis, (lambda t, x: 1.0,), (3,))
     assert not g.is_horizontal
     with pytest.raises(ValueError):
         horizontal_field(heis, (lambda t, x: 1.0,))
     with pytest.raises(ValueError):
-        frame_field(heis, (lambda t, x: 1.0,), (7,))
+        HorizontalField(heis, (lambda t, x: 1.0,), (7,))
 
 
 def _product(f, g):
@@ -273,7 +273,7 @@ def test_frame_domination_constants(heis):
                 continue
             lam = d[j] - d[i]
             C = homogeneous_domination_constant(
-                heis, lambda x, _v=evaluator([row]): _v(*x)[0], lam, koranyi_norm, 2000, seed=7
+                heis, lambda x, _v=evaluator([row]): _v(*x)[0], koranyi_norm, 2000, seed=7
             )
             assert 0.9 <= C <= 1.0 + 1e-12
             for x in pts:
@@ -372,7 +372,7 @@ def test_distance_to_point_rows_on_the_smooth_gauge():
 
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
 def test_exhibit_coefficients_rows_equal_point_calls(heis, variant):
-    b = counterexample_field(heis, variant)
+    b = counterexample_field(variant)
     X, T = contract_rows(3)
     for a in b.coefficients:
         assert_rows_equal_points(a, X, T)
@@ -395,9 +395,9 @@ def test_module_field_rows_equal_point_calls(heis):
 
 @pytest.mark.parametrize("make", [
     lambda alg: field_from_spec(alg, SIX_FORMS),
-    lambda alg: counterexample_field(alg, "time"),
-    lambda alg: counterexample_field(alg, "autonomous"),
-    lambda alg: frame_field(alg, (lambda t, x: 0.0, lambda t, x: x[..., 1] * t), (2, 3)),
+    lambda alg: counterexample_field("time"),
+    lambda alg: counterexample_field("autonomous"),
+    lambda alg: HorizontalField(alg, (lambda t, x: 0.0, lambda t, x: x[..., 1] * t), (2, 3)),
 ])
 def test_evaluate_field_rows_equal_point_calls(heis, make):
     b = make(heis)

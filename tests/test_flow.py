@@ -101,7 +101,7 @@ def test_diagonal_field_solution(heis):
 
 
 def test_counterexample_trivial_branch_has_zero_residual(heis):
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     t = np.linspace(0.0, 0.5, 257)
     trivial = Trajectory(t, np.column_stack([t, np.zeros(257), np.zeros(257)]), {})
     assert residual(trivial, b) <= 1e-14
@@ -111,7 +111,7 @@ def test_counterexample_solve_from_origin_is_a_solution(heis):
     # the straight line is unstable under this field: roundoff makes the
     # solver slide onto a nontrivial branch.  Whatever branch it lands on
     # must still be a solution (small residual) with first coordinate = t.
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     tr = integrate(CauchyProblem(b, (0, 0, 0), 0.5), CFG)
     assert np.max(np.abs(tr.states[:, 0] - tr.times)) <= 1e-12
     assert tr.residual <= 1e-8
@@ -140,7 +140,7 @@ def test_residual_needs_enough_samples(heis):
 
 
 def test_residual_counterexample_adaptive_tolerance(heis):
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     cfg = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10, dense_output_grid=513)
     x0 = (0.0, 0.05, 0.0)  # off the trivial branch, genuinely curved solve
     tr = integrate(CauchyProblem(b, x0, 0.5), cfg)
@@ -155,7 +155,7 @@ def per_point_residual(tr, field):
 
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
 def test_residual_equals_the_per_point_residual(heis, variant):
-    b = counterexample_field(heis, variant)
+    b = counterexample_field(variant)
     tr = integrate(CauchyProblem(b, (0.0, 0.05, 0.0), 0.5), CFG)
     spec = {"coefficients": [{"form": "sin_coordinate", "index": 3, "scale": 2.0},
                              {"form": "distance_to_point", "point": [-0.838, 0.215, -0.247]}]}
@@ -166,7 +166,7 @@ def test_residual_equals_the_per_point_residual(heis, variant):
 
 
 def test_translated_coefficients_take_rows(heis):
-    p = translate(CauchyProblem(counterexample_field(heis, "autonomous"), (0, 0.1, 0), 0.5),
+    p = translate(CauchyProblem(counterexample_field("autonomous"), (0, 0.1, 0), 0.5),
                   np.array([0.1, 0.7, -0.3]))
     X = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 3))
     T = np.linspace(0.0, 0.5, 64)
@@ -195,7 +195,7 @@ def test_translate_straight_line(heis):
 @pytest.mark.parametrize("make_field", [
     lambda alg: horizontal_field(alg, (lambda t, x: 1.0, lambda t, x: 0.0)),
     lambda alg: horizontal_field(alg, (lambda t, x: 1.0, lambda t, x: t)),
-    lambda alg: counterexample_field(alg, "time"),
+    lambda alg: counterexample_field("time"),
 ])
 def test_translation_equivariance(heis, make_field):
     xbar = np.array([0.3, -0.4, 0.25])
@@ -209,7 +209,7 @@ def test_translation_equivariance(heis, make_field):
 def test_translate_counterexample_trivial_branch(heis):
     # the translated straight line is a solution of the translated problem:
     # its residual under the shifted coefficients vanishes identically
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     xbar = np.array([0.1, 0.7, -0.3])
     p = CauchyProblem(b, (0, 0, 0), 0.5)
     q = translate(p, xbar)

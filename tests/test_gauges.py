@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horoflow import (GradedAlgebra, equivalence_constants, gauge_report, heisenberg,
-                      koranyi_distance, koranyi_norm, smooth_gauge)
+from horoflow import (GradedAlgebra, HomogeneousDistance, equivalence_constants, gauge_report,
+                      heisenberg, koranyi_distance, koranyi_norm, smooth_gauge)
 from horoflow.gauges import (estimate_quasi_triangle_constant,
                              homogeneous_domination_constant,
                              minimal_even_exponent)
@@ -71,6 +71,17 @@ def test_distance_examples(heis, heis_dist):
     assert heis_dist(np.zeros(3), np.array([1.0, 0, 0])) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         heis_dist(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("gauge", ["koranyi", "smooth"])
+def test_distance_rows_equal_point_calls(heis, gauge):
+    # rows on either side, or both: one distance per row, each equal to the
+    # point call on that row, bit for bit
+    d = HomogeneousDistance(heis, koranyi_norm if gauge == "koranyi" else smooth_gauge(heis))
+    X, Y = np.random.default_rng(8).uniform(-3, 3, (2, 50, 3))
+    assert np.array_equal(d(X, Y), [d(x, y) for x, y in zip(X, Y)])
+    assert np.array_equal(d(X, Y[0]), [d(x, Y[0]) for x in X])
+    assert np.array_equal(d(X[0], Y), [d(X[0], y) for y in Y])
 
 
 @given(vec3, vec3, vec3)
@@ -147,7 +158,7 @@ def test_smooth_gauge_quasi_constant_is_observed(heis):
 def test_domination_estimate_third_coordinate(heis):
     # |x3| is 2-homogeneous; its constant against the quartic gauge is 1
     g = koranyi_norm
-    C = homogeneous_domination_constant(heis, lambda x: x[2], 2.0, g, 4000, seed=3)
+    C = homogeneous_domination_constant(heis, lambda x: x[2], g, 4000, seed=3)
     assert C <= 1.0 + 1e-12
     rng = np.random.default_rng(4)
     for x in rng.uniform(-3, 3, (200, 3)):

@@ -5,8 +5,8 @@ import pytest
 
 from horoflow import (Box, CauchyProblem, ConditionNotCertified, GradedAlgebra,
                       IntegratorConfig, NotInvolutiveError, check_involutive,
-                      confinement_check, default_distance, field_from_spec,
-                      frame_field, heisenberg, horizontal_field, integrate, module_field,
+                      HorizontalField, confinement_check, default_distance, field_from_spec,
+                      heisenberg, horizontal_field, integrate, module_field,
                       reduced_solve, stability_monitor,
                       verify_equilibrium_condition)
 from horoflow.counterexample import counterexample_field
@@ -24,16 +24,16 @@ def gauge_coefficient_field(heis, dst):
 
 def test_condition_gauge_coefficient_is_exactly_one(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 800, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 800, seed=3)
     assert cond.estimated_c <= 1.0 + 1e-9
     assert cond.certified
     # degenerate linearly at every sampled scale
     assert all(m == pytest.approx(1.0, abs=1e-12) for m in cond.scale_maxima)
 
 
-def test_condition_constant_field_diverges(heis, heis_dist):
+def test_condition_constant_field_diverges(heis):
     b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=3)
     assert not cond.certified
     # each dyadic shrink doubles the worst ratio: grows past any threshold
     ratios = np.array(cond.scale_maxima)
@@ -41,11 +41,11 @@ def test_condition_constant_field_diverges(heis, heis_dist):
     assert cond.estimated_c > 10.0
 
 
-def test_condition_counterexample_field_fails(heis, heis_dist):
+def test_condition_counterexample_field_fails():
     # documented negative case: the unit first coefficient never degenerates
-    b = counterexample_field(heis, "time")
+    b = counterexample_field("time")
     cond = verify_equilibrium_condition(
-        b, np.zeros(3), BOX, 300, seed=5, distance=heis_dist,
+        b, np.zeros(3), BOX, 300, seed=5,
         time_samples=(0.0, 0.25, 0.5),
     )
     assert not cond.certified
@@ -53,8 +53,8 @@ def test_condition_counterexample_field_fails(heis, heis_dist):
 
 def test_condition_respects_graded_exponents(heis, heis_dist):
     # vertical frame coefficient enters with exponent 1/2
-    b = frame_field(heis, (lambda t, x, _d=heis_dist: _d(np.zeros(3), x) ** 2,), (3,))
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=7, distance=heis_dist)
+    b = HorizontalField(heis, (lambda t, x, _d=heis_dist: _d(np.zeros(3), x) ** 2,), (3,))
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=7)
     assert cond.certified
     assert cond.estimated_c <= 1.0 + 1e-9
 
@@ -64,8 +64,8 @@ def test_condition_respects_graded_exponents(heis, heis_dist):
 
 def test_monitor_equilibrium_start_stays_put(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
-    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0, heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
+    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0)
     assert rep.ratios == (1.0,)
     assert rep.equilibrium_deviation <= 1e-12
     assert rep.passed
@@ -76,27 +76,27 @@ def test_monitor_fails_an_equilibrium_start_that_moves(heis, heis_dist):
     # for t > 0, although the condition, sampled at t = 0, certifies it
     b = field_from_spec(heis, {"coefficients": [{"form": "constant", "value": 0.0},
                                                 {"form": "axis_distance"}]})
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 500, seed=0, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 500, seed=0)
     assert cond.certified
-    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0, heis_dist)
+    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0)
     assert rep.ratios == (1.0,) and rep.certified_bound > 1.0
     assert rep.equilibrium_deviation > 0.5
     assert not rep.passed
     # a genuine equilibrium off the origin stays put to the bit and passes
     xbar = np.array([0.3, -0.2, 0.1])
     b = horizontal_field(heis, (lambda t, x: heis_dist(xbar, x), lambda t, x: 0.0))
-    cond = verify_equilibrium_condition(b, xbar, BOX, 400, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, xbar, BOX, 400, seed=3)
     starts = [xbar, heis.multiply(xbar, [1e-3, 0.0, 0.0])]
-    rep = stability_monitor(b, xbar, cond, starts, CFG, 1.0, heis_dist)
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 1.0)
     assert rep.equilibrium_deviation == 0.0 and rep.ratios[0] == 1.0
     assert rep.passed
 
 
 def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
     starts = [(10.0**-k, 0.0, 0.0) for k in range(2, 6)]
-    rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0, heis_dist)
+    rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)
     assert rep.passed
     ratios = np.array(rep.ratios)
     assert np.max(ratios) <= 2.0 * np.min(ratios)
@@ -105,26 +105,26 @@ def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     assert np.allclose(ratios, math.e, rtol=1e-6)
 
 
-def test_monitor_refuses_uncertified_condition(heis, heis_dist):
+def test_monitor_refuses_uncertified_condition(heis):
     b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 200, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 200, seed=3)
     with pytest.raises(ConditionNotCertified):
-        stability_monitor(b, np.zeros(3), cond, [(0.1, 0, 0)], CFG, 1.0, heis_dist)
+        stability_monitor(b, np.zeros(3), cond, [(0.1, 0, 0)], CFG, 1.0)
 
 
 def test_monitor_mixes_an_equilibrium_start_with_others(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
-    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3, distance=heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
     starts = [(1e-3, 0.0, 0.0), (0.0, 0.0, 0.0), (2e-2, 0.0, 0.0)]
-    rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0, heis_dist)
+    rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)
     assert rep.ratios[1] == 1.0 and rep.initial_distances[1] == 0.0
     assert rep.equilibrium_deviation <= 1e-12
     assert np.allclose([rep.ratios[0], rep.ratios[2]], math.e, rtol=1e-6)
     with pytest.raises(ValueError, match="dimension"):
-        stability_monitor(b, np.zeros(3), cond, [(0.1, 0.0)], CFG, 1.0, heis_dist)
+        stability_monitor(b, np.zeros(3), cond, [(0.1, 0.0)], CFG, 1.0)
 
 
-def test_non_finite_condition_names_the_first_sample_then_time(heis, heis_dist):
+def test_non_finite_condition_names_the_first_sample_then_time(heis):
     from horoflow.stepping import NonFiniteRHSError
 
     times = (0.0, 0.5, 0.25)
@@ -135,8 +135,7 @@ def test_non_finite_condition_names_the_first_sample_then_time(heis, heis_dist):
     b = horizontal_field(heis, (lambda t, x: np.where(bad(t, x), np.nan, x[..., 2]),
                                 lambda t, x: 0.0))
     with pytest.raises(NonFiniteRHSError) as exc:
-        verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=4, distance=heis_dist,
-                                     time_samples=times)
+        verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=4, time_samples=times)
     # at the first scale the samples are the box draws themselves
     X = BOX.sample(np.random.default_rng(4), 300)
     first = next((t, x) for x in X for t in times if bad(t, x))
@@ -216,7 +215,7 @@ def test_coset_parametrization(heis):
 
 def test_negative_control_with_extra_direction(heis):
     mod = check_involutive(heis, [[1.0, 0, 0]])
-    b = frame_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0), (1, 2))
+    b = horizontal_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0))
     x0 = (0.0, 1.0, 0.0)
     tr = integrate(CauchyProblem(b, x0, 1.0), CFG)
     dev = confinement_check(tr, mod, x0)
@@ -289,8 +288,7 @@ def oracle_cases():
 def test_scale_maxima_match_loop_oracle(case):
     alg, dst, xbar, b = list(oracle_cases())[case]
     box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
-    cond = verify_equilibrium_condition(b, xbar, box, 300, seed=9, distance=dst,
-                                        time_samples=(0.0, 0.5))
+    cond = verify_equilibrium_condition(b, xbar, box, 300, seed=9, time_samples=(0.0, 0.5))
     want = scale_maxima_loop(b, xbar, box, 300, 9, dst, (0.0, 0.5))
     assert list(cond.scale_maxima) == want
 
@@ -299,10 +297,10 @@ def test_scale_maxima_match_loop_oracle(case):
 def test_stability_ratios_match_loop_oracle(case):
     alg, dst, xbar, b = list(oracle_cases())[case]
     box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
-    cond = verify_equilibrium_condition(b, xbar, box, 200, seed=9, distance=dst)
+    cond = verify_equilibrium_condition(b, xbar, box, 200, seed=9)
     starts = [alg.multiply(xbar, alg.dilate(10.0 ** -k, np.full(alg.dim, 0.3)))
               for k in range(1, 4)]
-    rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5, dst)
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 0.5)
     want = []
     for x0 in starts:
         tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG)
@@ -317,7 +315,7 @@ def test_stability_ratios_match_loop_oracle(case):
 @pytest.mark.parametrize("x0, extra", [((0.0, 1.0, 0.0), 0.0), ((0.3, -0.4, 0.2), 1.0)])
 def test_confinement_matches_loop_oracle(heis, x0, extra):
     mod = check_involutive(heis, [[1.0, 0, 0]])
-    b = frame_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: extra * x[..., 2]), (1, 2))
+    b = horizontal_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: extra * x[..., 2]))
     tr = integrate(CauchyProblem(b, x0, 1.0), CFG)
     P = mod.projector
     rel = [heis.multiply(-np.asarray(x0), z) for z in tr.states]
