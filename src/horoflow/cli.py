@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import shutil
 import sys
+import threading
 from dataclasses import asdict, fields
 from functools import cache, partial
 from pathlib import Path
@@ -139,8 +141,44 @@ def _emit(report: dict, args, csv_writers=()) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n")
-    for name, writer in csv_writers:
-        writer(out / name)
+    _write_csvs(out, csv_writers)
+
+
+def _write_csvs(out: Path, writers) -> None:
+    """Call each ``(name, writer)`` as ``writer(out / name)``.
+
+    With two or more writers, ``os.fork`` and no other thread running (a lock
+    another thread holds would stay held in the child), a forked child writes
+    the second half of the list while this process writes the first.  The
+    first writer runs before the fork, so what the writers share and cache
+    (the ladder's time column) is formatted once.  The child makes no BLAS
+    call and leaves by ``os._exit`` alone: no stdio flush, no atexit handler.
+    This process always reaps it, and if it failed writes its half again, so
+    an error is raised here as the sequential loop raises it.
+    """
+    def write(share):
+        for name, writer in share:
+            writer(out / name)
+
+    split = len(writers) // 2 if hasattr(os, "fork") and threading.active_count() == 1 else 0
+    if split == 0:
+        write(writers)
+        return
+    write(writers[:1])
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            write(writers[split:])
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        write(writers[1:split])
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        write(writers[split:])
 
 
 # --------------------------------------------------------------------------- check-group
@@ -327,14 +365,17 @@ def _run_counterexample(args) -> int:
     ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(ladder)
 
-    # the rungs share one grid, and the limit is the last rung; the times
-    # are formatted on the first CSV write, so --json formats none
+    # the rungs and gamma share one grid, and the limit is the last rung.
+    # The times are formatted by the first CSV write, before _write_csvs
+    # forks, so --json formats none.  _write_csvs gives its last ceil(n/2)
+    # writers (at least 3, as a ladder has at least 4 rungs) to one process,
+    # so the limit's copy follows the last rung's write there.
     t_col = cache(lambda: list(map("%.17g".__mod__, ladder.limit.times.tolist())))
     writers = [(f"rung_eps_{sol.epsilon:.9g}.csv", partial(_write_uv_csv, sol, t_col=t_col))
                for sol in ladder.solutions]
     last = writers[-1][0]
     writers += [("limit_uv.csv", lambda path: shutil.copyfile(path.with_name(last), path)),
-                ("gamma.csv", partial(write_trajectory_csv, gamma))]
+                ("gamma.csv", partial(write_trajectory_csv, gamma, t_col=t_col))]
     _emit(report, args, writers)
     return PASS if report["nonuniqueness_certified"] else FAIL
 

@@ -113,10 +113,13 @@ def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
     return CauchyProblem(new_field, tuple(new_x0), p.horizon, new_domain)
 
 
-def write_trajectory_csv(tr: Trajectory, path) -> None:
+def write_trajectory_csv(tr: Trajectory, path, t_col=None) -> None:
+    """Write the t,x1,...,xq rows of ``tr``; ``t_col()``, if given, returns
+    its times formatted, so a writer that shares the grid formats them once."""
     q = tr.states.shape[1]
-    row = ",".join(["%.17g"] * (q + 1)) + "\n"
-    rows = zip(tr.times.tolist(), *tr.states.T.tolist())
+    t_col = t_col() if t_col else list(map("%.17g".__mod__, tr.times.tolist()))
+    row = "%s" + ",%.17g" * q + "\n"
+    rows = zip(t_col, *tr.states.T.tolist())
     text = ("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n"
             + "".join(map(row.__mod__, rows)))
     with open(path, "w") as fh:

@@ -316,7 +316,11 @@ def algebra_from_json(data: str | dict) -> GradedAlgebra:
             coeffs = {}
             for c in entry["coeffs"]:
                 json_number(c["c"], "group spec bracket c")
-                coeffs[json_integer(c["k"], "group spec bracket k") - 1] = c["c"]
+                k = json_integer(c["k"], "group spec bracket k") - 1
+                if k in coeffs:
+                    raise AlgebraValidationError(
+                        f"duplicate coefficient k = {k + 1} in bracket ({i + 1},{j + 1})")
+                coeffs[k] = c["c"]
         except (KeyError, TypeError) as exc:
             raise AlgebraValidationError(f"malformed bracket entry {entry!r}") from exc
         key = (i, j)

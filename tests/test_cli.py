@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import horoflow
+from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import Trajectory, write_trajectory_csv
@@ -491,6 +493,9 @@ def test_non_finite_field_spec_is_usage_error(tmp_path, capsys, coefficient, key
      "group spec bracket i: expected an integer"),
     ({"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": "2"}]}]},
      "group spec bracket c: expected a finite number"),
+    ({"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1},
+                                                               {"k": 3, "c": 2}]}]},
+     "duplicate coefficient k = 3 in bracket (1,2)"),
 ])
 def test_bad_group_spec_is_usage_error(tmp_path, capsys, group, named):
     gpath = tmp_path / "group.json"
@@ -544,8 +549,8 @@ def test_failed_rung_monitor_writes_report(tmp_path, capsys):
     assert "integral_residual" in err and "Traceback" not in err
 
 
-def counterexample_args(out, extra=()):
-    return ["counterexample", "--variant", "time", "--eps0", "0.1",
+def counterexample_args(out, extra=(), variant="time"):
+    return ["counterexample", "--variant", variant, "--eps0", "0.1",
             "--ratio", "0.5", "--rungs", "6", "--tau", "0.2",
             "--grid", "256", "--out", str(out), *extra]
 
@@ -587,7 +592,15 @@ def trajectory_csv_oracle(tr):
     return "".join(lines)
 
 
-def test_csv_writers_match_the_per_value_loop(tmp_path):
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# six rungs leave the autonomous gaps short of GAP_TOL, so that exhibit exits
+# 1, but it writes every artifact all the same
+@pytest.mark.parametrize("variant, code", [("time", 0), ("autonomous", 1)])
+def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     awkward = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-308, 5e-324, 1e22, -123456789.125,
                         np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, 0.1])
     uv = cx.UVSolution(np.arange(12.0) / 7.0, awkward, awkward[::-1].copy(), 0.1, "time", {})
@@ -599,14 +612,62 @@ def test_csv_writers_match_the_per_value_loop(tmp_path):
 
     # the exhibit's artifacts, recomputed by the library
     out = tmp_path / "out"
-    assert main(counterexample_args(out)) == 0
+    assert main(counterexample_args(out, variant=variant)) == code
+    assert_no_child_left()
     spec = cx.LadderSpec(eps0=0.1, ratio=0.5, count=6, tau=0.2, grid_points=256)
-    ladder = cx.run_epsilon_ladder(spec, "time")
+    ladder = cx.run_epsilon_ladder(spec, variant)
     _, gamma = cx.build_nonuniqueness_report(ladder)
     for sol in ladder.solutions:
         assert (out / f"rung_eps_{sol.epsilon:.9g}.csv").read_text() == uv_csv_oracle(sol)
     assert (out / "limit_uv.csv").read_text() == uv_csv_oracle(ladder.limit)
     assert (out / "gamma.csv").read_text() == trajectory_csv_oracle(gamma)
+    assert len(list(out.iterdir())) == 6 + 3
+
+
+def refusing(write, name):
+    """``write``, except that it raises OSError on a file called ``name``."""
+    def wrapper(obj, path, **kwargs):
+        if path.name == name:
+            raise OSError(f"cannot write {name}")
+        write(obj, path, **kwargs)
+    return wrapper
+
+
+# the six rungs, limit_uv.csv and gamma.csv are eight writers: this process
+# writes the second rung after the fork, the forked child writes gamma.csv
+@pytest.mark.parametrize("writer, name", [("_write_uv_csv", "rung_eps_0.05.csv"),
+                                          ("write_trajectory_csv", "gamma.csv")])
+def test_failed_csv_write_raises_as_the_sequential_loop(tmp_path, monkeypatch, writer, name):
+    monkeypatch.setattr(cli, writer, refusing(getattr(cli, writer), name))
+    with pytest.raises(OSError) as forked:
+        main(counterexample_args(tmp_path / "forked"))
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(OSError) as sequential:
+        main(counterexample_args(tmp_path / "sequential"))
+    assert type(forked.value) is type(sequential.value)
+    assert str(forked.value) == str(sequential.value) == f"cannot write {name}"
+
+
+def test_a_failed_child_leaves_its_half_to_this_process(tmp_path, monkeypatch):
+    parent, marker = os.getpid(), tmp_path / "child-failed"
+
+    def fails_in_a_child(write):
+        def wrapper(obj, path, **kwargs):
+            if os.getpid() != parent:
+                marker.touch()
+                raise OSError("child")
+            write(obj, path, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", fails_in_a_child(cli.write_trajectory_csv))
+    assert main(counterexample_args(tmp_path / "forked")) == 0
+    assert_no_child_left()
+    assert marker.exists()
+    monkeypatch.delattr(os, "fork")
+    assert main(counterexample_args(tmp_path / "sequential")) == 0
+    for path in sorted((tmp_path / "sequential").glob("*.csv")):
+        assert (tmp_path / "forked" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_json_flag_prints_instead_of_writing(tmp_path, capsys, monkeypatch):
@@ -617,6 +678,29 @@ def test_json_flag_prints_instead_of_writing(tmp_path, capsys, monkeypatch):
     rep = json.loads(out)
     assert rep["passed"]
     assert not (tmp_path / "horoflow-out").exists()
+
+
+def test_no_fork_beside_another_thread(tmp_path, monkeypatch):
+    # a lock that thread holds would stay held in a forked child
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a running thread"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(counterexample_args(tmp_path / "out")) == 0
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(list((tmp_path / "out").glob("*.csv"))) == 6 + 2
+
+
+def test_counterexample_json_flag_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(counterexample_args(tmp_path / "out", ["--json"])) == 0
+    assert json.loads(capsys.readouterr().out)["nonuniqueness_certified"]
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left()
 
 
 def test_unknown_command_is_usage_error():

@@ -244,6 +244,14 @@ def test_json_roundtrip_and_validation(heis):
         algebra_from_json({"brackets": []})
 
 
+def test_json_refuses_a_repeated_coefficient_k():
+    # the second entry for k = 3 would silently replace the first
+    with pytest.raises(AlgebraValidationError,
+                       match=r"duplicate coefficient k = 3 in bracket \(1,2\)"):
+        algebra_from_json({"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}, {"k": 3, "c": 2}]}]})
+
+
 def test_multiply_batch_rows_equal_multiply(heis):
     fil = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
     rng = np.random.default_rng(12)
