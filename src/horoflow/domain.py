@@ -30,8 +30,13 @@ class Box:
         return len(self.lo)
 
     def contains(self, x: Sequence[float]) -> bool:
+        """Whether the point x lies in the closed box; NaN does not.  A point
+        whose length is not the box's dimension raises ValueError."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        if x.shape != (self.dim,):
+            what = f"length {len(x)}" if x.ndim == 1 else f"shape {x.shape}"
+            raise ValueError(f"a box of dimension {self.dim} cannot hold a point of {what}")
+        return all(a <= v <= b for a, v, b in zip(self.lo, x.tolist(), self.hi))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))

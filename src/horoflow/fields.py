@@ -53,7 +53,10 @@ class LeftInvariantField:
     def value(self, x: Sequence[float]) -> np.ndarray:
         """The field at one point, or at each row of an (n, dim) array."""
         x = np.asarray(x, dtype=float)
-        return np.stack([np.broadcast_to(v, x.shape[:-1]) for v in self._eval(*x.T)], axis=-1)
+        out = np.empty(x.shape)
+        for j, v in enumerate(self._eval(*x.T)):
+            out[..., j] = v
+        return out
 
 
 def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
@@ -141,7 +144,10 @@ def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
     for a, row in zip(b.coefficients, b._frame_rows):
         ai = a(t, x)
         out = [o + ai * v for o, v in zip(out, row(*x.T))]
-    return np.stack([np.broadcast_to(o, len(x)) for o in out], axis=1)
+    rows = np.empty((len(x), len(out)))
+    for j, o in enumerate(out):  # a number fills its whole column
+        rows[:, j] = o
+    return rows
 
 
 # --------------------------------------------------------------------------- derivations

@@ -35,9 +35,9 @@ def minimal_even_exponent(degrees: Sequence[int]) -> int:
 class SmoothGauge:
     """Even-exponent gauge (sum_i x_i^rho_i)^(1/N) with rho_i = N / d_i.
 
-    Called on one element or on the rows of an (n, dim) array; one element is
-    evaluated as a one-row array, so a row's value is the value at that row,
-    bit for bit.
+    Called on one element or on the rows of an (n, dim) array; one element
+    goes through the same array operations as a row, so a row's value is the
+    value at that row, bit for bit.
     """
 
     algebra: GradedAlgebra
@@ -46,9 +46,12 @@ class SmoothGauge:
 
     def __call__(self, x: Sequence[float]):
         x = np.asarray(x, dtype=float)
-        rows = np.sum(np.abs(np.atleast_2d(x)) ** np.array(self.rhos), axis=1)
+        # keepdims leaves an array for one element too, so its root is the
+        # same array power as every row's: numpy's scalar power can differ
+        # from its vectorised array loop in the last bit
+        rows = np.add.reduce(np.abs(x) ** np.array(self.rhos), axis=-1, keepdims=True)
         values = rows ** (1.0 / self.exponent)
-        return values if x.ndim > 1 else values[0]
+        return values[:, 0] if x.ndim > 1 else values[0]
 
 
 def smooth_gauge(alg: GradedAlgebra) -> SmoothGauge:

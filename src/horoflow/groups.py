@@ -226,14 +226,26 @@ class GradedAlgebra:
         return np.array(self._product(*x.tolist(), *y.tolist()))
 
     def multiply_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Group product row-wise on (n, dim) arrays; a (dim,) factor multiplies every row.
+        """Group product row-wise on (n, dim) arrays; a (dim,) factor or a
+        (1, dim) row multiplies every row.
 
-        Each row equals ``multiply`` on that row, bit for bit.
+        Each row equals ``multiply`` on that row, bit for bit: a (dim,) factor
+        enters the law as numbers, which round as its broadcast rows would.
         """
-        X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) arrays")
-        return np.column_stack(self._product(*X.T, *Y.T))
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        q = self.dim
+        # besides the shapes that meet every row, at most one (n, dim) shape;
+        # two (dim,) elements are multiply's job
+        shapes = {X.shape, Y.shape} - {(q,), (1, q)}
+        shape = shapes.pop() if len(shapes) == 1 else (1, q)
+        if shapes or len(shape) != 2 or shape[1] != q or X.ndim + Y.ndim < 3:
+            raise ValueError(f"expected (n, {q}) arrays with one row count, "
+                             f"not {X.shape} and {Y.shape}")
+        out = np.empty(shape)
+        for j, column in enumerate(self._product(*X.T, *Y.T)):
+            out[:, j] = column
+        return out
 
     def dilate(self, r, x) -> np.ndarray:
         """Intrinsic dilation: coordinate i scales by r**degree(i).

@@ -253,7 +253,7 @@ class GridSolution:
 def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
     out = np.asarray(f(t, y), dtype=float)
     stats.rhs_evals += 1
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NonFiniteRHSError(t)
     return out
 
@@ -304,7 +304,8 @@ def solve_to_grid(
     """Integrate y' = f(t, y) and return the states at every grid time.
 
     The state may have any shape; ``f`` receives and returns arrays of that
-    shape.  A state of shape (m, d) advances m systems together on one step
+    shape, and must not keep the array it receives, which the next stage
+    overwrites.  A state of shape (m, d) advances m systems together on one step
     sequence whose error norm is the max over every entry, so each system
     meets the tolerance it would meet alone.  ``cfg.dense_output_grid`` is
     not read: the grid is given.
@@ -331,6 +332,10 @@ def solve_to_grid(
     h = min(max_step, grid[1] - grid[0])
     k = np.empty((16,) + y.shape)
     kf = k.reshape(16, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
+    # every stage's input is built in this one buffer, rounded as
+    # y + h * (a_s @ k_s) would be: the product, then the scale, then the sum
+    ys = np.empty(y.shape)
+    ys_flat = ys.reshape(-1)
     # per stage s: its tableau row, the slopes it sums and its node c_s
     # (stage 12, the FSAL slope, is evaluated at y8 itself)
     stages = [(s, _A[s, :s], kf[:s], float(_C[s])) for s in range(1, 16)]
@@ -341,6 +346,7 @@ def solve_to_grid(
     # the per-evaluation check rather than as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         k[0] = _checked(f, t, y, stats)
+        abs_y = np.abs(y)
         while t < t_end:
             rest = t_end - t
             h_try = min(h, max_step)
@@ -353,12 +359,15 @@ def solve_to_grid(
                 if h_try < min_step or t + h_try == t:
                     raise StepUnderflowError(t)
                 for s, a_s, k_s, c_s in step_stages:
-                    ys = y + h_try * (a_s @ k_s).reshape(y.shape)
+                    np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h_try * (a_s @ k_s)
+                    ys *= h_try
+                    ys += y
                     k[s] = _checked(f, t + c_s * h_try, ys, stats)
                 dy, e5, e3 = h_try * (_STEP_W @ kf[:12])
                 y8 = y + dy.reshape(y.shape)
+                abs_y8 = np.abs(y8)
                 budget = max(h_try / span, _BUDGET_FLOOR)
-                scale = (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y8)).ravel()) * budget
+                scale = (abs_tol + rel_tol * np.maximum(abs_y, abs_y8).ravel()) * budget
                 e5, e3 = (e5 / scale) ** 2, (e3 / scale) ** 2
                 den = np.sqrt(e5 + 0.01 * e3)
                 err = float((e5 / np.where(den > 0.0, den, 1.0)).max())
@@ -371,7 +380,9 @@ def solve_to_grid(
                     # interpolant's error through its last coefficient r7
                     k[12] = _checked(f, t + h_try, y8, stats)
                     for s, a_s, k_s, c_s in dense_stages:
-                        ys = y + h_try * (a_s @ k_s).reshape(y.shape)
+                        np.matmul(a_s, k_s, out=ys_flat)
+                        ys *= h_try
+                        ys += y
                         k[s] = _checked(f, t + c_s * h_try, ys, stats)
                     r7 = h_try * (_D[3] @ kf)
                     err = max(err, _DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
@@ -400,7 +411,7 @@ def solve_to_grid(
 
             # FSAL: the slope at the step end starts the next step
             k[0] = k[12]
-            y, t, g = y8, t_new, j
+            y, abs_y, t, g = y8, abs_y8, t_new, j
             if err > 0:
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.125))
             else:

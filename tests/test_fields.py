@@ -407,6 +407,20 @@ def test_evaluate_field_rows_equal_point_calls(heis, make):
     assert np.array_equal(rows, [evaluate_field(b, t, x) for t, x in zip(T.tolist(), X)])
 
 
+@pytest.mark.parametrize("coefficients", [
+    (lambda t, x: 1.5, lambda t, x: 0.0),  # a number, and a zero skipped by points
+    (lambda t, x: 0.0, lambda t, x: -0.0),  # every column a number
+    (lambda t, x: 0.0 * x[..., 0], lambda t, x: -2.0),  # zeros of either sign per row
+])
+def test_evaluate_field_rows_with_number_and_zero_coefficients(heis, coefficients):
+    b = horizontal_field(heis, coefficients)
+    X, T = contract_rows(3)
+    rows = evaluate_field(b, T, X)
+    points = np.array([evaluate_field(b, t, x) for t, x in zip(T.tolist(), X)])
+    # tobytes tells -0.0 from 0.0, which array_equal does not
+    assert rows.shape == points.shape and rows.tobytes() == points.tobytes()
+
+
 def test_frame_values_rows_equal_point_calls(heis):
     X, _ = contract_rows(3)
     for f in left_invariant_frame(heis) + left_invariant_frame(FILIFORM):

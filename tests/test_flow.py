@@ -389,10 +389,50 @@ def test_x0_outside_domain_rejected(heis):
         CauchyProblem(x1_field(heis), (2.0, 0, 0), 1.0, box)
 
 
+def test_box_contains_its_corners_but_no_nan_or_infinity():
+    box = Box((-1.0, -2.0, 0.0), (1.0, 2.0, 3.0))
+    assert box.contains([-1.0, 2.0, 3.0]) and box.contains(np.array([1.0, -2.0, 0.0]))
+    assert not box.contains([np.nextafter(1.0, 2.0), 0.0, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not box.contains([0.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("lo, hi", [((-1,), (1,)), ((-1, -1), (1, 1))])
+def test_box_of_another_dimension_is_refused(heis, lo, hi):
+    # numpy would broadcast a one-sided box to the cube [-1, 1]^3
+    with pytest.raises(ValueError, match="dimension %d .* length 3" % len(lo)):
+        CauchyProblem(x1_field(heis), (0.0, 0.0, 0.0), 1.0, Box(lo, hi))
+
+
 def test_nan_coefficient_reported(heis):
     bad = horizontal_field(heis, (lambda t, x: math.nan, lambda t, x: 0.0))
     with pytest.raises(NonFiniteRHSError):
         integrate(CauchyProblem(bad, (0, 0, 0), 1.0), CFG)
+
+
+@pytest.mark.parametrize("bad_call, node", [
+    (5, 1.0 / 3.0),  # step stage 5
+    (14, 0.2),  # stage 14 of the continuous extension, after the FSAL slope
+])
+def test_non_finite_rhs_reports_the_time_of_its_stage(bad_call, node):
+    # the first step from t = 0.5 has h = 0.25, the grid spacing, and ends on a
+    # grid time, so it evaluates the extension's stages too; evaluation 0 is
+    # f(t, y0), evaluation s is stage s, and one NaN entry at any stage ends
+    # the solve at that stage's time
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        out = -y
+        if len(calls) == bad_call + 1:
+            out[1, 0] = math.nan
+        return out
+
+    with pytest.raises(NonFiniteRHSError) as exc:
+        solve_to_grid(f, np.linspace(0.5, 1.5, 5), np.ones((2, 3)))
+    assert exc.value.time == 0.5 + node * 0.25
+    assert calls[-1] == exc.value.time
+    assert len(calls) == bad_call + 1
 
 
 def test_step_underflow_reports_location(heis):

@@ -263,3 +263,37 @@ def test_multiply_batch_rows_equal_multiply(heis):
         # a single element multiplies every row
         tiled = np.tile(X[0], (200, 1))
         assert np.array_equal(alg.multiply_batch(X[0], Y), alg.multiply_batch(tiled, Y))
+
+
+def test_multiply_batch_edges_equal_multiply_bit_for_bit(heis):
+    X = np.random.default_rng(13).uniform(-3.0, 3.0, (50, 3))
+    X[0] = 0.0
+    X[1] = -0.0
+    X[2, 1:] = -0.0
+    g = np.array([-0.5, -0.0, 1.25])
+
+    def same(rows, want):
+        want = np.array(want)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
+    same(heis.multiply_batch(g, X), [heis.multiply(g, x) for x in X])
+    same(heis.multiply_batch(X, g), [heis.multiply(x, g) for x in X])
+    same(heis.multiply_batch(g[None], X), [heis.multiply(g, x) for x in X])
+    same(heis.multiply_batch(X, g[None]), [heis.multiply(x, g) for x in X])
+    same(heis.multiply_batch(g[None], X[:1]), [heis.multiply(g, X[0])])
+    same(heis.multiply_batch(X[1], g[None]), [heis.multiply(X[1], g)])
+    same(heis.multiply_batch(X[:0], g), np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3,), (3,)),  # two elements: that is multiply
+    ((4, 3), (5, 3)),  # row counts differ
+    ((2, 4, 3), (3,)),
+    ((4, 3), (2,)),
+    ((2,), (4, 3)),
+    ((4, 2), (4, 3)),
+])
+def test_multiply_batch_refuses_shapes_without_one_row_count(heis, shapes):
+    X, Y = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError):
+        heis.multiply_batch(X, Y)
