@@ -8,18 +8,18 @@ distances (`gauges`), left-invariant frames and horizontal fields
 """
 
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
-                     algebra_to_json, heisenberg, inverse, is_heisenberg)
+                     heisenberg, inverse, is_heisenberg)
 from .gauges import (HomogeneousDistance, SmoothGauge, default_distance,
                      equivalence_constants, gauge_report, koranyi_distance,
                      koranyi_norm, smooth_gauge)
-from .domain import Box, TranslatedBox
+from .domain import Box
 from .fields import (Derivation, HorizontalField, LeftInvariantField,
                      TestFunction, apply_derivation, compute_p, derivation_of,
-                     estimate_lipschitz, evaluate_field, field_from_spec,
-                     horizontal_field, horizontal_gradient,
-                     left_invariant_frame, recover_coefficients)
+                     evaluate_field, field_from_spec, horizontal_field,
+                     horizontal_gradient, left_invariant_frame,
+                     recover_coefficients)
 from .flow import (CauchyProblem, IntegratorConfig, Trajectory, integrate,
-                   residual, translate, write_trajectory_csv)
+                   residual, write_trajectory_csv)
 from .uniqueness import (ConditionNotCertified, EquilibriumCondition,
                          InvolutiveModule, NotInvolutiveError, StabilityReport,
                          check_involutive, confinement_check, module_field,

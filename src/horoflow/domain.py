@@ -1,4 +1,4 @@
-"""Axis boxes and group-translated regions used as ODE domains and sample sets."""
+"""Axis boxes used as ODE domains and sample sets."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .groups import GradedAlgebra, inverse
 
 
 @dataclass(frozen=True)
@@ -40,16 +38,3 @@ class Box:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
-
-
-@dataclass(frozen=True)
-class TranslatedBox:
-    """Left-translate of a box: membership of x means base contains offset^{-1} x."""
-
-    algebra: GradedAlgebra
-    offset: tuple
-    base: Box
-
-    def contains(self, x: Sequence[float]) -> bool:
-        off_inv = inverse(np.asarray(self.offset, dtype=float))
-        return self.base.contains(self.algebra.multiply(off_inv, np.asarray(x, dtype=float)))

@@ -24,8 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import Box
-from .gauges import HomogeneousDistance, default_distance
+from .gauges import default_distance
 from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number
 from .poly import Poly, evaluator
 
@@ -251,14 +250,15 @@ class NonHorizontalDerivationError(ValueError):
     """The derivation does not annihilate non-horizontal directions at the point."""
 
 
-def recover_coefficients(
-    D: Derivation, xbar: Sequence[float], tol: float = 1e-8
-) -> np.ndarray:
+HORIZONTAL_TOL = 1e-8  # share of the bound scale that a higher-layer entry may reach
+
+
+def recover_coefficients(D: Derivation, xbar: Sequence[float]) -> np.ndarray:
     """First-layer coefficients of the unique horizontal field inducing D.
 
     Applies D to the left-translated coordinate functions at xbar; the
-    entries beyond the first layer must vanish (up to ``tol`` against the
-    bound scale) or the derivation is not horizontal.
+    entries beyond the first layer must vanish (up to ``HORIZONTAL_TOL``
+    against the bound scale) or the derivation is not horizontal.
     """
     alg = D.algebra
     xbar = np.asarray(xbar, dtype=float)
@@ -266,7 +266,7 @@ def recover_coefficients(
     values = np.array([D(eta, xbar) for eta in etas])
     m = alg.horizontal_dim
     scale = max(1.0, float(D.bound(xbar)))
-    bad = np.abs(values[m:]) > tol * scale
+    bad = np.abs(values[m:]) > HORIZONTAL_TOL * scale
     if np.any(bad):
         k = int(np.argmax(np.abs(values[m:]))) + m + 1
         raise NonHorizontalDerivationError(
@@ -276,36 +276,11 @@ def recover_coefficients(
     return values[:m]
 
 
-# --------------------------------------------------------------------------- Lipschitz estimate
-
-
-def estimate_lipschitz(
-    a: Callable[[np.ndarray], float],
-    dst: HomogeneousDistance,
-    box: Box,
-    samples: int,
-    seed: int,
-) -> float:
-    """Sampled lower bound for the Lipschitz constant of ``a`` w.r.t. ``dst``.
-
-    Draws ``samples`` independent pairs in the box; deterministic given the
-    seed.  Being a max over finitely many ratios, the result never exceeds
-    the true constant.
-    """
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    if box.dim != dst.algebra.dim:
-        raise ValueError("box dimension does not match the algebra")
-    rng = np.random.default_rng(seed)
-    X = box.sample(rng, samples)
-    Y = box.sample(rng, samples)
-    d = dst(X, Y)
-    ok = d > 0
-    gaps = np.abs([a(x) - a(y) for x, y in zip(X[ok], Y[ok])])
-    return float(np.max(gaps / d[ok], initial=0.0))
-
-
 # --------------------------------------------------------------------------- JSON field specs
+
+# largest exponent sum of a ``monomial`` spec: ``poly.evaluator`` writes a power as
+# a product, and compile() recurses once per factor (past ~3,000 on Python 3.11)
+MAX_MONOMIAL_DEGREE = 1000
 
 
 def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
@@ -317,7 +292,8 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     and ``sin_coordinate``.  Anything richer requires the library API.  A
     non-object spec or entry, a ``value``, ``scale`` or ``point`` entry that
     ``json_number`` refuses, an ``exponents`` entry, ``index`` or ``indices``
-    entry that ``json_integer`` refuses, or a ``point`` of the wrong length
+    entry that ``json_integer`` refuses, monomial exponents that are negative
+    or sum above ``MAX_MONOMIAL_DEGREE``, or a ``point`` of the wrong length
     raises ValueError naming the form and key.
     """
     # local import to avoid a cycle
@@ -338,6 +314,9 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
             expo = tuple(json_integer(e, f"{form} exponents") for e in c["exponents"])
             if len(expo) != alg.dim:
                 raise ValueError("monomial exponents must have one entry per coordinate")
+            if min(expo) < 0 or sum(expo) > MAX_MONOMIAL_DEGREE:
+                raise ValueError(f"{form} exponents: expected non-negative integers summing "
+                                 f"to at most {MAX_MONOMIAL_DEGREE}, not {list(expo)}")
             scale = json_number(c.get("scale", 1.0), f"{form} scale")
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
             coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])

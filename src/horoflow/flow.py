@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
-from .domain import Box, TranslatedBox
+from .domain import Box
 from .fields import HorizontalField, evaluate_field
-from .groups import inverse
 from .stepping import IntegratorConfig, integral_defect, solve_to_grid
 
 
@@ -25,7 +23,7 @@ class CauchyProblem:
     field: HorizontalField
     x0: tuple
     horizon: float
-    domain: object | None = None  # Box, TranslatedBox, or anything with .contains
+    domain: Box | None = None
 
     def __post_init__(self):
         x0 = tuple(float(v) for v in self.x0)
@@ -79,38 +77,6 @@ def residual(tr: Trajectory, field: HorizontalField) -> float:
     if len(tr.times) < 8:
         raise ValueError("trajectory grid too coarse for a quadrature residual")
     return integral_defect(evaluate_field(field, tr.times, tr.states), tr.times, tr.states)
-
-
-def translate(p: CauchyProblem, xbar: Sequence[float]) -> CauchyProblem:
-    """Left-translate a Cauchy problem by xbar.
-
-    The translated field reads its coefficients at xbar^{-1} x, so the flow
-    of the result is the pointwise left-translate of the original flow.
-    """
-    alg = p.field.algebra
-    xbar = np.asarray(xbar, dtype=float)
-    xbar_inv = inverse(xbar)
-
-    def wrap(a):
-        def shifted(t, x, _a=a):
-            x = np.asarray(x, dtype=float)
-            product = alg.multiply if x.ndim == 1 else alg.multiply_batch
-            return _a(t, product(xbar_inv, x))
-        return shifted
-
-    new_field = HorizontalField(alg, tuple(wrap(a) for a in p.field.coefficients),
-                                p.field.indices)
-    new_x0 = alg.multiply(xbar, np.asarray(p.x0, dtype=float))
-    if p.domain is None:
-        new_domain = None
-    elif isinstance(p.domain, Box):
-        new_domain = TranslatedBox(alg, tuple(xbar), p.domain)
-    elif isinstance(p.domain, TranslatedBox):
-        new_offset = alg.multiply(xbar, np.asarray(p.domain.offset, dtype=float))
-        new_domain = TranslatedBox(alg, tuple(new_offset), p.domain.base)
-    else:
-        raise ValueError("domain cannot be translated; use whole-space or a box")
-    return CauchyProblem(new_field, tuple(new_x0), p.horizon, new_domain)
 
 
 def write_trajectory_csv(tr: Trajectory, path, t_col=None) -> None:

@@ -82,8 +82,8 @@ class HomogeneousDistance:
 
     It carries no quasi-triangle constant: that constant is 1 for the quartic
     Heisenberg gauge, whose triangle inequality is exact, and only an observed
-    value for the smooth gauge, which ``estimate_quasi_triangle_constant``
-    samples on demand.
+    value for the smooth gauge, which ``gauge_report`` samples as its
+    ``quasi_triangle_constant``.
     """
 
     algebra: GradedAlgebra
@@ -108,13 +108,7 @@ def default_distance(alg: GradedAlgebra) -> HomogeneousDistance:
     return HomogeneousDistance(alg, koranyi_norm if is_heisenberg(alg) else smooth_gauge(alg))
 
 
-# --------------------------------------------------------------------------- sampling helpers
-
-
-def _sample_nonzero(alg: GradedAlgebra, rng: np.random.Generator, n: int) -> np.ndarray:
-    X = rng.uniform(-1.0, 1.0, size=(n, alg.dim))
-    X[np.all(X == 0.0, axis=1)] = 1.0  # vanishing samples are useless here
-    return X
+# --------------------------------------------------------------------------- sampled checks
 
 
 def equivalence_constants(
@@ -132,7 +126,8 @@ def equivalence_constants(
     if sample_count < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    X = _sample_nonzero(alg, rng, sample_count)
+    X = rng.uniform(-1.0, 1.0, size=(sample_count, alg.dim))
+    X[np.all(X == 0.0, axis=1)] = 1.0  # vanishing samples are useless here
     v1 = g1(X)
     if not np.all(np.isfinite(v1)) or np.any(v1 <= 0):
         raise ValueError("degenerate gauge: vanishing or non-finite on nonzero samples")
@@ -153,35 +148,6 @@ def equivalence_kappa(alg: GradedAlgebra, gauge: GaugeFn, seed: int = 0) -> floa
     over ``KAPPA_SAMPLES`` samples (see ``equivalence_constants``)."""
     lo, hi = equivalence_constants(alg, smooth_gauge(alg), gauge, KAPPA_SAMPLES, seed)
     return max(hi, 1.0 / lo)
-
-
-def estimate_quasi_triangle_constant(
-    alg: GradedAlgebra, gauge: GaugeFn, samples: int, seed: int = 0
-) -> float:
-    """Empirical sup of gauge(x y) / (gauge(x) + gauge(y))."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-2.0, 2.0, size=(samples, alg.dim))
-    Y = rng.uniform(-2.0, 2.0, size=(samples, alg.dim))
-    num = gauge(alg.multiply_batch(X, Y))
-    den = gauge(X) + gauge(Y)
-    ok = den > 0
-    return float(np.max(num[ok] / den[ok]))
-
-
-def homogeneous_domination_constant(
-    alg: GradedAlgebra,
-    f: Callable[[np.ndarray], float],
-    gauge: GaugeFn,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Estimate C with |f(x)| <= C * gauge(x)^degree for f homogeneous of that
-    degree: the max of |f| over sampled points of the gauge's unit sphere."""
-    rng = np.random.default_rng(seed)
-    X = _sample_nonzero(alg, rng, samples)
-    norms = gauge(X)
-    unit = alg.dilate(1.0 / norms, X)
-    return float(max(abs(f(u)) for u in unit))
 
 
 def gauge_report(

@@ -340,17 +340,3 @@ def algebra_from_json(data: str | dict) -> GradedAlgebra:
             raise AlgebraValidationError(f"duplicate bracket entry for ({i + 1},{j + 1})")
         brackets[key] = coeffs
     return GradedAlgebra(layers, brackets)
-
-
-def algebra_to_json(alg: GradedAlgebra) -> dict:
-    return {
-        "layers": list(alg.layer_dims),
-        "brackets": [
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "coeffs": [{"k": k + 1, "c": float(c)} for k, c in sorted(vec.items())],
-            }
-            for (i, j), vec in sorted(alg._pairs.items())
-        ],
-    }

@@ -171,6 +171,7 @@ _SAFETY = 0.9
 _STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
 _BUDGET_FLOOR = 0.01  # least share of the tolerance one step may spend (module docstring)
 _DENSE_WEIGHT = 0.002  # weight of r7 in the interpolant error test (module docstring)
+_EXIT_TOL = 1e-10  # width in time of the bracket that locates a domain exit
 
 
 @dataclass(frozen=True)
@@ -279,10 +280,10 @@ def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
     return at
 
 
-def _exit_solution(grid, states, g, stats, inside, dense, a, b, tol=1e-10):
-    """Truncate at the domain exit, bisected on ``dense(t)`` between a time a
-    inside the domain and a time b outside it; grid[:g] were reached inside."""
-    while b - a > tol:
+def _exit_solution(grid, states, g, stats, inside, dense, a, b):
+    """Truncate at the domain exit, bisected on ``dense(t)`` to ``_EXIT_TOL`` from
+    a time a inside the domain and b outside it; grid[:g] were reached inside."""
+    while b - a > _EXIT_TOL:
         mid = 0.5 * (a + b)
         if inside(dense(mid)):
             a = mid
@@ -312,8 +313,8 @@ def solve_to_grid(
 
     The steps follow the tolerance, and grid states between step ends come
     from the step's continuous extension.  If ``inside`` is given and the
-    solution leaves the region, the returned arrays are truncated at the exit
-    time, located within 1e-10 by bisection on the last step's interpolant.
+    solution leaves the region, the returned arrays end at the exit time,
+    located within ``_EXIT_TOL`` by bisection on the last step's interpolant.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -329,7 +330,7 @@ def solve_to_grid(
     max_step, min_step = cfg.max_step, cfg.min_step
     t, t_end = float(grid[0]), float(grid[-1])
     span = t_end - t
-    h = min(max_step, grid[1] - grid[0])
+    h = min(max_step, float(grid[1] - grid[0]))
     k = np.empty((16,) + y.shape)
     kf = k.reshape(16, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
     # every stage's input is built in this one buffer, rounded as

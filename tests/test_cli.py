@@ -469,13 +469,16 @@ INF = float("inf")  # what the JSON literal 1e999 reads as
     ({"form": "monomial", "exponents": [1.9, 0, 0]}, "exponents"),
     ({"form": "constant", "value": "1"}, "value"),
     ({"form": "constant", "value": True}, "value"),
+    ({"form": "monomial", "exponents": [100000, 0, 0]}, "exponents"),
+    ({"form": "monomial", "exponents": [2, -1, 0]}, "exponents"),
 ], ids=["monomial-scale", "constant-value", "sin-scale", "point-entry", "short-point",
         "string-point-entry", "fractional-index", "fractional-exponent", "string-value",
-        "boolean-value"])
+        "boolean-value", "huge-exponent", "negative-exponent"])
 def test_non_finite_field_spec_is_usage_error(tmp_path, capsys, coefficient, key):
     # a number that is not finite, a JSON number or integral where an integer
-    # is due, or a short point, is refused when the field is built, naming its
-    # form and key, not met as a failure inside the solve or read otherwise
+    # is due, a short point, or a monomial exponent that is negative or too
+    # large to compile, is refused when the field is built, naming its form
+    # and key, not met as a failure inside the solve or read otherwise
     field = {"coefficients": [coefficient, {"form": "constant", "value": 0.0}]}
     cpath = integrate_config(tmp_path, field=field)
     assert main(["integrate", "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2

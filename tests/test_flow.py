@@ -5,7 +5,7 @@ import pytest
 
 from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
                       evaluate_field, field_from_spec, heisenberg,
-                      horizontal_field, integrate, residual, translate)
+                      horizontal_field, integrate, residual)
 from horoflow.counterexample import counterexample_field
 from horoflow.stepping import (NonFiniteRHSError, StepStats,
                                StepUnderflowError, cumulative_simpson,
@@ -163,63 +163,6 @@ def test_residual_equals_the_per_point_residual(heis, variant):
     free = integrate(CauchyProblem(kinked, (0.443, 0.011, 0.476), 2.0), CFG)
     for field, path in ((b, tr), (kinked, free)):
         assert residual(path, field) == per_point_residual(path, field)
-
-
-def test_translated_coefficients_take_rows(heis):
-    p = translate(CauchyProblem(counterexample_field("autonomous"), (0, 0.1, 0), 0.5),
-                  np.array([0.1, 0.7, -0.3]))
-    X = np.random.default_rng(5).uniform(-1.0, 1.0, (64, 3))
-    T = np.linspace(0.0, 0.5, 64)
-    assert np.array_equal(evaluate_field(p.field, T, X),
-                          [evaluate_field(p.field, t, x) for t, x in zip(T.tolist(), X)])
-
-
-def test_translate_identity(heis):
-    p = CauchyProblem(x1_field(heis), (0.2, 0.1, 0.0), 1.0)
-    q = translate(p, np.zeros(3))
-    assert np.allclose(q.x0, p.x0)
-    tr_p = integrate(p, CFG)
-    tr_q = integrate(q, CFG)
-    assert np.max(np.abs(tr_p.states - tr_q.states)) <= 1e-12
-
-
-def test_translate_straight_line(heis):
-    # (0,1,0) * (t,0,0) = (t, 1, -t)
-    p = CauchyProblem(x1_field(heis), (0, 0, 0), 1.0)
-    q = translate(p, np.array([0.0, 1.0, 0.0]))
-    tr = integrate(q, CFG)
-    want = np.column_stack([tr.times, np.ones(len(tr.times)), -tr.times])
-    assert np.max(np.abs(tr.states - want)) <= 1e-12
-
-
-@pytest.mark.parametrize("make_field", [
-    lambda alg: horizontal_field(alg, (lambda t, x: 1.0, lambda t, x: 0.0)),
-    lambda alg: horizontal_field(alg, (lambda t, x: 1.0, lambda t, x: t)),
-    lambda alg: counterexample_field("time"),
-])
-def test_translation_equivariance(heis, make_field):
-    xbar = np.array([0.3, -0.4, 0.25])
-    p = CauchyProblem(make_field(heis), (0.0, 0.1, 0.0), 0.5)
-    direct = integrate(p, CFG)
-    shifted = integrate(translate(p, xbar), CFG)
-    moved = heis.multiply_batch(np.tile(xbar, (len(direct.states), 1)), direct.states)
-    assert np.max(np.abs(shifted.states - moved)) <= 1e-8
-
-
-def test_translate_counterexample_trivial_branch(heis):
-    # the translated straight line is a solution of the translated problem:
-    # its residual under the shifted coefficients vanishes identically
-    b = counterexample_field("time")
-    xbar = np.array([0.1, 0.7, -0.3])
-    p = CauchyProblem(b, (0, 0, 0), 0.5)
-    q = translate(p, xbar)
-    t = np.linspace(0.0, 0.5, 257)
-    line = np.column_stack([t, np.zeros(257), np.zeros(257)])
-    moved = heis.multiply_batch(np.tile(xbar, (257, 1)), line)
-    # the shifted coefficient reads the gauge of a roundoff-level group
-    # difference, and the quartic root turns eps into sqrt(eps) ~ 1e-8;
-    # that floor is intrinsic to the non-Euclidean-Lipschitz coefficient
-    assert residual(Trajectory(t, moved, {}), q.field) <= 1e-7
 
 
 def test_adaptive_residual_meets_tolerance_contract(heis):

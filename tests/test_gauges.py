@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from horoflow import (GradedAlgebra, HomogeneousDistance, equivalence_constants, gauge_report,
                       heisenberg, koranyi_distance, koranyi_norm, smooth_gauge)
-from horoflow.gauges import (estimate_quasi_triangle_constant,
-                             homogeneous_domination_constant,
-                             minimal_even_exponent)
+from horoflow.gauges import minimal_even_exponent
 
 coords = st.floats(-10, 10, allow_nan=False)
 vec3 = st.tuples(coords, coords, coords).map(np.array)
@@ -144,25 +142,22 @@ def test_equivalence_constants_degenerate_gauge(heis):
 
 
 def test_quasi_triangle_constant_koranyi_is_one(heis):
-    c = estimate_quasi_triangle_constant(heis, koranyi_norm, 4000, seed=2)
+    c = gauge_report(heis, koranyi_norm, 4000, seed=2)["quasi_triangle_constant"]
     assert c <= 1.0 + 1e-12
     assert c > 0.9  # near-equality cases are sampled
 
 
 def test_smooth_gauge_quasi_constant_is_observed(heis):
     # no exact triangle inequality: the constant is only a sampled value
-    c = estimate_quasi_triangle_constant(heis, smooth_gauge(heis), 2000, seed=4)
+    c = gauge_report(heis, smooth_gauge(heis), 2000, seed=4)["quasi_triangle_constant"]
     assert 0.9 < c < 1.5
 
 
 def test_domination_estimate_third_coordinate(heis):
-    # |x3| is 2-homogeneous; its constant against the quartic gauge is 1
-    g = koranyi_norm
-    C = homogeneous_domination_constant(heis, lambda x: x[2], g, 4000, seed=3)
-    assert C <= 1.0 + 1e-12
+    # |x3| is 2-homogeneous and |x3| <= sqrt((x1^2 + x2^2)^2 + x3^2) = N(x)^2
     rng = np.random.default_rng(4)
     for x in rng.uniform(-3, 3, (200, 3)):
-        assert abs(x[2]) <= (C + 1e-12) * koranyi_norm(x) ** 2 + 1e-12
+        assert abs(x[2]) <= (1.0 + 1e-12) * koranyi_norm(x) ** 2 + 1e-12
 
 
 def test_gauge_report_shape_and_pass(heis):
