@@ -14,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from horoflow import (Box, IntegratorConfig, horizontal_field, koranyi_distance,
-                      stability_monitor, verify_equilibrium_condition)
+from horoflow.domain import Box
+from horoflow.fields import horizontal_field
+from horoflow.gauges import koranyi_distance
+from horoflow.stepping import IntegratorConfig
+from horoflow.uniqueness import stability_monitor, verify_equilibrium_condition
 
 
 def main():
@@ -36,22 +39,22 @@ def main():
         IntegratorConfig(dense_output_grid=513), args.horizon,
     )
 
-    print(f"estimated degeneracy constant: {cond.estimated_c:.12g} "
-          f"(certified={cond.certified})")
-    print(f"certified bound: {rep.certified_bound:.6g}  "
-          f"(kappa={rep.kappa:.6g}, integral={rep.c_integral:.6g})")
-    for d0, r in zip(rep.initial_distances, rep.ratios):
+    print(f"estimated degeneracy constant: {cond['estimated_c']:.12g} "
+          f"(certified={cond['certified']})")
+    print(f"certified bound: {rep['certified_bound']:.6g}  "
+          f"(kappa={rep['kappa']:.6g}, integral={rep['c_integral']:.6g})")
+    for d0, r in zip(rep["initial_distances"], rep["ratios"]):
         print(f"  d(x0,0)={d0:.1e}   growth ratio={r:.12g}")
-    print(f"monitor passed: {rep.passed}")
+    print(f"monitor passed: {rep['passed']}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["initial_distance", "growth_ratio", "certified_bound"])
-        for d0, r in zip(rep.initial_distances, rep.ratios):
-            w.writerow([f"{d0:.17g}", f"{r:.17g}", f"{rep.certified_bound:.17g}"])
-    return 0 if rep.passed else 1
+        for d0, r in zip(rep["initial_distances"], rep["ratios"]):
+            w.writerow([f"{d0:.17g}", f"{r:.17g}", f"{rep['certified_bound']:.17g}"])
+    return 0 if rep["passed"] else 1
 
 
 if __name__ == "__main__":

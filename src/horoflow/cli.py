@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 import threading
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -139,7 +139,10 @@ def _emit(report: dict, args, csv_writers=()) -> None:
         print(text)
         return
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"bad --out {args.out}: {exc.strerror}") from exc
     (out / "report.json").write_text(text + "\n")
     _write_csvs(out, csv_writers)
 
@@ -294,17 +297,16 @@ def _run_equilibrium(args) -> int:
     icfg = _integrator(cfg.get("integrator"))
 
     cond = verify_equilibrium_condition(field, xbar, box, samples, seed)
-    report = {"condition": asdict(cond), "horizon": horizon, "seed": seed}
-    if not cond.certified:
+    report = {"condition": cond, "horizon": horizon, "seed": seed}
+    if not cond["certified"]:
         report.update(passed=False, refusal="degeneracy condition not certified: coefficient "
                       "sizes do not vanish linearly toward the equilibrium point")
         _emit(report, args)
         return FAIL
     monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, seed)
-    report["stability"] = asdict(monitor)
-    report["passed"] = bool(monitor.passed)
+    report.update(stability=monitor, passed=monitor["passed"])
     _emit(report, args)
-    return PASS if monitor.passed else FAIL
+    return PASS if monitor["passed"] else FAIL
 
 
 # --------------------------------------------------------------------------- involutive
@@ -446,17 +448,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return _RUNNERS[args.command](args)
+        try:
+            return _RUNNERS[args.command](args)
+        except tuple(_FAILURE_KINDS) as exc:
+            # t is null where a monitor fails on a whole solve
+            failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
+                       "t": float(exc.time) if hasattr(exc, "time") else None}
+            _emit({"passed": False, "failure": failure}, args)
+            print(f"horoflow: numerical failure: {exc}", file=sys.stderr)
+            return FAIL
     except (ConfigError, AlgebraValidationError, ValueError, KeyError) as exc:
         print(f"horoflow: config error: {exc}", file=sys.stderr)
         return USAGE
-    except tuple(_FAILURE_KINDS) as exc:
-        # t is null where a monitor fails on a whole solve
-        failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
-                   "t": float(exc.time) if hasattr(exc, "time") else None}
-        _emit({"passed": False, "failure": failure}, args)
-        print(f"horoflow: numerical failure: {exc}", file=sys.stderr)
-        return FAIL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ minimisation with closed form sqrt(v) at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -156,27 +156,6 @@ class UVSolution:
     stats: dict  # StepStats of the solve; the same for every rung of one ladder
 
 
-@dataclass(frozen=True)
-class RungReport:
-    epsilon: float
-    variant: str
-    min_u: float
-    min_v: float
-    mix_bound_margin: float
-    lower_mix_margin: float
-    linear_envelope_margin: float
-    exp_linear_constant: float
-    stationarity: tuple  # |du|, |dv| of the right-hand side at (0, 1, 1)
-    integral_residual: float
-    crossing_time: float | None
-    crossing_threshold: float | None
-    lower_bound_margin: float | None  # autonomous only
-    lower_bound_constant: float | None  # autonomous only
-    minimizer_sup: float | None  # autonomous only
-    failures: tuple
-    passed: bool
-
-
 def solve_regularized(variant: str, epsilons: Sequence[float], tau: float,
                       grid_points: int) -> list[UVSolution]:
     """Integrate the regularized rungs for all ``epsilons`` as one solve.
@@ -203,7 +182,8 @@ def solve_regularized(variant: str, epsilons: Sequence[float], tau: float,
             for i, e in enumerate(eps)]
 
 
-def rung_monitor_report(uv: UVSolution) -> RungReport:
+def rung_monitor_report(uv: UVSolution) -> dict:
+    """The proof-bound monitors of one rung: its ``ladder.rungs`` report entry."""
     eps, tau = uv.epsilon, float(uv.times[-1])
     failures = []
     # every check is written so that a NaN fails it
@@ -274,17 +254,17 @@ def rung_monitor_report(uv: UVSolution) -> RungReport:
         if not crossing_time >= crossing_threshold - MONITOR_TOL:
             failures.append("first_crossing_too_early")
 
-    return RungReport(
-        epsilon=eps, variant=uv.variant, min_u=min_u, min_v=min_v,
-        mix_bound_margin=mix_margin, lower_mix_margin=lower_mix_margin,
-        linear_envelope_margin=lin_margin,
-        exp_linear_constant=c_hat, stationarity=stationarity,
-        integral_residual=res,
-        crossing_time=crossing_time, crossing_threshold=crossing_threshold,
-        lower_bound_margin=lower_margin, lower_bound_constant=c5,
-        minimizer_sup=sigma_sup,
-        failures=tuple(failures), passed=not failures,
-    )
+    return {
+        "epsilon": eps, "variant": uv.variant, "min_u": min_u, "min_v": min_v,
+        "mix_bound_margin": mix_margin, "lower_mix_margin": lower_mix_margin,
+        "linear_envelope_margin": lin_margin, "exp_linear_constant": c_hat,
+        "stationarity": stationarity,  # |du|, |dv| of the right-hand side at (0, 1, 1)
+        "integral_residual": res,
+        "crossing_time": crossing_time, "crossing_threshold": crossing_threshold,
+        # the next three are None except on the autonomous variant
+        "lower_bound_margin": lower_margin, "lower_bound_constant": c5, "minimizer_sup": sigma_sup,
+        "failures": tuple(failures), "passed": not failures,
+    }
 
 
 def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
@@ -335,7 +315,7 @@ class EpsilonLadder:
     spec: LadderSpec
     variant: str
     solutions: tuple  # UVSolution per rung, largest epsilon first
-    rung_reports: tuple
+    rung_reports: tuple  # rung_monitor_report dict per rung
     sup_differences: tuple
     converged: bool
     gaps_decreasing_from: int
@@ -355,7 +335,7 @@ class EpsilonLadder:
             "limit_residual": self.limit_residual,
             "gap_tol": GAP_TOL,
             "tau": self.spec.tau,
-            "rungs": [asdict(r) for r in self.rung_reports],
+            "rungs": list(self.rung_reports),
         }
 
 
@@ -382,10 +362,10 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
     solutions = tuple(solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points))
     reports = tuple(rung_monitor_report(uv) for uv in solutions)
     for rep in reports:
-        if not rep.passed:
+        if not rep["passed"]:
             raise MonitorViolation(
-                f"proof-bound monitor failed on rung eps={rep.epsilon:g}: "
-                f"{', '.join(rep.failures)}"
+                f"proof-bound monitor failed on rung eps={rep['epsilon']:g}: "
+                f"{', '.join(rep['failures'])}"
             )
 
     gaps = [float(max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))))

@@ -47,16 +47,6 @@ SCALES = 6
 GROWTH_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class EquilibriumCondition:
-    equilibrium_point: tuple
-    estimated_c: float
-    scale_maxima: tuple  # max ratio per shrinking sample scale
-    certified: bool
-    samples: int
-    seed: int
-
-
 def verify_equilibrium_condition(
     field: HorizontalField,
     xbar: Sequence[float],
@@ -64,7 +54,7 @@ def verify_equilibrium_condition(
     samples: int,
     seed: int,
     time_samples: Sequence[float] = (0.0,),
-) -> EquilibriumCondition:
+) -> dict:
     """Estimate the degeneracy constant by sampling, swept toward the point.
 
     The ratio at a sample x is sum_i |a_i(t,x)|^(1/d_i) divided by d(x, xbar),
@@ -76,6 +66,7 @@ def verify_equilibrium_condition(
     uncertified (the estimate is then a lower bound that grows beyond any
     threshold as scales increase).  Both are fixed so that every report
     certifies by one rule.  A non-finite ratio raises `NonFiniteRHSError`.
+    Returns the ``equilibrium`` report's ``condition`` block.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -107,34 +98,21 @@ def verify_equilibrium_condition(
                                                     f"x = {XS[keep][row].tolist()}")
             scale_maxima.append(float(np.max(ratios, initial=0.0)))
 
-    estimated_c = max(scale_maxima)
-    first = scale_maxima[0]
-    certified = not (scale_maxima[-1] > GROWTH_FACTOR * max(first, 1e-300))
-    return EquilibriumCondition(
-        tuple(xbar), float(estimated_c), tuple(scale_maxima), certified, samples, seed
-    )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    ratios: tuple
-    initial_distances: tuple
-    certified_bound: float
-    kappa: float
-    c_integral: float
-    passed: bool
-    equilibrium_deviation: float | None  # set when some start equals the point
+    certified = not (scale_maxima[-1] > GROWTH_FACTOR * max(scale_maxima[0], 1e-300))
+    return {"equilibrium_point": tuple(xbar), "estimated_c": max(scale_maxima),
+            "scale_maxima": tuple(scale_maxima),  # max ratio per shrinking sample scale
+            "certified": certified, "samples": samples, "seed": seed}
 
 
 def stability_monitor(
     field: HorizontalField,
     xbar: Sequence[float],
-    cond: EquilibriumCondition,
+    cond: dict,
     initial_points: Sequence[Sequence[float]],
     cfg: IntegratorConfig = IntegratorConfig(),
     horizon: float = 1.0,
     seed: int = 0,
-) -> StabilityReport:
+) -> dict:
     """Integrate from each start and compare growth against the Gronwall bound.
 
     All starts advance as one (starts, dim) solve whose error norm is the max
@@ -147,12 +125,13 @@ def stability_monitor(
     A start at the point itself has no ratio: its ratio reads 1.0, and the
     monitor fails when it moves farther than 100 * ``cfg.abs_tol`` from the
     point (``equilibrium_deviation``), the scale of ``integrate``'s residual
-    gate; a genuine equilibrium stays put to the bit.
+    gate; a genuine equilibrium stays put to the bit.  Returns the report's
+    ``stability`` block.
     """
-    if not cond.certified or not math.isfinite(cond.estimated_c):
+    if not cond["certified"] or not math.isfinite(cond["estimated_c"]):
         raise ConditionNotCertified(
             "degeneracy condition not certified: ratios grow toward the "
-            f"equilibrium point (scale maxima {list(cond.scale_maxima)})"
+            f"equilibrium point (scale maxima {list(cond['scale_maxima'])})"
         )
     alg = field.algebra
     dst = default_distance(alg)
@@ -162,7 +141,7 @@ def stability_monitor(
         raise ValueError("initial point dimension does not match the algebra")
 
     kappa = equivalence_kappa(alg, dst.gauge, seed)
-    c_integral = cond.estimated_c * horizon
+    c_integral = cond["estimated_c"] * horizon
     bound = kappa * math.exp(kappa * c_integral)
 
     sol = solve_to_grid(lambda t, x: evaluate_field(field, t, x),
@@ -173,10 +152,10 @@ def stability_monitor(
     ratios = np.where(at_point, 1.0, devs / np.where(at_point, 1.0, dists))
     eq_dev = float(np.max(devs[at_point])) if at_point.any() else None
     passed = np.max(ratios) <= bound and (eq_dev is None or eq_dev <= 100.0 * cfg.abs_tol)
-    return StabilityReport(
-        tuple(ratios.tolist()), tuple(dists.tolist()), float(bound), float(kappa),
-        float(c_integral), bool(passed), eq_dev,
-    )
+    return {"ratios": tuple(ratios.tolist()), "initial_distances": tuple(dists.tolist()),
+            "certified_bound": float(bound), "kappa": float(kappa),
+            "c_integral": float(c_integral), "passed": bool(passed),
+            "equilibrium_deviation": eq_dev}  # set when some start equals the point
 
 
 # --------------------------------------------------------------------------- involutive

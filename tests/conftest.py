@@ -2,7 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from horoflow import heisenberg, koranyi_distance
+from horoflow.gauges import koranyi_distance
+from horoflow.groups import heisenberg
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=60, derandomize=True

@@ -11,9 +11,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-import horoflow as hf
-from horoflow.fields import left_invariant_frame
+from horoflow.counterexample import (LadderSpec, build_nonuniqueness_report,
+                                     nonuniqueness_report, run_epsilon_ladder,
+                                     scaled_axis_distance)
+from horoflow.domain import Box
+from horoflow.fields import (compute_p, derivation_of, horizontal_field, left_invariant_frame,
+                             recover_coefficients)
+from horoflow.flow import CauchyProblem, integrate
+from horoflow.gauges import koranyi_distance, koranyi_norm, smooth_gauge
+from horoflow.groups import heisenberg
 from horoflow.poly import Poly, evaluator
+from horoflow.stepping import IntegratorConfig
+from horoflow.uniqueness import (check_involutive, confinement_check, module_field,
+                                 reduced_solve, stability_monitor, verify_equilibrium_condition)
 
 
 @contextmanager
@@ -33,15 +43,15 @@ def criterion(num, desc, limit_s=None):
 
 @pytest.fixture(scope="module")
 def heis():
-    return hf.heisenberg()
+    return heisenberg()
 
 
 @pytest.fixture(scope="module")
 def time_exhibit():
     """Shared 14-rung time-dependent ladder + report (criteria 5 and 6)."""
     t0 = time.perf_counter()
-    ladder = hf.run_epsilon_ladder(hf.LadderSpec(), "time")
-    report, gamma = hf.build_nonuniqueness_report(ladder)
+    ladder = run_epsilon_ladder(LadderSpec(), "time")
+    report, gamma = build_nonuniqueness_report(ladder)
     return ladder, report, gamma, time.perf_counter() - t0
 
 
@@ -62,13 +72,13 @@ def test_criterion_01_group_law_fidelity(heis):
 def test_criterion_02_field_derivation_symbolic(heis):
     with criterion(2, "left-invariant frame, symbolic"):
         P = lambda terms: Poly(3, terms)  # noqa: E731
-        assert hf.compute_p(heis, 1).rows == (
+        assert compute_p(heis, 1).rows == (
             P({(0, 0, 0): 1}), P({}), P({(0, 1, 0): -1})
         )
-        assert hf.compute_p(heis, 2).rows == (
+        assert compute_p(heis, 2).rows == (
             P({}), P({(0, 0, 0): 1}), P({(1, 0, 0): 1})
         )
-        assert hf.compute_p(heis, 3).rows == (P({}), P({}), P({(0, 0, 0): 1}))
+        assert compute_p(heis, 3).rows == (P({}), P({}), P({(0, 0, 0): 1}))
 
 
 def test_criterion_03_homogeneity_suite(heis):
@@ -79,8 +89,8 @@ def test_criterion_03_homogeneity_suite(heis):
         Y = rng.uniform(-3, 3, (n, 3))
         rs = rng.uniform(0.25, 4.0, n)
 
-        sg = hf.smooth_gauge(heis)
-        for gauge_batch in (sg, hf.koranyi_norm):
+        sg = smooth_gauge(heis)
+        for gauge_batch in (sg, koranyi_norm):
             base = gauge_batch(X)
             dil = np.vstack([heis.dilate(r, x) for r, x in zip(rs, X)])
             assert np.max(np.abs(gauge_batch(dil) - rs * base)) <= 1e-12
@@ -107,11 +117,11 @@ def test_criterion_04_derivation_roundtrip(heis):
     with criterion(4, "derivation roundtrip (100 points)"):
         a1 = lambda t, x: np.sin(x[..., 0]) + x[..., 1] ** 2  # noqa: E731
         a2 = lambda t, x: np.cos(x[..., 1]) * x[..., 2]  # noqa: E731
-        b = hf.horizontal_field(heis, (a1, a2))
-        D = hf.derivation_of(b)
+        b = horizontal_field(heis, (a1, a2))
+        D = derivation_of(b)
         rng = np.random.default_rng(104)
         for xbar in rng.uniform(-3, 3, (100, 3)):
-            got = hf.recover_coefficients(D, xbar)
+            got = recover_coefficients(D, xbar)
             want = np.array([a1(0.0, xbar), a2(0.0, xbar)])
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -135,25 +145,25 @@ def test_criterion_06_proof_bound_monitors(time_exhibit):
     ladder, _, _, _ = time_exhibit
     with criterion(6, "proof-bound monitors on every rung"):
         for uv, rep in zip(ladder.solutions, ladder.rung_reports):
-            assert rep.min_u >= -1e-9
-            assert rep.min_v >= -1e-9
+            assert rep["min_u"] >= -1e-9
+            assert rep["min_v"] >= -1e-9
             bound = 1.5 * np.exp(uv.times + uv.epsilon) + 1e-9
             assert np.all(uv.u + uv.v / 2.0 <= bound)
-            assert max(rep.stationarity) <= 1e-12
-            assert rep.passed
+            assert max(rep["stationarity"]) <= 1e-12
+            assert rep["passed"]
 
 
 def test_criterion_07_autonomous_variant():
     with criterion(7, "autonomous variant", limit_s=120.0):
         for u in np.linspace(0.0, 3.0, 9):
             for v in np.linspace(0.0, 3.0, 9):
-                assert abs(hf.scaled_axis_distance(0.0, u, v) - math.sqrt(v)) <= 1e-10
+                assert abs(scaled_axis_distance(0.0, u, v) - math.sqrt(v)) <= 1e-10
 
         rng = np.random.default_rng(107)
         for _ in range(400):
             t, u, v = rng.uniform(0, 1), rng.uniform(0, 3), rng.uniform(0, 3)
             bound = ((t / 3.0) ** 4 * u**4 + v * v) ** 0.25
-            assert hf.scaled_axis_distance(t, u, v) <= bound + 1e-12
+            assert scaled_axis_distance(t, u, v) <= bound + 1e-12
 
         s_grid = np.linspace(-10.0, 10.0, 1_000_000)
         for _ in range(100):
@@ -162,9 +172,9 @@ def test_criterion_07_autonomous_variant():
             c = v / 36.0
             f = (s_grid**2 + b * b) ** 2 + (b * s_grid + c) ** 2
             oracle = 6.0 * float(np.min(f)) ** 0.25
-            assert abs(hf.scaled_axis_distance(t, u, v) - oracle) <= 1e-8
+            assert abs(scaled_axis_distance(t, u, v) - oracle) <= 1e-8
 
-        report = hf.nonuniqueness_report("autonomous", hf.LadderSpec())
+        report = nonuniqueness_report("autonomous", LadderSpec())
         assert report["residual_trivial"] <= 1e-6
         assert report["residual_nontrivial"] <= 1e-6
         worst = max(report["residual_trivial"], report["residual_nontrivial"])
@@ -175,38 +185,38 @@ def test_criterion_07_autonomous_variant():
 
 def test_criterion_08_equilibrium_stability(heis):
     with criterion(8, "equilibrium stability", limit_s=10.0):
-        dst = hf.koranyi_distance()
-        b = hf.horizontal_field(
+        dst = koranyi_distance()
+        b = horizontal_field(
             heis, (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0))
-        box = hf.Box((-1, -1, -1), (1, 1, 1))
-        cond = hf.verify_equilibrium_condition(b, np.zeros(3), box, 800, seed=8)
-        assert cond.estimated_c <= 1.0 + 1e-9
+        box = Box((-1, -1, -1), (1, 1, 1))
+        cond = verify_equilibrium_condition(b, np.zeros(3), box, 800, seed=8)
+        assert cond["estimated_c"] <= 1.0 + 1e-9
         starts = [(10.0**-k, 0.0, 0.0) for k in range(2, 6)]
-        rep = hf.stability_monitor(
+        rep = stability_monitor(
             b, np.zeros(3), cond, starts,
-            hf.IntegratorConfig(dense_output_grid=257), 1.0,
+            IntegratorConfig(dense_output_grid=257), 1.0,
         )
-        ratios = np.array(rep.ratios)
+        ratios = np.array(rep["ratios"])
         assert np.max(ratios) <= 2.0 * np.min(ratios)
-        assert np.max(ratios) <= rep.certified_bound
-        assert rep.passed
+        assert np.max(ratios) <= rep["certified_bound"]
+        assert rep["passed"]
 
 
 def test_criterion_09_involutive_confinement(heis):
     with criterion(9, "involutive confinement", limit_s=5.0):
-        mod = hf.check_involutive(heis, [[1.0, 0.0, 0.0]])
+        mod = check_involutive(heis, [[1.0, 0.0, 0.0]])
         coeffs = (lambda t, x: np.sin(x[..., 0]),)
-        b = hf.module_field(mod, coeffs)
-        cfg = hf.IntegratorConfig(dense_output_grid=257)
+        b = module_field(mod, coeffs)
+        cfg = IntegratorConfig(dense_output_grid=257)
         x0 = (0.0, 1.0, 0.0)
-        full = hf.integrate(hf.CauchyProblem(b, x0, 1.0), cfg)
-        assert hf.confinement_check(full, mod, x0) <= 1e-8
-        red = hf.reduced_solve(mod, coeffs, x0, 1.0, cfg)
+        full = integrate(CauchyProblem(b, x0, 1.0), cfg)
+        assert confinement_check(full, mod, x0) <= 1e-8
+        red = reduced_solve(mod, coeffs, x0, 1.0, cfg)
         assert np.max(np.abs(full.states - red.states)) <= 1e-8
 
-        neg = hf.horizontal_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0))
-        tr = hf.integrate(hf.CauchyProblem(neg, x0, 1.0), cfg)
-        assert hf.confinement_check(tr, mod, x0) > 1e-3
+        neg = horizontal_field(heis, (lambda t, x: np.sin(x[..., 0]), lambda t, x: 1.0))
+        tr = integrate(CauchyProblem(neg, x0, 1.0), cfg)
+        assert confinement_check(tr, mod, x0) > 1e-3
 
 
 def test_criterion_10_integrator_order(heis):
@@ -219,16 +229,16 @@ def test_criterion_10_integrator_order(heis):
     # steps 1/2 .. 1/16 keep that error (9e-8 .. 9e-15) above the
     # reference's own error (about 1e-15); at 1/32 it reaches rounding
     with criterion(10, "fixed-step order study"):
-        b = hf.horizontal_field(
+        b = horizontal_field(
             heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0])
         )
-        p = hf.CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
-        ref = hf.integrate(p, hf.IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)).final_state
+        p = CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
+        ref = integrate(p, IntegratorConfig(abs_tol=1e-13, rel_tol=1e-13)).final_state
         residuals, errors = [], []
         for n in (2, 4, 8, 16, 32, 64, 128):
-            cfg = hf.IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,
+            cfg = IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,
                                       dense_output_grid=n + 1)
-            tr = hf.integrate(p, cfg)
+            tr = integrate(p, cfg)
             assert (tr.meta["steps"], tr.meta["rejected"]) == (n, 0)
             if n >= 16:  # a residual needs at least 8 grid points
                 residuals.append(tr.residual)

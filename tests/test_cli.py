@@ -210,6 +210,31 @@ def test_bad_seed_flag_is_usage_error(tmp_path, capsys, command, seed):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("fails", [False, True], ids=["report", "failure-report"])
+def test_out_that_is_not_a_directory_is_usage_error(tmp_path, capsys, fails, under):
+    # an --out naming a file, or a path under one; with ``fails`` the report
+    # is written by the numerical-failure handler (the stiff decay of
+    # test_integrate_numerical_failure_writes_report)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = str(afile / under) if under else str(afile)
+    argv = ["check-group", "--samples", "10"]
+    if fails:
+        cfg = {"group": "heisenberg",
+               "field": {"coefficients": [
+                   {"form": "constant", "value": 0.0},
+                   {"form": "monomial", "exponents": [0, 1, 0], "scale": -1e8}]},
+               "x0": [0, 1, 0], "horizon": 1.0, "integrator": {"min_step": 1e-6}}
+        cpath = tmp_path / "stiff.json"
+        cpath.write_text(json.dumps(cfg))
+        argv = ["integrate", "--config", str(cpath)]
+    assert main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad --out {out}: " in err and "Traceback" not in err
+    assert afile.read_text() == ""
+
+
 def equilibrium_config(tmp_path):
     cfg = {
         "group": "heisenberg",
@@ -238,6 +263,28 @@ def test_equilibrium_command_passes(tmp_path):
     assert rep["condition"]["estimated_c"] <= 1.0 + 1e-9
     assert rep["stability"]["passed"]
     assert max(rep["stability"]["ratios"]) <= rep["stability"]["certified_bound"]
+
+
+def test_report_blocks_keep_their_keys(tmp_path):
+    out = tmp_path / "eq"
+    assert main(["equilibrium", "--config", str(equilibrium_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert set(rep["condition"]) == {"equilibrium_point", "estimated_c", "scale_maxima",
+                                     "certified", "samples", "seed"}
+    assert set(rep["stability"]) == {"ratios", "initial_distances", "certified_bound", "kappa",
+                                     "c_integral", "passed", "equilibrium_deviation"}
+    out = tmp_path / "cx"
+    assert main(counterexample_args(out)) == 0
+    rungs = read_report(out)["ladder"]["rungs"]
+    assert len(rungs) == 6
+    for rung in rungs:
+        assert set(rung) == {
+            "epsilon", "variant", "min_u", "min_v", "mix_bound_margin", "lower_mix_margin",
+            "linear_envelope_margin", "exp_linear_constant", "stationarity",
+            "integral_residual", "crossing_time", "crossing_threshold", "lower_bound_margin",
+            "lower_bound_constant", "minimizer_sup", "failures", "passed",
+        }
 
 
 def test_equilibrium_command_refuses_constant_field(tmp_path):

@@ -4,15 +4,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from horoflow import (LadderSpec, counterexample_field, distance_to_axis,
-                      distance_to_axis_point, heisenberg,
-                      nonuniqueness_report, reconstruct_trajectory,
-                      run_epsilon_ladder, scaled_axis_distance,
-                      solve_regularized, trivial_trajectory, uv_rhs)
-from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, UVSolution, gap_convergence,
-                                     rung_monitor_report,
-                                     scaled_axis_distance_with_minimizer,
-                                     singular_integral_residual)
+from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, LadderSpec, UVSolution,
+                                     distance_to_axis, distance_to_axis_point, gap_convergence,
+                                     nonuniqueness_report, reconstruct_trajectory,
+                                     rung_monitor_report, run_epsilon_ladder,
+                                     scaled_axis_distance, scaled_axis_distance_with_minimizer,
+                                     singular_integral_residual, solve_regularized,
+                                     trivial_trajectory, uv_rhs)
 from horoflow.stepping import IntegratorConfig, solve_to_grid
 
 FAST = 512  # grid points of a rung solve; the default ladder uses 2048
@@ -218,21 +216,21 @@ def solve_one_rung(variant, eps, tau):
 @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6])
 def test_regularized_rung_monitors_pass(eps):
     uv, rep = solve_one_rung("time", eps, 0.5)
-    assert rep.passed, rep.failures
-    assert rep.min_u >= -1e-9 and rep.min_v >= -1e-9
-    assert rep.mix_bound_margin >= -1e-9
-    assert rep.lower_mix_margin >= -1e-9
-    assert rep.linear_envelope_margin >= -1e-9
-    assert max(rep.stationarity) == 0.0
+    assert rep["passed"], rep["failures"]
+    assert rep["min_u"] >= -1e-9 and rep["min_v"] >= -1e-9
+    assert rep["mix_bound_margin"] >= -1e-9
+    assert rep["lower_mix_margin"] >= -1e-9
+    assert rep["linear_envelope_margin"] >= -1e-9
+    assert max(rep["stationarity"]) == 0.0
     assert uv.u[0] == 1.0 and uv.v[0] == 1.0
 
 
 def test_regularized_rung_autonomous_lower_bound():
     uv, rep = solve_one_rung("autonomous", 0.01, 0.3)
-    assert rep.passed, rep.failures
-    assert rep.lower_bound_margin >= -1e-9
-    assert rep.lower_bound_constant >= rep.exp_linear_constant - 1e-12
-    assert rep.minimizer_sup < 0.2
+    assert rep["passed"], rep["failures"]
+    assert rep["lower_bound_margin"] >= -1e-9
+    assert rep["lower_bound_constant"] >= rep["exp_linear_constant"] - 1e-12
+    assert rep["minimizer_sup"] < 0.2
 
 
 def test_rung_rejects_bad_epsilon_or_horizon():
@@ -248,22 +246,22 @@ def test_monitor_flags_synthetic_violations():
     # envelope threshold almost immediately
     bad = UVSolution(t, np.ones_like(t), 1.0 - 100.0 * t, 0.05, "time", {})
     rep = rung_monitor_report(bad)
-    assert not rep.passed
-    assert "sign_v" in rep.failures
-    assert "first_crossing_too_early" in rep.failures
+    assert not rep["passed"]
+    assert "sign_v" in rep["failures"]
+    assert "first_crossing_too_early" in rep["failures"]
 
 
 def test_monitor_flags_nan_data():
     t = np.linspace(0.0, 0.3, 129)
     finite = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), 0.01, "time", {}))
-    assert finite.failures == ("integral_residual",)
+    assert finite["failures"] == ("integral_residual",)
     u = np.ones_like(t)
     u[10] = np.nan
     rep = rung_monitor_report(UVSolution(t, u, np.ones_like(t), 0.01, "time", {}))
     # a NaN fails every check that reads u; checks on v alone still pass
-    assert set(rep.failures) == {"sign_u", "mix_exponential_bound", "integral_residual",
+    assert set(rep["failures"]) == {"sign_u", "mix_exponential_bound", "integral_residual",
                                  "mix_lower_envelope"}
-    assert not rep.passed
+    assert not rep["passed"]
 
 
 def test_monitor_accepts_late_crossing():
@@ -271,9 +269,9 @@ def test_monitor_accepts_late_crossing():
     # gentle decline crosses v = c(t+eps) well after the guaranteed window
     sol = UVSolution(t, np.ones_like(t), np.maximum(1.0 - 1.2 * t, 0.0), 0.05, "time", {})
     rep = rung_monitor_report(sol)
-    assert rep.crossing_time is not None
-    assert rep.crossing_time >= rep.crossing_threshold
-    assert "first_crossing_too_early" not in rep.failures
+    assert rep["crossing_time"] is not None
+    assert rep["crossing_time"] >= rep["crossing_threshold"]
+    assert "first_crossing_too_early" not in rep["failures"]
 
 
 # --------------------------------------------------------------------------- comparison lemma
@@ -283,12 +281,12 @@ def test_comparison_envelopes_pass_on_the_constant_solution():
     t = np.linspace(0.0, 1.0, 64)
     eps = 0.1
     rep = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), eps, "time", {}))
-    assert "mix_exponential_bound" not in rep.failures
-    assert "v_linear_envelope" not in rep.failures
+    assert "mix_exponential_bound" not in rep["failures"]
+    assert "v_linear_envelope" not in rep["failures"]
     # both worst margins sit at t = 0: (3/2)(e^eps - 1) and c_hat eps
-    assert rep.mix_bound_margin == pytest.approx(1.5 * (math.exp(eps) - 1.0))
-    assert rep.linear_envelope_margin == pytest.approx(rep.exp_linear_constant * eps)
-    assert rep.exp_linear_constant == pytest.approx(1.5 * (math.exp(1.1) - 1.0) / 1.1)
+    assert rep["mix_bound_margin"] == pytest.approx(1.5 * (math.exp(eps) - 1.0))
+    assert rep["linear_envelope_margin"] == pytest.approx(rep["exp_linear_constant"] * eps)
+    assert rep["exp_linear_constant"] == pytest.approx(1.5 * (math.exp(1.1) - 1.0) / 1.1)
 
 
 def test_comparison_envelopes_each_fire_on_a_violating_rung():
@@ -297,20 +295,20 @@ def test_comparison_envelopes_each_fire_on_a_violating_rung():
     # u + v/2 climbing to 2.5 at t = 0.3 overtakes (3/2) e^(t + eps) = 2.1;
     # v alone stays under its linear envelope, so only the mix bound fires
     rep = rung_monitor_report(UVSolution(t, 1.0 + 5.0 * t, one, 0.05, "time", {}))
-    assert "mix_exponential_bound" in rep.failures and rep.mix_bound_margin < -0.3
-    assert "v_linear_envelope" not in rep.failures
+    assert "mix_exponential_bound" in rep["failures"] and rep["mix_bound_margin"] < -0.3
+    assert "v_linear_envelope" not in rep["failures"]
     # v climbing at twice c_hat crosses its envelope, while u + v/2 stays
     # under the exponential bound (u is lowered to make room)
     c_hat = 1.5 * (math.exp(0.35) - 1.0) / 0.35
     v = 1.0 + 2.0 * c_hat * t
     rep = rung_monitor_report(UVSolution(t, 1.0 - 0.5 * (v - 1.0), v, 0.05, "time", {}))
-    assert "v_linear_envelope" in rep.failures and rep.linear_envelope_margin < -0.4
-    assert "mix_exponential_bound" not in rep.failures
+    assert "v_linear_envelope" in rep["failures"] and rep["linear_envelope_margin"] < -0.4
+    assert "mix_exponential_bound" not in rep["failures"]
 
 
 def test_comparison_envelopes_hold_on_a_solved_rung():
     _, rep = solve_one_rung("time", 0.05, 0.5)
-    assert rep.mix_bound_margin >= 0.0 and rep.linear_envelope_margin >= 0.0
+    assert rep["mix_bound_margin"] >= 0.0 and rep["linear_envelope_margin"] >= 0.0
 
 
 # --------------------------------------------------------------------------- ladder
@@ -351,10 +349,10 @@ def test_last_rung_envelopes_bound_the_approach_to_the_start(variant):
     # |v - 1| <= (12C + 4c) s + 8 tol at the first positive grid time
     lad = run_epsilon_ladder(small_spec(), variant)
     uv, rep = lad.limit, lad.rung_reports[-1]
-    assert rep.passed
-    assert rep.crossing_time is None or rep.crossing_time > uv.times[1]
-    c = rep.exp_linear_constant
-    C = c if variant == "time" else rep.lower_bound_constant
+    assert rep["passed"]
+    assert rep["crossing_time"] is None or rep["crossing_time"] > uv.times[1]
+    c = rep["exp_linear_constant"]
+    C = c if variant == "time" else rep["lower_bound_constant"]
     s1 = uv.times[1] + uv.epsilon
     assert abs(uv.u[1] - 1.0) <= (6.0 * C + 3.0 * c) * s1 + 5.0 * MONITOR_TOL
     assert abs(uv.v[1] - 1.0) <= (12.0 * C + 4.0 * c) * s1 + 8.0 * MONITOR_TOL

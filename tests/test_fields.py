@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from horoflow import (GradedAlgebra, HorizontalField, TestFunction, apply_derivation,
-                      compute_p, derivation_of, evaluate_field, field_from_spec,
-                      heisenberg, horizontal_field, horizontal_gradient,
-                      koranyi_distance, left_invariant_frame, recover_coefficients)
 from horoflow.counterexample import counterexample_field
-from horoflow.fields import (NonHorizontalDerivationError, coordinate_function,
+from horoflow.fields import (HorizontalField, NonHorizontalDerivationError, TestFunction,
+                             apply_derivation, compute_p, coordinate_function, derivation_of,
+                             evaluate_field, field_from_spec, horizontal_field,
+                             horizontal_gradient, left_invariant_frame, recover_coefficients,
                              translated_coordinate_functions)
 from horoflow.gauges import koranyi_norm
+from horoflow.groups import GradedAlgebra
 from horoflow.poly import Poly, evaluator
 
 
@@ -269,7 +269,7 @@ def test_field_from_spec_forms(heis, heis_dist):
     }
     b2 = field_from_spec(heis, spec2)
     assert b2.coefficients[0](0.0, x) == pytest.approx(heis_dist(np.zeros(3), x))
-    from horoflow import distance_to_axis_point
+    from horoflow.counterexample import distance_to_axis_point
 
     assert b2.coefficients[1](0.3, x) == pytest.approx(distance_to_axis_point(0.3, x))
 
@@ -279,7 +279,7 @@ def test_field_from_spec_forms(heis, heis_dist):
 
     spec4 = {"coefficients": [{"form": "axis_distance_inf"}], "indices": [2]}
     b4 = field_from_spec(heis, spec4)
-    from horoflow import distance_to_axis
+    from horoflow.counterexample import distance_to_axis
 
     assert b4.coefficients[0](0.0, x) == pytest.approx(distance_to_axis(x))
 
@@ -347,7 +347,7 @@ def test_exhibit_coefficients_rows_equal_point_calls(heis, variant):
 
 
 def test_module_field_rows_equal_point_calls(heis):
-    from horoflow import check_involutive, module_field
+    from horoflow.uniqueness import check_involutive, module_field
 
     mod = check_involutive(heis, [[0.6, 0.8, 0.0]])
     b = module_field(mod, (lambda t, x: np.sin(x[..., 0]) * (1.0 + t),))

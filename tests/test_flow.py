@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from horoflow import (Box, CauchyProblem, IntegratorConfig, Trajectory,
-                      evaluate_field, field_from_spec, heisenberg,
-                      horizontal_field, integrate, residual)
 from horoflow.counterexample import counterexample_field
-from horoflow.stepping import (NonFiniteRHSError, StepStats,
+from horoflow.domain import Box
+from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
+from horoflow.flow import CauchyProblem, Trajectory, integrate, residual
+from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, StepStats,
                                StepUnderflowError, cumulative_simpson,
                                dop853_dense, solve_to_grid)
 

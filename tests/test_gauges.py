@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horoflow import (GradedAlgebra, HomogeneousDistance, equivalence_constants, gauge_report,
-                      heisenberg, koranyi_distance, koranyi_norm, smooth_gauge)
+from horoflow.gauges import (HomogeneousDistance, equivalence_constants, gauge_report,
+                             koranyi_distance, koranyi_norm, smooth_gauge)
+from horoflow.groups import GradedAlgebra, heisenberg
 from horoflow.gauges import minimal_even_exponent
 
 coords = st.floats(-10, 10, allow_nan=False)

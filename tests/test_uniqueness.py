@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from horoflow import (Box, CauchyProblem, ConditionNotCertified, GradedAlgebra,
-                      IntegratorConfig, NotInvolutiveError, check_involutive,
-                      HorizontalField, confinement_check, default_distance, field_from_spec,
-                      heisenberg, horizontal_field, integrate, module_field,
-                      reduced_solve, stability_monitor,
-                      verify_equilibrium_condition)
 from horoflow.counterexample import counterexample_field
+from horoflow.domain import Box
+from horoflow.fields import HorizontalField, field_from_spec, horizontal_field
+from horoflow.flow import CauchyProblem, integrate
+from horoflow.gauges import default_distance
+from horoflow.groups import GradedAlgebra, heisenberg
+from horoflow.stepping import IntegratorConfig
+from horoflow.uniqueness import (ConditionNotCertified, NotInvolutiveError, check_involutive,
+                                 confinement_check, module_field, reduced_solve, stability_monitor,
+                                 verify_equilibrium_condition)
 
 CFG = IntegratorConfig(dense_output_grid=257)
 BOX = Box((-1, -1, -1), (1, 1, 1))
@@ -25,20 +28,20 @@ def gauge_coefficient_field(heis, dst):
 def test_condition_gauge_coefficient_is_exactly_one(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 800, seed=3)
-    assert cond.estimated_c <= 1.0 + 1e-9
-    assert cond.certified
+    assert cond["estimated_c"] <= 1.0 + 1e-9
+    assert cond["certified"]
     # degenerate linearly at every sampled scale
-    assert all(m == pytest.approx(1.0, abs=1e-12) for m in cond.scale_maxima)
+    assert all(m == pytest.approx(1.0, abs=1e-12) for m in cond["scale_maxima"])
 
 
 def test_condition_constant_field_diverges(heis):
     b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 300, seed=3)
-    assert not cond.certified
+    assert not cond["certified"]
     # each dyadic shrink doubles the worst ratio: grows past any threshold
-    ratios = np.array(cond.scale_maxima)
+    ratios = np.array(cond["scale_maxima"])
     assert np.all(ratios[1:] > 1.9 * ratios[:-1])
-    assert cond.estimated_c > 10.0
+    assert cond["estimated_c"] > 10.0
 
 
 def test_condition_counterexample_field_fails():
@@ -48,15 +51,15 @@ def test_condition_counterexample_field_fails():
         b, np.zeros(3), BOX, 300, seed=5,
         time_samples=(0.0, 0.25, 0.5),
     )
-    assert not cond.certified
+    assert not cond["certified"]
 
 
 def test_condition_respects_graded_exponents(heis, heis_dist):
     # vertical frame coefficient enters with exponent 1/2
     b = HorizontalField(heis, (lambda t, x, _d=heis_dist: _d(np.zeros(3), x) ** 2,), (3,))
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=7)
-    assert cond.certified
-    assert cond.estimated_c <= 1.0 + 1e-9
+    assert cond["certified"]
+    assert cond["estimated_c"] <= 1.0 + 1e-9
 
 
 # --------------------------------------------------------------------------- monitor
@@ -66,9 +69,9 @@ def test_monitor_equilibrium_start_stays_put(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
     rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0)
-    assert rep.ratios == (1.0,)
-    assert rep.equilibrium_deviation <= 1e-12
-    assert rep.passed
+    assert rep["ratios"] == (1.0,)
+    assert rep["equilibrium_deviation"] <= 1e-12
+    assert rep["passed"]
 
 
 def test_monitor_fails_an_equilibrium_start_that_moves(heis, heis_dist):
@@ -77,19 +80,19 @@ def test_monitor_fails_an_equilibrium_start_that_moves(heis, heis_dist):
     b = field_from_spec(heis, {"coefficients": [{"form": "constant", "value": 0.0},
                                                 {"form": "axis_distance"}]})
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 500, seed=0)
-    assert cond.certified
+    assert cond["certified"]
     rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0)
-    assert rep.ratios == (1.0,) and rep.certified_bound > 1.0
-    assert rep.equilibrium_deviation > 0.5
-    assert not rep.passed
+    assert rep["ratios"] == (1.0,) and rep["certified_bound"] > 1.0
+    assert rep["equilibrium_deviation"] > 0.5
+    assert not rep["passed"]
     # a genuine equilibrium off the origin stays put to the bit and passes
     xbar = np.array([0.3, -0.2, 0.1])
     b = horizontal_field(heis, (lambda t, x: heis_dist(xbar, x), lambda t, x: 0.0))
     cond = verify_equilibrium_condition(b, xbar, BOX, 400, seed=3)
     starts = [xbar, heis.multiply(xbar, [1e-3, 0.0, 0.0])]
     rep = stability_monitor(b, xbar, cond, starts, CFG, 1.0)
-    assert rep.equilibrium_deviation == 0.0 and rep.ratios[0] == 1.0
-    assert rep.passed
+    assert rep["equilibrium_deviation"] == 0.0 and rep["ratios"][0] == 1.0
+    assert rep["passed"]
 
 
 def test_monitor_dyadic_starts_bounded(heis, heis_dist):
@@ -97,10 +100,10 @@ def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
     starts = [(10.0**-k, 0.0, 0.0) for k in range(2, 6)]
     rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)
-    assert rep.passed
-    ratios = np.array(rep.ratios)
+    assert rep["passed"]
+    ratios = np.array(rep["ratios"])
     assert np.max(ratios) <= 2.0 * np.min(ratios)
-    assert np.max(ratios) <= rep.certified_bound
+    assert np.max(ratios) <= rep["certified_bound"]
     # the flow multiplies the gauge by e^t here, so ratios sit at e
     assert np.allclose(ratios, math.e, rtol=1e-6)
 
@@ -117,9 +120,9 @@ def test_monitor_mixes_an_equilibrium_start_with_others(heis, heis_dist):
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
     starts = [(1e-3, 0.0, 0.0), (0.0, 0.0, 0.0), (2e-2, 0.0, 0.0)]
     rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)
-    assert rep.ratios[1] == 1.0 and rep.initial_distances[1] == 0.0
-    assert rep.equilibrium_deviation <= 1e-12
-    assert np.allclose([rep.ratios[0], rep.ratios[2]], math.e, rtol=1e-6)
+    assert rep["ratios"][1] == 1.0 and rep["initial_distances"][1] == 0.0
+    assert rep["equilibrium_deviation"] <= 1e-12
+    assert np.allclose([rep["ratios"][0], rep["ratios"][2]], math.e, rtol=1e-6)
     with pytest.raises(ValueError, match="dimension"):
         stability_monitor(b, np.zeros(3), cond, [(0.1, 0.0)], CFG, 1.0)
 
@@ -173,7 +176,7 @@ def test_involutive_any_single_direction_valid(heis, rng):
 
 
 def test_involutive_step3_two_directions():
-    from horoflow import GradedAlgebra
+    from horoflow.groups import GradedAlgebra
 
     # layers (3,1,1) with only [e1,e2] nonzero: e1 and e3 commute
     alg = GradedAlgebra((3, 1, 1), {(0, 1): {3: 1}, (0, 3): {4: 1}})
@@ -290,7 +293,7 @@ def test_scale_maxima_match_loop_oracle(case):
     box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
     cond = verify_equilibrium_condition(b, xbar, box, 300, seed=9, time_samples=(0.0, 0.5))
     want = scale_maxima_loop(b, xbar, box, 300, 9, dst, (0.0, 0.5))
-    assert list(cond.scale_maxima) == want
+    assert list(cond["scale_maxima"]) == want
 
 
 @pytest.mark.parametrize("case", range(2))
@@ -305,11 +308,11 @@ def test_stability_ratios_match_loop_oracle(case):
     for x0 in starts:
         tr = integrate(CauchyProblem(b, tuple(x0), 0.5), CFG)
         want.append(max(dst(x, xbar) for x in tr.states) / dst(x0, xbar))
-    assert list(rep.initial_distances) == [dst(x0, xbar) for x0 in starts]
+    assert list(rep["initial_distances"]) == [dst(x0, xbar) for x0 in starts]
     # the monitor solves all starts together, on steps at least as fine as
     # each start's own, so a start's ratio moves only by the solve error:
     # within 100 x rel_tol of its solo solve (measured at most 2.0e-9)
-    assert np.allclose(rep.ratios, want, rtol=100.0 * CFG.rel_tol, atol=0.0)
+    assert np.allclose(rep["ratios"], want, rtol=100.0 * CFG.rel_tol, atol=0.0)
 
 
 @pytest.mark.parametrize("x0, extra", [((0.0, 1.0, 0.0), 0.0), ((0.3, -0.4, 0.2), 1.0)])
