@@ -85,6 +85,15 @@ def _number(cfg: dict, key: str, default) -> float:
     return json_number(cfg.get(key, default), f"bad {key}")
 
 
+def _horizon(cfg: dict, default) -> float:
+    """``cfg["horizon"]`` (or ``default``) read by ``_number``, if positive; else exit 2."""
+    horizon = _number(cfg, "horizon", default)
+    if not horizon > 0:
+        raise ConfigError("bad horizon: expected a positive number, "
+                          f"not {cfg.get('horizon', default)!r}")
+    return horizon
+
+
 def _count(cfg: dict, key: str, default, least: int) -> int:
     """``cfg[key]`` (or ``default``) read by ``json_integer``, at least
     ``least``; else exit 2."""
@@ -259,7 +268,7 @@ def _run_integrate(args) -> int:
     alg = _resolve_group(cfg.get("group"))
     field = _field(alg, cfg)
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
-    horizon = _number(cfg, "horizon", None)
+    horizon = _horizon(cfg, None)
     domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") else None
     icfg = _integrator(cfg.get("integrator"))
     try:
@@ -273,7 +282,8 @@ def _run_integrate(args) -> int:
         "final_time": float(tr.times[-1]),
         "final_state": [float(v) for v in tr.final_state],
         "residual": tr.residual,
-        "meta": {k: v for k, v in tr.meta.items()},
+        "meta": {"abs_tol": icfg.abs_tol, "rel_tol": icfg.rel_tol, "exited": tr.exited,
+                 "exit_time": tr.exit_time, **tr.stats.as_dict()},
     }
     report["passed"] = bool(tr.residual is not None and tr.residual <= 100.0 * icfg.abs_tol)
     _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
@@ -293,7 +303,7 @@ def _run_equilibrium(args) -> int:
     starts = _points(cfg.get("initial_points"), alg.dim, "initial_points")
     samples = _count(cfg, "samples", 2000, 1)
     seed = _count(cfg, "seed", 0, 0)
-    horizon = _number(cfg, "horizon", 1.0)
+    horizon = _horizon(cfg, 1.0)
     icfg = _integrator(cfg.get("integrator"))
 
     cond = verify_equilibrium_condition(field, xbar, box, samples, seed)
@@ -322,7 +332,7 @@ def _run_involutive(args) -> int:
     if len(field.coefficients) != mod.rank:
         raise ConfigError("field must provide one coefficient per basis element")
     ambient = module_field(mod, field.coefficients)
-    horizon = _number(cfg, "horizon", 1.0)
+    horizon = _horizon(cfg, 1.0)
     icfg = _integrator(cfg.get("integrator"))
     dev_tol = _number(cfg, "deviation_tol", 1e-8)
     match_tol = _number(cfg, "match_tol", 1e-8)
@@ -364,17 +374,17 @@ def _write_uv_csv(sol, path, t_col=None) -> None:
 def _run_counterexample(args) -> int:
     spec = cx.LadderSpec(eps0=args.eps0, ratio=args.ratio, count=args.rungs,
                          tau=args.tau, grid_points=args.grid)
-    ladder = cx.run_epsilon_ladder(spec, args.variant)
-    report, gamma = cx.build_nonuniqueness_report(ladder)
+    solutions, ladder = cx.run_epsilon_ladder(spec, args.variant)
+    report, gamma = cx.build_nonuniqueness_report(solutions, ladder)
 
     # the rungs and gamma share one grid, and the limit is the last rung.
     # The times are formatted by the first CSV write, before _write_csvs
     # forks, so --json formats none.  _write_csvs gives its last ceil(n/2)
     # writers (at least 3, as a ladder has at least 4 rungs) to one process,
     # so the limit's copy follows the last rung's write there.
-    t_col = cache(lambda: list(map("%.17g".__mod__, ladder.limit.times.tolist())))
+    t_col = cache(lambda: list(map("%.17g".__mod__, gamma.times.tolist())))
     writers = [(f"rung_eps_{sol.epsilon:.9g}.csv", partial(_write_uv_csv, sol, t_col=t_col))
-               for sol in ladder.solutions]
+               for sol in solutions]
     last = writers[-1][0]
     writers += [("limit_uv.csv", lambda path: shutil.copyfile(path.with_name(last), path)),
                 ("gamma.csv", partial(write_trajectory_csv, gamma, t_col=t_col))]

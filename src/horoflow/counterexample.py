@@ -29,11 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .fields import HorizontalField, horizontal_field
-from .flow import Trajectory, residual as flow_residual
-from .gauges import koranyi_norm
+from .flow import residual as flow_residual
+from .gauges import distance_to_axis, distance_to_axis_point, koranyi_norm
 from .groups import heisenberg
 from .scalarmin import minimize_convex_quartic
-from .stepping import IntegratorConfig, integral_defect, solve_to_grid
+from .stepping import IntegratorConfig, Trajectory, integral_defect, solve_to_grid
 
 # positive root of 8 w^2 + 2 w - 3 = 0: u + w v obeys the exponential bound
 MIX_WEIGHT_UPPER = 0.5
@@ -56,33 +56,6 @@ class MonitorViolation(RuntimeError):
 
 
 # --------------------------------------------------------------------------- coefficients
-
-
-def distance_to_axis_point(t, x):
-    """Quartic-gauge distance from (t, 0, 0); uniformly 1-Lipschitz in x.
-
-    A coefficient in the sense of ``fields``: x is a point or (n, 3) rows.
-    """
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[..., 0] - t, x[..., 1], x[..., 2] - t * x[..., 1]
-    h = x1 * x1 + x2 * x2
-    return np.sqrt(np.sqrt(h * h + x3 * x3))
-
-
-def distance_to_axis(x):
-    """Distance to the whole first axis: inf over s of the distance to (s,0,0).
-
-    Shifting the minimisation variable turns the objective into the convex
-    quartic family (s^2 + b^2)^2 + (b s + c)^2 with b = -x2, c = x3 - x1 x2,
-    minimised in closed form (relative error below 1e-14 against an exact
-    oracle, down to |x2| = 1e-170; see scalarmin).  On the axis's own plane
-    x2 = 0, and wherever x2^2 underflows, the value is the limit |c|^(1/2).
-    x is one point or (n, 3) rows.
-    """
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    _, fmin = minimize_convex_quartic(-x2, x3 - x1 * x2)
-    return np.sqrt(np.sqrt(fmin))
 
 
 def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
@@ -310,35 +283,6 @@ class LadderSpec:
         return tuple(self.eps0 * self.ratio**k for k in range(self.count))
 
 
-@dataclass(frozen=True)
-class EpsilonLadder:
-    spec: LadderSpec
-    variant: str
-    solutions: tuple  # UVSolution per rung, largest epsilon first
-    rung_reports: tuple  # rung_monitor_report dict per rung
-    sup_differences: tuple
-    converged: bool
-    gaps_decreasing_from: int
-    limit_residual: float
-
-    @property
-    def limit(self) -> UVSolution:
-        return self.solutions[-1]
-
-    def summary(self) -> dict:
-        return {
-            "variant": self.variant,
-            "epsilons": [s.epsilon for s in self.solutions],
-            "sup_differences": list(self.sup_differences),
-            "converged": self.converged,
-            "gaps_decreasing_from": self.gaps_decreasing_from,
-            "limit_residual": self.limit_residual,
-            "gap_tol": GAP_TOL,
-            "tau": self.spec.tau,
-            "rungs": list(self.rung_reports),
-        }
-
-
 def gap_convergence(gaps: Sequence[float]) -> tuple[int, bool]:
     """Start of the strictly decreasing tail of the Cauchy gaps, and whether
     they converged: the last gap is at most ``GAP_TOL`` and at least the last
@@ -349,7 +293,7 @@ def gap_convergence(gaps: Sequence[float]) -> tuple[int, bool]:
     return k0, bool(gaps[-1] <= GAP_TOL and k0 <= len(gaps) - 3)
 
 
-def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -> EpsilonLadder:
+def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -> tuple:
     """Solve the rung family on a common grid and measure the Cauchy gaps.
 
     ``spec`` is the whole configuration: the grid is ``spec.grid_points``
@@ -357,10 +301,11 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
     ``RUNG_TOL`` (see ``solve_regularized``).  Rung monitors are hard
     requirements: a violated proof bound aborts the ladder.  Gaps that stop
     decreasing are non-convergence (``gap_convergence``); the last rung is
-    still the limit candidate, never silently replaced.
+    still the limit candidate, never silently replaced.  Returns the rungs'
+    UVSolutions, largest epsilon first, and the report's ``ladder`` block.
     """
-    solutions = tuple(solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points))
-    reports = tuple(rung_monitor_report(uv) for uv in solutions)
+    solutions = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
+    reports = [rung_monitor_report(uv) for uv in solutions]
     for rep in reports:
         if not rep["passed"]:
             raise MonitorViolation(
@@ -372,11 +317,17 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
             for a, b in zip(solutions, solutions[1:])]
     decreasing_from, converged = gap_convergence(gaps)
 
-    return EpsilonLadder(
-        spec=spec, variant=variant, solutions=solutions, rung_reports=reports,
-        sup_differences=tuple(gaps), converged=converged, gaps_decreasing_from=decreasing_from,
-        limit_residual=singular_integral_residual(solutions[-1], as_limit=True),
-    )
+    return solutions, {
+        "variant": variant,
+        "epsilons": [uv.epsilon for uv in solutions],
+        "sup_differences": gaps,
+        "converged": converged,
+        "gaps_decreasing_from": decreasing_from,
+        "limit_residual": singular_integral_residual(solutions[-1], as_limit=True),
+        "gap_tol": GAP_TOL,
+        "tau": spec.tau,
+        "rungs": reports,
+    }
 
 
 # --------------------------------------------------------------------------- reconstruction
@@ -391,30 +342,29 @@ def reconstruct_trajectory(uv: UVSolution) -> Trajectory:
         t2 * t * uv.u / 18.0,
         t2 * t2 * (2.0 * uv.u - uv.v) / 36.0,
     ])
-    meta = {"variant": uv.variant, "epsilon": uv.epsilon, "source": "uv_reconstruction"}
-    return Trajectory(t.copy(), states, meta)
+    return Trajectory(t.copy(), states)
 
 
 def trivial_trajectory(tau: float, n: int) -> Trajectory:
     t = np.linspace(0.0, tau, n)
-    states = np.column_stack([t, np.zeros(n), np.zeros(n)])
-    return Trajectory(t, states, {"source": "axis_line"})
+    return Trajectory(t, np.column_stack([t, np.zeros(n), np.zeros(n)]))
 
 
-def build_nonuniqueness_report(ladder: EpsilonLadder) -> tuple:
-    """Turn a finished ladder into the exhibit report.
+def build_nonuniqueness_report(solutions: Sequence[UVSolution], ladder: dict) -> tuple:
+    """Turn a finished ladder (``run_epsilon_ladder``'s pair) into the exhibit
+    report; the last rung is the limit.
 
     Returns (report dict, reconstructed trajectory).  The verdict asserts
     that two certified near-solutions of one Cauchy problem stay apart by at
     least ``SEPARATION_FACTOR`` times the worse residual, i.e. the
     separation cannot be a numerical artifact.
     """
-    variant = ladder.variant
+    variant = ladder["variant"]
     field = counterexample_field(variant)
     alg = field.algebra
 
-    gamma = reconstruct_trajectory(ladder.limit)
-    straight = trivial_trajectory(ladder.spec.tau, len(gamma.times))
+    gamma = reconstruct_trajectory(solutions[-1])
+    straight = trivial_trajectory(ladder["tau"], len(gamma.times))
     res_trivial = flow_residual(straight, field)
     res_nontrivial = flow_residual(gamma, field)
 
@@ -426,10 +376,10 @@ def build_nonuniqueness_report(ladder: EpsilonLadder) -> tuple:
     sep_ok = max_sep >= SEPARATION_FACTOR * worst_res
     gamma2_at_tau = float(gamma.states[-1, 1])
 
-    verdict = bool(ladder.converged and sep_ok and gamma2_at_tau > 0.0)
+    verdict = bool(ladder["converged"] and sep_ok and gamma2_at_tau > 0.0)
     report = {
         "variant": variant,
-        "ladder": ladder.summary(),
+        "ladder": ladder,
         "residual_trivial": res_trivial,
         "residual_nontrivial": res_nontrivial,
         "max_separation": max_sep,
@@ -444,5 +394,5 @@ def build_nonuniqueness_report(ladder: EpsilonLadder) -> tuple:
 
 def nonuniqueness_report(variant: str = "time", spec: LadderSpec = LadderSpec()) -> dict:
     """Run the full exhibit pipeline and return the report."""
-    report, _ = build_nonuniqueness_report(run_epsilon_ladder(spec, variant))
+    report, _ = build_nonuniqueness_report(*run_epsilon_ladder(spec, variant))
     return report

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .gauges import default_distance
+from .gauges import default_distance, distance_to_axis, distance_to_axis_point
 from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number
 from .poly import Poly, evaluator
 
@@ -296,9 +296,6 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     or sum above ``MAX_MONOMIAL_DEGREE``, or a ``point`` of the wrong length
     raises ValueError naming the form and key.
     """
-    # local import to avoid a cycle
-    from .counterexample import distance_to_axis, distance_to_axis_point
-
     if not isinstance(spec, Mapping):
         raise ValueError(f"field spec must be an object, not {spec!r}")
     dst = default_distance(alg)

@@ -8,14 +8,14 @@ stepper and therefore a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .domain import Box
 from .fields import HorizontalField, evaluate_field
-from .stepping import IntegratorConfig, integral_defect, solve_to_grid
+from .stepping import IntegratorConfig, Trajectory, integral_defect, solve_to_grid
 
 
 @dataclass(frozen=True)
@@ -36,39 +36,15 @@ class CauchyProblem:
             raise ValueError("initial point lies outside the domain")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray
-    meta: dict
-    residual: float | None = None
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def exited(self) -> bool:
-        return bool(self.meta.get("exited", False))
-
-
 def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Solve the componentwise system x_i' = sum_j a_j(t, x) p_j^i(x) on [0, T]."""
     grid = np.linspace(0.0, p.horizon, cfg.dense_output_grid)
     b = p.field
     inside = p.domain.contains if p.domain is not None else None
-    sol = solve_to_grid(partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
-                        cfg, inside)
-    meta = {
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "exited": sol.exited,
-        "exit_time": sol.exit_time,
-        **sol.stats.as_dict(),
-    }
-    tr = Trajectory(sol.times, sol.states, meta)
-    if len(sol.times) >= 8:
-        tr = replace(tr, residual=residual(tr, b))
+    tr = solve_to_grid(partial(evaluate_field, b), grid, np.asarray(p.x0, dtype=float),
+                       cfg, inside)
+    if len(tr.times) >= 8:
+        tr.residual = residual(tr, b)
     return tr
 
 

@@ -6,7 +6,9 @@ smooth even-exponent gauge available on every graded group, and the
 quartic norm on the Heisenberg group (which satisfies an exact triangle
 inequality with respect to the group product).  A homogeneous distance is
 ``d(x, y) = gauge(x^{-1} y)``; left invariance and 1-homogeneity then hold
-by construction and are monitored empirically.
+by construction and are monitored empirically.  The quartic-gauge distances
+to the moving axis point (t, 0, 0) and to the whole first axis are the
+coefficients of the non-uniqueness exhibit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import GradedAlgebra, heisenberg, inverse, is_heisenberg
+from .scalarmin import minimize_convex_quartic
 
 # one element (dim,) gives a number, (n, dim) rows one value per row, as for a coefficient
 GaugeFn = Callable[[np.ndarray], object]
@@ -74,6 +77,33 @@ def koranyi_norm(x: Sequence[float]):
     sqrt = math.sqrt if x.ndim == 1 else np.sqrt
     h = x1 * x1 + x2 * x2
     return sqrt(sqrt(h * h + x3 * x3))
+
+
+def distance_to_axis_point(t, x):
+    """Quartic-gauge distance from (t, 0, 0); uniformly 1-Lipschitz in x.
+
+    A coefficient in the sense of ``fields``: x is a point or (n, 3) rows.
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0] - t, x[..., 1], x[..., 2] - t * x[..., 1]
+    h = x1 * x1 + x2 * x2
+    return np.sqrt(np.sqrt(h * h + x3 * x3))
+
+
+def distance_to_axis(x):
+    """Distance to the whole first axis: inf over s of the distance to (s,0,0).
+
+    Shifting the minimisation variable turns the objective into the convex
+    quartic family (s^2 + b^2)^2 + (b s + c)^2 with b = -x2, c = x3 - x1 x2,
+    minimised in closed form (relative error below 1e-14 against an exact
+    oracle, down to |x2| = 1e-170; see scalarmin).  On the axis's own plane
+    x2 = 0, and wherever x2^2 underflows, the value is the limit |c|^(1/2).
+    x is one point or (n, 3) rows.
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    _, fmin = minimize_convex_quartic(-x2, x3 - x1 * x2)
+    return np.sqrt(np.sqrt(fmin))
 
 
 @dataclass(frozen=True)

@@ -157,20 +157,26 @@ class GradedAlgebra:
                     )
 
     def _validate_jacobi(self) -> None:
-        exact = all(
-            c.denominator == 1 for vec in self._pairs.values() for c in vec.values()
-        )
+        pairs = self._pairs
+        exact = all(c.denominator == 1 for vec in pairs.values() for c in vec.values())
         tol = Fraction(0) if exact else Fraction(1, 10**12)
-        unit = [[int(a == b) for b in range(self.dim)] for a in range(self.dim)]
-        br = self.ring_bracket
+
+        def bracket(a, b):  # [e_a, e_b] as {k: c}, one lookup in _pairs
+            if a < b:
+                return pairs.get((a, b), {})
+            return {k: -c for k, c in pairs.get((b, a), {}).items()}
+
         # a triple holding no pair of _pairs has a zero cyclic sum; the rest
         # are visited in combinations order
         triples = sorted({tuple(sorted((a, b, c)))
-                          for a, b in self._pairs for c in range(self.dim) if c not in (a, b)})
+                          for a, b in pairs for c in range(self.dim) if c not in (a, b)})
         for i, j, k in triples:
-            x, y, z = unit[i], unit[j], unit[k]
-            cyclic = zip(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))
-            bad = {n: str(v) for n, v in enumerate(map(sum, cyclic)) if abs(v) > tol}
+            cyclic: dict[int, Fraction] = {}  # [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c in bracket(y, z).items():
+                    for n, d in bracket(x, m).items():
+                        cyclic[n] = cyclic.get(n, 0) + c * d
+            bad = {n: str(v) for n, v in sorted(cyclic.items()) if abs(v) > tol}
             if bad:
                 raise AlgebraValidationError(
                     f"Jacobi identity violated on basis triple ({i},{j},{k}): residual {bad}"

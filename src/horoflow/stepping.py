@@ -58,7 +58,7 @@ config holds the only defaults of those settings and the only checks on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -243,12 +243,19 @@ class StepStats:
 
 
 @dataclass
-class GridSolution:
+class Trajectory:
+    """States at the output times, with the stats of the solve that made them."""
+
     times: np.ndarray
     states: np.ndarray
-    stats: StepStats
+    stats: StepStats = field(default_factory=StepStats)
     exited: bool = False
     exit_time: float | None = None
+    residual: float | None = None  # set by ``flow.integrate``
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
@@ -292,7 +299,7 @@ def _exit_solution(grid, states, g, stats, inside, dense, a, b):
     t_exit = 0.5 * (a + b)
     times = np.append(grid[:g], t_exit)
     out = np.concatenate([states[:g], dense(t_exit)[None]])
-    return GridSolution(times, out, stats, exited=True, exit_time=t_exit)
+    return Trajectory(times, out, stats, exited=True, exit_time=t_exit)
 
 
 def solve_to_grid(
@@ -301,7 +308,7 @@ def solve_to_grid(
     y0: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
     inside: Callable[[np.ndarray], bool] | None = None,
-) -> GridSolution:
+) -> Trajectory:
     """Integrate y' = f(t, y) and return the states at every grid time.
 
     The state may have any shape; ``f`` receives and returns arrays of that
@@ -417,7 +424,7 @@ def solve_to_grid(
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.125))
             else:
                 h = h_try * _MAX_FACTOR
-    return GridSolution(grid.copy(), states, stats)
+    return Trajectory(grid.copy(), states, stats)
 
 
 # --------------------------------------------------------------------------- quadrature

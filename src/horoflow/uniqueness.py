@@ -22,11 +22,10 @@ import numpy as np
 
 from .domain import Box
 from .fields import CoefficientFn, HorizontalField, evaluate_field, horizontal_field
-from .flow import Trajectory
 from .gauges import default_distance, equivalence_kappa
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
-from .stepping import IntegratorConfig, NonFiniteRHSError, solve_to_grid
+from .stepping import IntegratorConfig, NonFiniteRHSError, Trajectory, solve_to_grid
 
 
 class ConditionNotCertified(RuntimeError):
@@ -261,13 +260,4 @@ def reduced_solve(
 
     grid = np.linspace(0.0, horizon, cfg.dense_output_grid)
     sol = solve_to_grid(rhs, grid, np.zeros(mod.rank), cfg)
-    lifted = alg.multiply_batch(x0, sol.states @ V.T)
-    meta = {
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-        "reduced_rank": mod.rank,
-        "exited": False,
-        "exit_time": None,
-        **sol.stats.as_dict(),
-    }
-    return Trajectory(sol.times, lifted, meta)
+    return Trajectory(sol.times, alg.multiply_batch(x0, sol.states @ V.T), sol.stats)

@@ -50,9 +50,9 @@ def heis():
 def time_exhibit():
     """Shared 14-rung time-dependent ladder + report (criteria 5 and 6)."""
     t0 = time.perf_counter()
-    ladder = run_epsilon_ladder(LadderSpec(), "time")
-    report, gamma = build_nonuniqueness_report(ladder)
-    return ladder, report, gamma, time.perf_counter() - t0
+    solutions, ladder = run_epsilon_ladder(LadderSpec(), "time")
+    report, gamma = build_nonuniqueness_report(solutions, ladder)
+    return solutions, ladder, report, gamma, time.perf_counter() - t0
 
 
 def test_criterion_01_group_law_fidelity(heis):
@@ -127,11 +127,11 @@ def test_criterion_04_derivation_roundtrip(heis):
 
 
 def test_criterion_05_nonuniqueness_headline(time_exhibit):
-    ladder, report, gamma, elapsed = time_exhibit
+    _, ladder, report, gamma, elapsed = time_exhibit
     with criterion(5, f"non-uniqueness exhibit (time-dependent, {elapsed:.1f}s)",
                    limit_s=60.0):
         assert elapsed < 60.0
-        gaps = ladder.sup_differences
+        gaps = ladder["sup_differences"]
         assert all(gaps[k + 1] < gaps[k] for k in range(4, len(gaps) - 1))
         assert report["residual_trivial"] <= 1e-6
         assert report["residual_nontrivial"] <= 1e-6
@@ -142,9 +142,9 @@ def test_criterion_05_nonuniqueness_headline(time_exhibit):
 
 
 def test_criterion_06_proof_bound_monitors(time_exhibit):
-    ladder, _, _, _ = time_exhibit
+    solutions, ladder, _, _, _ = time_exhibit
     with criterion(6, "proof-bound monitors on every rung"):
-        for uv, rep in zip(ladder.solutions, ladder.rung_reports):
+        for uv, rep in zip(solutions, ladder["rungs"]):
             assert rep["min_u"] >= -1e-9
             assert rep["min_v"] >= -1e-9
             bound = 1.5 * np.exp(uv.times + uv.epsilon) + 1e-9
@@ -239,7 +239,7 @@ def test_criterion_10_integrator_order(heis):
             cfg = IntegratorConfig(abs_tol=1.0, rel_tol=0.0, max_step=1.0 / n,
                                       dense_output_grid=n + 1)
             tr = integrate(p, cfg)
-            assert (tr.meta["steps"], tr.meta["rejected"]) == (n, 0)
+            assert (tr.stats.steps, tr.stats.rejected) == (n, 0)
             if n >= 16:  # a residual needs at least 8 grid points
                 residuals.append(tr.residual)
             if n <= 16:

@@ -13,7 +13,8 @@ import horoflow
 from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
-from horoflow.flow import Trajectory, write_trajectory_csv
+from horoflow.flow import write_trajectory_csv
+from horoflow.stepping import Trajectory
 
 HEIS_GROUP = {
     "layers": [2, 1],
@@ -274,9 +275,18 @@ def test_report_blocks_keep_their_keys(tmp_path):
                                      "certified", "samples", "seed"}
     assert set(rep["stability"]) == {"ratios", "initial_distances", "certified_bound", "kappa",
                                      "c_integral", "passed", "equilibrium_deviation"}
+    out = tmp_path / "int"
+    assert main(["integrate", "--config", str(integrate_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    assert set(read_report(out)["meta"]) == {"abs_tol", "rel_tol", "exited", "exit_time",
+                                             "steps", "rejected", "rhs_evals", "min_step",
+                                             "min_step_t", "max_step"}
     out = tmp_path / "cx"
     assert main(counterexample_args(out)) == 0
-    rungs = read_report(out)["ladder"]["rungs"]
+    ladder = read_report(out)["ladder"]
+    assert set(ladder) == {"variant", "epsilons", "sup_differences", "converged",
+                           "gaps_decreasing_from", "limit_residual", "gap_tol", "tau", "rungs"}
+    rungs = ladder["rungs"]
     assert len(rungs) == 6
     for rung in rungs:
         assert set(rung) == {
@@ -425,6 +435,20 @@ def test_bad_number_is_usage_error(tmp_path, capsys, command, key, value):
     assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"bad {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("command", ["equilibrium", "involutive", "integrate"])
+def test_nonpositive_horizon_is_usage_error(tmp_path, capsys, monkeypatch, command, horizon):
+    # refused when the config is read, before equilibrium samples its field
+    monkeypatch.setattr(cli, "verify_equilibrium_condition",
+                        lambda *args: pytest.fail("the field was sampled"))
+    cpath = config_path(command, tmp_path, "horizon", horizon)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad horizon: expected a positive number, not {horizon}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -656,7 +680,7 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     uv = cx.UVSolution(np.arange(12.0) / 7.0, awkward, awkward[::-1].copy(), 0.1, "time", {})
     _write_uv_csv(uv, tmp_path / "uv.csv")
     assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(uv).encode()
-    tr = Trajectory(uv.times, np.column_stack([awkward, awkward**2, -awkward]), {})
+    tr = Trajectory(uv.times, np.column_stack([awkward, awkward**2, -awkward]))
     write_trajectory_csv(tr, tmp_path / "tr.csv")
     assert (tmp_path / "tr.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
 
@@ -665,11 +689,11 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     assert main(counterexample_args(out, variant=variant)) == code
     assert_no_child_left()
     spec = cx.LadderSpec(eps0=0.1, ratio=0.5, count=6, tau=0.2, grid_points=256)
-    ladder = cx.run_epsilon_ladder(spec, variant)
-    _, gamma = cx.build_nonuniqueness_report(ladder)
-    for sol in ladder.solutions:
+    solutions, ladder = cx.run_epsilon_ladder(spec, variant)
+    _, gamma = cx.build_nonuniqueness_report(solutions, ladder)
+    for sol in solutions:
         assert (out / f"rung_eps_{sol.epsilon:.9g}.csv").read_text() == uv_csv_oracle(sol)
-    assert (out / "limit_uv.csv").read_text() == uv_csv_oracle(ladder.limit)
+    assert (out / "limit_uv.csv").read_text() == uv_csv_oracle(solutions[-1])
     assert (out / "gamma.csv").read_text() == trajectory_csv_oracle(gamma)
     assert len(list(out.iterdir())) == 6 + 3
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, LadderSpec, UVSolution,
-                                     distance_to_axis, distance_to_axis_point, gap_convergence,
+                                     build_nonuniqueness_report, gap_convergence,
                                      nonuniqueness_report, reconstruct_trajectory,
                                      rung_monitor_report, run_epsilon_ladder,
                                      scaled_axis_distance, scaled_axis_distance_with_minimizer,
                                      singular_integral_residual, solve_regularized,
                                      trivial_trajectory, uv_rhs)
+from horoflow.gauges import distance_to_axis, distance_to_axis_point
 from horoflow.stepping import IntegratorConfig, solve_to_grid
 
 FAST = 512  # grid points of a rung solve; the default ladder uses 2048
@@ -333,11 +334,11 @@ def test_ladder_spec_validation():
 
 
 def test_ladder_gaps_decrease_and_converge():
-    lad = run_epsilon_ladder(small_spec(), "time")
-    gaps = np.array(lad.sup_differences)
-    assert lad.gaps_decreasing_from == 0
+    _, lad = run_epsilon_ladder(small_spec(), "time")
+    gaps = np.array(lad["sup_differences"])
+    assert lad["gaps_decreasing_from"] == 0
     assert np.all(gaps[1:] < gaps[:-1])
-    assert lad.converged
+    assert lad["converged"]
 
 
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
@@ -347,8 +348,8 @@ def test_last_rung_envelopes_bound_the_approach_to_the_start(variant):
     # u + 3v/4 >= 7/4 - 3 C s (C = c, or c5 on the autonomous variant), each
     # to MONITOR_TOL, solve to |u - 1| <= (6C + 3c) s + 5 tol and
     # |v - 1| <= (12C + 4c) s + 8 tol at the first positive grid time
-    lad = run_epsilon_ladder(small_spec(), variant)
-    uv, rep = lad.limit, lad.rung_reports[-1]
+    sols, lad = run_epsilon_ladder(small_spec(), variant)
+    uv, rep = sols[-1], lad["rungs"][-1]
     assert rep["passed"]
     assert rep["crossing_time"] is None or rep["crossing_time"] > uv.times[1]
     c = rep["exp_linear_constant"]
@@ -359,18 +360,21 @@ def test_last_rung_envelopes_bound_the_approach_to_the_start(variant):
 
 
 def test_ladder_limit_satisfies_singular_integral_form():
-    lad = run_epsilon_ladder(small_spec(), "time")
-    assert lad.limit_residual <= 1e-5
+    sols, lad = run_epsilon_ladder(small_spec(), "time")
+    assert lad["limit_residual"] <= 1e-5
     # direct recomputation agrees
-    assert singular_integral_residual(lad.limit, as_limit=True) == lad.limit_residual
+    assert singular_integral_residual(sols[-1], as_limit=True) == lad["limit_residual"]
 
 
 def test_ladder_nonconvergence_never_fabricates():
     # four autonomous rungs leave a last gap of about 5e-4, far above GAP_TOL
-    lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
-    assert lad.sup_differences[-1] > 100 * GAP_TOL
-    assert not lad.converged
-    assert lad.limit is lad.solutions[-1]
+    sols, lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
+    assert lad["sup_differences"][-1] > 100 * GAP_TOL
+    assert not lad["converged"]
+    # the report still takes the last rung as the limit, and certifies nothing
+    report, gamma = build_nonuniqueness_report(sols, lad)
+    assert np.array_equal(gamma.states, reconstruct_trajectory(sols[-1]).states)
+    assert not report["nonuniqueness_certified"]
 
 
 @pytest.mark.parametrize("gaps, decreasing_from, converged", [
@@ -386,10 +390,10 @@ def test_gap_convergence_rule(gaps, decreasing_from, converged):
 
 
 def test_ladders_with_different_ratios_agree():
-    a = run_epsilon_ladder(small_spec(count=10), "time")
-    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")
-    du = np.max(np.abs(a.limit.u - b.limit.u))
-    dv = np.max(np.abs(a.limit.v - b.limit.v))
+    a = run_epsilon_ladder(small_spec(count=10), "time")[0][-1]
+    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")[0][-1]
+    du = np.max(np.abs(a.u - b.u))
+    dv = np.max(np.abs(a.v - b.v))
     assert max(du, dv) <= 10 * GAP_TOL
 
 
@@ -398,10 +402,10 @@ def test_batched_time_ladder_matches_single_rung_solves():
     # it takes at least as many steps as any single rung, and every rung
     # agrees with its single solve well inside the tolerance
     spec = small_spec(count=5)
-    lad = run_epsilon_ladder(spec, "time")
-    for sol in lad.solutions:
+    sols, _ = run_epsilon_ladder(spec, "time")
+    for sol in sols:
         (alone,) = solve_regularized("time", [sol.epsilon], spec.tau, FAST)
-        assert sol.stats == lad.solutions[0].stats
+        assert sol.stats == sols[0].stats
         assert sol.stats["steps"] >= alone.stats["steps"]
         assert np.max(np.abs(sol.u - alone.u)) <= RUNG_TOL
         assert np.max(np.abs(sol.v - alone.v)) <= RUNG_TOL
@@ -411,10 +415,10 @@ def test_batched_autonomous_ladder_matches_single_rung_solves():
     # the shared sequence takes the smallest step any rung needs, so the
     # rungs differ from their single solves by the tolerance scale at most
     spec = small_spec(count=5)
-    lad = run_epsilon_ladder(spec, "autonomous")
-    for sol in lad.solutions:
+    sols, _ = run_epsilon_ladder(spec, "autonomous")
+    for sol in sols:
         (alone,) = solve_regularized("autonomous", [sol.epsilon], spec.tau, FAST)
-        assert sol.stats == lad.solutions[0].stats
+        assert sol.stats == sols[0].stats
         assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
         assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
 
@@ -464,8 +468,8 @@ def test_reconstruct_formal_unit_pair():
 
 
 def test_reconstructed_limit_moves_off_axis():
-    lad = run_epsilon_ladder(small_spec(), "time")
-    tr = reconstruct_trajectory(lad.limit)
+    sols, _ = run_epsilon_ladder(small_spec(), "time")
+    tr = reconstruct_trajectory(sols[-1])
     assert np.all(tr.states[1:, 1] > 0.0)  # second coordinate strictly positive
     assert np.max(np.abs(tr.states[:, 0] - tr.times)) == 0.0
 

@@ -10,7 +10,7 @@ from horoflow.fields import (HorizontalField, NonHorizontalDerivationError, Test
                              evaluate_field, field_from_spec, horizontal_field,
                              horizontal_gradient, left_invariant_frame, recover_coefficients,
                              translated_coordinate_functions)
-from horoflow.gauges import koranyi_norm
+from horoflow.gauges import distance_to_axis, distance_to_axis_point, koranyi_norm
 from horoflow.groups import GradedAlgebra
 from horoflow.poly import Poly, evaluator
 
@@ -269,8 +269,6 @@ def test_field_from_spec_forms(heis, heis_dist):
     }
     b2 = field_from_spec(heis, spec2)
     assert b2.coefficients[0](0.0, x) == pytest.approx(heis_dist(np.zeros(3), x))
-    from horoflow.counterexample import distance_to_axis_point
-
     assert b2.coefficients[1](0.3, x) == pytest.approx(distance_to_axis_point(0.3, x))
 
     spec3 = {"coefficients": [{"form": "sin_coordinate", "index": 1}], "indices": [1]}
@@ -279,8 +277,6 @@ def test_field_from_spec_forms(heis, heis_dist):
 
     spec4 = {"coefficients": [{"form": "axis_distance_inf"}], "indices": [2]}
     b4 = field_from_spec(heis, spec4)
-    from horoflow.counterexample import distance_to_axis
-
     assert b4.coefficients[0](0.0, x) == pytest.approx(distance_to_axis(x))
 
     with pytest.raises(ValueError):

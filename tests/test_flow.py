@@ -6,9 +6,9 @@ import pytest
 from horoflow.counterexample import counterexample_field
 from horoflow.domain import Box
 from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
-from horoflow.flow import CauchyProblem, Trajectory, integrate, residual
+from horoflow.flow import CauchyProblem, integrate, residual
 from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, StepStats,
-                               StepUnderflowError, cumulative_simpson,
+                               StepUnderflowError, Trajectory, cumulative_simpson,
                                dop853_dense, solve_to_grid)
 
 CFG = IntegratorConfig(dense_output_grid=257)
@@ -103,7 +103,7 @@ def test_diagonal_field_solution(heis):
 def test_counterexample_trivial_branch_has_zero_residual(heis):
     b = counterexample_field("time")
     t = np.linspace(0.0, 0.5, 257)
-    trivial = Trajectory(t, np.column_stack([t, np.zeros(257), np.zeros(257)]), {})
+    trivial = Trajectory(t, np.column_stack([t, np.zeros(257), np.zeros(257)]))
     assert residual(trivial, b) <= 1e-14
 
 
@@ -127,14 +127,14 @@ def test_first_coordinate_is_time_for_unit_first_coefficient(heis):
 def test_residual_flags_non_solution(heis):
     b = x1_field(heis)
     t = np.linspace(0.0, 1.0, 65)
-    frozen = Trajectory(t, np.zeros((65, 3)), {})
+    frozen = Trajectory(t, np.zeros((65, 3)))
     res = residual(frozen, b)
     assert res == pytest.approx(1.0, rel=1e-10)  # defect |b| * T at the end
 
 
 def test_residual_needs_enough_samples(heis):
     t = np.linspace(0.0, 1.0, 4)
-    tr = Trajectory(t, np.zeros((4, 3)), {})
+    tr = Trajectory(t, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="coarse"):
         residual(tr, x1_field(heis))
 
@@ -171,8 +171,9 @@ def test_adaptive_residual_meets_tolerance_contract(heis):
     # flooring the measurement
     b = horizontal_field(heis, (lambda t, x: 1.0 + x[..., 1] ** 2, lambda t, x: x[..., 0]))
     p = CauchyProblem(b, (0.1, 0.2, 0.0), 1.0)
-    adaptive = integrate(p, IntegratorConfig())
-    assert adaptive.residual <= 10 * adaptive.meta["abs_tol"]
+    cfg = IntegratorConfig()
+    adaptive = integrate(p, cfg)
+    assert adaptive.residual <= 10 * cfg.abs_tol
 
 
 def test_domain_exit_truncates_at_boundary(heis):
@@ -180,7 +181,7 @@ def test_domain_exit_truncates_at_boundary(heis):
     p = CauchyProblem(x1_field(heis), (0, 0, 0), 2.0, box)
     tr = integrate(p, CFG)
     assert tr.exited
-    assert tr.meta["exit_time"] == pytest.approx(0.5, abs=1e-9)
+    assert tr.exit_time == pytest.approx(0.5, abs=1e-9)
     assert tr.times[-1] == pytest.approx(0.5, abs=1e-9)
     assert tr.states[-1][0] == pytest.approx(0.5, abs=1e-9)
     assert len(tr.times) < 257
