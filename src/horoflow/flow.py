@@ -30,7 +30,7 @@ class CauchyProblem:
         object.__setattr__(self, "x0", x0)
         if len(x0) != self.field.algebra.dim:
             raise ValueError("initial point dimension does not match the algebra")
-        if self.horizon <= 0:
+        if not self.horizon > 0:  # a NaN horizon is refused too
             raise ValueError("horizon must be positive")
         if self.domain is not None and not self.domain.contains(np.asarray(x0)):
             raise ValueError("initial point lies outside the domain")
@@ -57,11 +57,15 @@ def residual(tr: Trajectory, field: HorizontalField) -> float:
 
 def write_trajectory_csv(tr: Trajectory, path, t_col=None) -> None:
     """Write the t,x1,...,xq rows of ``tr``; ``t_col()``, if given, returns
-    its times formatted, so a writer that shares the grid formats them once."""
+    its times formatted, so a writer that shares the grid formats them once.
+    A state column equal to the times bit for bit (the exhibit's x1 is the
+    time) is written from those strings too."""
     q = tr.states.shape[1]
     t_col = t_col() if t_col else list(map("%.17g".__mod__, tr.times.tolist()))
-    row = "%s" + ",%.17g" * q + "\n"
-    rows = zip(t_col, *tr.states.T.tolist())
+    t_bytes = tr.times.tobytes()
+    is_time = [col.tobytes() == t_bytes for col in tr.states.T]
+    row = "%s" + "".join(",%s" if s else ",%.17g" for s in is_time) + "\n"
+    rows = zip(t_col, *(t_col if s else col for s, col in zip(is_time, tr.states.T.tolist())))
     text = ("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n"
             + "".join(map(row.__mod__, rows)))
     with open(path, "w") as fh:

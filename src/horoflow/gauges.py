@@ -22,7 +22,8 @@ import numpy as np
 from .groups import GradedAlgebra, heisenberg, inverse, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 
-# one element (dim,) gives a number, (n, dim) rows one value per row, as for a coefficient
+# one element (dim,) gives a number, (n, dim) rows one value per row, as for a coefficient;
+# a tuple is one element, as the group law's evaluator returns it
 GaugeFn = Callable[[np.ndarray], object]
 
 
@@ -68,13 +69,18 @@ def koranyi_norm(x: Sequence[float]):
 
     Called on one 3-vector (a float) or on the rows of an (n, 3) array; the
     fourth root is two correctly rounded square roots, so a row's value is
-    the value at that row, bit for bit.
+    the value at that row, bit for bit.  A tuple is one 3-vector of floats,
+    as the group law's evaluator returns it, and is read as it is.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,) or x.ndim > 2:
-        raise ValueError("the quartic Heisenberg gauge is defined on 3-vectors")
-    x1, x2, x3 = x.tolist() if x.ndim == 1 else x.T
-    sqrt = math.sqrt if x.ndim == 1 else np.sqrt
+    if type(x) is tuple:
+        x1, x2, x3 = x
+        sqrt = math.sqrt
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (3,) or x.ndim > 2:
+            raise ValueError("the quartic Heisenberg gauge is defined on 3-vectors")
+        x1, x2, x3 = x.tolist() if x.ndim == 1 else x.T
+        sqrt = math.sqrt if x.ndim == 1 else np.sqrt
     h = x1 * x1 + x2 * x2
     return sqrt(sqrt(h * h + x3 * x3))
 
@@ -121,11 +127,18 @@ class HomogeneousDistance:
 
     def __call__(self, x: Sequence[float], y: Sequence[float]):
         """d(x, y) of two elements, or one distance per row when either is an
-        (n, dim) array of rows; a (dim,) argument is paired with every row."""
-        x_inv, y = inverse(x), np.asarray(y, dtype=float)
-        if x_inv.ndim == y.ndim == 1:
-            return self.gauge(self.algebra.multiply(x_inv, y))
-        return self.gauge(self.algebra.multiply_batch(x_inv, y))
+        (n, dim) array of rows; a (dim,) argument is paired with every row.
+
+        Two elements are multiplied on Python floats, and the gauge gets the
+        law's tuple; x^{-1} is -x in exponential coordinates.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        alg = self.algebra
+        if x.ndim == y.ndim == 1:
+            if x.shape != (alg.dim,) or y.shape != (alg.dim,):
+                raise ValueError(f"expected elements of length {alg.dim}")
+            return self.gauge(alg._product(*(-x).tolist(), *y.tolist()))
+        return self.gauge(alg.multiply_batch(inverse(x), y))
 
 
 def koranyi_distance() -> HomogeneousDistance:

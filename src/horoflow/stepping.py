@@ -36,7 +36,13 @@ Guard.  Every step attempt, first try or retry, that is shorter than
 ``min_step`` or no longer moves t (t + h == t) raises
 ``StepUnderflowError``, as dop853's "step size too small" test does: past
 it, y would keep changing at a frozen t, as it does on a finite-time
-blow-up.  (dop853 stops at ten units of rounding of t.)
+blow-up.  (dop853 stops at ten units of rounding of t.)  Every right-hand
+side value with an inf or NaN entry raises ``NonFiniteRHSError`` at its
+stage's time.  That test is one dot product of the value with a zero
+vector, and it is exact: 0 x is NaN exactly when x is inf or NaN and a
+signed zero otherwise, so the dot is NaN exactly when some entry is not
+finite and a zero otherwise.  It forms no sum of the entries themselves,
+so finite entries near the float maximum cannot overflow it.
 
 Local error is budgeted per unit time: a step of length h on a span of
 length L may make an error of ``h / L`` times the tolerance, so the defects
@@ -258,12 +264,14 @@ class Trajectory:
         return self.states[-1]
 
 
-def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats) -> np.ndarray:
-    out = np.asarray(f(t, y), dtype=float)
+def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats, slot: np.ndarray,
+             zero: np.ndarray) -> None:
+    """Store f(t, y) in the stage slope ``slot``; ``zero`` is a zero array of
+    its size, for the finiteness test of the module docstring."""
+    slot[...] = f(t, y)
     stats.rhs_evals += 1
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+    if np.vdot(slot, zero) != 0.0:
         raise NonFiniteRHSError(t)
-    return out
 
 
 def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
@@ -340,20 +348,21 @@ def solve_to_grid(
     h = min(max_step, float(grid[1] - grid[0]))
     k = np.empty((16,) + y.shape)
     kf = k.reshape(16, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
+    zero = np.zeros(y.shape)
     # every stage's input is built in this one buffer, rounded as
     # y + h * (a_s @ k_s) would be: the product, then the scale, then the sum
     ys = np.empty(y.shape)
     ys_flat = ys.reshape(-1)
-    # per stage s: its tableau row, the slopes it sums and its node c_s
-    # (stage 12, the FSAL slope, is evaluated at y8 itself)
-    stages = [(s, _A[s, :s], kf[:s], float(_C[s])) for s in range(1, 16)]
+    # per stage s: its slope, its tableau row, the slopes it sums and its
+    # node c_s (stage 12, the FSAL slope, is evaluated at y8 itself)
+    stages = [(k[s], _A[s, :s], kf[:s], float(_C[s])) for s in range(1, 16)]
     step_stages, dense_stages = stages[:11], stages[12:]
     g = 1  # next grid time to fill
 
     # overflow and invalid operations in f surface as NonFiniteRHSError from
     # the per-evaluation check rather than as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = _checked(f, t, y, stats)
+        _checked(f, t, y, stats, k[0], zero)
         abs_y = np.abs(y)
         while t < t_end:
             rest = t_end - t
@@ -366,17 +375,19 @@ def solve_to_grid(
             while True:
                 if h_try < min_step or t + h_try == t:
                     raise StepUnderflowError(t)
-                for s, a_s, k_s, c_s in step_stages:
+                for slot, a_s, k_s, c_s in step_stages:
                     np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h_try * (a_s @ k_s)
                     ys *= h_try
                     ys += y
-                    k[s] = _checked(f, t + c_s * h_try, ys, stats)
-                dy, e5, e3 = h_try * (_STEP_W @ kf[:12])
-                y8 = y + dy.reshape(y.shape)
+                    _checked(f, t + c_s * h_try, ys, stats, slot, zero)
+                est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
+                y8 = y + est[0].reshape(y.shape)
                 abs_y8 = np.abs(y8)
                 budget = max(h_try / span, _BUDGET_FLOOR)
                 scale = (abs_tol + rel_tol * np.maximum(abs_y, abs_y8).ravel()) * budget
-                e5, e3 = (e5 / scale) ** 2, (e3 / scale) ** 2
+                e53 = est[1:] / scale
+                e53 *= e53
+                e5, e3 = e53
                 den = np.sqrt(e5 + 0.01 * e3)
                 err = float((e5 / np.where(den > 0.0, den, 1.0)).max())
                 t_new = t_end if h_try == rest else t + h_try
@@ -386,12 +397,12 @@ def solve_to_grid(
                     # a step read between its ends needs the FSAL slope and
                     # the extension's stages now, and must also bound the
                     # interpolant's error through its last coefficient r7
-                    k[12] = _checked(f, t + h_try, y8, stats)
-                    for s, a_s, k_s, c_s in dense_stages:
+                    _checked(f, t + h_try, y8, stats, k[12], zero)
+                    for slot, a_s, k_s, c_s in dense_stages:
                         np.matmul(a_s, k_s, out=ys_flat)
                         ys *= h_try
                         ys += y
-                        k[s] = _checked(f, t + c_s * h_try, ys, stats)
+                        _checked(f, t + c_s * h_try, ys, stats, slot, zero)
                     r7 = h_try * (_D[3] @ kf)
                     err = max(err, _DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
                 if err <= 1.0:
@@ -402,7 +413,7 @@ def solve_to_grid(
             if filled:
                 dense = dop853_dense(y, y8, h_try, k)
             else:
-                k[12] = _checked(f, t + h_try, y8, stats)
+                _checked(f, t + h_try, y8, stats, k[12], zero)
             if j > g:
                 states[g:j] = dense((grid[g:j] - t) / h_try)
                 if grid[j - 1] == t_new:

@@ -127,6 +127,8 @@ def stability_monitor(
     gate; a genuine equilibrium stays put to the bit.  Returns the report's
     ``stability`` block.
     """
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     if not cond["certified"] or not math.isfinite(cond["estimated_c"]):
         raise ConditionNotCertified(
             "degeneracy condition not certified: ratios grow toward the "
@@ -251,6 +253,8 @@ def reduced_solve(
     alg = mod.algebra
     if len(coefficients) != mod.rank:
         raise ValueError("one coefficient per basis field")
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
     V = mod.span_matrix()
 

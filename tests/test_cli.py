@@ -43,6 +43,47 @@ def test_check_group_passes(tmp_path):
     assert "timestamp" in rep
 
 
+def law_errors_oracle(alg, n, seed):
+    """check-group's errors by its whole-array formulas, from its draws."""
+    rng = np.random.default_rng(seed)
+    X, Y, Z = (rng.uniform(-10.0, 10.0, size=(n, alg.dim)) for _ in range(3))
+    m = alg.multiply_batch
+    errs = {
+        "associativity_max_err": np.max(np.abs(m(m(X, Y), Z) - m(X, m(Y, Z)))),
+        "inverse_max_err": np.max(np.abs(m(X, -X))),
+        "identity_max_err": np.max(np.abs(m(X, np.zeros_like(X)) - X)),
+    }
+    r = float(rng.uniform(0.5, 2.0))
+    errs["dilation_automorphism_max_err"] = np.max(np.abs(
+        alg.dilate(r, m(X, Y)) - m(alg.dilate(r, X), alg.dilate(r, Y))))
+    if alg.dim == 3:
+        closed = np.column_stack([X[:, 0] + Y[:, 0], X[:, 1] + Y[:, 1],
+                                  X[:, 2] + Y[:, 2] + X[:, 0] * Y[:, 1] - X[:, 1] * Y[:, 0]])
+        errs["closed_form_law_max_err"] = np.max(np.abs(m(X, Y) - closed))
+    return {key: float(v) for key, v in errs.items()}
+
+
+# check-group evaluates its checks on blocks of cli._BLOCK = 4096 rows
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10001])
+@pytest.mark.parametrize("group", ["heisenberg", "filiform"])
+def test_check_group_blocks_match_the_whole_array_formulas(tmp_path, capsys, n, group):
+    argv = ["check-group", "--samples", str(n), "--seed", "5", "--json"]
+    if group == "heisenberg":
+        alg = horoflow.groups.heisenberg()
+    else:
+        spec = {"layers": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}]},
+                                                  {"i": 1, "j": 3, "coeffs": [{"k": 4, "c": 1}]}]}
+        (tmp_path / "g.json").write_text(json.dumps(spec))
+        argv += ["--group", str(tmp_path / "g.json")]
+        alg = horoflow.groups.algebra_from_json(spec)
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    errs = law_errors_oracle(alg, n, 5)
+    assert sorted(k for k in rep if k.endswith("_max_err")) == sorted(errs)
+    for key, value in errs.items():
+        assert rep[key] == value, key
+
+
 def test_check_group_from_group_json(tmp_path):
     gpath = tmp_path / "group.json"
     gpath.write_text(json.dumps(HEIS_GROUP))
@@ -680,9 +721,15 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     uv = cx.UVSolution(np.arange(12.0) / 7.0, awkward, awkward[::-1].copy(), 0.1, "time", {})
     _write_uv_csv(uv, tmp_path / "uv.csv")
     assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(uv).encode()
-    tr = Trajectory(uv.times, np.column_stack([awkward, awkward**2, -awkward]))
+    # a column equal to the times is written from their strings, but not one
+    # that equals them only up to the sign of a zero
+    signed = uv.times.copy()
+    signed[0] = -0.0
+    tr = Trajectory(uv.times, np.column_stack([awkward, uv.times, signed, awkward**2, -awkward]))
     write_trajectory_csv(tr, tmp_path / "tr.csv")
     assert (tmp_path / "tr.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
+    write_trajectory_csv(tr, tmp_path / "shared.csv", t_col=lambda: [f"{t:.17g}" for t in tr.times])
+    assert (tmp_path / "shared.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
 
     # the exhibit's artifacts, recomputed by the library
     out = tmp_path / "out"

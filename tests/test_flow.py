@@ -348,6 +348,12 @@ def test_box_of_another_dimension_is_refused(heis, lo, hi):
         CauchyProblem(x1_field(heis), (0.0, 0.0, 0.0), 1.0, Box(lo, hi))
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_nonpositive_horizon_is_refused_by_name(heis, horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        CauchyProblem(x1_field(heis), (0.0, 0.0, 0.0), horizon)
+
+
 def test_nan_coefficient_reported(heis):
     bad = horizontal_field(heis, (lambda t, x: math.nan, lambda t, x: 0.0))
     with pytest.raises(NonFiniteRHSError):
@@ -361,22 +367,44 @@ def test_nan_coefficient_reported(heis):
 def test_non_finite_rhs_reports_the_time_of_its_stage(bad_call, node):
     # the first step from t = 0.5 has h = 0.25, the grid spacing, and ends on a
     # grid time, so it evaluates the extension's stages too; evaluation 0 is
-    # f(t, y0), evaluation s is stage s, and one NaN entry at any stage ends
-    # the solve at that stage's time
+    # f(t, y0), evaluation s is stage s, and one NaN or infinite entry at any
+    # stage ends the solve at that stage's time
+    for bad in (math.nan, math.inf, -math.inf):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            out = -y
+            if len(calls) == bad_call + 1:
+                out[1, 0] = bad
+            return out
+
+        with pytest.raises(NonFiniteRHSError) as exc:
+            solve_to_grid(f, np.linspace(0.5, 1.5, 5), np.ones((2, 3)))
+        assert exc.value.time == 0.5 + node * 0.25
+        assert calls[-1] == exc.value.time
+        assert len(calls) == bad_call + 1
+
+
+def test_finite_rhs_near_the_float_maximum_is_not_refused():
+    # entries whose sums and squares overflow are still finite: every value of
+    # the first step passes the finiteness test, and the solve goes on to the
+    # FSAL slope, where this right-hand side stops it
+    class Reached(Exception):
+        pass
+
+    huge = np.array([[1.5e308, 1.5e308, -1.5e308], [-1.5e308, -1.5e308, 1.5e308]])
     calls = []
 
     def f(t, y):
         calls.append(t)
-        out = -y
-        if len(calls) == bad_call + 1:
-            out[1, 0] = math.nan
-        return out
+        if len(calls) == 13:
+            raise Reached
+        return huge
 
-    with pytest.raises(NonFiniteRHSError) as exc:
-        solve_to_grid(f, np.linspace(0.5, 1.5, 5), np.ones((2, 3)))
-    assert exc.value.time == 0.5 + node * 0.25
-    assert calls[-1] == exc.value.time
-    assert len(calls) == bad_call + 1
+    with pytest.raises(Reached):
+        solve_to_grid(f, [0.0, 1.0], np.zeros((2, 3)))
+    assert calls[-1] == 1.0
 
 
 def test_step_underflow_reports_location(heis):

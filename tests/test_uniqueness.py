@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horoflow import uniqueness
 from horoflow.counterexample import counterexample_field
 from horoflow.domain import Box
 from horoflow.fields import HorizontalField, field_from_spec, horizontal_field
@@ -325,3 +326,16 @@ def test_confinement_matches_loop_oracle(heis, x0, extra):
     want = max(float(np.linalg.norm(z - P @ z)) for z in rel)
     # the projection is a matrix product, which BLAS may round per call shape
     assert confinement_check(tr, mod, x0) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_nonpositive_horizon_is_refused_by_name_before_sampling(heis, monkeypatch, horizon):
+    monkeypatch.setattr(uniqueness, "equivalence_kappa",
+                        lambda *args: pytest.fail("sampled kappa for a refused horizon"))
+    b = horizontal_field(heis, (lambda t, x: 0.0, lambda t, x: 0.0))
+    cond = {"certified": True, "estimated_c": 1.0, "scale_maxima": (1.0,)}
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        stability_monitor(b, np.zeros(3), cond, [(0.1, 0.0, 0.0)], CFG, horizon)
+    mod = check_involutive(heis, [(1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        reduced_solve(mod, [lambda t, x: 1.0], np.zeros(3), horizon, CFG)
