@@ -29,7 +29,7 @@ from .flow import CauchyProblem, integrate, write_trajectory_csv
 from .gauges import gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
                      heisenberg, is_heisenberg, json_integer, json_number)
-from .stepping import IntegratorConfig, NonFiniteRHSError, StepUnderflowError
+from .stepping import IntegratorConfig, NonFiniteRHSError, NonFiniteStateError, StepUnderflowError
 from .uniqueness import (check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
                          verify_equilibrium_condition)
@@ -331,7 +331,7 @@ def _run_equilibrium(args) -> int:
                       "sizes do not vanish linearly toward the equilibrium point")
         _emit(report, args)
         return FAIL
-    monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon, seed)
+    monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon)
     report.update(stability=monitor, passed=monitor["passed"])
     _emit(report, args)
     return PASS if monitor["passed"] else FAIL
@@ -379,11 +379,11 @@ def _run_involutive(args) -> int:
 # --------------------------------------------------------------------------- counterexample
 
 
-def _write_uv_csv(sol, path, t_col=None) -> None:
-    """Write the t,u,v rows of ``sol``; ``t_col()``, if given, returns its
-    times formatted, so the rungs of one ladder can share one formatting."""
-    t_col = t_col() if t_col else list(map("%.17g".__mod__, sol.times.tolist()))
-    rows = zip(t_col, sol.u.tolist(), sol.v.tolist())
+def _write_uv_csv(times, uv, path, t_col=None) -> None:
+    """Write the t,u,v rows of one rung's (grid, 2) states ``uv``; ``t_col()``,
+    if given, returns ``times`` formatted, shared by a ladder's rungs."""
+    t_col = t_col() if t_col else list(map("%.17g".__mod__, times.tolist()))
+    rows = zip(t_col, *uv.T.tolist())
     text = "t,u,v\n" + "".join(map("%s,%.17g,%.17g\n".__mod__, rows))
     with open(path, "w") as fh:
         fh.write(text)
@@ -392,17 +392,18 @@ def _write_uv_csv(sol, path, t_col=None) -> None:
 def _run_counterexample(args) -> int:
     spec = cx.LadderSpec(eps0=args.eps0, ratio=args.ratio, count=args.rungs,
                          tau=args.tau, grid_points=args.grid)
-    solutions, ladder = cx.run_epsilon_ladder(spec, args.variant)
-    report, gamma = cx.build_nonuniqueness_report(solutions, ladder)
+    sol, ladder = cx.run_epsilon_ladder(spec, args.variant)
+    report, gamma = cx.build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
 
     # the rungs and gamma share one grid, and the limit is the last rung.
     # The times are formatted by the first CSV write, before _write_csvs
     # forks, so --json formats none.  _write_csvs gives its last ceil(n/2)
     # writers (at least 3, as a ladder has at least 4 rungs) to one process,
     # so the limit's copy follows the last rung's write there.
-    t_col = cache(lambda: list(map("%.17g".__mod__, gamma.times.tolist())))
-    writers = [(f"rung_eps_{sol.epsilon:.9g}.csv", partial(_write_uv_csv, sol, t_col=t_col))
-               for sol in solutions]
+    t_col = cache(lambda: list(map("%.17g".__mod__, sol.times.tolist())))
+    writers = [(f"rung_eps_{eps:.9g}.csv",
+                partial(_write_uv_csv, sol.times, sol.states[:, i], t_col=t_col))
+               for i, eps in enumerate(spec.epsilons)]
     last = writers[-1][0]
     writers += [("limit_uv.csv", lambda path: shutil.copyfile(path.with_name(last), path)),
                 ("gamma.csv", partial(write_trajectory_csv, gamma, t_col=t_col))]
@@ -464,6 +465,7 @@ _RUNNERS = {
 # numerical failures: each exits 1 with a report naming its kind
 _FAILURE_KINDS = {
     NonFiniteRHSError: "non_finite_rhs",
+    NonFiniteStateError: "non_finite_state",
     StepUnderflowError: "step_underflow",
     cx.MonitorViolation: "monitor_violation",
 }

@@ -119,25 +119,15 @@ def uv_rhs(variant: str, eps, t, y) -> np.ndarray:
 # --------------------------------------------------------------------------- regularized solves
 
 
-@dataclass(frozen=True)
-class UVSolution:
-    times: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    epsilon: float
-    variant: str
-    stats: dict  # StepStats of the solve; the same for every rung of one ladder
-
-
 def solve_regularized(variant: str, epsilons: Sequence[float], tau: float,
-                      grid_points: int) -> list[UVSolution]:
+                      grid_points: int) -> Trajectory:
     """Integrate the regularized rungs for all ``epsilons`` as one solve.
 
     The rungs advance together as one (rungs, 2) state on a shared step
-    sequence whose error norm is the max over every rung, so no rung meets a
-    looser tolerance than it would alone; each returned UVSolution carries
-    the stats of that shared solve.  Every solve runs at ``RUNG_TOL`` and
-    returns its states on ``grid_points`` equally spaced times.
+    sequence whose error norm is the max over every entry, so no rung meets a
+    looser tolerance than it would alone.  The solve runs at ``RUNG_TOL`` and
+    returns its states, of shape (grid_points, rungs, 2), on ``grid_points``
+    equally spaced times; rung i is ``states[:, i]``.
     """
     if variant not in ("time", "autonomous"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -147,21 +137,19 @@ def solve_regularized(variant: str, epsilons: Sequence[float], tau: float,
     if tau > 1.0:
         raise ValueError("rung horizon must not exceed 1")
     cfg = IntegratorConfig(abs_tol=RUNG_TOL, rel_tol=RUNG_TOL)
-    sol = solve_to_grid(partial(uv_rhs, variant, eps), np.linspace(0.0, tau, grid_points),
-                        np.ones((len(eps), 2)), cfg)
-    stats = sol.stats.as_dict()
-    return [UVSolution(sol.times, sol.states[:, i, 0], sol.states[:, i, 1],
-                       float(e), variant, dict(stats))
-            for i, e in enumerate(eps)]
+    return solve_to_grid(partial(uv_rhs, variant, eps), np.linspace(0.0, tau, grid_points),
+                         np.ones((len(eps), 2)), cfg)
 
 
-def rung_monitor_report(uv: UVSolution) -> dict:
-    """The proof-bound monitors of one rung: its ``ladder.rungs`` report entry."""
-    eps, tau = uv.epsilon, float(uv.times[-1])
+def rung_monitor_report(variant: str, eps: float, times: np.ndarray, uv: np.ndarray) -> dict:
+    """The proof-bound monitors of one rung, its (grid, 2) states ``uv`` at
+    ``times``: its ``ladder.rungs`` report entry."""
+    tau = float(times[-1])
+    u, v = uv.T
     failures = []
     # every check is written so that a NaN fails it
 
-    min_u, min_v = float(np.min(uv.u)), float(np.min(uv.v))
+    min_u, min_v = float(np.min(u)), float(np.min(v))
     if not min_u >= -MONITOR_TOL:
         failures.append("sign_u")
     if not min_v >= -MONITOR_TOL:
@@ -170,22 +158,22 @@ def rung_monitor_report(uv: UVSolution) -> dict:
     # the comparison-lemma envelopes u + w v <= (3/2) e^(t+eps) and
     # v <= 1 + c_hat (t+eps), with c_hat the sup of (3/2)(e^s - 1)/s over the
     # window; that quotient increases, so the sup sits at s = tau + eps
-    s = uv.times + eps
-    mix_margin = float(np.min(1.5 * np.exp(s) - (uv.u + MIX_WEIGHT_UPPER * uv.v)))
+    s = times + eps
+    mix_margin = float(np.min(1.5 * np.exp(s) - (u + MIX_WEIGHT_UPPER * v)))
     if not mix_margin >= -MONITOR_TOL:
         failures.append("mix_exponential_bound")
 
     c_hat = 1.5 * (math.exp(tau + eps) - 1.0) / (tau + eps)
-    lin_margin = float(np.min((1.0 + c_hat * s) - uv.v))
+    lin_margin = float(np.min((1.0 + c_hat * s) - v))
     if not lin_margin >= -MONITOR_TOL:
         failures.append("v_linear_envelope")
 
-    du0, dv0 = uv_rhs(uv.variant, eps, 0.0, np.ones(2)).tolist()
+    du0, dv0 = uv_rhs(variant, eps, 0.0, np.ones(2)).tolist()
     stationarity = (abs(du0), abs(dv0))
     if not all(x <= 1e-12 for x in stationarity):
         failures.append("stationarity_at_zero")
 
-    res = singular_integral_residual(uv)
+    res = singular_integral_residual(variant, eps, times, uv)
     # integral-form defect should track the stepper tolerance, not the bounds;
     # flag only wild values.  Simpson error on a coarse output grid counts too:
     # autonomous eps = 2.4e-5, tau = 0.2 reads 1.1e-6 on 256 points, although
@@ -195,40 +183,38 @@ def rung_monitor_report(uv: UVSolution) -> dict:
 
     lower_margin = c5 = sigma_sup = fvals = None
     crossing_const = c_hat
-    if uv.variant == "autonomous":
-        fvals, svals = scaled_axis_distance_with_minimizer(uv.times, uv.u, uv.v)
+    if variant == "autonomous":
+        fvals, svals = scaled_axis_distance_with_minimizer(times, u, v)
         sigma_sup = float(np.max(np.abs(svals)))
-        c5 = max(c_hat, 2.0 * float(np.max(np.abs(uv.u))) * sigma_sup)
+        c5 = max(c_hat, 2.0 * float(np.max(np.abs(u))) * sigma_sup)
         crossing_const = c5
 
     # window up to the first crossing of v = const (t+eps): the lower
     # envelopes are only guaranteed there
-    window = uv.v - crossing_const * (uv.times + eps) > 0.0
-    stop = len(uv.times) if bool(np.all(window)) else int(np.argmin(window))
+    window = v - crossing_const * (times + eps) > 0.0
+    stop = len(times) if bool(np.all(window)) else int(np.argmin(window))
     sl = slice(0, max(stop, 1))
 
-    if uv.variant == "autonomous":
-        lower_margin = float(np.min(
-            fvals[sl] - (uv.v[sl] - c5 * (uv.times[sl] + eps))
-        ))
+    if variant == "autonomous":
+        lower_margin = float(np.min(fvals[sl] - (v[sl] - c5 * (times[sl] + eps))))
         if not lower_margin >= -MONITOR_TOL:
             failures.append("axis_term_lower_bound")
 
-    lower_mix = uv.u[sl] + MIX_WEIGHT_LOWER * uv.v[sl]
-    lower_env = (1.0 + MIX_WEIGHT_LOWER) - 3.0 * crossing_const * (uv.times[sl] + eps)
+    lower_mix = u[sl] + MIX_WEIGHT_LOWER * v[sl]
+    lower_env = (1.0 + MIX_WEIGHT_LOWER) - 3.0 * crossing_const * (times[sl] + eps)
     lower_mix_margin = float(np.min(lower_mix - lower_env))
     if not lower_mix_margin >= -MONITOR_TOL:
         failures.append("mix_lower_envelope")
 
     crossing_time = crossing_threshold = None
-    if stop < len(uv.times):
-        crossing_time = float(uv.times[stop])
+    if stop < len(times):
+        crossing_time = float(times[stop])
         crossing_threshold = 1.0 / (26.0 * crossing_const)
         if not crossing_time >= crossing_threshold - MONITOR_TOL:
             failures.append("first_crossing_too_early")
 
     return {
-        "epsilon": eps, "variant": uv.variant, "min_u": min_u, "min_v": min_v,
+        "epsilon": eps, "variant": variant, "min_u": min_u, "min_v": min_v,
         "mix_bound_margin": mix_margin, "lower_mix_margin": lower_mix_margin,
         "linear_envelope_margin": lin_margin, "exp_linear_constant": c_hat,
         "stationarity": stationarity,  # |du|, |dv| of the right-hand side at (0, 1, 1)
@@ -240,19 +226,19 @@ def rung_monitor_report(uv: UVSolution) -> dict:
     }
 
 
-def singular_integral_residual(uv: UVSolution, as_limit: bool = False) -> float:
-    """Defect of the integral identity with kernel 1/(t + eps).
+def singular_integral_residual(variant: str, eps: float, times: np.ndarray,
+                               uv: np.ndarray) -> float:
+    """Defect of the integral identity with kernel 1/(t + eps) on one rung's
+    (grid, 2) states ``uv`` at ``times``.
 
-    With ``as_limit`` the data is checked against the singular system itself
-    (eps = 0): the quadrature starts at the first positive grid time, since
-    the kernel is only integrable against the actual solution there, and the
-    approach to the initial value at 0 is reported separately.
+    With eps = 0 the data is checked against the singular system itself: the
+    quadrature starts at the first positive grid time, since the kernel is
+    only integrable against the actual solution there, and the approach to
+    the initial value at 0 is reported separately.
     """
-    eps = 0.0 if as_limit else uv.epsilon
-    start = 1 if as_limit else 0
-    t = uv.times[start:]
-    y = np.column_stack([uv.u[start:], uv.v[start:]])
-    return integral_defect(uv_rhs(uv.variant, eps, t, y), t, y)
+    start = 0 if eps > 0 else 1
+    t, y = times[start:], uv[start:]
+    return integral_defect(uv_rhs(variant, eps, t, y), t, y)
 
 
 # --------------------------------------------------------------------------- epsilon ladder
@@ -301,11 +287,14 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
     ``RUNG_TOL`` (see ``solve_regularized``).  Rung monitors are hard
     requirements: a violated proof bound aborts the ladder.  Gaps that stop
     decreasing are non-convergence (``gap_convergence``); the last rung is
-    still the limit candidate, never silently replaced.  Returns the rungs'
-    UVSolutions, largest epsilon first, and the report's ``ladder`` block.
+    still the limit candidate, never silently replaced.  Returns the
+    ladder's Trajectory, rungs largest epsilon first, and the report's
+    ``ladder`` block.
     """
-    solutions = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
-    reports = [rung_monitor_report(uv) for uv in solutions]
+    sol = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
+    times, states = sol.times, sol.states
+    reports = [rung_monitor_report(variant, eps, times, states[:, i])
+               for i, eps in enumerate(spec.epsilons)]
     for rep in reports:
         if not rep["passed"]:
             raise MonitorViolation(
@@ -313,17 +302,17 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
                 f"{', '.join(rep['failures'])}"
             )
 
-    gaps = [float(max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v))))
-            for a, b in zip(solutions, solutions[1:])]
+    gaps = [float(np.max(np.abs(states[:, i] - states[:, i + 1])))
+            for i in range(spec.count - 1)]
     decreasing_from, converged = gap_convergence(gaps)
 
-    return solutions, {
+    return sol, {
         "variant": variant,
-        "epsilons": [uv.epsilon for uv in solutions],
+        "epsilons": list(spec.epsilons),
         "sup_differences": gaps,
         "converged": converged,
         "gaps_decreasing_from": decreasing_from,
-        "limit_residual": singular_integral_residual(solutions[-1], as_limit=True),
+        "limit_residual": singular_integral_residual(variant, 0.0, times, states[:, -1]),
         "gap_tol": GAP_TOL,
         "tau": spec.tau,
         "rungs": reports,
@@ -333,16 +322,13 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
 # --------------------------------------------------------------------------- reconstruction
 
 
-def reconstruct_trajectory(uv: UVSolution) -> Trajectory:
-    """Lift a (u, v) solution back to the group: (t, t^3 u/18, t^4 (2u-v)/36)."""
-    t = uv.times
+def reconstruct_trajectory(t: np.ndarray, uv: np.ndarray) -> Trajectory:
+    """Lift (grid, 2) states (u, v) at times t back to the group:
+    (t, t^3 u/18, t^4 (2u-v)/36)."""
     t2 = t * t
-    states = np.column_stack([
-        t,
-        t2 * t * uv.u / 18.0,
-        t2 * t2 * (2.0 * uv.u - uv.v) / 36.0,
-    ])
-    return Trajectory(t.copy(), states)
+    u, v = uv.T
+    return Trajectory(t.copy(), np.column_stack([t, t2 * t * u / 18.0,
+                                                 t2 * t2 * (2.0 * u - v) / 36.0]))
 
 
 def trivial_trajectory(tau: float, n: int) -> Trajectory:
@@ -350,9 +336,10 @@ def trivial_trajectory(tau: float, n: int) -> Trajectory:
     return Trajectory(t, np.column_stack([t, np.zeros(n), np.zeros(n)]))
 
 
-def build_nonuniqueness_report(solutions: Sequence[UVSolution], ladder: dict) -> tuple:
-    """Turn a finished ladder (``run_epsilon_ladder``'s pair) into the exhibit
-    report; the last rung is the limit.
+def build_nonuniqueness_report(times: np.ndarray, limit: np.ndarray, ladder: dict) -> tuple:
+    """Turn a finished ladder into the exhibit report: ``limit`` is its last
+    rung's (grid, 2) states at ``times``, ``ladder`` its report block (both
+    from ``run_epsilon_ladder``).
 
     Returns (report dict, reconstructed trajectory).  The verdict asserts
     that two certified near-solutions of one Cauchy problem stay apart by at
@@ -361,14 +348,13 @@ def build_nonuniqueness_report(solutions: Sequence[UVSolution], ladder: dict) ->
     """
     variant = ladder["variant"]
     field = counterexample_field(variant)
-    alg = field.algebra
 
-    gamma = reconstruct_trajectory(solutions[-1])
-    straight = trivial_trajectory(ladder["tau"], len(gamma.times))
+    gamma = reconstruct_trajectory(times, limit)
+    straight = trivial_trajectory(ladder["tau"], len(times))
     res_trivial = flow_residual(straight, field)
     res_nontrivial = flow_residual(gamma, field)
 
-    rel = alg.multiply_batch(-straight.states, gamma.states)
+    rel = field.algebra.multiply_batch(-straight.states, gamma.states)
     separation = koranyi_norm(rel)
     max_sep = float(np.max(separation))
 
@@ -394,5 +380,6 @@ def build_nonuniqueness_report(solutions: Sequence[UVSolution], ladder: dict) ->
 
 def nonuniqueness_report(variant: str = "time", spec: LadderSpec = LadderSpec()) -> dict:
     """Run the full exhibit pipeline and return the report."""
-    report, _ = build_nonuniqueness_report(*run_epsilon_ladder(spec, variant))
+    sol, ladder = run_epsilon_ladder(spec, variant)
+    report, _ = build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
     return report

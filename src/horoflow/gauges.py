@@ -181,16 +181,16 @@ def equivalence_constants(
     return float(ratios.min()), float(ratios.max())
 
 
-# samples behind the gauge-equivalence constant kappa of the stability bound:
-# a fixed count keeps the bound reproducible
-KAPPA_SAMPLES = 4000
+def equivalence_kappa(alg: GradedAlgebra) -> float:
+    """kappa = max(upper, 1/lower) of ``default_distance(alg)``'s gauge against
+    the smooth gauge, in closed form.
 
-
-def equivalence_kappa(alg: GradedAlgebra, gauge: GaugeFn, seed: int = 0) -> float:
-    """kappa = max(upper, 1/lower) of ``gauge`` against the smooth gauge,
-    over ``KAPPA_SAMPLES`` samples (see ``equivalence_constants``)."""
-    lo, hi = equivalence_constants(alg, smooth_gauge(alg), gauge, KAPPA_SAMPLES, seed)
-    return max(hi, 1.0 / lo)
+    Heisenberg preset: 2^(1/4), as ((x1^2 + x2^2)^2 + x3^2) / (x1^4 + x2^4 +
+    x3^2) lies in [1, 2] by (a + b)^2 <= 2 (a^2 + b^2); returned as the float
+    just above it, since ``2 ** 0.25`` rounds below.  Any other algebra: 1,
+    as the distance's gauge is the smooth gauge itself.
+    """
+    return math.nextafter(2 ** 0.25, math.inf) if is_heisenberg(alg) else 1.0
 
 
 def gauge_report(

@@ -38,11 +38,13 @@ Guard.  Every step attempt, first try or retry, that is shorter than
 it, y would keep changing at a frozen t, as it does on a finite-time
 blow-up.  (dop853 stops at ten units of rounding of t.)  Every right-hand
 side value with an inf or NaN entry raises ``NonFiniteRHSError`` at its
-stage's time.  That test is one dot product of the value with a zero
-vector, and it is exact: 0 x is NaN exactly when x is inf or NaN and a
-signed zero otherwise, so the dot is NaN exactly when some entry is not
-finite and a zero otherwise.  It forms no sum of the entries themselves,
-so finite entries near the float maximum cannot overflow it.
+stage's time, and a non-finite accepted step end or filled grid state (a
+finite slope can overflow) its subclass ``NonFiniteStateError`` at the
+step's start.  That test is one dot product with a zero array, and it is
+exact: 0 x is NaN exactly when x is inf or NaN and a signed zero otherwise,
+so the dot is NaN exactly when some entry is not finite and a zero
+otherwise.  It forms no sum of the entries themselves, so finite entries
+near the float maximum cannot overflow it.
 
 Local error is budgeted per unit time: a step of length h on a span of
 length L may make an error of ``h / L`` times the tolerance, so the defects
@@ -221,6 +223,11 @@ class NonFiniteRHSError(RuntimeError):
         super().__init__(message or f"right-hand side produced a non-finite value at t = {t:.12g}")
 
 
+class NonFiniteStateError(NonFiniteRHSError):
+    """An accepted step's end state, or a grid state read from its step, is
+    not finite; ``time`` is the step's start."""
+
+
 @dataclass
 class StepStats:
     steps: int = 0
@@ -349,6 +356,7 @@ def solve_to_grid(
     k = np.empty((16,) + y.shape)
     kf = k.reshape(16, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
     zero = np.zeros(y.shape)
+    zeros = np.zeros(states.shape)  # for the finiteness test of filled grid states
     # every stage's input is built in this one buffer, rounded as
     # y + h * (a_s @ k_s) would be: the product, then the scale, then the sum
     ys = np.empty(y.shape)
@@ -412,12 +420,15 @@ def solve_to_grid(
             stats.record(h_try, t)
             if filled:
                 dense = dop853_dense(y, y8, h_try, k)
-            else:
-                _checked(f, t + h_try, y8, stats, k[12], zero)
             if j > g:
                 states[g:j] = dense((grid[g:j] - t) / h_try)
                 if grid[j - 1] == t_new:
                     states[j - 1] = y8
+            # tested before f is evaluated at y8 for the next step
+            if np.vdot(y8, zero) != 0.0 or np.vdot(states[g:j], zeros[g:j]) != 0.0:
+                raise NonFiniteStateError(t, f"non-finite state in the step from t = {t:.12g}")
+            if not filled:
+                _checked(f, t + h_try, y8, stats, k[12], zero)
             if inside is not None:
                 n_in = g
                 while n_in < j and inside(states[n_in]):

@@ -110,14 +110,13 @@ def stability_monitor(
     initial_points: Sequence[Sequence[float]],
     cfg: IntegratorConfig = IntegratorConfig(),
     horizon: float = 1.0,
-    seed: int = 0,
 ) -> dict:
     """Integrate from each start and compare growth against the Gronwall bound.
 
     All starts advance as one (starts, dim) solve whose error norm is the max
     over every entry, so no start meets a looser tolerance than it would
     alone.  The certified bound is kappa * exp(kappa * c * horizon), with c
-    the estimated degeneracy constant and kappa the empirical equivalence
+    the estimated degeneracy constant and kappa the closed-form equivalence
     constant between the smooth gauge and the algebra's ``default_distance``
     (the constant the Gronwall argument routes through; see
     ``gauges.equivalence_kappa``).
@@ -141,7 +140,7 @@ def stability_monitor(
     if starts.ndim != 2 or starts.shape[1] != alg.dim:
         raise ValueError("initial point dimension does not match the algebra")
 
-    kappa = equivalence_kappa(alg, dst.gauge, seed)
+    kappa = equivalence_kappa(alg)
     c_integral = cond["estimated_c"] * horizon
     bound = kappa * math.exp(kappa * c_integral)
 

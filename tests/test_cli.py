@@ -175,13 +175,23 @@ def test_integrate_x0_outside_domain_is_usage_error(tmp_path, capsys):
           {"form": "monomial", "exponents": [0, 1, 0], "scale": -1e8}]},
       "x0": [0, 1, 0], "horizon": 1.0,
       "integrator": {"min_step": 1e-6}}, "step_underflow"),
+    # a finite slope of 1e300 overflows the state near t = 1.8e8: the step
+    # that takes it past the float maximum ends the solve
+    ({"group": {"layers": [2]},
+      "field": {"coefficients": [
+          {"form": "constant", "value": 1e300},
+          {"form": "constant", "value": 0}]},
+      "x0": [0, 0], "horizon": 1e10}, "non_finite_state"),
 ])
 def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     cpath = tmp_path / "problem.json"
     cpath.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["integrate", "--config", str(cpath), "--out", str(out)]) == 1
-    rep = read_report(out)
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+    rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
     assert rep["passed"] is False
     assert rep["failure"]["kind"] == kind
     assert 0.0 <= rep["failure"]["t"] < cfg["horizon"]
@@ -691,10 +701,10 @@ def test_counterexample_reproducible_reports(tmp_path):
     assert (a / "gamma.csv").read_text() == (b / "gamma.csv").read_text()
 
 
-def uv_csv_oracle(sol):
+def uv_csv_oracle(times, uv):
     """The per-value f-string loop the CSV writers must reproduce byte for byte."""
     lines = ["t,u,v\n"]
-    for t, u, v in zip(sol.times, sol.u, sol.v):
+    for t, (u, v) in zip(times, uv):
         lines.append(f"{t:.17g},{u:.17g},{v:.17g}\n")
     return "".join(lines)
 
@@ -712,20 +722,41 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# values whose formatting differs from a plain decimal: signed zeros,
+# subnormals, infinities, NaN and the last bits of a double
+AWKWARD = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-308, 5e-324, 1e22, -123456789.125,
+                    np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, 0.1])
+
+
+def test_rung_csv_of_a_ladder_slice_matches_the_per_value_loop(tmp_path):
+    # a rung is a non-contiguous (grid, 2) view into the ladder's (grid, rungs, 2)
+    # states; it is written as its values, whatever its strides
+    times = np.arange(12.0) / 7.0
+    states = np.stack([AWKWARD[::-1], AWKWARD, -AWKWARD, AWKWARD * 3.0, AWKWARD, AWKWARD / 7.0],
+                      axis=1).reshape(12, 3, 2)
+    for i in range(3):
+        rung = states[:, i]
+        assert not rung.flags.c_contiguous
+        _write_uv_csv(times, rung, tmp_path / "uv.csv")
+        assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(times, rung).encode()
+    shared = [f"{t:.17g}" for t in times]
+    _write_uv_csv(times, states[:, 1], tmp_path / "shared.csv", t_col=lambda: shared)
+    assert (tmp_path / "shared.csv").read_bytes() == uv_csv_oracle(times, states[:, 1]).encode()
+
+
 # six rungs leave the autonomous gaps short of GAP_TOL, so that exhibit exits
 # 1, but it writes every artifact all the same
 @pytest.mark.parametrize("variant, code", [("time", 0), ("autonomous", 1)])
 def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
-    awkward = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-308, 5e-324, 1e22, -123456789.125,
-                        np.nextafter(1.0, 2.0), np.inf, -np.inf, np.nan, 0.1])
-    uv = cx.UVSolution(np.arange(12.0) / 7.0, awkward, awkward[::-1].copy(), 0.1, "time", {})
-    _write_uv_csv(uv, tmp_path / "uv.csv")
-    assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(uv).encode()
+    times = np.arange(12.0) / 7.0
+    uv = np.column_stack([AWKWARD, AWKWARD[::-1]])
+    _write_uv_csv(times, uv, tmp_path / "uv.csv")
+    assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(times, uv).encode()
     # a column equal to the times is written from their strings, but not one
     # that equals them only up to the sign of a zero
-    signed = uv.times.copy()
+    signed = times.copy()
     signed[0] = -0.0
-    tr = Trajectory(uv.times, np.column_stack([awkward, uv.times, signed, awkward**2, -awkward]))
+    tr = Trajectory(times, np.column_stack([AWKWARD, times, signed, AWKWARD**2, -AWKWARD]))
     write_trajectory_csv(tr, tmp_path / "tr.csv")
     assert (tmp_path / "tr.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
     write_trajectory_csv(tr, tmp_path / "shared.csv", t_col=lambda: [f"{t:.17g}" for t in tr.times])
@@ -736,21 +767,22 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     assert main(counterexample_args(out, variant=variant)) == code
     assert_no_child_left()
     spec = cx.LadderSpec(eps0=0.1, ratio=0.5, count=6, tau=0.2, grid_points=256)
-    solutions, ladder = cx.run_epsilon_ladder(spec, variant)
-    _, gamma = cx.build_nonuniqueness_report(solutions, ladder)
-    for sol in solutions:
-        assert (out / f"rung_eps_{sol.epsilon:.9g}.csv").read_text() == uv_csv_oracle(sol)
-    assert (out / "limit_uv.csv").read_text() == uv_csv_oracle(solutions[-1])
+    sol, ladder = cx.run_epsilon_ladder(spec, variant)
+    _, gamma = cx.build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
+    for i, eps in enumerate(spec.epsilons):
+        rung = uv_csv_oracle(sol.times, sol.states[:, i])
+        assert (out / f"rung_eps_{eps:.9g}.csv").read_text() == rung
+    assert (out / "limit_uv.csv").read_text() == rung
     assert (out / "gamma.csv").read_text() == trajectory_csv_oracle(gamma)
     assert len(list(out.iterdir())) == 6 + 3
 
 
 def refusing(write, name):
     """``write``, except that it raises OSError on a file called ``name``."""
-    def wrapper(obj, path, **kwargs):
-        if path.name == name:
+    def wrapper(*args, **kwargs):
+        if args[-1].name == name:  # the path is the last positional argument
             raise OSError(f"cannot write {name}")
-        write(obj, path, **kwargs)
+        write(*args, **kwargs)
     return wrapper
 
 

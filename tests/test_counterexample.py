@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, LadderSpec, UVSolution,
-                                     build_nonuniqueness_report, gap_convergence,
+from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, SEPARATION_FACTOR,
+                                     LadderSpec, build_nonuniqueness_report, gap_convergence,
                                      nonuniqueness_report, reconstruct_trajectory,
                                      rung_monitor_report, run_epsilon_ladder,
                                      scaled_axis_distance, scaled_axis_distance_with_minimizer,
@@ -210,8 +210,14 @@ def test_rungs_reject_an_unknown_variant_or_a_nonpositive_epsilon():
 
 
 def solve_one_rung(variant, eps, tau):
-    (uv,) = solve_regularized(variant, [eps], tau, FAST)
-    return uv, rung_monitor_report(uv)
+    sol = solve_regularized(variant, [eps], tau, FAST)
+    uv = sol.states[:, 0]
+    return uv, rung_monitor_report(variant, eps, sol.times, uv)
+
+
+def hand_rung(t, u, v, eps):
+    """The monitors of a hand-built time-variant rung (u, v) at times t."""
+    return rung_monitor_report("time", eps, t, np.column_stack([u, v]))
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6])
@@ -223,7 +229,7 @@ def test_regularized_rung_monitors_pass(eps):
     assert rep["lower_mix_margin"] >= -1e-9
     assert rep["linear_envelope_margin"] >= -1e-9
     assert max(rep["stationarity"]) == 0.0
-    assert uv.u[0] == 1.0 and uv.v[0] == 1.0
+    assert np.all(uv[0] == 1.0)
 
 
 def test_regularized_rung_autonomous_lower_bound():
@@ -245,8 +251,7 @@ def test_monitor_flags_synthetic_violations():
     t = np.linspace(0.0, 0.5, 129)
     # v plunging through zero: breaks sign retention and crosses the linear
     # envelope threshold almost immediately
-    bad = UVSolution(t, np.ones_like(t), 1.0 - 100.0 * t, 0.05, "time", {})
-    rep = rung_monitor_report(bad)
+    rep = hand_rung(t, np.ones_like(t), 1.0 - 100.0 * t, 0.05)
     assert not rep["passed"]
     assert "sign_v" in rep["failures"]
     assert "first_crossing_too_early" in rep["failures"]
@@ -254,11 +259,11 @@ def test_monitor_flags_synthetic_violations():
 
 def test_monitor_flags_nan_data():
     t = np.linspace(0.0, 0.3, 129)
-    finite = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), 0.01, "time", {}))
+    finite = hand_rung(t, np.ones_like(t), np.ones_like(t), 0.01)
     assert finite["failures"] == ("integral_residual",)
     u = np.ones_like(t)
     u[10] = np.nan
-    rep = rung_monitor_report(UVSolution(t, u, np.ones_like(t), 0.01, "time", {}))
+    rep = hand_rung(t, u, np.ones_like(t), 0.01)
     # a NaN fails every check that reads u; checks on v alone still pass
     assert set(rep["failures"]) == {"sign_u", "mix_exponential_bound", "integral_residual",
                                  "mix_lower_envelope"}
@@ -268,11 +273,22 @@ def test_monitor_flags_nan_data():
 def test_monitor_accepts_late_crossing():
     t = np.linspace(0.0, 0.5, 129)
     # gentle decline crosses v = c(t+eps) well after the guaranteed window
-    sol = UVSolution(t, np.ones_like(t), np.maximum(1.0 - 1.2 * t, 0.0), 0.05, "time", {})
-    rep = rung_monitor_report(sol)
+    rep = hand_rung(t, np.ones_like(t), np.maximum(1.0 - 1.2 * t, 0.0), 0.05)
     assert rep["crossing_time"] is not None
     assert rep["crossing_time"] >= rep["crossing_threshold"]
     assert "first_crossing_too_early" not in rep["failures"]
+
+
+def test_sign_monitor_fails_just_past_its_tolerance():
+    # a dip of v to -1e-8 lies ten times past MONITOR_TOL = 1e-9 and fails
+    # sign_v; a dip to -1e-10 lies inside it
+    t = np.linspace(0.0, 0.3, 129)
+    for dip, fails in ((-1e-8, True), (-1e-10, False)):
+        v = np.ones_like(t)
+        v[-1] = dip
+        rep = hand_rung(t, np.ones_like(t), v, 0.05)
+        assert rep["min_v"] == dip
+        assert ("sign_v" in rep["failures"]) is fails
 
 
 # --------------------------------------------------------------------------- comparison lemma
@@ -281,7 +297,7 @@ def test_monitor_accepts_late_crossing():
 def test_comparison_envelopes_pass_on_the_constant_solution():
     t = np.linspace(0.0, 1.0, 64)
     eps = 0.1
-    rep = rung_monitor_report(UVSolution(t, np.ones_like(t), np.ones_like(t), eps, "time", {}))
+    rep = hand_rung(t, np.ones_like(t), np.ones_like(t), eps)
     assert "mix_exponential_bound" not in rep["failures"]
     assert "v_linear_envelope" not in rep["failures"]
     # both worst margins sit at t = 0: (3/2)(e^eps - 1) and c_hat eps
@@ -295,14 +311,14 @@ def test_comparison_envelopes_each_fire_on_a_violating_rung():
     one = np.ones_like(t)
     # u + v/2 climbing to 2.5 at t = 0.3 overtakes (3/2) e^(t + eps) = 2.1;
     # v alone stays under its linear envelope, so only the mix bound fires
-    rep = rung_monitor_report(UVSolution(t, 1.0 + 5.0 * t, one, 0.05, "time", {}))
+    rep = hand_rung(t, 1.0 + 5.0 * t, one, 0.05)
     assert "mix_exponential_bound" in rep["failures"] and rep["mix_bound_margin"] < -0.3
     assert "v_linear_envelope" not in rep["failures"]
     # v climbing at twice c_hat crosses its envelope, while u + v/2 stays
     # under the exponential bound (u is lowered to make room)
     c_hat = 1.5 * (math.exp(0.35) - 1.0) / 0.35
     v = 1.0 + 2.0 * c_hat * t
-    rep = rung_monitor_report(UVSolution(t, 1.0 - 0.5 * (v - 1.0), v, 0.05, "time", {}))
+    rep = hand_rung(t, 1.0 - 0.5 * (v - 1.0), v, 0.05)
     assert "v_linear_envelope" in rep["failures"] and rep["linear_envelope_margin"] < -0.4
     assert "mix_exponential_bound" not in rep["failures"]
 
@@ -348,32 +364,34 @@ def test_last_rung_envelopes_bound_the_approach_to_the_start(variant):
     # u + 3v/4 >= 7/4 - 3 C s (C = c, or c5 on the autonomous variant), each
     # to MONITOR_TOL, solve to |u - 1| <= (6C + 3c) s + 5 tol and
     # |v - 1| <= (12C + 4c) s + 8 tol at the first positive grid time
-    sols, lad = run_epsilon_ladder(small_spec(), variant)
-    uv, rep = sols[-1], lad["rungs"][-1]
+    sol, lad = run_epsilon_ladder(small_spec(), variant)
+    (u, v), rep = sol.states[1, -1], lad["rungs"][-1]
     assert rep["passed"]
-    assert rep["crossing_time"] is None or rep["crossing_time"] > uv.times[1]
+    assert rep["crossing_time"] is None or rep["crossing_time"] > sol.times[1]
     c = rep["exp_linear_constant"]
     C = c if variant == "time" else rep["lower_bound_constant"]
-    s1 = uv.times[1] + uv.epsilon
-    assert abs(uv.u[1] - 1.0) <= (6.0 * C + 3.0 * c) * s1 + 5.0 * MONITOR_TOL
-    assert abs(uv.v[1] - 1.0) <= (12.0 * C + 4.0 * c) * s1 + 8.0 * MONITOR_TOL
+    s1 = sol.times[1] + rep["epsilon"]
+    assert abs(u - 1.0) <= (6.0 * C + 3.0 * c) * s1 + 5.0 * MONITOR_TOL
+    assert abs(v - 1.0) <= (12.0 * C + 4.0 * c) * s1 + 8.0 * MONITOR_TOL
 
 
 def test_ladder_limit_satisfies_singular_integral_form():
-    sols, lad = run_epsilon_ladder(small_spec(), "time")
+    sol, lad = run_epsilon_ladder(small_spec(), "time")
     assert lad["limit_residual"] <= 1e-5
     # direct recomputation agrees
-    assert singular_integral_residual(sols[-1], as_limit=True) == lad["limit_residual"]
+    assert singular_integral_residual("time", 0.0, sol.times, sol.states[:, -1]) \
+        == lad["limit_residual"]
 
 
 def test_ladder_nonconvergence_never_fabricates():
     # four autonomous rungs leave a last gap of about 5e-4, far above GAP_TOL
-    sols, lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
+    sol, lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
     assert lad["sup_differences"][-1] > 100 * GAP_TOL
     assert not lad["converged"]
     # the report still takes the last rung as the limit, and certifies nothing
-    report, gamma = build_nonuniqueness_report(sols, lad)
-    assert np.array_equal(gamma.states, reconstruct_trajectory(sols[-1]).states)
+    limit = sol.states[:, -1]
+    report, gamma = build_nonuniqueness_report(sol.times, limit, lad)
+    assert np.array_equal(gamma.states, reconstruct_trajectory(sol.times, limit).states)
     assert not report["nonuniqueness_certified"]
 
 
@@ -390,11 +408,9 @@ def test_gap_convergence_rule(gaps, decreasing_from, converged):
 
 
 def test_ladders_with_different_ratios_agree():
-    a = run_epsilon_ladder(small_spec(count=10), "time")[0][-1]
-    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")[0][-1]
-    du = np.max(np.abs(a.u - b.u))
-    dv = np.max(np.abs(a.v - b.v))
-    assert max(du, dv) <= 10 * GAP_TOL
+    a = run_epsilon_ladder(small_spec(count=10), "time")[0].states[:, -1]
+    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")[0].states[:, -1]
+    assert np.max(np.abs(a - b)) <= 10 * GAP_TOL
 
 
 def test_batched_time_ladder_matches_single_rung_solves():
@@ -402,25 +418,21 @@ def test_batched_time_ladder_matches_single_rung_solves():
     # it takes at least as many steps as any single rung, and every rung
     # agrees with its single solve well inside the tolerance
     spec = small_spec(count=5)
-    sols, _ = run_epsilon_ladder(spec, "time")
-    for sol in sols:
-        (alone,) = solve_regularized("time", [sol.epsilon], spec.tau, FAST)
-        assert sol.stats == sols[0].stats
-        assert sol.stats["steps"] >= alone.stats["steps"]
-        assert np.max(np.abs(sol.u - alone.u)) <= RUNG_TOL
-        assert np.max(np.abs(sol.v - alone.v)) <= RUNG_TOL
+    sol, _ = run_epsilon_ladder(spec, "time")
+    for i, eps in enumerate(spec.epsilons):
+        alone = solve_regularized("time", [eps], spec.tau, FAST)
+        assert sol.stats.steps >= alone.stats.steps
+        assert np.max(np.abs(sol.states[:, i] - alone.states[:, 0])) <= RUNG_TOL
 
 
 def test_batched_autonomous_ladder_matches_single_rung_solves():
     # the shared sequence takes the smallest step any rung needs, so the
     # rungs differ from their single solves by the tolerance scale at most
     spec = small_spec(count=5)
-    sols, _ = run_epsilon_ladder(spec, "autonomous")
-    for sol in sols:
-        (alone,) = solve_regularized("autonomous", [sol.epsilon], spec.tau, FAST)
-        assert sol.stats == sols[0].stats
-        assert np.max(np.abs(sol.u - alone.u)) <= 10 * RUNG_TOL
-        assert np.max(np.abs(sol.v - alone.v)) <= 10 * RUNG_TOL
+    sol, _ = run_epsilon_ladder(spec, "autonomous")
+    for i, eps in enumerate(spec.epsilons):
+        alone = solve_regularized("autonomous", [eps], spec.tau, FAST)
+        assert np.max(np.abs(sol.states[:, i] - alone.states[:, 0])) <= 10 * RUNG_TOL
 
 
 @pytest.mark.parametrize("variant, max_steps, max_rhs, min_step", [
@@ -433,10 +445,10 @@ def test_default_ladder_step_counts(variant, max_steps, max_rhs, min_step):
     # the DP5(4) pair took 72 / 439 and 404 / 2,443.  Without the budget
     # floor the autonomous start shrank its steps to 5.3e-9
     spec = LadderSpec()
-    (sol, *_) = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
-    assert sol.stats["steps"] <= max_steps
-    assert sol.stats["rhs_evals"] <= max_rhs
-    assert sol.stats["min_step"] >= min_step
+    stats = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points).stats
+    assert stats.steps <= max_steps
+    assert stats.rhs_evals <= max_rhs
+    assert stats.min_step >= min_step
 
 
 @pytest.mark.parametrize("variant", ["time", "autonomous"])
@@ -445,13 +457,11 @@ def test_default_ladder_grid_states_meet_the_rung_tolerance(variant):
     # the same ladder solved at 1e-14: 1.8e-14 (time) and 2.1e-14
     # (autonomous) apart
     spec = LadderSpec()
-    sols = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
+    sol = solve_regularized(variant, spec.epsilons, spec.tau, spec.grid_points)
     rhs = partial(uv_rhs, variant, np.asarray(spec.epsilons))
-    ref = solve_to_grid(rhs, sols[0].times, np.ones((len(sols), 2)),
+    ref = solve_to_grid(rhs, sol.times, np.ones((spec.count, 2)),
                         IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14)).states
-    for i, sol in enumerate(sols):
-        assert np.max(np.abs(sol.u - ref[:, i, 0])) <= RUNG_TOL
-        assert np.max(np.abs(sol.v - ref[:, i, 1])) <= RUNG_TOL
+    assert np.max(np.abs(sol.states - ref)) <= RUNG_TOL
 
 
 # --------------------------------------------------------------------------- reconstruction
@@ -459,8 +469,7 @@ def test_default_ladder_grid_states_meet_the_rung_tolerance(variant):
 
 def test_reconstruct_formal_unit_pair():
     t = np.linspace(0.0, 0.3, 64)
-    uv = UVSolution(t, np.ones_like(t), np.ones_like(t), 0.0, "time", {})
-    tr = reconstruct_trajectory(uv)
+    tr = reconstruct_trajectory(t, np.ones((len(t), 2)))
     assert np.allclose(tr.states[:, 0], t)
     assert np.allclose(tr.states[:, 1], t**3 / 18.0)
     assert np.allclose(tr.states[:, 2], t**4 / 36.0)
@@ -468,8 +477,8 @@ def test_reconstruct_formal_unit_pair():
 
 
 def test_reconstructed_limit_moves_off_axis():
-    sols, _ = run_epsilon_ladder(small_spec(), "time")
-    tr = reconstruct_trajectory(sols[-1])
+    sol, _ = run_epsilon_ladder(small_spec(), "time")
+    tr = reconstruct_trajectory(sol.times, sol.states[:, -1])
     assert np.all(tr.states[1:, 1] > 0.0)  # second coordinate strictly positive
     assert np.max(np.abs(tr.states[:, 0] - tr.times)) == 0.0
 
@@ -493,6 +502,23 @@ def test_nonuniqueness_report_small_ladder_autonomous():
     assert rep["residual_nontrivial"] <= 1e-6
     assert rep["nonuniqueness_certified"]
     assert rep["ladder"]["rungs"][-1]["lower_bound_constant"] is not None
+
+
+def test_separation_short_of_its_factor_does_not_certify():
+    # the reduced time ladder certifies; adding 0.01 sin^2(pi t / tau) to its
+    # last rung's u raises the nontrivial residual until the separation is
+    # only about 6,700 times the worse residual: far above 10, short of
+    # SEPARATION_FACTOR = 1e4, so the verdict fails on the separation alone
+    spec = LadderSpec(count=6, tau=0.2, grid_points=256)
+    sol, lad = run_epsilon_ladder(spec, "time")
+    limit = sol.states[:, -1].copy()
+    assert build_nonuniqueness_report(sol.times, limit, lad)[0]["nonuniqueness_certified"]
+    limit[:, 0] += 0.01 * np.sin(np.pi * sol.times / spec.tau) ** 2
+    rep, _ = build_nonuniqueness_report(sol.times, limit, lad)
+    ratio = rep["max_separation"] / max(rep["residual_trivial"], rep["residual_nontrivial"])
+    assert 10.0 < ratio < SEPARATION_FACTOR
+    assert lad["converged"] and rep["gamma2_at_tau"] > 0.0
+    assert not rep["nonuniqueness_certified"]
 
 
 def test_trivial_trajectory_shape():

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.counterexample import counterexample_field
+from horoflow.counterexample import (counterexample_field, reconstruct_trajectory,
+                                     solve_regularized, trivial_trajectory)
 from horoflow.domain import Box
 from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
 from horoflow.flow import CauchyProblem, integrate, residual
-from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, StepStats,
-                               StepUnderflowError, Trajectory, cumulative_simpson,
+from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, NonFiniteStateError,
+                               StepStats, StepUnderflowError, Trajectory, cumulative_simpson,
                                dop853_dense, solve_to_grid)
+from horoflow.uniqueness import check_involutive, reduced_solve
 
 CFG = IntegratorConfig(dense_output_grid=257)
 
@@ -405,6 +407,48 @@ def test_finite_rhs_near_the_float_maximum_is_not_refused():
     with pytest.raises(Reached):
         solve_to_grid(f, [0.0, 1.0], np.zeros((2, 3)))
     assert calls[-1] == 1.0
+
+
+def test_overflowing_state_ends_the_solve():
+    # a finite slope of 1e300 takes the state past the float maximum in the
+    # first step, h = 2.5e9: its end state is infinite, so the solve stops at
+    # that step's start rather than returning inf and NaN states
+    with pytest.raises(NonFiniteStateError) as exc:
+        solve_to_grid(lambda t, y: np.array([1e300]), np.linspace(0.0, 1e10, 5), [0.0])
+    assert exc.value.time == 0.0
+    assert isinstance(exc.value, NonFiniteRHSError)
+
+
+def test_overflowing_grid_state_ends_the_solve():
+    # the step from 4.25e7 to 1.7e8 ends on a finite 1.7e308, but its
+    # interpolant overflows (2 dy is infinite) at the grid times inside it
+    with pytest.raises(NonFiniteStateError) as exc:
+        solve_to_grid(lambda t, y: np.array([1e300]), np.linspace(0.0, 1.7e8, 5), [0.0])
+    assert exc.value.time == 4.25e7
+
+
+def test_finite_states_near_the_float_maximum_are_not_refused():
+    # states whose sums overflow are still finite, and so is a step that
+    # ends at 1e308
+    tr = solve_to_grid(lambda t, y: np.zeros(3), np.linspace(0.0, 1.0, 5), np.full(3, 1.7e308))
+    assert np.all(tr.states == 1.7e308)
+    tr = solve_to_grid(lambda t, y: np.array([1e300]), [0.0, 1e8], [0.0])
+    assert tr.states[-1, 0] == pytest.approx(1e308, rel=1e-12)
+
+
+def test_every_solve_returns_one_trajectory(heis):
+    # the ladder's rungs are one solve with (grid, rungs, 2) states
+    ladder = solve_regularized("time", [0.1, 0.05, 0.025], 0.2, 16)
+    assert ladder.states.shape == (16, 3, 2)
+    mod = check_involutive(heis, [[1.0, 0.0, 0.0]])
+    solves = [
+        ladder,
+        integrate(CauchyProblem(x1_field(heis), (0, 0, 0), 1.0), CFG),
+        reduced_solve(mod, [lambda t, x: 1.0], np.zeros(3), 1.0, CFG),
+        reconstruct_trajectory(ladder.times, ladder.states[:, -1]),
+        trivial_trajectory(0.2, 16),
+    ]
+    assert all(type(tr) is Trajectory for tr in solves)
 
 
 def test_step_underflow_reports_location(heis):

@@ -1,10 +1,14 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horoflow.gauges import (HomogeneousDistance, equivalence_constants, gauge_report,
-                             koranyi_distance, koranyi_norm, smooth_gauge)
+from horoflow.gauges import (HomogeneousDistance, default_distance, equivalence_constants,
+                             equivalence_kappa, gauge_report, koranyi_distance, koranyi_norm,
+                             smooth_gauge)
 from horoflow.groups import GradedAlgebra, heisenberg
 from horoflow.gauges import minimal_even_exponent
 
@@ -121,6 +125,26 @@ def test_equivalence_constants_smooth_vs_koranyi(heis):
     assert lo >= 1.0 - 1e-12
     assert lo <= hi <= 2 ** 0.25 + 1e-12
     assert hi >= 2 ** 0.25 - 1e-3
+
+
+def test_kappa_is_the_float_just_above_the_fourth_root_of_two(heis):
+    kappa = equivalence_kappa(heis)
+    assert Fraction(kappa) ** 4 >= 2
+    assert Fraction(math.nextafter(kappa, 0.0)) ** 4 < 2
+
+
+def test_sampled_ratio_never_exceeds_kappa(heis):
+    lo, hi = equivalence_constants(heis, smooth_gauge(heis), koranyi_norm, 100_000, seed=2)
+    kappa = equivalence_kappa(heis)
+    assert max(hi, 1.0 / lo) <= kappa * (1.0 + 1e-15)
+
+
+def test_kappa_is_one_where_the_distance_uses_the_smooth_gauge():
+    filiform = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    assert equivalence_kappa(filiform) == 1.0
+    lo, hi = equivalence_constants(filiform, smooth_gauge(filiform),
+                                   default_distance(filiform).gauge, 2000, seed=2)
+    assert max(hi, 1.0 / lo) <= 1.0 + 1e-15
 
 
 def test_equivalence_constants_dilation_invariant(heis):

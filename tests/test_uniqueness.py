@@ -45,6 +45,18 @@ def test_condition_constant_field_diverges(heis):
     assert cond["estimated_c"] > 10.0
 
 
+def test_condition_sublinear_coefficient_is_refused(heis, heis_dist):
+    # d(x, 0)^0.7 vanishes at the point, but more slowly than d: its ratio
+    # d^-0.3 grows 2^0.3-fold per halving, 2^1.5 = 2.83-fold over the six
+    # scales, past GROWTH_FACTOR = 2
+    b = horizontal_field(heis, (lambda t, x, _d=heis_dist: _d(np.zeros(3), x) ** 0.7,
+                                lambda t, x: 0.0))
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
+    maxima = cond["scale_maxima"]
+    assert maxima[-1] / maxima[0] == pytest.approx(2 ** 1.5, rel=1e-12)
+    assert not cond["certified"]
+
+
 def test_condition_counterexample_field_fails():
     # documented negative case: the unit first coefficient never degenerates
     b = counterexample_field("time")
@@ -330,8 +342,8 @@ def test_confinement_matches_loop_oracle(heis, x0, extra):
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
 def test_nonpositive_horizon_is_refused_by_name_before_sampling(heis, monkeypatch, horizon):
-    monkeypatch.setattr(uniqueness, "equivalence_kappa",
-                        lambda *args: pytest.fail("sampled kappa for a refused horizon"))
+    monkeypatch.setattr(uniqueness, "solve_to_grid",
+                        lambda *args: pytest.fail("solved for a refused horizon"))
     b = horizontal_field(heis, (lambda t, x: 0.0, lambda t, x: 0.0))
     cond = {"certified": True, "estimated_c": 1.0, "scale_maxima": (1.0,)}
     with pytest.raises(ValueError, match="horizon must be positive"):
