@@ -41,7 +41,12 @@ class ConfigError(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+class NonFiniteValueError(ArithmeticError):
+    """A report holds a non-finite value, which strict JSON cannot write."""
+
+
+def _load_json(path: str, keys: str = "") -> dict:
+    """The JSON object in ``path``, with no key outside ``keys`` if given; else exit 2."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -53,18 +58,19 @@ def _load_json(path: str) -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"bad config {path}: expected a JSON object at the top level")
+    unknown = sorted(set(data) - set(keys.split()))
+    if keys and unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     return data
 
 
-def _resolve_group(preset: dict | str | None, group_path: str | None = None) -> GradedAlgebra:
-    """The algebra of an inline spec, else of the spec file, else of a preset name."""
-    if isinstance(preset, dict):
-        return algebra_from_json(preset)
-    if group_path:
-        return algebra_from_json(_load_json(group_path))
-    if preset in (None, "heisenberg"):
+def _resolve_group(spec: dict | str | None) -> GradedAlgebra:
+    """The algebra of a group spec object, else of the preset name or None."""
+    if isinstance(spec, dict):
+        return algebra_from_json(spec)
+    if spec in (None, "heisenberg"):
         return heisenberg()
-    raise ConfigError(f"unknown group preset {preset!r}")
+    raise ConfigError(f"unknown group preset {spec!r}")
 
 
 def _integrator(cfg: dict | None) -> IntegratorConfig:
@@ -80,14 +86,9 @@ def _integrator(cfg: dict | None) -> IntegratorConfig:
         raise ConfigError(f"bad integrator options: {exc}") from exc
 
 
-def _number(cfg: dict, key: str, default) -> float:
-    """``cfg[key]`` (or ``default``) read by ``json_number``; else exit 2."""
-    return json_number(cfg.get(key, default), f"bad {key}")
-
-
 def _horizon(cfg: dict, default) -> float:
-    """``cfg["horizon"]`` (or ``default``) read by ``_number``, if positive; else exit 2."""
-    horizon = _number(cfg, "horizon", default)
+    """``cfg["horizon"]`` (or ``default``) read by ``json_number``, if positive; else exit 2."""
+    horizon = json_number(cfg.get("horizon", default), "bad horizon")
     if not horizon > 0:
         raise ConfigError("bad horizon: expected a positive number, "
                           f"not {cfg.get('horizon', default)!r}")
@@ -141,9 +142,11 @@ def _box(value, dim: int, key: str) -> Box:
 
 
 def _emit(report: dict, args, csv_writers=()) -> None:
-    report = dict(report)
-    report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True)
+    report = {**report, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValueError(f"the report holds a non-finite value ({exc})") from None
     if args.json:
         print(text)
         return
@@ -226,7 +229,7 @@ def _law_errors(alg: GradedAlgebra, X, Y, Z, r: float, heis: bool) -> list:
 
 
 def _run_check_group(args) -> int:
-    alg = _resolve_group(args.preset, args.group)
+    alg = _resolve_group(_load_json(args.group) if args.group else None)
     rng = np.random.default_rng(args.seed)
     n = args.samples
     X = rng.uniform(-10.0, 10.0, size=(n, alg.dim))
@@ -265,7 +268,7 @@ def _run_check_group(args) -> int:
 
 
 def _run_check_gauge(args) -> int:
-    alg = _resolve_group(args.preset, args.group)
+    alg = _resolve_group(_load_json(args.group) if args.group else None)
     if args.gauge == "koranyi":
         if not is_heisenberg(alg):
             raise ConfigError("the koranyi gauge requires the Heisenberg preset")
@@ -282,7 +285,7 @@ def _run_check_gauge(args) -> int:
 
 
 def _run_integrate(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_json(args.config, "group field x0 horizon domain integrator")
     alg = _resolve_group(cfg.get("group"))
     field = _field(alg, cfg)
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
@@ -303,7 +306,7 @@ def _run_integrate(args) -> int:
         "meta": {"abs_tol": icfg.abs_tol, "rel_tol": icfg.rel_tol, "exited": tr.exited,
                  "exit_time": tr.exit_time, **tr.stats.as_dict()},
     }
-    report["passed"] = bool(tr.residual is not None and tr.residual <= 100.0 * icfg.abs_tol)
+    report["passed"] = bool(tr.residual is not None and tr.residual <= icfg.gate_tol)
     _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
     return PASS if report["passed"] else FAIL
 
@@ -312,7 +315,8 @@ def _run_integrate(args) -> int:
 
 
 def _run_equilibrium(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_json(args.config, "group field equilibrium_point box initial_points "
+                                  "samples seed horizon integrator")
     alg = _resolve_group(cfg.get("group"))
     field = _field(alg, cfg)
     xbar = np.array(_point(cfg.get("equilibrium_point", [0.0] * alg.dim), alg.dim,
@@ -341,7 +345,7 @@ def _run_equilibrium(args) -> int:
 
 
 def _run_involutive(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_json(args.config, "group basis x0 field horizon integrator")
     alg = _resolve_group(cfg.get("group"))
     basis = _points(cfg.get("basis"), alg.dim, "basis")
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
@@ -352,8 +356,6 @@ def _run_involutive(args) -> int:
     ambient = module_field(mod, field.coefficients)
     horizon = _horizon(cfg, 1.0)
     icfg = _integrator(cfg.get("integrator"))
-    dev_tol = _number(cfg, "deviation_tol", 1e-8)
-    match_tol = _number(cfg, "match_tol", 1e-8)
 
     full = integrate(CauchyProblem(ambient, x0, horizon), icfg)
     deviation = confinement_check(full, mod, x0)
@@ -367,10 +369,10 @@ def _run_involutive(args) -> int:
         "horizon": horizon,
         "confinement_deviation": deviation,
         "reduced_vs_full_max_err": match,
-        "deviation_tol": dev_tol,
-        "match_tol": match_tol,
+        "deviation_tol": icfg.gate_tol,
+        "match_tol": icfg.gate_tol,
         "residual_full": full.residual,
-        "passed": bool(deviation <= dev_tol and match <= match_tol),
+        "passed": bool(deviation <= icfg.gate_tol and match <= icfg.gate_tol),
     }
     _emit(report, args)
     return PASS if report["passed"] else FAIL
@@ -390,8 +392,7 @@ def _write_uv_csv(times, uv, path, t_col=None) -> None:
 
 
 def _run_counterexample(args) -> int:
-    spec = cx.LadderSpec(eps0=args.eps0, ratio=args.ratio, count=args.rungs,
-                         tau=args.tau, grid_points=args.grid)
+    spec = cx.LadderSpec(count=args.rungs, tau=args.tau, grid_points=args.grid)
     sol, ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
 
@@ -426,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text, samples in (("check-group", "group-law property suite", 1000),
                                 ("check-gauge", "gauge property suite", 2000)):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--preset", default="heisenberg")
         p.add_argument("--group", help="path to a group-spec JSON")
         p.add_argument("--samples", type=_decimal(1, "positive"), default=samples)
         p.add_argument("--seed", type=_decimal(0, "non-negative"), default=0)
@@ -443,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="non-uniqueness exhibit")
     p.add_argument("--variant", choices=["time", "autonomous"], default="time")
-    p.add_argument("--eps0", type=float, default=0.1)
-    p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--rungs", type=int, default=14)
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--grid", type=int, default=2048)
@@ -468,6 +466,7 @@ _FAILURE_KINDS = {
     NonFiniteStateError: "non_finite_state",
     StepUnderflowError: "step_underflow",
     cx.MonitorViolation: "monitor_violation",
+    NonFiniteValueError: "non_finite_value",
 }
 
 
@@ -479,9 +478,12 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         try:
-            return _RUNNERS[args.command](args)
+            # a non-finite value that reaches a solve or a report ends the
+            # command (_FAILURE_KINDS): numpy's warnings would only repeat it
+            with np.errstate(all="ignore"):
+                return _RUNNERS[args.command](args)
         except tuple(_FAILURE_KINDS) as exc:
-            # t is null where a monitor fails on a whole solve
+            # t is null for a monitor failed on a whole solve, or a report value
             failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
                        "t": float(exc.time) if hasattr(exc, "time") else None}
             _emit({"passed": False, "failure": failure}, args)

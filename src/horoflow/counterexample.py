@@ -244,19 +244,18 @@ def singular_integral_residual(variant: str, eps: float, times: np.ndarray,
 # --------------------------------------------------------------------------- epsilon ladder
 
 
+# the rungs' epsilons are EPS0 * EPS_RATIO**k, k < count: each rung halves
+# the last, the ratio the Richardson step 2 y(eps) - y(2 eps) assumes
+EPS0, EPS_RATIO = 0.1, 0.5
+
+
 @dataclass(frozen=True)
 class LadderSpec:
-    eps0: float = 0.1
-    ratio: float = 0.5
     count: int = 14
     tau: float = 0.3
     grid_points: int = 2048
 
     def __post_init__(self):
-        if not 0 < self.eps0 <= 0.1:
-            raise ValueError("eps0 must lie in (0, 0.1]")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
         if self.count < 4:
             raise ValueError("need at least 4 rungs")
         if not 0 < self.tau <= 1.0:
@@ -266,7 +265,7 @@ class LadderSpec:
 
     @property
     def epsilons(self) -> tuple:
-        return tuple(self.eps0 * self.ratio**k for k in range(self.count))
+        return tuple(EPS0 * EPS_RATIO**k for k in range(self.count))
 
 
 def gap_convergence(gaps: Sequence[float]) -> tuple[int, bool]:

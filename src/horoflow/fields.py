@@ -324,14 +324,11 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
                                  f"not {point!r}")
             point = np.array([json_number(v, f"{form} point") for v in point])
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
-        elif form == "axis_distance":
+        elif form in ("axis_distance", "axis_distance_inf"):
             if not is_heisenberg(alg):
-                raise ValueError("axis_distance form requires the Heisenberg preset")
-            coeffs.append(distance_to_axis_point)
-        elif form == "axis_distance_inf":
-            if not is_heisenberg(alg):
-                raise ValueError("axis_distance_inf form requires the Heisenberg preset")
-            coeffs.append(lambda t, x: distance_to_axis(x))
+                raise ValueError(f"{form} form requires the Heisenberg preset")
+            coeffs.append(distance_to_axis_point if form == "axis_distance"
+                          else lambda t, x: distance_to_axis(x))
         elif form == "sin_coordinate":
             idx = json_integer(c.get("index", 1), f"{form} index") - 1
             if not 0 <= idx < alg.dim:

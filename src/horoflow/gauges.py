@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import GradedAlgebra, heisenberg, inverse, is_heisenberg
+from .groups import GradedAlgebra, inverse, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 
 # one element (dim,) gives a number, (n, dim) rows one value per row, as for a coefficient;
@@ -139,11 +139,6 @@ class HomogeneousDistance:
                 raise ValueError(f"expected elements of length {alg.dim}")
             return self.gauge(alg._product(*(-x).tolist(), *y.tolist()))
         return self.gauge(alg.multiply_batch(inverse(x), y))
-
-
-def koranyi_distance() -> HomogeneousDistance:
-    """Quartic-gauge distance on the Heisenberg preset."""
-    return HomogeneousDistance(heisenberg(), koranyi_norm)
 
 
 def default_distance(alg: GradedAlgebra) -> HomogeneousDistance:

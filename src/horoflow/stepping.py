@@ -207,6 +207,11 @@ class IntegratorConfig:
         if self.dense_output_grid < 2:
             raise ValueError("dense output grid needs at least two points")
 
+    @property
+    def gate_tol(self) -> float:
+        """The bound of every command's gate on a defect of its solves."""
+        return 100.0 * self.abs_tol
+
 
 class StepUnderflowError(RuntimeError):
     """A step attempt fell below ``min_step`` or no longer moved t."""

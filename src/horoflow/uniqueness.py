@@ -121,10 +121,9 @@ def stability_monitor(
     (the constant the Gronwall argument routes through; see
     ``gauges.equivalence_kappa``).
     A start at the point itself has no ratio: its ratio reads 1.0, and the
-    monitor fails when it moves farther than 100 * ``cfg.abs_tol`` from the
-    point (``equilibrium_deviation``), the scale of ``integrate``'s residual
-    gate; a genuine equilibrium stays put to the bit.  Returns the report's
-    ``stability`` block.
+    monitor fails when it moves farther than ``cfg.gate_tol`` from the
+    point (``equilibrium_deviation``); a genuine equilibrium stays put to
+    the bit.  Returns the report's ``stability`` block.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -151,7 +150,7 @@ def stability_monitor(
     at_point = dists == 0.0
     ratios = np.where(at_point, 1.0, devs / np.where(at_point, 1.0, dists))
     eq_dev = float(np.max(devs[at_point])) if at_point.any() else None
-    passed = np.max(ratios) <= bound and (eq_dev is None or eq_dev <= 100.0 * cfg.abs_tol)
+    passed = np.max(ratios) <= bound and (eq_dev is None or eq_dev <= cfg.gate_tol)
     return {"ratios": tuple(ratios.tolist()), "initial_distances": tuple(dists.tolist()),
             "certified_bound": float(bound), "kappa": float(kappa),
             "c_integral": float(c_integral), "passed": bool(passed),
@@ -170,9 +169,6 @@ class InvolutiveModule:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def span_matrix(self) -> np.ndarray:
-        return np.array(self.basis, dtype=float).T  # (q, r)
 
     def sigma(self, x: Sequence[float]):
         """Euclidean distance from the spanned subspace, of one point or of each row."""
@@ -255,7 +251,7 @@ def reduced_solve(
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float)
-    V = mod.span_matrix()
+    V = np.array(mod.basis, dtype=float).T  # (q, r)
 
     def rhs(t, theta):
         point = alg.multiply(x0, V @ theta)

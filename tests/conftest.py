@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from horoflow.gauges import koranyi_distance
+from horoflow.gauges import default_distance
 from horoflow.groups import heisenberg
 
 hypothesis.settings.register_profile(
@@ -18,7 +18,7 @@ def heis():
 
 @pytest.fixture(scope="session")
 def heis_dist():
-    return koranyi_distance()
+    return default_distance(heisenberg())
 
 
 @pytest.fixture(scope="session")

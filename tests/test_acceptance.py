@@ -18,7 +18,7 @@ from horoflow.domain import Box
 from horoflow.fields import (compute_p, derivation_of, horizontal_field, left_invariant_frame,
                              recover_coefficients)
 from horoflow.flow import CauchyProblem, integrate
-from horoflow.gauges import koranyi_distance, koranyi_norm, smooth_gauge
+from horoflow.gauges import default_distance, koranyi_norm, smooth_gauge
 from horoflow.groups import heisenberg
 from horoflow.poly import Poly, evaluator
 from horoflow.stepping import IntegratorConfig
@@ -186,7 +186,7 @@ def test_criterion_07_autonomous_variant():
 
 def test_criterion_08_equilibrium_stability(heis):
     with criterion(8, "equilibrium stability", limit_s=10.0):
-        dst = koranyi_distance()
+        dst = default_distance(heis)
         b = horizontal_field(
             heis, (lambda t, x, _d=dst: _d(np.zeros(3), x), lambda t, x: 0.0))
         box = Box((-1, -1, -1), (1, 1, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -14,7 +15,7 @@ from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import write_trajectory_csv
-from horoflow.stepping import Trajectory
+from horoflow.stepping import IntegratorConfig, Trajectory
 
 HEIS_GROUP = {
     "layers": [2, 1],
@@ -27,6 +28,13 @@ def read_report(outdir):
         return json.load(fh)
 
 
+def read_strict_report(outdir):
+    """The report, read by a parser that refuses the non-JSON Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+    return json.loads((outdir / "report.json").read_text(), parse_constant=refuse)
+
+
 def masked(report):
     report = dict(report)
     report.pop("timestamp", None)
@@ -34,8 +42,7 @@ def masked(report):
 
 
 def test_check_group_passes(tmp_path):
-    code = main(["check-group", "--preset", "heisenberg", "--samples", "500",
-                 "--seed", "1", "--out", str(tmp_path)])
+    code = main(["check-group", "--samples", "500", "--seed", "1", "--out", str(tmp_path)])
     assert code == 0
     rep = read_report(tmp_path)
     assert rep["passed"]
@@ -113,6 +120,40 @@ def test_check_gauge_both_gauges(tmp_path):
         assert key in rep
 
 
+def test_check_gauge_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # a bracket constant of 1e306 overflows the smooth gauge of sampled
+    # products: the report would hold an infinite quasi_triangle_constant,
+    # which strict JSON cannot write, so the command fails as non_finite_value
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"layers": [2, 1], "brackets": [
+        {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1e306}]}]}))
+    out = tmp_path / "out"
+    assert main(["check-gauge", "--gauge", "smooth", "--group", str(gpath),
+                 "--out", str(out)]) == 1
+    rep = read_strict_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"]["kind"] == "non_finite_value" and rep["failure"]["t"] is None
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid, code", [(2049, 1), (4097, 0)])
+def test_integrate_residual_is_gated_at_gate_tol(tmp_path, grid, code):
+    # the benchmark's kink problem: its Simpson residual reads 2.9e-8 on 2049
+    # output points, between one and ten times the gate of 1e-8, and 1.8e-9
+    # on 4097
+    cpath = integrate_config(tmp_path, field={"coefficients": [
+        {"form": "sin_coordinate", "index": 3, "scale": 2.0},
+        {"form": "distance_to_point", "point": [-0.838, 0.215, -0.247]}]},
+        x0=[0.443, 0.011, 0.476], horizon=2.0, domain=None,
+        integrator={"dense_output_grid": grid})
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cpath), "--out", str(out)]) == code
+    residual, gate = read_report(out)["residual"], IntegratorConfig().gate_tol
+    assert residual < 10.0 * gate and (residual > gate) is (code == 1)
+
+
 def test_integrate_writes_trajectory(tmp_path):
     cfg = {
         "group": "heisenberg",
@@ -188,10 +229,7 @@ def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     cpath.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["integrate", "--config", str(cpath), "--out", str(out)]) == 1
-
-    def refuse(name):
-        raise ValueError(f"report.json holds {name}")
-    rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    rep = read_strict_report(out)
     assert rep["passed"] is False
     assert rep["failure"]["kind"] == kind
     assert 0.0 <= rep["failure"]["t"] < cfg["horizon"]
@@ -463,6 +501,29 @@ def test_involutive_command_passes_on_a_large_basis_vector(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("off, code", [(2e-8, 1), (2e-9, 0)])
+@pytest.mark.parametrize("patched", ["confinement_check", "reduced_solve"])
+def test_involutive_gates_are_gate_tol(tmp_path, monkeypatch, patched, off, code):
+    # the confinement defect, or the reduced states, moved off by twice the
+    # gate of 1e-8 fail the command; a fifth of the gate passes
+    if patched == "confinement_check":
+        monkeypatch.setattr(cli, "confinement_check", lambda *args: off)
+    else:
+        solve = cli.reduced_solve
+
+        def reduced_solve(*args):
+            tr = solve(*args)
+            return dataclasses.replace(tr, states=tr.states + off)
+        monkeypatch.setattr(cli, "reduced_solve", reduced_solve)
+    out = tmp_path / "out"
+    assert main(["involutive", "--config", str(involutive_config(tmp_path)),
+                 "--out", str(out)]) == code
+    rep = read_report(out)
+    assert rep["deviation_tol"] == rep["match_tol"] == IntegratorConfig().gate_tol == 1e-8
+    err = max(rep["confinement_deviation"], rep["reduced_vs_full_max_err"])
+    assert err == pytest.approx(off, rel=1e-6)
+
+
 def test_involutive_command_rejects_non_commuting_basis(tmp_path, capsys):
     cpath = involutive_config(
         tmp_path,
@@ -478,14 +539,25 @@ def test_involutive_command_rejects_non_commuting_basis(tmp_path, capsys):
 @pytest.mark.parametrize("value", [[1], None, {"x": 1}, True, "1", float("inf")])
 @pytest.mark.parametrize("command, key", [
     ("equilibrium", "horizon"), ("equilibrium", "samples"), ("equilibrium", "seed"),
-    ("involutive", "horizon"), ("involutive", "deviation_tol"), ("involutive", "match_tol"),
-    ("integrate", "horizon"),
+    ("involutive", "horizon"), ("integrate", "horizon"),
 ])
 def test_bad_number_is_usage_error(tmp_path, capsys, command, key, value):
     cpath = config_path(command, tmp_path, key, value)
     assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"bad {key}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["deviation_tol", "match_tol", "horizn"])
+@pytest.mark.parametrize("command", ["equilibrium", "involutive", "integrate"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, command, key):
+    # a key the command does not read is refused by name, so no config can
+    # loosen a gate by a key that is silently ignored
+    cpath = config_path(command, tmp_path, key, 1.0)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config keys ['{key}']" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -675,8 +747,7 @@ def test_failed_rung_monitor_writes_report(tmp_path, capsys):
 
 
 def counterexample_args(out, extra=(), variant="time"):
-    return ["counterexample", "--variant", variant, "--eps0", "0.1",
-            "--ratio", "0.5", "--rungs", "6", "--tau", "0.2",
+    return ["counterexample", "--variant", variant, "--rungs", "6", "--tau", "0.2",
             "--grid", "256", "--out", str(out), *extra]
 
 
@@ -766,7 +837,7 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     out = tmp_path / "out"
     assert main(counterexample_args(out, variant=variant)) == code
     assert_no_child_left()
-    spec = cx.LadderSpec(eps0=0.1, ratio=0.5, count=6, tau=0.2, grid_points=256)
+    spec = cx.LadderSpec(count=6, tau=0.2, grid_points=256)
     sol, ladder = cx.run_epsilon_ladder(spec, variant)
     _, gamma = cx.build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
     for i, eps in enumerate(spec.epsilons):

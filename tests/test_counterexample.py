@@ -332,16 +332,13 @@ def test_comparison_envelopes_hold_on_a_solved_rung():
 
 
 def small_spec(**kw):
-    base = dict(eps0=0.1, ratio=0.5, count=8, tau=0.25, grid_points=FAST)
+    base = dict(count=8, tau=0.25, grid_points=FAST)
     base.update(kw)
     return LadderSpec(**base)
 
 
 def test_ladder_spec_validation():
-    with pytest.raises(ValueError):
-        LadderSpec(eps0=0.5)
-    with pytest.raises(ValueError):
-        LadderSpec(ratio=1.0)
+    assert LadderSpec(count=4).epsilons == (0.1, 0.05, 0.025, 0.0125)
     with pytest.raises(ValueError):
         LadderSpec(count=2)
     for grid in (7, 1, -5):
@@ -408,8 +405,10 @@ def test_gap_convergence_rule(gaps, decreasing_from, converged):
 
 
 def test_ladders_with_different_ratios_agree():
-    a = run_epsilon_ladder(small_spec(count=10), "time")[0].states[:, -1]
-    b = run_epsilon_ladder(small_spec(ratio=0.4, count=10), "time")[0].states[:, -1]
+    spec = small_spec(count=10)
+    a = run_epsilon_ladder(spec, "time")[0].states[:, -1]
+    b = solve_regularized("time", [0.1 * 0.4**k for k in range(10)], spec.tau,
+                          spec.grid_points).states[:, -1]
     assert np.max(np.abs(a - b)) <= 10 * GAP_TOL
 
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from horoflow.gauges import (HomogeneousDistance, default_distance, equivalence_constants,
-                             equivalence_kappa, gauge_report, koranyi_distance, koranyi_norm,
+                             equivalence_kappa, gauge_report, koranyi_norm,
                              smooth_gauge)
 from horoflow.groups import GradedAlgebra, heisenberg
 from horoflow.gauges import minimal_even_exponent
@@ -89,7 +89,7 @@ def test_distance_rows_equal_point_calls(heis, gauge):
 
 @given(vec3, vec3, vec3)
 def test_distance_left_invariance(z, x, y):
-    d = koranyi_distance()
+    d = default_distance(heisenberg())
     alg = d.algebra
     lhs = d(alg.multiply(z, x), alg.multiply(z, y))
     assert lhs == pytest.approx(d(x, y), rel=1e-9, abs=1e-12)
@@ -97,7 +97,7 @@ def test_distance_left_invariance(z, x, y):
 
 @given(vec3, vec3, st.floats(0.2, 4.0))
 def test_distance_homogeneity(x, y, r):
-    d = koranyi_distance()
+    d = default_distance(heisenberg())
     alg = d.algebra
     lhs = d(alg.dilate(r, x), alg.dilate(r, y))
     assert lhs == pytest.approx(r * d(x, y), rel=1e-10, abs=1e-12)
@@ -105,7 +105,7 @@ def test_distance_homogeneity(x, y, r):
 
 @given(vec3, vec3)
 def test_distance_symmetry(x, y):
-    d = koranyi_distance()
+    d = default_distance(heisenberg())
     assert d(x, y) == pytest.approx(d(y, x), rel=1e-12, abs=1e-13)
 
 

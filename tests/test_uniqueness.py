@@ -108,6 +108,20 @@ def test_monitor_fails_an_equilibrium_start_that_moves(heis, heis_dist):
     assert rep["passed"]
 
 
+@pytest.mark.parametrize("drift, passed", [(4e-8, False), (4e-9, True)])
+def test_monitor_gates_a_start_drifting_past_gate_tol(heis, heis_dist, drift, passed):
+    # a1 = d(x, 0) + drift t certifies at t = 0, where the condition is
+    # sampled, and from the origin x1' = x1 + drift t, so the start drifts
+    # drift (e - 2) by t = 1: 2.9e-8 against the gate of 1e-8, or 2.9e-9
+    b = horizontal_field(heis, (lambda t, x: heis_dist(np.zeros(3), x) + drift * t,
+                                lambda t, x: 0.0))
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
+    assert cond["certified"]
+    rep = stability_monitor(b, np.zeros(3), cond, [np.zeros(3)], CFG, 1.0)
+    assert rep["equilibrium_deviation"] == pytest.approx(drift * (math.e - 2.0), rel=1e-6)
+    assert rep["ratios"] == (1.0,) and rep["passed"] is passed
+
+
 def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     b = gauge_coefficient_field(heis, heis_dist)
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
