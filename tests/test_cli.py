@@ -539,13 +539,18 @@ def test_involutive_command_rejects_non_commuting_basis(tmp_path, capsys):
 @pytest.mark.parametrize("value", [[1], None, {"x": 1}, True, "1", float("inf")])
 @pytest.mark.parametrize("command, key", [
     ("equilibrium", "horizon"), ("equilibrium", "samples"), ("equilibrium", "seed"),
-    ("involutive", "horizon"), ("integrate", "horizon"),
+    ("involutive", "horizon"), ("involutive", "deviation_tol"), ("involutive", "match_tol"),
+    ("integrate", "horizon"),
 ])
 def test_bad_number_is_usage_error(tmp_path, capsys, command, key, value):
+    # the involutive tolerances are no longer config keys (both gates read
+    # IntegratorConfig.gate_tol), so any value of theirs is refused by name
     cpath = config_path(command, tmp_path, key, value)
     assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"bad {key}" in err and "Traceback" not in err
+    refusal = (f"unknown config keys ['{key}']" if key in ("deviation_tol", "match_tol")
+               else f"bad {key}")
+    assert refusal in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
