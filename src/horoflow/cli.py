@@ -17,7 +17,7 @@ import shutil
 import sys
 import threading
 from dataclasses import fields
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,10 @@ import numpy as np
 from . import counterexample as cx
 from .domain import Box
 from .fields import field_from_spec
-from .flow import CauchyProblem, integrate, write_trajectory_csv
+from .flow import CauchyProblem, csv_column, integrate, write_csv, write_trajectory_csv
 from .gauges import gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
-                     heisenberg, is_heisenberg, json_integer, json_number)
+                     heisenberg, is_heisenberg, json_integer, json_number, json_object)
 from .stepping import IntegratorConfig, NonFiniteRHSError, NonFiniteStateError, StepUnderflowError
 from .uniqueness import (check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
@@ -45,7 +45,7 @@ class NonFiniteValueError(ArithmeticError):
     """A report holds a non-finite value, which strict JSON cannot write."""
 
 
-def _load_json(path: str, keys: str = "") -> dict:
+def _load_json(path: str, keys: str | None = None) -> dict:
     """The JSON object in ``path``, with no key outside ``keys`` if given; else exit 2."""
     try:
         with open(path) as fh:
@@ -58,10 +58,7 @@ def _load_json(path: str, keys: str = "") -> dict:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"bad config {path}: expected a JSON object at the top level")
-    unknown = sorted(set(data) - set(keys.split()))
-    if keys and unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    return data
+    return data if keys is None else json_object(data, keys, "config")
 
 
 def _resolve_group(spec: dict | str | None) -> GradedAlgebra:
@@ -74,12 +71,9 @@ def _resolve_group(spec: dict | str | None) -> GradedAlgebra:
 
 
 def _integrator(cfg: dict | None) -> IntegratorConfig:
-    cfg = {} if cfg is None else cfg
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"bad integrator options: expected an object, not {cfg!r}")
-    bad = set(cfg) - {f.name for f in fields(IntegratorConfig)}
-    if bad:
-        raise ConfigError(f"unknown integrator options {sorted(bad)}")
+    names = " ".join(f.name for f in fields(IntegratorConfig))
+    cfg = json_object({} if cfg is None else cfg, names, "integrator options",
+                      "unknown integrator options")
     try:
         return IntegratorConfig(**cfg)
     except ValueError as exc:
@@ -137,11 +131,14 @@ def _field(alg: GradedAlgebra, cfg: dict):
 
 def _box(value, dim: int, key: str) -> Box:
     """A ``{"lo": point, "hi": point}`` object as a Box; else exit 2."""
-    value = value if isinstance(value, dict) else {}
+    value = json_object(value, "lo hi", key)
     return Box(*(_point(value.get(end), dim, f"{key}.{end}") for end in ("lo", "hi")))
 
 
-def _emit(report: dict, args, csv_writers=()) -> None:
+def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
+    """Write ``report`` and the CSVs, or print the report under --json; the
+    exit code is PASS if ``report[verdict]`` holds, else FAIL."""
+    code = PASS if report[verdict] else FAIL
     report = {**report, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -149,7 +146,7 @@ def _emit(report: dict, args, csv_writers=()) -> None:
         raise NonFiniteValueError(f"the report holds a non-finite value ({exc})") from None
     if args.json:
         print(text)
-        return
+        return code
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -157,6 +154,7 @@ def _emit(report: dict, args, csv_writers=()) -> None:
         raise ConfigError(f"bad --out {args.out}: {exc.strerror}") from exc
     (out / "report.json").write_text(text + "\n")
     _write_csvs(out, csv_writers)
+    return code
 
 
 def _write_csvs(out: Path, writers) -> None:
@@ -165,11 +163,10 @@ def _write_csvs(out: Path, writers) -> None:
     With two or more writers, ``os.fork`` and no other thread running (a lock
     another thread holds would stay held in the child), a forked child writes
     the second half of the list while this process writes the first.  The
-    first writer runs before the fork, so what the writers share and cache
-    (the ladder's time column) is formatted once.  The child makes no BLAS
-    call and leaves by ``os._exit`` alone: no stdio flush, no atexit handler.
-    This process always reaps it, and if it failed writes its half again, so
-    an error is raised here as the sequential loop raises it.
+    child makes no BLAS call and leaves by ``os._exit`` alone: no stdio
+    flush, no atexit handler.  This process always reaps it, and if it failed
+    writes its half again, so an error is raised here as the sequential loop
+    raises it.
     """
     def write(share):
         for name, writer in share:
@@ -179,7 +176,6 @@ def _write_csvs(out: Path, writers) -> None:
     if split == 0:
         write(writers)
         return
-    write(writers[:1])
     pid = os.fork()
     if pid == 0:
         status = 1
@@ -189,7 +185,7 @@ def _write_csvs(out: Path, writers) -> None:
         finally:
             os._exit(status)
     try:
-        write(writers[1:split])
+        write(writers[:split])
     finally:
         status = os.waitpid(pid, 0)[1]
     if status != 0:
@@ -260,8 +256,7 @@ def _run_check_group(args) -> int:
         and report.get("closed_form_law_max_err", 0.0) <= 1e-12
     )
     report["passed"] = bool(passed)
-    _emit(report, args)
-    return PASS if passed else FAIL
+    return _emit(report, args)
 
 
 # --------------------------------------------------------------------------- check-gauge
@@ -277,8 +272,7 @@ def _run_check_gauge(args) -> int:
         gauge = smooth_gauge(alg)
     report = gauge_report(alg, gauge, args.samples, args.seed)
     report["gauge"] = args.gauge
-    _emit(report, args)
-    return PASS if report["passed"] else FAIL
+    return _emit(report, args)
 
 
 # --------------------------------------------------------------------------- integrate
@@ -290,13 +284,10 @@ def _run_integrate(args) -> int:
     field = _field(alg, cfg)
     x0 = _point(cfg.get("x0"), alg.dim, "x0")
     horizon = _horizon(cfg, None)
-    domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") else None
+    domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") is not None else None
     icfg = _integrator(cfg.get("integrator"))
-    try:
-        problem = CauchyProblem(field, x0, horizon, domain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    tr = integrate(problem, icfg)
+    # CauchyProblem's ValueError (x0 outside the domain) exits 2 in main
+    tr = integrate(CauchyProblem(field, x0, horizon, domain), icfg)
     report = {
         "x0": list(x0),
         "horizon": horizon,
@@ -307,8 +298,7 @@ def _run_integrate(args) -> int:
                  "exit_time": tr.exit_time, **tr.stats.as_dict()},
     }
     report["passed"] = bool(tr.residual is not None and tr.residual <= icfg.gate_tol)
-    _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
-    return PASS if report["passed"] else FAIL
+    return _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
 
 
 # --------------------------------------------------------------------------- equilibrium
@@ -333,12 +323,10 @@ def _run_equilibrium(args) -> int:
     if not cond["certified"]:
         report.update(passed=False, refusal="degeneracy condition not certified: coefficient "
                       "sizes do not vanish linearly toward the equilibrium point")
-        _emit(report, args)
-        return FAIL
+        return _emit(report, args)
     monitor = stability_monitor(field, xbar, cond, starts, icfg, horizon)
     report.update(stability=monitor, passed=monitor["passed"])
-    _emit(report, args)
-    return PASS if monitor["passed"] else FAIL
+    return _emit(report, args)
 
 
 # --------------------------------------------------------------------------- involutive
@@ -374,21 +362,15 @@ def _run_involutive(args) -> int:
         "residual_full": full.residual,
         "passed": bool(deviation <= icfg.gate_tol and match <= icfg.gate_tol),
     }
-    _emit(report, args)
-    return PASS if report["passed"] else FAIL
+    return _emit(report, args)
 
 
 # --------------------------------------------------------------------------- counterexample
 
 
 def _write_uv_csv(times, uv, path, t_col=None) -> None:
-    """Write the t,u,v rows of one rung's (grid, 2) states ``uv``; ``t_col()``,
-    if given, returns ``times`` formatted, shared by a ladder's rungs."""
-    t_col = t_col() if t_col else list(map("%.17g".__mod__, times.tolist()))
-    rows = zip(t_col, *uv.T.tolist())
-    text = "t,u,v\n" + "".join(map("%s,%.17g,%.17g\n".__mod__, rows))
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write the t,u,v rows of one rung's (grid, 2) states ``uv`` by ``write_csv``."""
+    write_csv(path, ("u", "v"), times, uv.T, t_col)
 
 
 def _run_counterexample(args) -> int:
@@ -396,20 +378,18 @@ def _run_counterexample(args) -> int:
     sol, ladder = cx.run_epsilon_ladder(spec, args.variant)
     report, gamma = cx.build_nonuniqueness_report(sol.times, sol.states[:, -1], ladder)
 
-    # the rungs and gamma share one grid, and the limit is the last rung.
-    # The times are formatted by the first CSV write, before _write_csvs
-    # forks, so --json formats none.  _write_csvs gives its last ceil(n/2)
-    # writers (at least 3, as a ladder has at least 4 rungs) to one process,
-    # so the limit's copy follows the last rung's write there.
-    t_col = cache(lambda: list(map("%.17g".__mod__, sol.times.tolist())))
+    # the rungs and gamma share one grid, formatted once here (--json writes
+    # no CSV), and the limit is the last rung.  _write_csvs gives its last
+    # ceil(n/2) writers (at least 3, as a ladder has at least 4 rungs) to
+    # one process, so the limit's copy follows the last rung's write there
+    t_col = None if args.json else csv_column(sol.times)
     writers = [(f"rung_eps_{eps:.9g}.csv",
                 partial(_write_uv_csv, sol.times, sol.states[:, i], t_col=t_col))
                for i, eps in enumerate(spec.epsilons)]
     last = writers[-1][0]
     writers += [("limit_uv.csv", lambda path: shutil.copyfile(path.with_name(last), path)),
                 ("gamma.csv", partial(write_trajectory_csv, gamma, t_col=t_col))]
-    _emit(report, args, writers)
-    return PASS if report["nonuniqueness_certified"] else FAIL
+    return _emit(report, args, writers, "nonuniqueness_certified")
 
 
 # --------------------------------------------------------------------------- parser
@@ -419,45 +399,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="horoflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--out", default="horoflow-out", help="output directory")
         p.add_argument("--json", action="store_true",
                        help="print the report to stdout instead of writing files")
 
-    for name, text, samples in (("check-group", "group-law property suite", 1000),
-                                ("check-gauge", "gauge property suite", 2000)):
+    for name, text, samples, run in (
+            ("check-group", "group-law property suite", 1000, _run_check_group),
+            ("check-gauge", "gauge property suite", 2000, _run_check_gauge)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--group", help="path to a group-spec JSON")
         p.add_argument("--samples", type=_decimal(1, "positive"), default=samples)
         p.add_argument("--seed", type=_decimal(0, "non-negative"), default=0)
-        common(p)
+        common(p, run)
         if name == "check-gauge":
             p.add_argument("--gauge", choices=["koranyi", "smooth"], default="koranyi")
 
-    for name, text in (("integrate", "solve a Cauchy problem from a JSON spec"),
-                       ("equilibrium", "equilibrium degeneracy check + stability monitor"),
-                       ("involutive", "commuting-module confinement and reduced solve")):
+    for name, text, run in (
+            ("integrate", "solve a Cauchy problem from a JSON spec", _run_integrate),
+            ("equilibrium", "equilibrium degeneracy check + stability monitor", _run_equilibrium),
+            ("involutive", "commuting-module confinement and reduced solve", _run_involutive)):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True)
-        common(p)
+        common(p, run)
 
     p = sub.add_parser("counterexample", help="non-uniqueness exhibit")
     p.add_argument("--variant", choices=["time", "autonomous"], default="time")
     p.add_argument("--rungs", type=int, default=14)
     p.add_argument("--tau", type=float, default=0.3)
     p.add_argument("--grid", type=int, default=2048)
-    common(p)
+    common(p, _run_counterexample)
     return ap
-
-
-_RUNNERS = {
-    "check-group": _run_check_group,
-    "check-gauge": _run_check_gauge,
-    "integrate": _run_integrate,
-    "equilibrium": _run_equilibrium,
-    "involutive": _run_involutive,
-    "counterexample": _run_counterexample,
-}
 
 
 # numerical failures: each exits 1 with a report naming its kind
@@ -481,7 +454,7 @@ def main(argv=None) -> int:
             # a non-finite value that reaches a solve or a report ends the
             # command (_FAILURE_KINDS): numpy's warnings would only repeat it
             with np.errstate(all="ignore"):
-                return _RUNNERS[args.command](args)
+                return args.run(args)
         except tuple(_FAILURE_KINDS) as exc:
             # t is null for a monitor failed on a whole solve, or a report value
             failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),

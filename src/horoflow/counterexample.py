@@ -71,11 +71,6 @@ def scaled_axis_distance_with_minimizer(t, u, v) -> tuple:
     return np.sqrt(np.sqrt(fmin))[()], r / 6.0
 
 
-def scaled_axis_distance(t, u, v):
-    """The value of ``scaled_axis_distance_with_minimizer`` alone."""
-    return np.sqrt(np.sqrt(minimize_convex_quartic(t * u / 3.0, v)[1]))
-
-
 def counterexample_field(variant: str = "time") -> HorizontalField:
     """X_1 + a X_2 on the Heisenberg preset, with a the (time-dependent or
     autonomous) axis distance."""
@@ -108,8 +103,8 @@ def uv_rhs(variant: str, eps, t, y) -> np.ndarray:
         w = t * u / 3.0
         w2 = w * w
         g = np.sqrt(np.sqrt(w2 * w2 + v * v))
-    else:
-        g = scaled_axis_distance(t, u, v)
+    else:  # scaled_axis_distance_with_minimizer's value, without the minimiser
+        g = np.sqrt(np.sqrt(minimize_convex_quartic(t * u / 3.0, v)[1]))
     out = np.empty_like(y)
     out[..., 0] = (-3.0 * u + 3.0 * g) / den
     out[..., 1] = (-4.0 * v + 4.0 * u) / den

@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .gauges import default_distance, distance_to_axis, distance_to_axis_point
-from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number
+from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number, json_object
 from .poly import Poly, evaluator
 
 CoefficientFn = Callable[[object, np.ndarray], object]  # see the module docstring
@@ -282,8 +282,13 @@ def recover_coefficients(D: Derivation, xbar: Sequence[float]) -> np.ndarray:
 # a product, and compile() recurses once per factor (past ~3,000 on Python 3.11)
 MAX_MONOMIAL_DEGREE = 1000
 
+# the keys each coefficient form reads
+FORM_KEYS = {"constant": "form value", "monomial": "form exponents scale",
+             "distance_to_point": "form point", "axis_distance": "form",
+             "axis_distance_inf": "form", "sin_coordinate": "form index scale"}
 
-def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
+
+def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
     """Build a field from the JSON coefficient forms.
 
     Supported forms: ``constant``, ``monomial``, ``distance_to_point`` (in
@@ -294,16 +299,19 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
     ``json_number`` refuses, an ``exponents`` entry, ``index`` or ``indices``
     entry that ``json_integer`` refuses, monomial exponents that are negative
     or sum above ``MAX_MONOMIAL_DEGREE``, or a ``point`` of the wrong length
-    raises ValueError naming the form and key.
+    raises ValueError naming the form and key; so does a key that the spec
+    (``coefficients``, ``indices``) or an entry (``FORM_KEYS``) does not read.
     """
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"field spec must be an object, not {spec!r}")
+    json_object(spec, "coefficients indices", "field spec")
     dst = default_distance(alg)
     coeffs = []
     for c in spec["coefficients"]:
-        if not isinstance(c, Mapping):
+        if not isinstance(c, dict):
             raise ValueError(f"coefficient entry must be an object, not {c!r}")
         form = c.get("form")
+        if not (isinstance(form, str) and form in FORM_KEYS):
+            raise ValueError(f"unknown coefficient form {form!r}")
+        json_object(c, FORM_KEYS[form], form)
         if form == "constant":
             v = json_number(c["value"], f"{form} value")
             coeffs.append(lambda t, x, _v=v: _v)
@@ -329,14 +337,12 @@ def field_from_spec(alg: GradedAlgebra, spec: Mapping) -> HorizontalField:
                 raise ValueError(f"{form} form requires the Heisenberg preset")
             coeffs.append(distance_to_axis_point if form == "axis_distance"
                           else lambda t, x: distance_to_axis(x))
-        elif form == "sin_coordinate":
+        else:  # sin_coordinate
             idx = json_integer(c.get("index", 1), f"{form} index") - 1
             if not 0 <= idx < alg.dim:
                 raise ValueError(f"sin_coordinate index {idx + 1} out of range")
             scale = json_number(c.get("scale", 1.0), f"{form} scale")
             coeffs.append(lambda t, x, _i=idx, _s=scale: _s * np.sin(x.T[_i]))
-        else:
-            raise ValueError(f"unknown coefficient form {form!r}")
     indices = spec.get("indices")
     if indices is None:
         return horizontal_field(alg, coeffs)

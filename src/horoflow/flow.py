@@ -55,18 +55,29 @@ def residual(tr: Trajectory, field: HorizontalField) -> float:
     return integral_defect(evaluate_field(field, tr.times, tr.states), tr.times, tr.states)
 
 
-def write_trajectory_csv(tr: Trajectory, path, t_col=None) -> None:
-    """Write the t,x1,...,xq rows of ``tr``; ``t_col()``, if given, returns
-    its times formatted, so a writer that shares the grid formats them once.
-    A state column equal to the times bit for bit (the exhibit's x1 is the
-    time) is written from those strings too."""
-    q = tr.states.shape[1]
-    t_col = t_col() if t_col else list(map("%.17g".__mod__, tr.times.tolist()))
-    t_bytes = tr.times.tobytes()
-    is_time = [col.tobytes() == t_bytes for col in tr.states.T]
-    row = "%s" + "".join(",%s" if s else ",%.17g" for s in is_time) + "\n"
-    rows = zip(t_col, *(t_col if s else col for s, col in zip(is_time, tr.states.T.tolist())))
-    text = ("t," + ",".join(f"x{i + 1}" for i in range(q)) + "\n"
-            + "".join(map(row.__mod__, rows)))
+_NUMBER = "%.17g"  # every CSV number: 17 significant digits read back as the same double
+
+
+def csv_column(values: np.ndarray) -> list:
+    """``values`` as ``write_csv`` writes them, for a ``t_col`` to share."""
+    return list(map(_NUMBER.__mod__, values.tolist()))
+
+
+def write_csv(path, names, times: np.ndarray, columns, t_col=None) -> None:
+    """Write the header ``t,<names>`` and one row per time: the time, then
+    each of ``columns`` there.  ``t_col``, if given, is ``csv_column(times)``,
+    so that writers sharing a grid format it once; a column equal to the
+    times bit for bit is written from those strings too."""
+    t_col = csv_column(times) if t_col is None else t_col
+    t_bytes = times.tobytes()
+    is_time = [col.tobytes() == t_bytes for col in columns]
+    row = "%s" + "".join(",%s" if s else "," + _NUMBER for s in is_time) + "\n"
+    rows = zip(t_col, *(t_col if s else col.tolist() for s, col in zip(is_time, columns)))
+    text = "t," + ",".join(names) + "\n" + "".join(map(row.__mod__, rows))
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def write_trajectory_csv(tr: Trajectory, path, t_col=None) -> None:
+    """Write the t,x1,...,xq rows of ``tr`` by ``write_csv``."""
+    write_csv(path, [f"x{i + 1}" for i in range(tr.states.shape[1])], tr.times, tr.states.T, t_col)

@@ -317,25 +317,39 @@ def json_integer(value, what: str) -> int:
     return int(value)
 
 
+def json_object(value, keys: str, what: str, unknown: str = "") -> dict:
+    """``value`` if it is a JSON object with no key outside the names in ``keys``;
+    else ValueError, "bad <what>: ..." or "<unknown, or 'unknown <what> keys'> [...]"."""
+    if not isinstance(value, dict):
+        raise ValueError(f"bad {what}: expected an object, not {value!r}")
+    outside = sorted(set(value) - set(keys.split()))
+    if outside:
+        raise ValueError(f"{unknown or f'unknown {what} keys'} {outside}")
+    return value
+
+
 def algebra_from_json(data: str | dict) -> GradedAlgebra:
     """Load a group spec ``{"layers": [...], "brackets": [...]}`` (1-based indices).
 
     Layers and indices are read by ``json_integer``, coefficients by
     ``json_number`` and kept as given, so an integer constant stays exact.
+    The spec, each bracket and each coefficient refuse an unknown key.
     """
     if isinstance(data, str):
         data = json.loads(data)
-    if not (isinstance(data, dict) and isinstance(data.get("layers"), list)
-            and isinstance(data.get("brackets", []), list)):
+    json_object(data, "layers brackets", "group spec")
+    if not (isinstance(data.get("layers"), list) and isinstance(data.get("brackets", []), list)):
         raise AlgebraValidationError(
             "group spec must be an object with a 'layers' list and an optional 'brackets' list")
     layers = [json_integer(n, "group spec layers") for n in data["layers"]]
     brackets: dict[tuple, dict[int, Scalar]] = {}
     for entry in data.get("brackets", []):
+        json_object(entry, "i j coeffs", "group spec bracket")
         try:
             i, j = (json_integer(entry[key], f"group spec bracket {key}") - 1 for key in "ij")
             coeffs = {}
             for c in entry["coeffs"]:
+                json_object(c, "k c", "group spec bracket coefficient")
                 json_number(c["c"], "group spec bracket c")
                 k = json_integer(c["k"], "group spec bracket k") - 1
                 if k in coeffs:

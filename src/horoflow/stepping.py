@@ -372,6 +372,13 @@ def solve_to_grid(
     step_stages, dense_stages = stages[:11], stages[12:]
     g = 1  # next grid time to fill
 
+    def run_stages(todo, t, y, h):
+        for slot, a_s, k_s, c_s in todo:
+            np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h * (a_s @ k_s)
+            np.multiply(ys, h, out=ys)
+            np.add(ys, y, out=ys)
+            _checked(f, t + c_s * h, ys, stats, slot, zero)
+
     # overflow and invalid operations in f surface as NonFiniteRHSError from
     # the per-evaluation check rather than as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -388,11 +395,7 @@ def solve_to_grid(
             while True:
                 if h_try < min_step or t + h_try == t:
                     raise StepUnderflowError(t)
-                for slot, a_s, k_s, c_s in step_stages:
-                    np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h_try * (a_s @ k_s)
-                    ys *= h_try
-                    ys += y
-                    _checked(f, t + c_s * h_try, ys, stats, slot, zero)
+                run_stages(step_stages, t, y, h_try)
                 est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
                 y8 = y + est[0].reshape(y.shape)
                 abs_y8 = np.abs(y8)
@@ -411,11 +414,7 @@ def solve_to_grid(
                     # the extension's stages now, and must also bound the
                     # interpolant's error through its last coefficient r7
                     _checked(f, t + h_try, y8, stats, k[12], zero)
-                    for slot, a_s, k_s, c_s in dense_stages:
-                        np.matmul(a_s, k_s, out=ys_flat)
-                        ys *= h_try
-                        ys += y
-                        _checked(f, t + c_s * h_try, ys, stats, slot, zero)
+                    run_stages(dense_stages, t, y, h_try)
                     r7 = h_try * (_D[3] @ kf)
                     err = max(err, _DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
                 if err <= 1.0:

@@ -13,7 +13,7 @@ import pytest
 
 from horoflow.counterexample import (LadderSpec, build_nonuniqueness_report,
                                      nonuniqueness_report, run_epsilon_ladder,
-                                     scaled_axis_distance)
+                                     scaled_axis_distance_with_minimizer)
 from horoflow.domain import Box
 from horoflow.fields import (compute_p, derivation_of, horizontal_field, left_invariant_frame,
                              recover_coefficients)
@@ -158,13 +158,14 @@ def test_criterion_07_autonomous_variant():
     with criterion(7, "autonomous variant", limit_s=120.0):
         for u in np.linspace(0.0, 3.0, 9):
             for v in np.linspace(0.0, 3.0, 9):
-                assert abs(scaled_axis_distance(0.0, u, v) - math.sqrt(v)) <= 1e-10
+                value = scaled_axis_distance_with_minimizer(0.0, u, v)[0]
+                assert abs(value - math.sqrt(v)) <= 1e-10
 
         rng = np.random.default_rng(107)
         for _ in range(400):
             t, u, v = rng.uniform(0, 1), rng.uniform(0, 3), rng.uniform(0, 3)
             bound = ((t / 3.0) ** 4 * u**4 + v * v) ** 0.25
-            assert scaled_axis_distance(t, u, v) <= bound + 1e-12
+            assert scaled_axis_distance_with_minimizer(t, u, v)[0] <= bound + 1e-12
 
         s_grid = np.linspace(-10.0, 10.0, 1_000_000)
         for _ in range(100):
@@ -173,7 +174,7 @@ def test_criterion_07_autonomous_variant():
             c = v / 36.0
             f = (s_grid**2 + b * b) ** 2 + (b * s_grid + c) ** 2
             oracle = 6.0 * float(np.min(f)) ** 0.25
-            assert abs(scaled_axis_distance(t, u, v) - oracle) <= 1e-8
+            assert abs(scaled_axis_distance_with_minimizer(t, u, v)[0] - oracle) <= 1e-8
 
         report = nonuniqueness_report("autonomous", LadderSpec())
         assert report["residual_trivial"] <= 1e-6

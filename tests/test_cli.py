@@ -109,6 +109,22 @@ def test_check_group_rejects_invalid_group(tmp_path, capsys):
     assert "grading" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, index", [("associativity_max_err", 0),
+                                        ("dilation_automorphism_max_err", 3)])
+def test_check_group_fails_a_law_error_above_its_gate(capsys, monkeypatch, key, index):
+    # 5e-10 added to one law error: five times its gate of 1e-10
+    law_errors = cli._law_errors
+
+    def off(*args):
+        errs = law_errors(*args)
+        errs[index] += 5e-10
+        return errs
+    monkeypatch.setattr(cli, "_law_errors", off)
+    assert main(["check-group", "--samples", "200", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert 1e-10 < rep[key] < 1e-9 and rep["passed"] is False
+
+
 def test_check_gauge_both_gauges(tmp_path):
     assert main(["check-gauge", "--gauge", "koranyi", "--samples", "800",
                  "--out", str(tmp_path / "a")]) == 0
@@ -644,6 +660,158 @@ def test_bad_point_is_usage_error(tmp_path, capsys, command, key, value):
     assert not (tmp_path / "out").exists()
 
 
+FILIFORM_GROUP = {"layers": [2, 1, 1],
+                  "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}]},
+                               {"i": 1, "j": 3, "coeffs": [{"k": 4, "c": 1}]}]}
+ZERO = {"form": "constant", "value": 0.0}
+
+
+def with_key(entry, key, value):
+    return {**entry, key: value}
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("integrate", "field", {"coefficients": [{"form": "sin_coordinate", "index": 3, "scael": 1e6},
+                                             ZERO]},
+     "bad field spec: unknown sin_coordinate keys ['scael']"),
+    ("integrate", "field", {"coefficients": [{"form": "constant", "value": 1.0, "scale": 2.0},
+                                             ZERO]},
+     "bad field spec: unknown constant keys ['scale']"),
+    ("integrate", "field", {"coefficients": [{"form": "monomial", "exponents": [1, 0, 0],
+                                              "index": 1}, ZERO]},
+     "bad field spec: unknown monomial keys ['index']"),
+    ("integrate", "field", {"coefficients": [{"form": "distance_to_point", "pont": [0, 0, 0]},
+                                             ZERO]},
+     "bad field spec: unknown distance_to_point keys ['pont']"),
+    ("integrate", "field", {"coefficients": [{"form": "axis_distance", "point": [0, 0, 0]}, ZERO]},
+     "bad field spec: unknown axis_distance keys ['point']"),
+    ("integrate", "field", {"coefficients": [{"form": "axis_distance_inf", "scale": 2}, ZERO]},
+     "bad field spec: unknown axis_distance_inf keys ['scale']"),
+    ("integrate", "field", {"coefficients": [ZERO, ZERO], "indexes": [1, 2]},
+     "bad field spec: unknown field spec keys ['indexes']"),
+    ("integrate", "domain", {"lo": [-2, -2, -2], "hi": [2, 2, 2], "hii": [3, 3, 3]},
+     "unknown domain keys ['hii']"),
+    ("equilibrium", "box", {"lo": [-1, -1, -1], "hi": [1, 1, 1], "mid": [0, 0, 0]},
+     "unknown box keys ['mid']"),
+    ("involutive", "group", with_key(HEIS_GROUP, "name", "heisenberg"),
+     "unknown group spec keys ['name']"),
+    ("integrate", "group", {"layers": [2, 1], "brackets": [
+        {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2.0}], "k": 3}]},
+     "unknown group spec bracket keys ['k']"),
+    ("equilibrium", "group", {"layers": [2, 1], "brackets": [
+        {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2.0, "cc": 1.0}]}]},
+     "unknown group spec bracket coefficient keys ['cc']"),
+], ids=["sin_coordinate", "constant", "monomial", "distance_to_point", "axis_distance",
+        "axis_distance_inf", "field-spec", "domain", "box", "group-spec", "bracket",
+        "bracket-coefficient"])
+def test_unknown_nested_key_is_usage_error(tmp_path, capsys, command, key, value, message):
+    # every JSON object of a config is read by one rule: a key it does not
+    # read is refused by name, so a misspelt key cannot pass unread
+    cpath = config_path(command, tmp_path, key, value)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_group_file_key_is_usage_error(tmp_path, capsys):
+    group = {"layers": [2, 1], "name": "heisenberg",
+             "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2, "cc": 1}]}]}
+    for spec, message in ((group, "unknown group spec keys ['name']"),
+                          ({k: v for k, v in group.items() if k != "name"},
+                           "unknown group spec bracket coefficient keys ['cc']")):
+        gpath = tmp_path / "group.json"
+        gpath.write_text(json.dumps(spec))
+        assert main(["check-group", "--group", str(gpath), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    (5, "expected an object, not 5"), (0, "expected an object, not 0"),
+    ([], "expected an object, not []"), ("", "expected an object, not ''"),
+    ({}, "expected a list of 3 numbers, not None")])
+@pytest.mark.parametrize("command, key", [("integrate", "domain"), ("equilibrium", "box")])
+def test_box_that_is_not_an_object_is_usage_error(tmp_path, capsys, command, key, value,
+                                                  message):
+    # a domain that is not a box object is refused by name, a falsy one too;
+    # only an absent or null integrate domain means none
+    cpath = config_path(command, tmp_path, key, value)
+    assert main([command, "--config", str(cpath), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad {key}" in err and message in err and "Traceback" not in err
+
+
+def bad_input_argv(tmp_path, case):
+    """The argument list of one bad-input case (see the test below)."""
+    if case == "missing-config":
+        return ["integrate", "--config", str(tmp_path / "missing.json")]
+    if case == "koranyi-off-heisenberg":
+        (tmp_path / "g.json").write_text(json.dumps(FILIFORM_GROUP))
+        return ["check-gauge", "--gauge", "koranyi", "--group", str(tmp_path / "g.json")]
+    if case == "tau-above-one":
+        return ["counterexample", "--tau", "2"]
+    command, key, value = {
+        "unknown-preset": ("integrate", "group", "engel"),
+        "coefficient-count": ("involutive", "field", {"coefficients": [ZERO, ZERO],
+                                                      "indices": [1, 2]}),
+        "degenerate-box": ("integrate", "domain", {"lo": [-1, 0, -1], "hi": [1, 0, 1]}),
+        "short-exponents": ("integrate", "field", {"coefficients": [
+            {"form": "monomial", "exponents": [1, 0]}, ZERO]}),
+        "axis-off-heisenberg": ("integrate", "field", {"coefficients": [
+            {"form": "axis_distance"}, ZERO]}),
+        "index-out-of-range": ("integrate", "field", {"coefficients": [
+            {"form": "sin_coordinate", "index": 4}, ZERO]}),
+        "zero-layer": ("integrate", "group", {"layers": [2, 0]}),
+        "bracket-index": ("integrate", "group", {"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 5, "coeffs": [{"k": 3, "c": 2}]}]}),
+        "bracket-target": ("integrate", "group", {"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 2, "coeffs": [{"k": 9, "c": 2}]}]}),
+        "bracket-without-coeffs": ("integrate", "group", {"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 2}]}),
+        "repeated-bracket": ("integrate", "group", {"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2}]},
+            {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2}]}]}),
+        "dependent-basis": ("involutive", "basis", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+    }[case]
+    cpath = config_path(command, tmp_path, key, value)
+    if case == "axis-off-heisenberg":
+        cpath.write_text(json.dumps({**json.loads(cpath.read_text()), "group": FILIFORM_GROUP,
+                                     "x0": [0, 0, 0, 0], "domain": {"lo": [-1] * 4,
+                                                                    "hi": [1] * 4}}))
+    return [command, "--config", str(cpath)]
+
+
+BAD_INPUTS = [
+    ("missing-config", "config file not found: "),
+    ("unknown-preset", "unknown group preset 'engel'"),
+    ("koranyi-off-heisenberg", "the koranyi gauge requires the Heisenberg preset"),
+    ("coefficient-count", "field must provide one coefficient per basis element"),
+    ("tau-above-one", "tau must lie in (0, 1]"),
+    ("degenerate-box", "degenerate box: every side must have positive length"),
+    ("short-exponents", "bad field spec: monomial exponents must have one entry per coordinate"),
+    ("axis-off-heisenberg", "bad field spec: axis_distance form requires the Heisenberg preset"),
+    ("index-out-of-range", "bad field spec: sin_coordinate index 4 out of range"),
+    ("zero-layer", "bad layer dimensions (2, 0)"),
+    ("bracket-index", "bracket index (0,4) out of range"),
+    ("bracket-target", "bracket target e_8 out of range"),
+    ("bracket-without-coeffs", "malformed bracket entry {'i': 1, 'j': 2}"),
+    ("repeated-bracket", "duplicate bracket entry for (1,2)"),
+    ("dependent-basis", "basis fields are linearly dependent"),
+]
+
+
+# each bad-input branch that a config or flag can reach exits 2 with its message
+@pytest.mark.parametrize("case, message", BAD_INPUTS, ids=[case for case, _ in BAD_INPUTS])
+def test_bad_input_branch_is_usage_error(tmp_path, capsys, case, message):
+    out = tmp_path / "out"
+    assert main([*bad_input_argv(tmp_path, case), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", [[], {"coefficients": [1, 2]}])
 @pytest.mark.parametrize("command", ["integrate", "equilibrium", "involutive"])
 def test_malformed_field_spec_is_usage_error(tmp_path, capsys, command, field):
@@ -816,7 +984,7 @@ def test_rung_csv_of_a_ladder_slice_matches_the_per_value_loop(tmp_path):
         _write_uv_csv(times, rung, tmp_path / "uv.csv")
         assert (tmp_path / "uv.csv").read_bytes() == uv_csv_oracle(times, rung).encode()
     shared = [f"{t:.17g}" for t in times]
-    _write_uv_csv(times, states[:, 1], tmp_path / "shared.csv", t_col=lambda: shared)
+    _write_uv_csv(times, states[:, 1], tmp_path / "shared.csv", t_col=shared)
     assert (tmp_path / "shared.csv").read_bytes() == uv_csv_oracle(times, states[:, 1]).encode()
 
 
@@ -835,7 +1003,7 @@ def test_csv_writers_match_the_per_value_loop(tmp_path, variant, code):
     tr = Trajectory(times, np.column_stack([AWKWARD, times, signed, AWKWARD**2, -AWKWARD]))
     write_trajectory_csv(tr, tmp_path / "tr.csv")
     assert (tmp_path / "tr.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
-    write_trajectory_csv(tr, tmp_path / "shared.csv", t_col=lambda: [f"{t:.17g}" for t in tr.times])
+    write_trajectory_csv(tr, tmp_path / "shared.csv", t_col=[f"{t:.17g}" for t in tr.times])
     assert (tmp_path / "shared.csv").read_bytes() == trajectory_csv_oracle(tr).encode()
 
     # the exhibit's artifacts, recomputed by the library

@@ -4,11 +4,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from horoflow import counterexample as cx
 from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, SEPARATION_FACTOR,
                                      LadderSpec, build_nonuniqueness_report, gap_convergence,
                                      nonuniqueness_report, reconstruct_trajectory,
                                      rung_monitor_report, run_epsilon_ladder,
-                                     scaled_axis_distance, scaled_axis_distance_with_minimizer,
+                                     scaled_axis_distance_with_minimizer,
                                      singular_integral_residual, solve_regularized,
                                      trivial_trajectory, uv_rhs)
 from horoflow.gauges import distance_to_axis, distance_to_axis_point
@@ -88,7 +89,7 @@ def test_axis_distance_matches_grid_oracle(rng):
 def test_scaled_term_closed_form_at_zero():
     for u in np.linspace(0.0, 3.0, 7):
         for v in np.linspace(0.0, 3.0, 7):
-            assert scaled_axis_distance(0.0, u, v) == pytest.approx(
+            assert scaled_axis_distance_with_minimizer(0.0, u, v)[0] == pytest.approx(
                 math.sqrt(v), abs=1e-10
             )
 
@@ -98,7 +99,7 @@ def test_scaled_term_upper_bound_from_zero_shift(rng):
     for _ in range(300):
         t, u, v = rng.uniform(0, 1), rng.uniform(0, 3), rng.uniform(0, 3)
         bound = ((t / 3.0) ** 4 * u**4 + v * v) ** 0.25
-        val = scaled_axis_distance(t, u, v)
+        val = scaled_axis_distance_with_minimizer(t, u, v)[0]
         assert 0.0 <= val <= bound + 1e-12
 
 
@@ -106,7 +107,7 @@ def test_scaled_term_matches_grid_oracle():
     rng = np.random.default_rng(99)
     for _ in range(100):
         t, u, v = rng.uniform(0, 1), rng.uniform(0, 3), rng.uniform(0, 3)
-        assert scaled_axis_distance(t, u, v) == pytest.approx(
+        assert scaled_axis_distance_with_minimizer(t, u, v)[0] == pytest.approx(
             grid_minimum_oracle(t, u, v), abs=1e-8
         )
 
@@ -116,7 +117,18 @@ def test_scaled_term_continuity_rate_at_zero(rng):
     for _ in range(500):
         t = rng.uniform(1e-6, 1.0)
         u, v = rng.uniform(0, 3), rng.uniform(0, 3)
-        assert abs(scaled_axis_distance(t, u, v) - math.sqrt(v)) <= 1.0 * t
+        assert abs(scaled_axis_distance_with_minimizer(t, u, v)[0] - math.sqrt(v)) <= 1.0 * t
+
+
+def test_autonomous_drive_is_the_scaled_axis_distance():
+    # uv_rhs calls the minimiser itself; its drive is the value of
+    # scaled_axis_distance_with_minimizer, bit for bit
+    rng = np.random.default_rng(23)
+    t = rng.uniform(0.0, 1.0, 50)
+    y = rng.uniform(0.0, 3.0, (50, 2))
+    du = uv_rhs("autonomous", 1e-3, t, y)[:, 0]
+    g = scaled_axis_distance_with_minimizer(t, y[:, 0], y[:, 1])[0]
+    assert np.array_equal(du, (-3.0 * y[:, 0] + 3.0 * g) / (t + 1e-3))
 
 
 def test_scaled_term_scalar_time_matches_array_time():
@@ -148,7 +160,7 @@ def test_scaled_term_at_zero_is_exact_without_a_special_case():
     assert np.array_equal(value, np.sqrt(np.abs(v))) and not np.any(sbar)
     value_rows, _ = scaled_axis_distance_with_minimizer(np.zeros(400), 2.0, v)
     assert np.array_equal(value_rows, value)
-    assert scaled_axis_distance(0.0, 1.0, 1.0) == 1.0
+    assert scaled_axis_distance_with_minimizer(0.0, 1.0, 1.0)[0] == 1.0
     assert not np.any(uv_rhs("autonomous", np.array([1e-3, 0.1]), 0.0, np.ones((2, 2))))
 
 
@@ -518,6 +530,55 @@ def test_separation_short_of_its_factor_does_not_certify():
     assert 10.0 < ratio < SEPARATION_FACTOR
     assert lad["converged"] and rep["gamma2_at_tau"] > 0.0
     assert not rep["nonuniqueness_certified"]
+
+
+def test_negative_gamma2_at_tau_does_not_certify(monkeypatch):
+    # the reduced time ladder's limit with u and v negated puts gamma_2(tau)
+    # at -1.5e-3, below the gate's 0 and above the -1 of a loosened gate;
+    # with the flow residuals patched to 0 the separation and the ladder
+    # pass, so the verdict fails on the sign of gamma_2(tau) alone
+    spec = LadderSpec(count=6, tau=0.2, grid_points=256)
+    sol, lad = run_epsilon_ladder(spec, "time")
+    monkeypatch.setattr(cx, "flow_residual", lambda tr, field: 0.0)
+    rep, _ = build_nonuniqueness_report(sol.times, -sol.states[:, -1], lad)
+    assert lad["converged"] and rep["separation_margin"] > 0.0
+    assert -1.0 < rep["gamma2_at_tau"] < 0.0
+    assert not rep["nonuniqueness_certified"]
+
+
+def test_stationarity_monitor_fails_a_drive_off_zero_at_the_start(monkeypatch):
+    # du at (t, u, v) = (0, 1, 1) is 0 exactly; shifted to 5e-12, five times
+    # the monitor's 1e-12, it is the rung's only failure
+    sol, lad = run_epsilon_ladder(small_spec(count=4), "time")
+    rhs = cx.uv_rhs
+
+    def shifted(variant, eps, t, y):
+        out = rhs(variant, eps, t, y)
+        if np.ndim(t) == 0 and t == 0.0 and y.shape == (2,):
+            out[0] += 5e-12
+        return out
+    monkeypatch.setattr(cx, "uv_rhs", shifted)
+    rep = rung_monitor_report("time", lad["epsilons"][0], sol.times, sol.states[:, 0])
+    assert rep["stationarity"] == (5e-12, 0.0)
+    assert rep["failures"] == ("stationarity_at_zero",)
+
+
+def test_axis_term_monitor_fails_a_drive_below_its_lower_bound(monkeypatch):
+    # an autonomous rung's scaled axis distance lowered until the lower-bound
+    # margin reads -5e-9, five times MONITOR_TOL below 0: the only failure
+    sol, lad = run_epsilon_ladder(small_spec(count=4), "autonomous")
+    eps, uv = lad["epsilons"][0], sol.states[:, 0]
+    margin = rung_monitor_report("autonomous", eps, sol.times, uv)["lower_bound_margin"]
+    assert margin > 0.0
+    drive = cx.scaled_axis_distance_with_minimizer
+
+    def lowered(t, u, v):
+        value, minimizer = drive(t, u, v)
+        return value - (margin + 5.0 * MONITOR_TOL), minimizer
+    monkeypatch.setattr(cx, "scaled_axis_distance_with_minimizer", lowered)
+    rep = rung_monitor_report("autonomous", eps, sol.times, uv)
+    assert -10.0 * MONITOR_TOL < rep["lower_bound_margin"] < -MONITOR_TOL
+    assert rep["failures"] == ("axis_term_lower_bound",)
 
 
 def test_trivial_trajectory_shape():

@@ -207,6 +207,21 @@ def test_nonhorizontal_derivation_rejected(heis):
         recover_coefficients(D, xbar)
 
 
+def test_derivation_just_off_horizontal_is_rejected(heis):
+    # D f = grad f . (1, 0.5, 5e-8) at the origin, where the translated
+    # coordinates are the coordinates: the third reads 5e-8, five times
+    # HORIZONTAL_TOL at the bound scale 1
+    from horoflow.fields import HORIZONTAL_TOL, Derivation
+
+    v = np.array([1.0, 0.5, 5.0 * HORIZONTAL_TOL])
+    D = Derivation(heis, action=lambda f, x: float(np.asarray(f.gradient(x)) @ v),
+                   bound=lambda x: 1.0)
+    with pytest.raises(NonHorizontalDerivationError, match="component 3 reads 5.000e-08"):
+        recover_coefficients(D, np.zeros(3))
+    v[2] = 0.5 * HORIZONTAL_TOL
+    assert recover_coefficients(D, np.zeros(3)).tolist() == [1.0, 0.5]
+
+
 def test_translated_coordinates_kronecker_property(heis, rng):
     frame = left_invariant_frame(heis)
     for xbar in rng.uniform(-2, 2, (10, 3)):

@@ -196,6 +196,15 @@ def test_gauge_report_shape_and_pass(heis):
     assert rep2["passed"]  # triangle not enforced for the smooth gauge
 
 
+def test_gauge_report_fails_a_gauge_off_homogeneity(heis):
+    # the Koranyi gauge plus 1e-12 misses homogeneity by 1e-12 |1 - r|, up to
+    # 3e-12 on the drawn scales r in [0.25, 4): above the gate of 1e-12
+    rep = gauge_report(heis, lambda X: koranyi_norm(X) + 1e-12, 2000, seed=9)
+    assert 1e-12 < rep["homogeneity_max_err"] < 1e-11
+    assert rep["symmetry_max_err"] == 0.0
+    assert not rep["passed"]
+
+
 @pytest.mark.parametrize("name", ["koranyi", "smooth-heisenberg", "smooth-filiform"])
 def test_gauge_report_homogeneity_matches_loop_oracle(name):
     # the report dilates and gauges all samples at once; the oracle is the

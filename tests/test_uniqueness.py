@@ -8,7 +8,7 @@ from horoflow.counterexample import counterexample_field
 from horoflow.domain import Box
 from horoflow.fields import HorizontalField, field_from_spec, horizontal_field
 from horoflow.flow import CauchyProblem, integrate
-from horoflow.gauges import default_distance
+from horoflow.gauges import default_distance, equivalence_kappa
 from horoflow.groups import GradedAlgebra, heisenberg
 from horoflow.stepping import IntegratorConfig
 from horoflow.uniqueness import (ConditionNotCertified, NotInvolutiveError, check_involutive,
@@ -133,6 +133,20 @@ def test_monitor_dyadic_starts_bounded(heis, heis_dist):
     assert np.max(ratios) <= rep["certified_bound"]
     # the flow multiplies the gauge by e^t here, so ratios sit at e
     assert np.allclose(ratios, math.e, rtol=1e-6)
+
+
+def test_monitor_fails_a_ratio_above_its_bound(heis, heis_dist):
+    # the dyadic starts' ratios (about e) against a degeneracy constant set so
+    # that the bound kappa exp(kappa c) is two thirds of the largest ratio
+    b = gauge_coefficient_field(heis, heis_dist)
+    cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 400, seed=3)
+    starts = [(10.0**-k, 0.0, 0.0) for k in range(2, 6)]
+    ratio = max(stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)["ratios"])
+    kappa = equivalence_kappa(heis)
+    cond = dict(cond, estimated_c=math.log(ratio / (1.5 * kappa)) / kappa)
+    rep = stability_monitor(b, np.zeros(3), cond, starts, CFG, 1.0)
+    assert max(rep["ratios"]) / rep["certified_bound"] == pytest.approx(1.5)
+    assert not rep["passed"]
 
 
 def test_monitor_refuses_uncertified_condition(heis):
