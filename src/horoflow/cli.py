@@ -126,7 +126,7 @@ def _field(alg: GradedAlgebra, cfg: dict):
     try:
         return field_from_spec(alg, cfg["field"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad field spec: {exc}") from exc
+        raise ConfigError(f"bad field spec: {str(exc).removeprefix('bad field spec: ')}") from exc
 
 
 def _box(value, dim: int, key: str) -> Box:
@@ -142,8 +142,9 @@ def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
     report = {**report, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteValueError(f"the report holds a non-finite value ({exc})") from None
+    except ValueError:
+        raise NonFiniteValueError("the report holds a non-finite value: "
+                                  + ", ".join(_non_finite(report))) from None
     if args.json:
         print(text)
         return code
@@ -155,6 +156,16 @@ def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
     (out / "report.json").write_text(text + "\n")
     _write_csvs(out, csv_writers)
     return code
+
+
+def _non_finite(value, path: str = "") -> list:
+    """``"<key path> = <value>"`` for each non-finite float in a report."""
+    if isinstance(value, dict):
+        return [bad for k, v in sorted(value.items())
+                for bad in _non_finite(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, (list, tuple)):
+        return [bad for i, v in enumerate(value) for bad in _non_finite(v, f"{path}[{i}]")]
+    return [f"{path} = {value}"] if isinstance(value, float) and not np.isfinite(value) else []
 
 
 def _write_csvs(out: Path, writers) -> None:

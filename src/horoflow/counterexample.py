@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import HorizontalField, horizontal_field
 from .flow import residual as flow_residual
-from .gauges import distance_to_axis, distance_to_axis_point, koranyi_norm
+from .gauges import default_distance, distance_to_axis, distance_to_axis_point
 from .groups import heisenberg
 from .scalarmin import minimize_convex_quartic
 from .stepping import IntegratorConfig, Trajectory, integral_defect, solve_to_grid
@@ -325,9 +325,9 @@ def reconstruct_trajectory(t: np.ndarray, uv: np.ndarray) -> Trajectory:
                                                  t2 * t2 * (2.0 * u - v) / 36.0]))
 
 
-def trivial_trajectory(tau: float, n: int) -> Trajectory:
-    t = np.linspace(0.0, tau, n)
-    return Trajectory(t, np.column_stack([t, np.zeros(n), np.zeros(n)]))
+def trivial_trajectory(times: np.ndarray) -> Trajectory:
+    """The straight solution (t, 0, 0) at ``times``."""
+    return Trajectory(times, np.column_stack([times, np.zeros((len(times), 2))]))
 
 
 def build_nonuniqueness_report(times: np.ndarray, limit: np.ndarray, ladder: dict) -> tuple:
@@ -344,12 +344,11 @@ def build_nonuniqueness_report(times: np.ndarray, limit: np.ndarray, ladder: dic
     field = counterexample_field(variant)
 
     gamma = reconstruct_trajectory(times, limit)
-    straight = trivial_trajectory(ladder["tau"], len(times))
+    straight = trivial_trajectory(times)
     res_trivial = flow_residual(straight, field)
     res_nontrivial = flow_residual(gamma, field)
 
-    rel = field.algebra.multiply_batch(-straight.states, gamma.states)
-    separation = koranyi_norm(rel)
+    separation = default_distance(field.algebra)(straight.states, gamma.states)
     max_sep = float(np.max(separation))
 
     worst_res = max(res_trivial, res_nontrivial)

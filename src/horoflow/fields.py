@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -177,41 +177,27 @@ class Derivation:
 def apply_derivation(
     b: HorizontalField, f: TestFunction, x: Sequence[float], t: float = 0.0
 ) -> float:
-    """Directional derivative sum_i a_i(x) X_i f (x)."""
+    """D f(x) = <grad f(x), b(t, x)>: the gradient against the velocity
+    ``evaluate_field`` gives the flow."""
     x = np.asarray(x, dtype=float)
-    frame = left_invariant_frame(b.algebra)
-    xs = x.tolist()
-    grad = np.asarray(f.gradient(x), dtype=float).tolist()
-    total = 0.0
-    for a, i in zip(b.coefficients, b.indices):
-        ai = a(t, x)
-        if ai != 0.0:
-            total += ai * sum(g * v for g, v in zip(grad, frame[i - 1]._eval(*xs)))
-    return total
+    return float(np.dot(f.gradient(x), evaluate_field(b, t, x)))
 
 
 def derivation_of(b: HorizontalField, t: float = 0.0) -> Derivation:
     if not b.is_horizontal:
         raise ValueError("only horizontal fields induce bounded derivations")
 
-    def act(f: TestFunction, x: np.ndarray) -> float:
-        return apply_derivation(b, f, x, t)
-
     def bound(x: np.ndarray) -> float:
         return float(math.sqrt(sum(a(t, x) ** 2 for a in b.coefficients)))
 
-    return Derivation(b.algebra, act, bound)
+    return Derivation(b.algebra, partial(apply_derivation, b, t=t), bound)
 
 
 def horizontal_gradient(alg: GradedAlgebra, f: TestFunction, x: Sequence[float]) -> np.ndarray:
     """(X_1 f, ..., X_m f) at x."""
     x = np.asarray(x, dtype=float)
-    xs = x.tolist()
-    grad = np.asarray(f.gradient(x), dtype=float).tolist()
-    return np.array([
-        sum(g * v for g, v in zip(grad, field._eval(*xs)))
-        for field in left_invariant_frame(alg)[:alg.horizontal_dim]
-    ])
+    frame = np.array([field.value(x) for field in left_invariant_frame(alg)[:alg.horizontal_dim]])
+    return frame @ np.asarray(f.gradient(x), dtype=float)
 
 
 def coordinate_function(alg: GradedAlgebra, j: int) -> TestFunction:

@@ -267,9 +267,12 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     stats: StepStats = field(default_factory=StepStats)
-    exited: bool = False
-    exit_time: float | None = None
+    exit_time: float | None = None  # the domain exit, where the solve stopped
     residual: float | None = None  # set by ``flow.integrate``
+
+    @property
+    def exited(self) -> bool:
+        return self.exit_time is not None
 
     @property
     def final_state(self) -> np.ndarray:
@@ -319,7 +322,7 @@ def _exit_solution(grid, states, g, stats, inside, dense, a, b):
     t_exit = 0.5 * (a + b)
     times = np.append(grid[:g], t_exit)
     out = np.concatenate([states[:g], dense(t_exit)[None]])
-    return Trajectory(times, out, stats, exited=True, exit_time=t_exit)
+    return Trajectory(times, out, stats, exit_time=t_exit)
 
 
 def solve_to_grid(

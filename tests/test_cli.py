@@ -149,9 +149,18 @@ def test_check_gauge_overflow_is_a_numerical_failure(tmp_path, capsys):
     rep = read_strict_report(out)
     assert rep["passed"] is False
     assert rep["failure"]["kind"] == "non_finite_value" and rep["failure"]["t"] is None
+    message = "the report holds a non-finite value: quasi_triangle_constant = inf"
+    assert rep["failure"]["message"] == message
     err = capsys.readouterr().err
-    assert "numerical failure" in err
+    assert f"numerical failure: {message}" in err
     assert "Warning" not in err and "Traceback" not in err
+
+
+def test_non_finite_report_values_are_named_by_key_path():
+    report = {"passed": False, "gap": float("nan"), "rows": [(0.0, -float("inf"))],
+              "stability": {"ratios": [1.0, 2.0, float("inf")], "bound": 3.0}}
+    assert cli._non_finite(report) == ["gap = nan", "rows[0][1] = -inf",
+                                       "stability.ratios[2] = inf"]
 
 
 @pytest.mark.parametrize("grid, code", [(2049, 1), (4097, 0)])
@@ -774,6 +783,7 @@ def bad_input_argv(tmp_path, case):
             {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2}]},
             {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2}]}]}),
         "dependent-basis": ("involutive", "basis", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+        "field-not-an-object": ("integrate", "field", []),
     }[case]
     cpath = config_path(command, tmp_path, key, value)
     if case == "axis-off-heisenberg":
@@ -799,6 +809,7 @@ BAD_INPUTS = [
     ("bracket-without-coeffs", "malformed bracket entry {'i': 1, 'j': 2}"),
     ("repeated-bracket", "duplicate bracket entry for (1,2)"),
     ("dependent-basis", "basis fields are linearly dependent"),
+    ("field-not-an-object", "bad field spec: expected an object, not []"),
 ]
 
 

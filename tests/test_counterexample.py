@@ -582,6 +582,7 @@ def test_axis_term_monitor_fails_a_drive_below_its_lower_bound(monkeypatch):
 
 
 def test_trivial_trajectory_shape():
-    tr = trivial_trajectory(0.3, 65)
-    assert tr.times[0] == 0.0 and tr.times[-1] == pytest.approx(0.3)
+    times = np.linspace(0.0, 0.3, 65)
+    tr = trivial_trajectory(times)
+    assert tr.times is times and np.array_equal(tr.states[:, 0], times)
     assert np.all(tr.states[:, 1:] == 0.0)

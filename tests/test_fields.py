@@ -165,6 +165,19 @@ def test_derivation_bound_holds(heis, rng):
         assert abs(D(f, x)) <= D.bound(x) * np.linalg.norm(hg) + 1e-12
 
 
+def test_derivation_at_a_time_is_the_gradient_against_that_velocity(heis):
+    # D f(x) reads the coefficients at the derivation's time: it is grad f
+    # against the velocity the flow integrates at t = 0.5, bit for bit
+    b = horizontal_field(heis, (lambda t, x: 1.0 + t * x[..., 1],
+                                lambda t, x: np.cos(t + x[..., 0])))
+    f = TestFunction(lambda x: math.sin(x[0]) + x[1] * x[2],
+                     lambda x: np.array([math.cos(x[0]), x[2], x[1]]))
+    x = np.array([0.7, -0.2, 1.4])
+    got = derivation_of(b, 0.5)(f, x)
+    assert got == float(np.dot(f.gradient(x), evaluate_field(b, 0.5, x)))
+    assert got != derivation_of(b)(f, x)
+
+
 def test_recover_coefficients_example(heis):
     b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[..., 0]))
     D = derivation_of(b)

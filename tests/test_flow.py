@@ -189,6 +189,15 @@ def test_domain_exit_truncates_at_boundary(heis):
     assert len(tr.times) < 257
 
 
+def test_exited_is_read_from_the_exit_time():
+    # a solve's exit is one fact: exited cannot disagree with exit_time
+    times, states = np.linspace(0.0, 1.0, 3), np.zeros((3, 1))
+    assert Trajectory(times, states, exit_time=0.5).exited
+    assert Trajectory(times, states, exit_time=0.0).exited
+    assert not Trajectory(times, states).exited
+    assert not solve_to_grid(lambda t, y: np.array([1.0]), times, [0.0]).exited
+
+
 def test_domain_exit_interpolates_with_the_step_start_slope():
     # y = t^2 is reproduced exactly by the step's continuous extension, which
     # starts from the step-start slope k[0], so the exit at sqrt(1/2) is found
@@ -446,7 +455,7 @@ def test_every_solve_returns_one_trajectory(heis):
         integrate(CauchyProblem(x1_field(heis), (0, 0, 0), 1.0), CFG),
         reduced_solve(mod, [lambda t, x: 1.0], np.zeros(3), 1.0, CFG),
         reconstruct_trajectory(ladder.times, ladder.states[:, -1]),
-        trivial_trajectory(0.2, 16),
+        trivial_trajectory(ladder.times),
     ]
     assert all(type(tr) is Trajectory for tr in solves)
 
