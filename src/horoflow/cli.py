@@ -329,7 +329,9 @@ def _run_equilibrium(args) -> int:
     horizon = _horizon(cfg, 1.0)
     icfg = _integrator(cfg.get("integrator"))
 
-    cond = verify_equilibrium_condition(field, xbar, box, samples, seed)
+    # a time-dependent coefficient must degenerate over the whole solve, not at t = 0 only
+    cond = verify_equilibrium_condition(field, xbar, box, samples, seed,
+                                        (0.0, horizon / 2, horizon))
     report = {"condition": cond, "horizon": horizon, "seed": seed}
     if not cond["certified"]:
         report.update(passed=False, refusal="degeneracy condition not certified: coefficient "

@@ -39,9 +39,14 @@ def minimal_even_exponent(degrees: Sequence[int]) -> int:
 class SmoothGauge:
     """Even-exponent gauge (sum_i x_i^rho_i)^(1/N) with rho_i = N / d_i.
 
-    Called on one element or on the rows of an (n, dim) array; one element
-    goes through the same array operations as a row, so a row's value is the
-    value at that row, bit for bit.
+    Where the sum leaves (2^-1000, inf), so that its largest term may not be
+    a normal float (at step 7, N = 840 and x_1^840 alone overflows above
+    2.33 and underflows below 0.43), the gauge is 2^e times the gauge of
+    the element dilated by 2^-e, for the 2^e just above max_i
+    |x_i|^(1/d_i): the dilated element's terms are at most 1, its largest
+    at least 2^-N.  Called on one element or on the rows of an (n, dim)
+    array; one element goes through the same array operations as a row, so
+    a row's value is the value at that row, bit for bit.
     """
 
     algebra: GradedAlgebra
@@ -50,11 +55,20 @@ class SmoothGauge:
 
     def __call__(self, x: Sequence[float]):
         x = np.asarray(x, dtype=float)
+        rhos, root = np.array(self.rhos), 1.0 / self.exponent
         # keepdims leaves an array for one element too, so its root is the
         # same array power as every row's: numpy's scalar power can differ
         # from its vectorised array loop in the last bit
-        rows = np.add.reduce(np.abs(x) ** np.array(self.rhos), axis=-1, keepdims=True)
-        values = rows ** (1.0 / self.exponent)
+        with np.errstate(over="ignore"):  # an overflowing row is summed again below
+            rows = np.add.reduce(np.abs(x) ** rhos, axis=-1, keepdims=True)
+        values = rows ** root
+        normal = (rows > 2.0 ** -1000) & (rows < np.inf)  # false for a NaN too
+        if not normal.all():
+            x, degrees = np.abs(x), np.array(self.algebra.degrees)
+            _, e = np.frexp(np.max(x ** (1.0 / degrees), axis=-1, keepdims=True))
+            e = np.where(normal, 0, e)
+            rows = np.add.reduce(np.ldexp(x, -e * degrees) ** rhos, axis=-1, keepdims=True)
+            values = np.ldexp(rows ** root, e)
         return values[:, 0] if x.ndim > 1 else values[0]
 
 

@@ -11,10 +11,11 @@ all numeric products.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,53 +27,15 @@ class AlgebraValidationError(ValueError):
     """Structure constants violate a required identity."""
 
 
-# --------------------------------------------------------------------------- BCH words
+# --------------------------------------------------------------------------- BCH
 
 
-@lru_cache(maxsize=None)
-def _dynkin_words(max_len: int) -> tuple:
-    """Right-nested bracket words with rational weights for log(exp X exp Y).
-
-    Words are tuples over {0, 1} (0 = first argument, 1 = second), to be read
-    as [w0, [w1, [... wk]]].  Weights follow the Dynkin expansion with all
-    commutator lengths above ``max_len`` dropped; for a nilpotent algebra of
-    step <= max_len the truncation is exact.  Words whose two innermost
-    letters coincide are omitted (their bracket vanishes identically).
-    """
-    weights: dict[tuple, Fraction] = {}
-
-    def blocks(remaining: int, n_left: int):
-        # sequences of (r_i, s_i) with r_i + s_i >= 1 summing to <= remaining
-        if n_left == 0:
-            yield ()
-            return
-        for r in range(remaining + 1):
-            for s in range(remaining - r + 1):
-                if r + s == 0 or r + s > remaining - (n_left - 1):
-                    continue
-                for rest in blocks(remaining - r - s, n_left - 1):
-                    yield ((r, s),) + rest
-
-    for n in range(1, max_len + 1):
-        sign = Fraction((-1) ** (n - 1), n)
-        for comp in blocks(max_len, n):
-            total = sum(r + s for r, s in comp)
-            denom = total
-            for r, s in comp:
-                denom *= math.factorial(r) * math.factorial(s)
-            word = tuple(
-                letter for r, s in comp for letter in (0,) * r + (1,) * s
-            )
-            weights[word] = weights.get(word, Fraction(0)) + sign / denom
-
-    pruned = {}
-    for word, w in weights.items():
-        if w == 0:
-            continue
-        if len(word) >= 2 and word[-1] == word[-2]:
-            continue  # innermost bracket [a, a] = 0
-        pruned[word] = w
-    return tuple(sorted(pruned.items()))
+def _bernoulli(m: int) -> list:
+    """B_0, ..., B_m from sum_{k <= j} C(j+1, k) B_k = 0 (so B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for j in range(1, m + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return B
 
 
 # --------------------------------------------------------------------------- algebra
@@ -199,27 +162,38 @@ class GradedAlgebra:
 
     # ----------------------------------------------------------------- group law
 
-    @property
+    @cached_property
     def law(self) -> tuple:
-        """Group product as ``dim`` polynomials in 2*dim variables (x then y)."""
-        if "law" not in self._cache:
-            q = self.dim
-            X = [Poly.variable(2 * q, i) for i in range(q)]
-            Y = [Poly.variable(2 * q, q + i) for i in range(q)]
-            acc = [X[i] + Y[i] for i in range(q)]
-            for word, weight in _dynkin_words(self.step):
-                if len(word) < 2:
-                    continue
-                vecs = [X if letter == 0 else Y for letter in word]
-                nested = vecs[-1]
-                for v in reversed(vecs[:-1]):
-                    nested = self.ring_bracket(v, nested)
-                    if all(p == 0 for p in nested):
-                        break
-                else:
-                    acc = [acc[i] + nested[i] * weight for i in range(q)]
-            self._cache["law"] = tuple(acc)
-        return self._cache["law"]
+        """Group product as ``dim`` polynomials in 2*dim variables (x then y).
+
+        The BCH series is Z_1 + Z_2 + ..., with Z_n its part of commutator
+        length n, built by Varadarajan's recursion (Lie Groups, Lie Algebras,
+        and Their Representations, 1984, 2.15): Z_1 = X + Y and
+            (n+1) Z_{n+1} = 1/2 [X - Y, Z_n] + sum_{p >= 1} B_2p / (2p)!
+                  sum_{k_1 + ... + k_2p = n} [Z_k1, [... [Z_k2p, X + Y] ...]].
+        Z_n lies in layers >= n, so the series ends exactly at the step.  Each
+        round is scaled once, by 1 / (2n + 2), after summing twice its terms.
+        """
+        q = self.dim
+        X = [Poly.variable(2 * q, i) for i in range(q)]
+        Y = [Poly.variable(2 * q, q + i) for i in range(q)]
+        law = [a + b for a, b in zip(X, Y)]
+        Z = [None, law]
+        B = _bernoulli(self.step - 1)
+        for n in range(1, self.step):  # X - Y is rebuilt each round: a step-1 law builds none
+            acc = self.ring_bracket([a - b for a, b in zip(X, Y)], Z[n])
+            for p in range(1, n // 2 + 1):
+                weight = 2 * B[2 * p] / math.factorial(2 * p)
+                # compositions k_1 + ... + k_2p = n as 2p - 1 cut points
+                for cuts in itertools.combinations(range(1, n), 2 * p - 1):
+                    ends = (0, *cuts, n)
+                    nested = Z[1]
+                    for j in reversed(range(2 * p)):
+                        nested = self.ring_bracket(Z[ends[j + 1] - ends[j]], nested)
+                    acc = [a + v * weight for a, v in zip(acc, nested)]
+            Z.append([a * Fraction(1, 2 * n + 2) for a in acc])
+            law = [a + z for a, z in zip(law, Z[-1])]
+        return tuple(law)
 
     @cached_property
     def _product(self):

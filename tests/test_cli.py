@@ -137,19 +137,20 @@ def test_check_gauge_both_gauges(tmp_path):
 
 
 def test_check_gauge_overflow_is_a_numerical_failure(tmp_path, capsys):
-    # a bracket constant of 1e306 overflows the smooth gauge of sampled
-    # products: the report would hold an infinite quasi_triangle_constant,
+    # a bracket constant of 1e308 overflows the sampled products themselves
+    # (and inf - inf is nan): the report would hold a NaN quasi_triangle_constant,
     # which strict JSON cannot write, so the command fails as non_finite_value
     gpath = tmp_path / "g.json"
-    gpath.write_text(json.dumps({"layers": [2, 1], "brackets": [
-        {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1e306}]}]}))
-    out = tmp_path / "out"
-    assert main(["check-gauge", "--gauge", "smooth", "--group", str(gpath),
-                 "--out", str(out)]) == 1
+    for c, code in ((1e306, 0), (1e308, 1)):  # at 1e306 products and gauges are finite
+        gpath.write_text(json.dumps({"layers": [2, 1], "brackets": [
+            {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": c}]}]}))
+        out = tmp_path / f"out{code}"
+        assert main(["check-gauge", "--gauge", "smooth", "--group", str(gpath),
+                     "--out", str(out)]) == code
     rep = read_strict_report(out)
     assert rep["passed"] is False
     assert rep["failure"]["kind"] == "non_finite_value" and rep["failure"]["t"] is None
-    message = "the report holds a non-finite value: quasi_triangle_constant = inf"
+    message = "the report holds a non-finite value: quasi_triangle_constant = nan"
     assert rep["failure"]["message"] == message
     err = capsys.readouterr().err
     assert f"numerical failure: {message}" in err
@@ -424,8 +425,9 @@ def test_equilibrium_command_refuses_constant_field(tmp_path):
 
 
 def test_equilibrium_command_fails_a_start_that_leaves_the_point(tmp_path):
-    # the coefficient equals t at the origin: the condition certifies at
-    # t = 0, but the start at the origin moves 0.547 away by t = 1
+    # the coefficient equals t at the origin: it degenerates at t = 0, but
+    # the condition is sampled at t = 0, horizon/2 and horizon, so it is not
+    # certified and the monitor never runs
     cfg = {
         "group": "heisenberg",
         "field": {"coefficients": [{"form": "constant", "value": 0.0},
@@ -442,10 +444,11 @@ def test_equilibrium_command_fails_a_start_that_leaves_the_point(tmp_path):
     out = tmp_path / "out"
     assert main(["equilibrium", "--config", str(cpath), "--out", str(out)]) == 1
     rep = read_report(out)
-    assert rep["condition"]["certified"]
-    assert rep["stability"]["passed"] is False and rep["passed"] is False
-    assert rep["stability"]["ratios"] == [1.0]
-    assert rep["stability"]["equilibrium_deviation"] > 0.5
+    assert rep["condition"]["certified"] is False and rep["passed"] is False
+    assert "not certified" in rep["refusal"] and "stability" not in rep
+    # the maxima double with each halving of the sample scale: a(t, x) ~ t
+    maxima = rep["condition"]["scale_maxima"]
+    assert all(1.5 < b / a < 2.5 for a, b in zip(maxima, maxima[1:]))
 
 
 def test_equilibrium_non_finite_coefficient_writes_report(tmp_path, capsys):

@@ -49,6 +49,20 @@ def test_smooth_gauge_symmetry_and_positivity(x):
     assert g(np.zeros(3)) == 0.0
 
 
+def test_smooth_gauge_is_finite_at_step_seven():
+    # N = 840 on the step-7 filiform group, so x_1^840 alone overflows above
+    # 2.33 and underflows below 0.43
+    alg = GradedAlgebra((2,) + (1,) * 6, {(0, k): {k + 1: 1} for k in range(1, 7)})
+    g = smooth_gauge(alg)
+    assert g.exponent == 840
+    for c in (3.0, 1e-3):
+        x = np.full(alg.dim, c)
+        assert 0.0 < g(x) < np.inf
+        assert g(alg.dilate(2.0, x)) == pytest.approx(2.0 * g(x), rel=1e-14)
+        assert np.array_equal(g(np.stack([x, -x])), [g(x), g(x)])
+        assert g(np.eye(alg.dim)[0] * c) == c  # on the first axis the gauge is |x_1|
+
+
 def test_koranyi_values():
     assert koranyi_norm([3, 4, 0]) == pytest.approx(5.0)
     assert koranyi_norm([0, 0, 4]) == pytest.approx(2.0)

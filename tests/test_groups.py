@@ -168,6 +168,66 @@ def test_step3_filiform_associativity():
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
+def filiform(step):
+    """[e1, e_k] = e_(k+1) for k = 2, ..., step: one generator of each degree above 1."""
+    return ((2,) + (1,) * (step - 1), {(0, k): {k + 1: 1} for k in range(1, step)})
+
+
+# the recursion's Bernoulli term B_2p first changes the law at step 2p + 2:
+# at step 2p + 1 it is [Z_1, [... [Z_1, x + y]...]] = 0, as Z_1 = x + y
+ORACLE_ALGEBRAS = {"heisenberg": ((2, 1), {(0, 1): {2: 2}}),
+                   **{f"filiform-{s}": filiform(s) for s in range(3, 8)},
+                   "3-1-1": THREE_ONE_ONE}
+STEP_AT_MOST_4 = ["heisenberg", "filiform-3", "filiform-4", "3-1-1"]
+
+
+def exact_samples(q, count, seed):
+    """``count`` seeded triples of rational elements of length ``q``."""
+    rng = np.random.default_rng(seed)
+    return [[[Fraction(int(n), 4) for n in v] for v in triple]
+            for triple in rng.integers(-8, 9, (count, 3, q))]
+
+
+def exact_product(alg, x, y):
+    return [p.evaluate_exact([*x, *y]) for p in alg.law]
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_law_is_a_group_law_with_one_parameter_subgroups_exactly(name):
+    # associativity, the identity, inverse by negation and (sx)(tx) = (s+t)x,
+    # together with the quadratic term x + y + [x,y]/2, fix the law in
+    # exponential coordinates; every identity is checked in exact arithmetic
+    alg = GradedAlgebra(*ORACLE_ALGEBRAS[name])
+    q = alg.dim
+    X = [Poly.variable(2 * q, i) for i in range(q)]
+    Y = [Poly.variable(2 * q, q + i) for i in range(q)]
+    quadratic = [Poly(2 * q, {e: c for e, c in p.terms.items() if sum(e) <= 2}) for p in alg.law]
+    assert quadratic == [a + b + c * Fraction(1, 2)
+                         for a, b, c in zip(X, Y, alg.ring_bracket(X, Y))]
+    scales = np.random.default_rng(1).integers(-6, 7, (10, 2))
+    for (x, y, z), (s, t) in zip(exact_samples(q, 10, seed=0), scales):
+        assert exact_product(alg, exact_product(alg, x, y), z) \
+            == exact_product(alg, x, exact_product(alg, y, z))
+        assert exact_product(alg, x, [0] * q) == x
+        assert exact_product(alg, x, [-c for c in x]) == [0] * q
+        s, t = Fraction(int(s), 3), Fraction(int(t), 3)
+        assert exact_product(alg, [s * c for c in x], [t * c for c in x]) \
+            == [(s + t) * c for c in x]
+
+
+@pytest.mark.parametrize("name", STEP_AT_MOST_4)
+def test_law_is_the_bch_series_up_to_step_four(name):
+    # log(exp x exp y) through commutator length 4, by ring_bracket over fractions
+    alg = GradedAlgebra(*ORACLE_ALGEBRAS[name])
+    assert alg.step <= 4
+    br = alg.ring_bracket
+    for x, y, _ in exact_samples(alg.dim, 10, seed=2):
+        xy = br(x, y)
+        bch = [a + b + Fraction(1, 2) * c + Fraction(1, 12) * (d - e) - Fraction(1, 24) * f
+               for a, b, c, d, e, f in zip(x, y, xy, br(x, xy), br(y, xy), br(y, br(x, xy)))]
+        assert exact_product(alg, x, y) == bch
+
+
 def test_construction_rejects_bad_antisymmetry():
     with pytest.raises(AlgebraValidationError, match="antisymmetry"):
         GradedAlgebra((2, 1), {(0, 1): {2: 2}, (1, 0): {2: 2}})
