@@ -26,6 +26,7 @@ from . import counterexample as cx
 from .domain import Box
 from .fields import field_from_spec
 from .flow import CauchyProblem, csv_column, integrate, write_csv, write_trajectory_csv
+from .gates import all_passed, gate
 from .gauges import gauge_report, koranyi_norm, smooth_gauge
 from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
                      heisenberg, is_heisenberg, json_integer, json_number, json_object)
@@ -135,6 +136,11 @@ def _box(value, dim: int, key: str) -> Box:
     return Box(*(_point(value.get(end), dim, f"{key}.{end}") for end in ("lo", "hi")))
 
 
+def _gated(rows: list) -> dict:
+    """Each row's value under its name, the rows as ``gates`` and their AND as ``passed``."""
+    return {**{r["name"]: r["value"] for r in rows}, "gates": rows, "passed": all_passed(rows)}
+
+
 def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
     """Write ``report`` and the CSVs, or print the report under --json; the
     exit code is PASS if ``report[verdict]`` holds, else FAIL."""
@@ -159,9 +165,10 @@ def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
 
 
 def _non_finite(value, path: str = "") -> list:
-    """``"<key path> = <value>"`` for each non-finite float in a report."""
+    """``"<key path> = <value>"`` for each non-finite float in a report, outside
+    ``gates``, whose rows are read from values the report names elsewhere."""
     if isinstance(value, dict):
-        return [bad for k, v in sorted(value.items())
+        return [bad for k, v in sorted(value.items()) if k != "gates"
                 for bad in _non_finite(v, f"{path}.{k}" if path else k)]
     if isinstance(value, (list, tuple)):
         return [bad for i, v in enumerate(value) for bad in _non_finite(v, f"{path}[{i}]")]
@@ -251,23 +258,14 @@ def _run_check_group(args) -> int:
               for i in range(0, n, _BLOCK)]
     assoc, inv, ident, autom, *closed = np.max(blocks, axis=0).tolist()
 
-    report = {
-        "group": {"layers": list(alg.layer_dims), "dim": alg.dim, "step": alg.step},
-        "samples": n,
-        "seed": args.seed,
-        "associativity_max_err": assoc,
-        "inverse_max_err": inv,
-        "identity_max_err": ident,
-        "dilation_automorphism_max_err": autom,
-    }
+    rows = [gate("associativity_max_err", assoc, "<=", 1e-10),
+            gate("inverse_max_err", inv, "<=", 1e-12),
+            gate("identity_max_err", ident, "<=", 1e-12),
+            gate("dilation_automorphism_max_err", autom, "<=", 1e-10)]
     if heis:
-        report["closed_form_law_max_err"] = closed[0]
-    passed = (
-        assoc <= 1e-10 and inv <= 1e-12 and ident <= 1e-12 and autom <= 1e-10
-        and report.get("closed_form_law_max_err", 0.0) <= 1e-12
-    )
-    report["passed"] = bool(passed)
-    return _emit(report, args)
+        rows.append(gate("closed_form_law_max_err", closed[0], "<=", 1e-12))
+    return _emit({"group": {"layers": list(alg.layer_dims), "dim": alg.dim, "step": alg.step},
+                  "samples": n, "seed": args.seed, **_gated(rows)}, args)
 
 
 # --------------------------------------------------------------------------- check-gauge
@@ -304,11 +302,10 @@ def _run_integrate(args) -> int:
         "horizon": horizon,
         "final_time": float(tr.times[-1]),
         "final_state": [float(v) for v in tr.final_state],
-        "residual": tr.residual,
         "meta": {"abs_tol": icfg.abs_tol, "rel_tol": icfg.rel_tol, "exited": tr.exited,
                  "exit_time": tr.exit_time, **tr.stats.as_dict()},
+        **_gated([gate("residual", tr.residual, "<=", icfg.gate_tol)]),
     }
-    report["passed"] = bool(tr.residual is not None and tr.residual <= icfg.gate_tol)
     return _emit(report, args, [("trajectory.csv", lambda p: write_trajectory_csv(tr, p))])
 
 
@@ -359,21 +356,20 @@ def _run_involutive(args) -> int:
     icfg = _integrator(cfg.get("integrator"))
 
     full = integrate(CauchyProblem(ambient, x0, horizon), icfg)
-    deviation = confinement_check(full, mod, x0)
     reduced = reduced_solve(mod, field.coefficients, x0, horizon, icfg)
-    match = float(np.max(np.abs(full.states - reduced.states)))
+    rows = [gate("confinement_deviation", confinement_check(full, mod, x0), "<=", icfg.gate_tol),
+            gate("reduced_vs_full_max_err", float(np.max(np.abs(full.states - reduced.states))),
+                 "<=", icfg.gate_tol)]
 
     report = {
         "basis": [list(b) for b in mod.basis],
         "rank": mod.rank,
         "x0": list(x0),
         "horizon": horizon,
-        "confinement_deviation": deviation,
-        "reduced_vs_full_max_err": match,
         "deviation_tol": icfg.gate_tol,
         "match_tol": icfg.gate_tol,
         "residual_full": full.residual,
-        "passed": bool(deviation <= icfg.gate_tol and match <= icfg.gate_tol),
+        **_gated(rows),
     }
     return _emit(report, args)
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .fields import HorizontalField, horizontal_field
 from .flow import residual as flow_residual
+from .gates import all_passed, gate
 from .gauges import default_distance, distance_to_axis, distance_to_axis_point
 from .groups import heisenberg
 from .scalarmin import minimize_convex_quartic
@@ -141,40 +142,28 @@ def rung_monitor_report(variant: str, eps: float, times: np.ndarray, uv: np.ndar
     ``times``: its ``ladder.rungs`` report entry."""
     tau = float(times[-1])
     u, v = uv.T
-    failures = []
-    # every check is written so that a NaN fails it
-
     min_u, min_v = float(np.min(u)), float(np.min(v))
-    if not min_u >= -MONITOR_TOL:
-        failures.append("sign_u")
-    if not min_v >= -MONITOR_TOL:
-        failures.append("sign_v")
+    rows = [gate("sign_u", min_u, ">=", -MONITOR_TOL), gate("sign_v", min_v, ">=", -MONITOR_TOL)]
 
     # the comparison-lemma envelopes u + w v <= (3/2) e^(t+eps) and
     # v <= 1 + c_hat (t+eps), with c_hat the sup of (3/2)(e^s - 1)/s over the
     # window; that quotient increases, so the sup sits at s = tau + eps
     s = times + eps
     mix_margin = float(np.min(1.5 * np.exp(s) - (u + MIX_WEIGHT_UPPER * v)))
-    if not mix_margin >= -MONITOR_TOL:
-        failures.append("mix_exponential_bound")
-
     c_hat = 1.5 * (math.exp(tau + eps) - 1.0) / (tau + eps)
     lin_margin = float(np.min((1.0 + c_hat * s) - v))
-    if not lin_margin >= -MONITOR_TOL:
-        failures.append("v_linear_envelope")
-
-    du0, dv0 = uv_rhs(variant, eps, 0.0, np.ones(2)).tolist()
-    stationarity = (abs(du0), abs(dv0))
-    if not all(x <= 1e-12 for x in stationarity):
-        failures.append("stationarity_at_zero")
-
+    drift = np.abs(uv_rhs(variant, eps, 0.0, np.ones(2)))
     res = singular_integral_residual(variant, eps, times, uv)
-    # integral-form defect should track the stepper tolerance, not the bounds;
-    # flag only wild values.  Simpson error on a coarse output grid counts too:
-    # autonomous eps = 2.4e-5, tau = 0.2 reads 1.1e-6 on 256 points, although
-    # the solve matches a 16x finer grid to 4e-15 (and reads 8.7e-9 there)
-    if not res <= 1e-6:
-        failures.append("integral_residual")
+    rows += [gate("mix_exponential_bound", mix_margin, ">=", -MONITOR_TOL),
+             gate("v_linear_envelope", lin_margin, ">=", -MONITOR_TOL),
+             # np.max, unlike max, keeps a NaN
+             gate("stationarity_at_zero", float(np.max(drift)), "<=", 1e-12),
+             # integral-form defect should track the stepper tolerance, not the
+             # bounds; flag only wild values.  Simpson error on a coarse output
+             # grid counts too: autonomous eps = 2.4e-5, tau = 0.2 reads 1.1e-6
+             # on 256 points, although the solve matches a 16x finer grid to
+             # 4e-15 (and reads 8.7e-9 there)
+             gate("integral_residual", res, "<=", 1e-6)]
 
     lower_margin = c5 = sigma_sup = fvals = None
     crossing_const = c_hat
@@ -192,32 +181,31 @@ def rung_monitor_report(variant: str, eps: float, times: np.ndarray, uv: np.ndar
 
     if variant == "autonomous":
         lower_margin = float(np.min(fvals[sl] - (v[sl] - c5 * (times[sl] + eps))))
-        if not lower_margin >= -MONITOR_TOL:
-            failures.append("axis_term_lower_bound")
+        rows.append(gate("axis_term_lower_bound", lower_margin, ">=", -MONITOR_TOL))
 
     lower_mix = u[sl] + MIX_WEIGHT_LOWER * v[sl]
     lower_env = (1.0 + MIX_WEIGHT_LOWER) - 3.0 * crossing_const * (times[sl] + eps)
     lower_mix_margin = float(np.min(lower_mix - lower_env))
-    if not lower_mix_margin >= -MONITOR_TOL:
-        failures.append("mix_lower_envelope")
+    rows.append(gate("mix_lower_envelope", lower_mix_margin, ">=", -MONITOR_TOL))
 
     crossing_time = crossing_threshold = None
     if stop < len(times):
         crossing_time = float(times[stop])
         crossing_threshold = 1.0 / (26.0 * crossing_const)
-        if not crossing_time >= crossing_threshold - MONITOR_TOL:
-            failures.append("first_crossing_too_early")
+        rows.append(gate("first_crossing_too_early", crossing_time, ">=",
+                         crossing_threshold - MONITOR_TOL))
 
     return {
         "epsilon": eps, "variant": variant, "min_u": min_u, "min_v": min_v,
         "mix_bound_margin": mix_margin, "lower_mix_margin": lower_mix_margin,
         "linear_envelope_margin": lin_margin, "exp_linear_constant": c_hat,
-        "stationarity": stationarity,  # |du|, |dv| of the right-hand side at (0, 1, 1)
+        "stationarity": tuple(drift.tolist()),  # |du|, |dv| of the right-hand side at (0, 1, 1)
         "integral_residual": res,
         "crossing_time": crossing_time, "crossing_threshold": crossing_threshold,
         # the next three are None except on the autonomous variant
         "lower_bound_margin": lower_margin, "lower_bound_constant": c5, "minimizer_sup": sigma_sup,
-        "failures": tuple(failures), "passed": not failures,
+        "gates": rows, "failures": tuple(r["name"] for r in rows if not r["passed"]),
+        "passed": all_passed(rows),
     }
 
 
@@ -263,14 +251,16 @@ class LadderSpec:
         return tuple(EPS0 * EPS_RATIO**k for k in range(self.count))
 
 
-def gap_convergence(gaps: Sequence[float]) -> tuple[int, bool]:
-    """Start of the strictly decreasing tail of the Cauchy gaps, and whether
-    they converged: the last gap is at most ``GAP_TOL`` and at least the last
-    three gaps decrease strictly (``LadderSpec.count >= 4`` gives three)."""
+def gap_convergence(gaps: Sequence[float]) -> tuple[int, list]:
+    """Start of the strictly decreasing tail of the Cauchy gaps, and the gate
+    rows of their convergence: the last gap is at most ``GAP_TOL`` and at
+    least the last three gaps decrease strictly (``LadderSpec.count >= 4``
+    gives three)."""
     k0 = len(gaps) - 1
     while k0 > 0 and gaps[k0] < gaps[k0 - 1]:
         k0 -= 1
-    return k0, bool(gaps[-1] <= GAP_TOL and k0 <= len(gaps) - 3)
+    return k0, [gate("last_gap", gaps[-1], "<=", GAP_TOL),
+                gate("gaps_decreasing_from", k0, "<=", len(gaps) - 3)]
 
 
 def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -> tuple:
@@ -298,13 +288,14 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
 
     gaps = [float(np.max(np.abs(states[:, i] - states[:, i + 1])))
             for i in range(spec.count - 1)]
-    decreasing_from, converged = gap_convergence(gaps)
+    decreasing_from, rows = gap_convergence(gaps)
 
     return sol, {
         "variant": variant,
         "epsilons": list(spec.epsilons),
         "sup_differences": gaps,
-        "converged": converged,
+        "gates": rows,
+        "converged": all_passed(rows),
         "gaps_decreasing_from": decreasing_from,
         "limit_residual": singular_integral_residual(variant, 0.0, times, states[:, -1]),
         "gap_tol": GAP_TOL,
@@ -352,10 +343,9 @@ def build_nonuniqueness_report(times: np.ndarray, limit: np.ndarray, ladder: dic
     max_sep = float(np.max(separation))
 
     worst_res = max(res_trivial, res_nontrivial)
-    sep_ok = max_sep >= SEPARATION_FACTOR * worst_res
     gamma2_at_tau = float(gamma.states[-1, 1])
-
-    verdict = bool(ladder["converged"] and sep_ok and gamma2_at_tau > 0.0)
+    rows = [*ladder["gates"], gate("max_separation", max_sep, ">=", SEPARATION_FACTOR * worst_res),
+            gate("gamma2_at_tau", gamma2_at_tau, ">", 0.0)]
     report = {
         "variant": variant,
         "ladder": ladder,
@@ -366,7 +356,8 @@ def build_nonuniqueness_report(times: np.ndarray, limit: np.ndarray, ladder: dic
         "separation_margin": max_sep - SEPARATION_FACTOR * worst_res,
         "separation": separation.tolist(),
         "gamma2_at_tau": gamma2_at_tau,
-        "nonuniqueness_certified": verdict,
+        "gates": rows,
+        "nonuniqueness_certified": all_passed(rows),
     }
     return report, gamma
 

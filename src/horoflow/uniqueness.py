@@ -22,6 +22,7 @@ import numpy as np
 
 from .domain import Box
 from .fields import CoefficientFn, HorizontalField, evaluate_field, horizontal_field
+from .gates import all_passed, gate
 from .gauges import default_distance, equivalence_kappa
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
@@ -97,10 +98,11 @@ def verify_equilibrium_condition(
                                                     f"x = {XS[keep][row].tolist()}")
             scale_maxima.append(float(np.max(ratios, initial=0.0)))
 
-    certified = not (scale_maxima[-1] > GROWTH_FACTOR * max(scale_maxima[0], 1e-300))
+    rows = [gate("last_scale_maximum", scale_maxima[-1], "<=",
+                 GROWTH_FACTOR * max(scale_maxima[0], 1e-300))]
     return {"equilibrium_point": tuple(xbar), "estimated_c": max(scale_maxima),
             "scale_maxima": tuple(scale_maxima),  # max ratio per shrinking sample scale
-            "certified": certified, "samples": samples, "seed": seed}
+            "gates": rows, "certified": all_passed(rows), "samples": samples, "seed": seed}
 
 
 def stability_monitor(
@@ -150,10 +152,12 @@ def stability_monitor(
     at_point = dists == 0.0
     ratios = np.where(at_point, 1.0, devs / np.where(at_point, 1.0, dists))
     eq_dev = float(np.max(devs[at_point])) if at_point.any() else None
-    passed = np.max(ratios) <= bound and (eq_dev is None or eq_dev <= cfg.gate_tol)
+    rows = [gate("max_ratio", float(np.max(ratios)), "<=", bound)]
+    if eq_dev is not None:
+        rows.append(gate("equilibrium_deviation", eq_dev, "<=", cfg.gate_tol))
     return {"ratios": tuple(ratios.tolist()), "initial_distances": tuple(dists.tolist()),
             "certified_bound": float(bound), "kappa": float(kappa),
-            "c_integral": float(c_integral), "passed": bool(passed),
+            "c_integral": float(c_integral), "gates": rows, "passed": all_passed(rows),
             "equilibrium_deviation": eq_dev}  # set when some start equals the point
 
 

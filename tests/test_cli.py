@@ -1,7 +1,9 @@
 import dataclasses
 import importlib
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,6 +17,7 @@ from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import write_trajectory_csv
+from horoflow.gates import gate
 from horoflow.stepping import IntegratorConfig, Trajectory
 
 HEIS_GROUP = {
@@ -23,16 +26,49 @@ HEIS_GROUP = {
 }
 
 
+RELATIONS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+VERDICTS = ("passed", "certified", "converged", "nonuniqueness_certified")
+
+
+def gate_blocks(report):
+    """Every dict in ``report``, nested ones included, that holds ``gates``."""
+    if isinstance(report, list):
+        return [block for item in report for block in gate_blocks(item)]
+    if not isinstance(report, dict):
+        return []
+    nested = [block for value in report.values() for block in gate_blocks(value)]
+    return [report, *nested] if "gates" in report else nested
+
+
+def check_gates(report):
+    """Recompute each gate row of ``report`` from its value, relation and
+    bound, and each block's verdict as the AND of its rows."""
+    for block in gate_blocks(report):
+        rows = block["gates"]
+        for row in rows:
+            assert set(row) == {"name", "value", "relation", "bound", "passed"}, row
+            value = row["value"]
+            assert row["passed"] is (value is not None
+                                     and RELATIONS[row["relation"]](value, row["bound"])), row
+            if row["name"] in block:
+                assert block[row["name"]] == value, row
+        (verdict,) = (key for key in VERDICTS if key in block)
+        assert block[verdict] is all(row["passed"] for row in rows), verdict
+        if "failures" in block:
+            assert block["failures"] == [row["name"] for row in rows if not row["passed"]]
+    return report
+
+
 def read_report(outdir):
     with open(outdir / "report.json") as fh:
-        return json.load(fh)
+        return check_gates(json.load(fh))
 
 
 def read_strict_report(outdir):
     """The report, read by a parser that refuses the non-JSON Infinity and NaN."""
     def refuse(name):
         raise ValueError(f"report.json holds {name}")
-    return json.loads((outdir / "report.json").read_text(), parse_constant=refuse)
+    return check_gates(json.loads((outdir / "report.json").read_text(), parse_constant=refuse))
 
 
 def masked(report):
@@ -158,8 +194,10 @@ def test_check_gauge_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_non_finite_report_values_are_named_by_key_path():
+    # a gate row repeats its value, so the message names it once
     report = {"passed": False, "gap": float("nan"), "rows": [(0.0, -float("inf"))],
-              "stability": {"ratios": [1.0, 2.0, float("inf")], "bound": 3.0}}
+              "stability": {"ratios": [1.0, 2.0, float("inf")], "bound": 3.0,
+                            "gates": [gate("max_ratio", float("inf"), "<=", 3.0)]}}
     assert cli._non_finite(report) == ["gap = nan", "rows[0][1] = -inf",
                                        "stability.ratios[2] = inf"]
 
@@ -387,9 +425,9 @@ def test_report_blocks_keep_their_keys(tmp_path):
                  "--out", str(out)]) == 0
     rep = read_report(out)
     assert set(rep["condition"]) == {"equilibrium_point", "estimated_c", "scale_maxima",
-                                     "certified", "samples", "seed"}
+                                     "gates", "certified", "samples", "seed"}
     assert set(rep["stability"]) == {"ratios", "initial_distances", "certified_bound", "kappa",
-                                     "c_integral", "passed", "equilibrium_deviation"}
+                                     "c_integral", "gates", "passed", "equilibrium_deviation"}
     out = tmp_path / "int"
     assert main(["integrate", "--config", str(integrate_config(tmp_path)),
                  "--out", str(out)]) == 0
@@ -399,7 +437,7 @@ def test_report_blocks_keep_their_keys(tmp_path):
     out = tmp_path / "cx"
     assert main(counterexample_args(out)) == 0
     ladder = read_report(out)["ladder"]
-    assert set(ladder) == {"variant", "epsilons", "sup_differences", "converged",
+    assert set(ladder) == {"variant", "epsilons", "sup_differences", "gates", "converged",
                            "gaps_decreasing_from", "limit_residual", "gap_tol", "tau", "rungs"}
     rungs = ladder["rungs"]
     assert len(rungs) == 6
@@ -408,8 +446,59 @@ def test_report_blocks_keep_their_keys(tmp_path):
             "epsilon", "variant", "min_u", "min_v", "mix_bound_margin", "lower_mix_margin",
             "linear_envelope_margin", "exp_linear_constant", "stationarity",
             "integral_residual", "crossing_time", "crossing_threshold", "lower_bound_margin",
-            "lower_bound_constant", "minimizer_sup", "failures", "passed",
+            "lower_bound_constant", "minimizer_sup", "gates", "failures", "passed",
         }
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_gate_table():
+    """{row name: (relation, bound cell)} of the README's gate table."""
+    section = README.read_text().split("#### Gates", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 6 and cells[1].startswith("`"):
+            table[cells[1].strip("`")] = (cells[3].strip("`"), cells[4])
+    return table
+
+
+def test_every_gate_row_is_in_the_readme_table(tmp_path, capsys):
+    # every row a report holds is in the table with its relation, and a bound
+    # the table writes as a number is the row's bound
+    table = readme_gate_table()
+    eq = equilibrium_config(tmp_path)
+    eq.write_text(json.dumps({**json.loads(eq.read_text()), "initial_points": [[0, 0, 0]]}))
+    reports = []
+    for argv in (["check-group", "--samples", "200"], ["check-gauge", "--samples", "200"],
+                 ["check-gauge", "--gauge", "smooth", "--samples", "200"],
+                 ["integrate", "--config", str(integrate_config(tmp_path))],
+                 ["equilibrium", "--config", str(eq)],
+                 ["involutive", "--config", str(involutive_config(tmp_path))],
+                 counterexample_args(tmp_path)[:-2]):
+        main([*argv, "--json"])
+        reports.append(check_gates(json.loads(capsys.readouterr().out)))
+    # an autonomous rung, and a rung whose v crosses its threshold line late
+    t = np.linspace(0.0, 0.5, 129)
+    reports += [cx.rung_monitor_report("autonomous", 0.05, t, np.ones((129, 2))),
+                cx.rung_monitor_report("time", 0.05, t, np.column_stack(
+                    [np.ones_like(t), np.maximum(1.0 - 1.2 * t, 0.0)]))]
+    met = set()
+    for block in gate_blocks(reports):
+        for row in block["gates"]:
+            relation, bound = table[row["name"]]
+            assert row["relation"] == relation, row
+            met.add(row["name"])
+            if bound.startswith("`gate_tol`"):  # the test configs keep the default abs_tol
+                assert row["bound"] == IntegratorConfig().gate_tol, row
+                continue
+            try:
+                number = float(bound)
+            except ValueError:  # a bound that depends on the data
+                continue
+            assert row["bound"] == number, row
+    assert met == set(table)
 
 
 def test_equilibrium_command_refuses_constant_field(tmp_path):

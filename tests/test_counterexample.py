@@ -12,6 +12,7 @@ from horoflow.counterexample import (GAP_TOL, MONITOR_TOL, RUNG_TOL, SEPARATION_
                                      scaled_axis_distance_with_minimizer,
                                      singular_integral_residual, solve_regularized,
                                      trivial_trajectory, uv_rhs)
+from horoflow.gates import all_passed
 from horoflow.gauges import distance_to_axis, distance_to_axis_point
 from horoflow.stepping import IntegratorConfig, solve_to_grid
 
@@ -303,6 +304,26 @@ def test_sign_monitor_fails_just_past_its_tolerance():
         assert ("sign_v" in rep["failures"]) is fails
 
 
+@pytest.mark.parametrize("name, margin, column, sign", [
+    ("sign_u", "min_u", 0, -1.0),
+    ("mix_exponential_bound", "mix_bound_margin", 0, 1.0),
+    ("v_linear_envelope", "linear_envelope_margin", 1, 1.0),
+    ("mix_lower_envelope", "lower_mix_margin", 0, -1.0),
+])
+def test_margin_monitor_fails_just_past_its_tolerance(name, margin, column, sign):
+    # the constant rung (u, v) = (1, 1) with u or v shifted until one margin
+    # reads -1e-8, ten times past MONITOR_TOL = 1e-9, which fails that row;
+    # at -1e-10 it lies inside the tolerance and the row passes
+    t = np.linspace(0.0, 0.3, 129)
+    start = hand_rung(t, np.ones_like(t), np.ones_like(t), 0.05)[margin]
+    for target, fails in ((-1e-8, True), (-1e-10, False)):
+        uv = np.ones((len(t), 2))
+        uv[:, column] += sign * (start - target)
+        rep = hand_rung(t, *uv.T, 0.05)
+        assert rep[margin] == pytest.approx(target, rel=1e-6)
+        assert (name in rep["failures"]) is fails
+
+
 # --------------------------------------------------------------------------- comparison lemma
 
 
@@ -413,7 +434,8 @@ def test_ladder_nonconvergence_never_fabricates():
     ([4e-6, 2e-6, 1.5e-6], 0, False),  # decreasing, but above GAP_TOL
 ])
 def test_gap_convergence_rule(gaps, decreasing_from, converged):
-    assert gap_convergence(gaps) == (decreasing_from, converged)
+    k0, rows = gap_convergence(gaps)
+    assert (k0, all_passed(rows)) == (decreasing_from, converged)
 
 
 def test_ladders_with_different_ratios_agree():
