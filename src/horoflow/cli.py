@@ -404,41 +404,51 @@ def _run_counterexample(args) -> int:
 # --------------------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_OUTPUT = (("--out", {"default": "horoflow-out", "help": "output directory"}),
+           ("--json", {"action": "store_true",
+                       "help": "print the report to stdout instead of writing files"}))
+
+
+def _sampled(samples: int) -> tuple:
+    """check-group's and check-gauge's arguments, with ``samples`` the --samples default."""
+    return (("--group", {"help": "path to a group-spec JSON"}),
+            ("--samples", {"type": _decimal(1, "positive"), "default": samples}),
+            ("--seed", {"type": _decimal(0, "non-negative"), "default": 0}), *_OUTPUT)
+
+
+_CONFIG = (("--config", {"required": True}), *_OUTPUT)
+
+# each command's help, runner and arguments (flag, keywords), in help order
+_COMMANDS = {
+    "check-group": ("group-law property suite", _run_check_group, _sampled(1000)),
+    "check-gauge": ("gauge property suite", _run_check_gauge, (
+        *_sampled(2000), ("--gauge", {"choices": ["koranyi", "smooth"], "default": "koranyi"}))),
+    "integrate": ("solve a Cauchy problem from a JSON spec", _run_integrate, _CONFIG),
+    "equilibrium": ("equilibrium degeneracy check + stability monitor", _run_equilibrium,
+                    _CONFIG),
+    "involutive": ("commuting-module confinement and reduced solve", _run_involutive, _CONFIG),
+    "counterexample": ("non-uniqueness exhibit", _run_counterexample, (
+        ("--variant", {"choices": ["time", "autonomous"], "default": "time"}),
+        ("--rungs", {"type": _decimal(0, "non-negative"), "default": 14}),
+        ("--tau", {"type": float, "default": 0.3}),
+        ("--grid", {"type": _decimal(0, "non-negative"), "default": 2048}), *_OUTPUT)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of all six commands if it is None."""
     ap = argparse.ArgumentParser(prog="horoflow", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, run):
+    # a one-command parser still names all six commands in its usage line;
+    # the six-command parser keeps the default metavar, which reads the same
+    # there, so that a missing or unknown command's error names "command"
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        text, run, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
         p.set_defaults(run=run)
-        p.add_argument("--out", default="horoflow-out", help="output directory")
-        p.add_argument("--json", action="store_true",
-                       help="print the report to stdout instead of writing files")
-
-    for name, text, samples, run in (
-            ("check-group", "group-law property suite", 1000, _run_check_group),
-            ("check-gauge", "gauge property suite", 2000, _run_check_gauge)):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--group", help="path to a group-spec JSON")
-        p.add_argument("--samples", type=_decimal(1, "positive"), default=samples)
-        p.add_argument("--seed", type=_decimal(0, "non-negative"), default=0)
-        common(p, run)
-        if name == "check-gauge":
-            p.add_argument("--gauge", choices=["koranyi", "smooth"], default="koranyi")
-
-    for name, text, run in (
-            ("integrate", "solve a Cauchy problem from a JSON spec", _run_integrate),
-            ("equilibrium", "equilibrium degeneracy check + stability monitor", _run_equilibrium),
-            ("involutive", "commuting-module confinement and reduced solve", _run_involutive)):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", required=True)
-        common(p, run)
-
-    p = sub.add_parser("counterexample", help="non-uniqueness exhibit")
-    p.add_argument("--variant", choices=["time", "autonomous"], default="time")
-    p.add_argument("--rungs", type=int, default=14)
-    p.add_argument("--tau", type=float, default=0.3)
-    p.add_argument("--grid", type=int, default=2048)
-    common(p, _run_counterexample)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return ap
 
 
@@ -453,7 +463,10 @@ _FAILURE_KINDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command word first builds that command's parser alone; anything else
+    # (help, no command, an unknown command, an option first) builds all six
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,6 +10,7 @@ without loss.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -39,6 +40,16 @@ class Poly:
                     raise ValueError(f"negative exponent in {expo}")
                 clean[expo] = clean.get(expo, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Poly":
+        """The polynomial of the terms a ring operation built: exponent tuples
+        of ``nvars`` non-negative ints mapped to ``Fraction``s, so only zero
+        coefficients are dropped."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
 
     # ------------------------------------------------------------------ constructors
 
@@ -91,13 +102,13 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
+            out[e] = out[e] + c if e in out else c
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-other if isinstance(other, Poly) else -_frac(other))
@@ -108,14 +119,14 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, float, Fraction)):
             c = _frac(other)
-            return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return Poly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check(other)
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return Poly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -129,8 +140,9 @@ class Poly:
                 continue
             de = list(e)
             de[i] -= 1
-            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
-        return Poly(self.nvars, out)
+            de = tuple(de)
+            out[de] = out[de] + c * e[i] if de in out else c * e[i]
+        return Poly._of(self.nvars, out)
 
     # ------------------------------------------------------------------ evaluation
 

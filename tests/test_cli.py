@@ -1207,6 +1207,67 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+COMMANDS = ["check-group", "check-gauge", "integrate", "equilibrium", "involutive",
+            "counterexample"]
+SIX = "{" + ",".join(COMMANDS) + "}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], *([command, "-h"] for command in COMMANDS), [], ["nope"],
+    ["check-group", "extra"], ["check-group", "--bogus"], ["counterexample", "--variant", "x"],
+    ["integrate"]], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_are_the_six_command_parsers(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (got.out, got.err, code) == (want.out, want.err, full.value.code)
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["check-group", "extra"], "unrecognized arguments: extra"),
+    (["check-group", "--bogus"], "unrecognized arguments: --bogus")])
+def test_top_level_usage_errors_name_all_six_commands(capsys, monkeypatch, argv, error):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: horoflow [-h] {SIX} ...\nhoroflow: error: {error}")
+
+
+def test_a_command_word_builds_that_command_alone(capsys, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build(command))
+    assert main(["check-group", "--samples", "10", "--json"]) == 0
+    assert main(["-h"]) == 0
+    assert main(["--json", "check-group"]) == 2
+    assert built == ["check-group", None, None]
+    only = next(a for a in build("integrate")._actions
+                if isinstance(a, cli.argparse._SubParsersAction))
+    assert list(only.choices) == ["integrate"]
+
+
+@pytest.mark.parametrize("value", ["1_4", "+8", " 8", "-1", "1.5", "x"])
+@pytest.mark.parametrize("flag", ["--rungs", "--grid"])
+def test_count_flags_take_decimal_integers_only(capsys, flag, value):
+    assert main(["counterexample", flag, value, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a non-negative integer, not {value!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rungs", "3", "need at least 4 rungs"), ("--rungs", "0", "need at least 4 rungs"),
+    ("--grid", "7", "grid_points must be at least 8")])
+def test_count_flags_keep_the_ladder_range_checks(capsys, flag, value, message):
+    assert main(["counterexample", flag, value, "--json"]) == 2
+    assert capsys.readouterr().err == f"horoflow: config error: {message}\n"
+
+
 def numpy_dispatch_targets():
     """The SIMD targets numpy picks among at run time and this CPU supports,
     or None if numpy exposes no ``__cpu_dispatch__``."""

@@ -41,6 +41,48 @@ def test_constructor_drops_zeros_and_merges():
     assert q.is_zero
 
 
+NVARS = 3
+COEFFS = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=6),
+                   st.floats(-4, 4).map(lambda x: round(x, 2)))
+POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * NVARS), COEFFS,
+                        max_size=6).map(lambda terms: Poly(NVARS, terms))
+
+
+def assert_clean(p):
+    """``p``'s terms are what the public constructor makes of them."""
+    assert p.nvars == NVARS
+    assert p.terms == Poly(p.nvars, p.terms).terms
+    for e, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(e) == NVARS and all(type(k) is int and k >= 0 for k in e)
+
+
+@given(POLYS, POLYS, COEFFS, st.integers(0, NVARS - 1),
+       st.tuples(*[st.fractions(max_denominator=5)] * NVARS))
+def test_ring_operations_keep_constructor_clean_terms(p, q, s, i, x):
+    # each result holds no term the public constructor would change, and its
+    # value at an exact point is the operation applied to the values
+    value = lambda r: r.evaluate_exact(x)
+    fs, vp, vq = Fraction(s), value(p), value(q)
+    for r, expected in [(p + q, vp + vq), (p - q, vp - vq), (-p, -vp), (p * q, vp * vq),
+                        (p + s, vp + fs), (s + p, fs + vp), (p - s, vp - fs),
+                        (s - p, fs - vp), (p * s, vp * fs), (s * p, fs * vp),
+                        (p - p, 0), (p * 0, 0)]:
+        assert_clean(r)
+        assert value(r) == expected
+    d = p.diff(i)
+    assert_clean(d)
+    assert d.terms == {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                       for e, c in p.terms.items() if e[i]}
+
+
+def test_constructor_refuses_bad_exponents():
+    with pytest.raises(ValueError, match="does not match nvars=2"):
+        Poly(2, {(1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(2, {(1, -1): 1})
+
+
 def test_ring_identities():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
