@@ -4,7 +4,7 @@ Every subcommand is a thin driver over one library operation: it loads JSON
 configs, runs the corresponding checks with a fixed seed, writes a JSON
 report (single ``timestamp`` field aside, reports are deterministic) plus
 CSV trajectories, and exits 0 only if all certified checks pass.  Exit code
-1 means a check failed; 2 means a usage or config error.
+1 means a failed check or a ``NumericalFailure``; 2 a usage or ``InputError``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from . import counterexample as cx
 from .domain import Box
 from .fields import field_from_spec
 from .flow import CauchyProblem, csv_column, integrate, write_csv, write_trajectory_csv
-from .gates import all_passed, gate
+from .gates import InputError, NumericalFailure, all_passed, gate
 from .gauges import gauge_report, koranyi_norm, smooth_gauge
-from .groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json,
-                     heisenberg, is_heisenberg, json_integer, json_number, json_object)
-from .stepping import IntegratorConfig, NonFiniteRHSError, NonFiniteStateError, StepUnderflowError
+from .groups import (GradedAlgebra, algebra_from_json, heisenberg, is_heisenberg,
+                     json_integer, json_number, json_object)
+from .stepping import IntegratorConfig
 from .uniqueness import (check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
                          verify_equilibrium_condition)
@@ -38,12 +38,9 @@ from .uniqueness import (check_involutive, confinement_check, module_field,
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-class ConfigError(Exception):
-    pass
-
-
-class NonFiniteValueError(ArithmeticError):
+class NonFiniteValueError(NumericalFailure):
     """A report holds a non-finite value, which strict JSON cannot write."""
+    kind = "non_finite_value"
 
 
 def _load_json(path: str, keys: str | None = None) -> dict:
@@ -52,13 +49,14 @@ def _load_json(path: str, keys: str | None = None) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise InputError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise InputError(f"malformed JSON in {path} at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, bytes that are not UTF-8
+        raise InputError(str(exc)) from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"bad config {path}: expected a JSON object at the top level")
+        raise InputError(f"bad config {path}: expected a JSON object at the top level")
     return data if keys is None else json_object(data, keys, "config")
 
 
@@ -68,7 +66,7 @@ def _resolve_group(spec: dict | str | None) -> GradedAlgebra:
         return algebra_from_json(spec)
     if spec in (None, "heisenberg"):
         return heisenberg()
-    raise ConfigError(f"unknown group preset {spec!r}")
+    raise InputError(f"unknown group preset {spec!r}")
 
 
 def _integrator(cfg: dict | None) -> IntegratorConfig:
@@ -77,17 +75,16 @@ def _integrator(cfg: dict | None) -> IntegratorConfig:
                       "unknown integrator options")
     try:
         return IntegratorConfig(**cfg)
-    except ValueError as exc:
-        raise ConfigError(f"bad integrator options: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"bad integrator options: {exc}") from exc
 
 
 def _horizon(cfg: dict, default) -> float:
     """``cfg["horizon"]`` (or ``default``) read by ``json_number``, if positive; else exit 2."""
-    horizon = json_number(cfg.get("horizon", default), "bad horizon")
-    if not horizon > 0:
-        raise ConfigError("bad horizon: expected a positive number, "
-                          f"not {cfg.get('horizon', default)!r}")
-    return horizon
+    value = cfg.get("horizon", default)
+    if not json_number(value, "bad horizon") > 0:
+        raise InputError(f"bad horizon: expected a positive number, not {value!r}")
+    return float(value)
 
 
 def _count(cfg: dict, key: str, default, least: int) -> int:
@@ -95,7 +92,7 @@ def _count(cfg: dict, key: str, default, least: int) -> int:
     ``least``; else exit 2."""
     value = cfg.get(key, default)
     if json_integer(value, f"bad {key}") < least:
-        raise ConfigError(f"bad {key}: expected at least {least}, not {value!r}")
+        raise InputError(f"bad {key}: expected at least {least}, not {value!r}")
     return int(value)
 
 
@@ -112,22 +109,22 @@ def _point(value, dim: int, key: str) -> tuple:
     """``value`` as a point of ``dim`` finite JSON numbers; else exit 2."""
     if isinstance(value, list) and len(value) == dim:
         return tuple(json_number(v, f"bad {key}") for v in value)
-    raise ConfigError(f"bad {key}: expected a list of {dim} numbers, not {value!r}")
+    raise InputError(f"bad {key}: expected a list of {dim} numbers, not {value!r}")
 
 
 def _points(value, dim: int, key: str) -> list:
     """``value`` as a non-empty list of points (see ``_point``); else exit 2."""
     if isinstance(value, list) and value:
         return [_point(p, dim, key) for p in value]
-    raise ConfigError(f"bad {key}: expected a list of points, not {value!r}")
+    raise InputError(f"bad {key}: expected a list of points, not {value!r}")
 
 
 def _field(alg: GradedAlgebra, cfg: dict):
     """The field of ``cfg["field"]`` (see ``field_from_spec``); else exit 2."""
     try:
         return field_from_spec(alg, cfg["field"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad field spec: {str(exc).removeprefix('bad field spec: ')}") from exc
+    except (KeyError, TypeError, InputError) as exc:  # a spec key missing or mistyped
+        raise InputError(f"bad field spec: {str(exc).removeprefix('bad field spec: ')}") from exc
 
 
 def _box(value, dim: int, key: str) -> Box:
@@ -158,7 +155,7 @@ def _emit(report: dict, args, csv_writers=(), verdict: str = "passed") -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"bad --out {args.out}: {exc.strerror}") from exc
+        raise InputError(f"bad --out {args.out}: {exc.strerror}") from exc
     (out / "report.json").write_text(text + "\n")
     _write_csvs(out, csv_writers)
     return code
@@ -275,7 +272,7 @@ def _run_check_gauge(args) -> int:
     alg = _resolve_group(_load_json(args.group) if args.group else None)
     if args.gauge == "koranyi":
         if not is_heisenberg(alg):
-            raise ConfigError("the koranyi gauge requires the Heisenberg preset")
+            raise InputError("the koranyi gauge requires the Heisenberg preset")
         gauge = koranyi_norm
     else:
         gauge = smooth_gauge(alg)
@@ -295,7 +292,6 @@ def _run_integrate(args) -> int:
     horizon = _horizon(cfg, None)
     domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") is not None else None
     icfg = _integrator(cfg.get("integrator"))
-    # CauchyProblem's ValueError (x0 outside the domain) exits 2 in main
     tr = integrate(CauchyProblem(field, x0, horizon, domain), icfg)
     report = {
         "x0": list(x0),
@@ -350,7 +346,7 @@ def _run_involutive(args) -> int:
     mod = check_involutive(alg, basis)
     field = _field(alg, cfg)
     if len(field.coefficients) != mod.rank:
-        raise ConfigError("field must provide one coefficient per basis element")
+        raise InputError("field must provide one coefficient per basis element")
     ambient = module_field(mod, field.coefficients)
     horizon = _horizon(cfg, 1.0)
     icfg = _integrator(cfg.get("integrator"))
@@ -452,16 +448,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-# numerical failures: each exits 1 with a report naming its kind
-_FAILURE_KINDS = {
-    NonFiniteRHSError: "non_finite_rhs",
-    NonFiniteStateError: "non_finite_state",
-    StepUnderflowError: "step_underflow",
-    cx.MonitorViolation: "monitor_violation",
-    NonFiniteValueError: "non_finite_value",
-}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command word first builds that command's parser alone; anything else
@@ -471,20 +457,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    try:
+    try:  # any exception but these two is a bug, and is not caught
         try:
-            # a non-finite value that reaches a solve or a report ends the
-            # command (_FAILURE_KINDS): numpy's warnings would only repeat it
+            # a NumericalFailure reports a non-finite value; numpy's warnings would repeat it
             with np.errstate(all="ignore"):
                 return args.run(args)
-        except tuple(_FAILURE_KINDS) as exc:
-            # t is null for a monitor failed on a whole solve, or a report value
-            failure = {"kind": _FAILURE_KINDS[type(exc)], "message": str(exc),
-                       "t": float(exc.time) if hasattr(exc, "time") else None}
+        except NumericalFailure as exc:
+            failure = {"kind": exc.kind, "message": str(exc), "t": exc.time}
             _emit({"passed": False, "failure": failure}, args)
             print(f"horoflow: numerical failure: {exc}", file=sys.stderr)
             return FAIL
-    except (ConfigError, AlgebraValidationError, ValueError, KeyError) as exc:
+    except InputError as exc:  # also a bad --out met by the failure report's write
         print(f"horoflow: config error: {exc}", file=sys.stderr)
         return USAGE
 

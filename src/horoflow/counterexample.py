@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import HorizontalField, horizontal_field
 from .flow import residual as flow_residual
-from .gates import all_passed, gate
+from .gates import InputError, NumericalFailure, all_passed, gate
 from .gauges import default_distance, distance_to_axis, distance_to_axis_point
 from .groups import heisenberg
 from .scalarmin import minimize_convex_quartic
@@ -51,9 +51,10 @@ RUNG_TOL = 1e-12
 SEPARATION_FACTOR = 1e4
 
 
-class MonitorViolation(RuntimeError):
+class MonitorViolation(NumericalFailure):
     """A proven bound failed along a numerical solution: an integrator failure,
     or, for the integral-form residual, Simpson error of too coarse a grid."""
+    kind = "monitor_violation"
 
 
 # --------------------------------------------------------------------------- coefficients
@@ -240,11 +241,11 @@ class LadderSpec:
 
     def __post_init__(self):
         if self.count < 4:
-            raise ValueError("need at least 4 rungs")
+            raise InputError("need at least 4 rungs")
         if not 0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
+            raise InputError("tau must lie in (0, 1]")
         if self.grid_points < 8:  # the fewest points flow.residual integrates
-            raise ValueError("grid_points must be at least 8")
+            raise InputError("grid_points must be at least 8")
 
     @property
     def epsilons(self) -> tuple:
@@ -281,10 +282,8 @@ def run_epsilon_ladder(spec: LadderSpec = LadderSpec(), variant: str = "time") -
                for i, eps in enumerate(spec.epsilons)]
     for rep in reports:
         if not rep["passed"]:
-            raise MonitorViolation(
-                f"proof-bound monitor failed on rung eps={rep['epsilon']:g}: "
-                f"{', '.join(rep['failures'])}"
-            )
+            raise MonitorViolation(f"proof-bound monitor failed on rung eps={rep['epsilon']:g}: "
+                                   f"{', '.join(rep['failures'])}")
 
     gaps = [float(np.max(np.abs(states[:, i] - states[:, i + 1])))
             for i in range(spec.count - 1)]

@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .gates import InputError
+
 
 @dataclass(frozen=True)
 class Box:
@@ -19,9 +21,9 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi):
-            raise ValueError("box bounds have mismatched lengths")
+            raise InputError("box bounds have mismatched lengths")
         if any(a >= b for a, b in zip(lo, hi)):
-            raise ValueError("degenerate box: every side must have positive length")
+            raise InputError("degenerate box: every side must have positive length")
 
     @property
     def dim(self) -> int:

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .gates import InputError
 from .gauges import default_distance, distance_to_axis, distance_to_axis_point
 from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number, json_object
 from .poly import Poly, evaluator
@@ -95,11 +96,11 @@ class HorizontalField:
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.indices):
-            raise ValueError("one coefficient function per frame index")
+            raise InputError("one coefficient function per frame index")
         q = self.algebra.dim
         for i in self.indices:
             if not 1 <= i <= q:
-                raise ValueError(f"frame index {i} out of range 1..{q}")
+                raise InputError(f"frame index {i} out of range 1..{q}")
 
     @property
     def is_horizontal(self) -> bool:
@@ -119,7 +120,7 @@ def horizontal_field(
     """Field over the full first-layer frame (one coefficient per X_1..X_m)."""
     m = alg.horizontal_dim
     if len(coefficients) != m:
-        raise ValueError(f"expected {m} coefficients for the first layer")
+        raise InputError(f"expected {m} coefficients for the first layer")
     return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)))
 
 
@@ -285,7 +286,7 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
     ``json_number`` refuses, an ``exponents`` entry, ``index`` or ``indices``
     entry that ``json_integer`` refuses, monomial exponents that are negative
     or sum above ``MAX_MONOMIAL_DEGREE``, or a ``point`` of the wrong length
-    raises ValueError naming the form and key; so does a key that the spec
+    raises InputError naming the form and key; so does a key that the spec
     (``coefficients``, ``indices``) or an entry (``FORM_KEYS``) does not read.
     """
     json_object(spec, "coefficients indices", "field spec")
@@ -293,10 +294,10 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
     coeffs = []
     for c in spec["coefficients"]:
         if not isinstance(c, dict):
-            raise ValueError(f"coefficient entry must be an object, not {c!r}")
+            raise InputError(f"coefficient entry must be an object, not {c!r}")
         form = c.get("form")
         if not (isinstance(form, str) and form in FORM_KEYS):
-            raise ValueError(f"unknown coefficient form {form!r}")
+            raise InputError(f"unknown coefficient form {form!r}")
         json_object(c, FORM_KEYS[form], form)
         if form == "constant":
             v = json_number(c["value"], f"{form} value")
@@ -304,9 +305,9 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
         elif form == "monomial":
             expo = tuple(json_integer(e, f"{form} exponents") for e in c["exponents"])
             if len(expo) != alg.dim:
-                raise ValueError("monomial exponents must have one entry per coordinate")
+                raise InputError("monomial exponents must have one entry per coordinate")
             if min(expo) < 0 or sum(expo) > MAX_MONOMIAL_DEGREE:
-                raise ValueError(f"{form} exponents: expected non-negative integers summing "
+                raise InputError(f"{form} exponents: expected non-negative integers summing "
                                  f"to at most {MAX_MONOMIAL_DEGREE}, not {list(expo)}")
             scale = json_number(c.get("scale", 1.0), f"{form} scale")
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
@@ -314,19 +315,19 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
         elif form == "distance_to_point":
             point = c.get("point", [0.0] * alg.dim)
             if not isinstance(point, (list, tuple)) or len(point) != alg.dim:
-                raise ValueError(f"{form} point: expected a list of {alg.dim} numbers, "
+                raise InputError(f"{form} point: expected a list of {alg.dim} numbers, "
                                  f"not {point!r}")
             point = np.array([json_number(v, f"{form} point") for v in point])
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
         elif form in ("axis_distance", "axis_distance_inf"):
             if not is_heisenberg(alg):
-                raise ValueError(f"{form} form requires the Heisenberg preset")
+                raise InputError(f"{form} form requires the Heisenberg preset")
             coeffs.append(distance_to_axis_point if form == "axis_distance"
                           else lambda t, x: distance_to_axis(x))
         else:  # sin_coordinate
             idx = json_integer(c.get("index", 1), f"{form} index") - 1
             if not 0 <= idx < alg.dim:
-                raise ValueError(f"sin_coordinate index {idx + 1} out of range")
+                raise InputError(f"sin_coordinate index {idx + 1} out of range")
             scale = json_number(c.get("scale", 1.0), f"{form} scale")
             coeffs.append(lambda t, x, _i=idx, _s=scale: _s * np.sin(x.T[_i]))
     indices = spec.get("indices")

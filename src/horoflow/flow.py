@@ -15,6 +15,7 @@ import numpy as np
 
 from .domain import Box
 from .fields import HorizontalField, evaluate_field
+from .gates import InputError
 from .stepping import IntegratorConfig, Trajectory, integral_defect, solve_to_grid
 
 
@@ -29,11 +30,11 @@ class CauchyProblem:
         x0 = tuple(float(v) for v in self.x0)
         object.__setattr__(self, "x0", x0)
         if len(x0) != self.field.algebra.dim:
-            raise ValueError("initial point dimension does not match the algebra")
+            raise InputError("initial point dimension does not match the algebra")
         if not self.horizon > 0:  # a NaN horizon is refused too
-            raise ValueError("horizon must be positive")
+            raise InputError("horizon must be positive")
         if self.domain is not None and not self.domain.contains(np.asarray(x0)):
-            raise ValueError("initial point lies outside the domain")
+            raise InputError("initial point lies outside the domain")
 
 
 def integrate(p: CauchyProblem, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gates import all_passed, gate
+from .gates import InputError, all_passed, gate
 from .groups import GradedAlgebra, inverse, is_heisenberg
 from .scalarmin import minimize_convex_quartic
 
@@ -183,11 +183,11 @@ def equivalence_constants(
     X[np.all(X == 0.0, axis=1)] = 1.0  # vanishing samples are useless here
     v1 = g1(X)
     if not np.all(np.isfinite(v1)) or np.any(v1 <= 0):
-        raise ValueError("degenerate gauge: vanishing or non-finite on nonzero samples")
+        raise InputError("degenerate gauge: vanishing or non-finite on nonzero samples")
     unit = alg.dilate(1.0 / v1, X)
     ratios = g2(unit)
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0):
-        raise ValueError("degenerate gauge ratio encountered (0 or infinity)")
+        raise InputError("degenerate gauge ratio encountered (0 or infinity)")
     return float(ratios.min()), float(ratios.max())
 
 

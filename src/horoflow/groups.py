@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .gates import InputError
 from .poly import Poly, Scalar, _frac, evaluator
 
 
-class AlgebraValidationError(ValueError):
+class AlgebraValidationError(InputError):
     """Structure constants violate a required identity."""
 
 
@@ -193,6 +194,8 @@ class GradedAlgebra:
                     acc = [a + v * weight for a, v in zip(acc, nested)]
             Z.append([a * Fraction(1, 2 * n + 2) for a in acc])
             law = [a + z for a, z in zip(law, Z[-1])]
+        if any(abs(c) > sys.float_info.max for p in law for c in p.terms.values()):
+            raise InputError("the group law has a coefficient beyond the float range")
         return tuple(law)
 
     @cached_property
@@ -275,42 +278,40 @@ def is_heisenberg(alg: GradedAlgebra) -> bool:
 
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a finite JSON number (a string or boolean
-    is not); else ValueError naming ``what``."""
+    is not); else InputError naming ``what``."""
     with contextlib.suppress(OverflowError, TypeError):  # a huge int, a non-number
         if not isinstance(value, bool) and math.isfinite(value):
             return float(value)
-    raise ValueError(f"{what}: expected a finite number, not {value!r}")
+    raise InputError(f"{what}: expected a finite number, not {value!r}")
 
 
 def json_integer(value, what: str) -> int:
     """``value`` as an int if it is an integral finite JSON number (``3.0``
-    reads as 3), read whole; else ValueError naming ``what``."""
+    reads as 3), read whole; else InputError naming ``what``."""
     json_number(value, what)
     if value != int(value):
-        raise ValueError(f"{what}: expected an integer, not {value!r}")
+        raise InputError(f"{what}: expected an integer, not {value!r}")
     return int(value)
 
 
 def json_object(value, keys: str, what: str, unknown: str = "") -> dict:
     """``value`` if it is a JSON object with no key outside the names in ``keys``;
-    else ValueError, "bad <what>: ..." or "<unknown, or 'unknown <what> keys'> [...]"."""
+    else InputError, "bad <what>: ..." or "<unknown, or 'unknown <what> keys'> [...]"."""
     if not isinstance(value, dict):
-        raise ValueError(f"bad {what}: expected an object, not {value!r}")
+        raise InputError(f"bad {what}: expected an object, not {value!r}")
     outside = sorted(set(value) - set(keys.split()))
     if outside:
-        raise ValueError(f"{unknown or f'unknown {what} keys'} {outside}")
+        raise InputError(f"{unknown or f'unknown {what} keys'} {outside}")
     return value
 
 
-def algebra_from_json(data: str | dict) -> GradedAlgebra:
+def algebra_from_json(data: dict) -> GradedAlgebra:
     """Load a group spec ``{"layers": [...], "brackets": [...]}`` (1-based indices).
 
     Layers and indices are read by ``json_integer``, coefficients by
     ``json_number`` and kept as given, so an integer constant stays exact.
     The spec, each bracket and each coefficient refuse an unknown key.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     json_object(data, "layers brackets", "group spec")
     if not (isinstance(data.get("layers"), list) and isinstance(data.get("brackets", []), list)):
         raise AlgebraValidationError(

@@ -72,6 +72,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .gates import InputError, NumericalFailure
+
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
 # Dormand-Prince 8(5,3) tableau, copied from Hairer's dop853.f.  Stage s is
@@ -195,17 +197,17 @@ class IntegratorConfig:
         for name in ("abs_tol", "rel_tol", "max_step", "min_step"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, not {value!r}")
+                raise InputError(f"{name} must be a number, not {value!r}")
         grid = self.dense_output_grid
         if isinstance(grid, bool) or not isinstance(grid, Integral):
-            raise ValueError(f"dense_output_grid must be an integer, not {grid!r}")
+            raise InputError(f"dense_output_grid must be an integer, not {grid!r}")
         # written so that a NaN fails them
         if not (self.abs_tol > 0 and self.rel_tol >= 0):
-            raise ValueError("tolerances must be positive")
+            raise InputError("tolerances must be positive")
         if not self.min_step <= self.max_step:
-            raise ValueError("min_step must not exceed max_step")
+            raise InputError("min_step must not exceed max_step")
         if self.dense_output_grid < 2:
-            raise ValueError("dense output grid needs at least two points")
+            raise InputError("dense output grid needs at least two points")
 
     @property
     def gate_tol(self) -> float:
@@ -213,24 +215,18 @@ class IntegratorConfig:
         return 100.0 * self.abs_tol
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(NumericalFailure):
     """A step attempt fell below ``min_step`` or no longer moved t."""
-
-    def __init__(self, t: float, message: str | None = None):
-        self.time = t
-        super().__init__(message or f"step size underflow near t = {t:.12g} "
-                                    "(stiffness or a singular right-hand side)")
+    kind = "step_underflow"
 
 
-class NonFiniteRHSError(RuntimeError):
-    def __init__(self, t: float, message: str | None = None):
-        self.time = t
-        super().__init__(message or f"right-hand side produced a non-finite value at t = {t:.12g}")
+class NonFiniteRHSError(NumericalFailure):
+    kind = "non_finite_rhs"
 
 
 class NonFiniteStateError(NonFiniteRHSError):
-    """An accepted step's end state, or a grid state read from its step, is
-    not finite; ``time`` is the step's start."""
+    """A non-finite step end or grid state read from its step; ``time`` is the step's start."""
+    kind = "non_finite_state"
 
 
 @dataclass
@@ -286,7 +282,7 @@ def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats, slot: np.ndarray
     slot[...] = f(t, y)
     stats.rhs_evals += 1
     if np.vdot(slot, zero) != 0.0:
-        raise NonFiniteRHSError(t)
+        raise NonFiniteRHSError(f"right-hand side produced a non-finite value at t = {t:.12g}", t)
 
 
 def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
@@ -348,10 +344,10 @@ def solve_to_grid(
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with at least two points")
+        raise InputError("grid must be strictly increasing with at least two points")
     y = np.array(y0, dtype=float)
     if inside is not None and not inside(y):
-        raise ValueError("initial state is outside the domain")
+        raise InputError("initial state is outside the domain")
 
     stats = StepStats()
     states = np.empty((len(grid),) + y.shape)
@@ -397,7 +393,8 @@ def solve_to_grid(
             # tolerance so that short steps keep a budget above rounding
             while True:
                 if h_try < min_step or t + h_try == t:
-                    raise StepUnderflowError(t)
+                    raise StepUnderflowError(f"step size underflow near t = {t:.12g} "
+                                             "(stiffness or a singular right-hand side)", t)
                 run_stages(step_stages, t, y, h_try)
                 est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
                 y8 = y + est[0].reshape(y.shape)
@@ -433,7 +430,7 @@ def solve_to_grid(
                     states[j - 1] = y8
             # tested before f is evaluated at y8 for the next step
             if np.vdot(y8, zero) != 0.0 or np.vdot(states[g:j], zeros[g:j]) != 0.0:
-                raise NonFiniteStateError(t, f"non-finite state in the step from t = {t:.12g}")
+                raise NonFiniteStateError(f"non-finite state in the step from t = {t:.12g}", t)
             if not filled:
                 _checked(f, t + h_try, y8, stats, k[12], zero)
             if inside is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import Box
 from .fields import CoefficientFn, HorizontalField, evaluate_field, horizontal_field
-from .gates import all_passed, gate
+from .gates import InputError, all_passed, gate
 from .gauges import default_distance, equivalence_kappa
 from .groups import GradedAlgebra, inverse
 from .poly import _frac
@@ -33,7 +33,7 @@ class ConditionNotCertified(RuntimeError):
     """The degeneracy condition failed to certify; the monitor refuses to run."""
 
 
-class NotInvolutiveError(ValueError):
+class NotInvolutiveError(InputError):
     """A pair of the proposed basis fields fails to commute."""
 
 
@@ -93,9 +93,8 @@ def verify_equilibrium_condition(
             bad = ~np.isfinite(ratios)
             if bad.any():
                 row, col = divmod(int(np.argmax(bad)), len(times))
-                raise NonFiniteRHSError(times[col], "field coefficient non-finite at "
-                                                    f"t = {times[col]:.12g}, "
-                                                    f"x = {XS[keep][row].tolist()}")
+                raise NonFiniteRHSError(f"field coefficient non-finite at t = {times[col]:.12g}, "
+                                        f"x = {XS[keep][row].tolist()}", times[col])
             scale_maxima.append(float(np.max(ratios, initial=0.0)))
 
     rows = [gate("last_scale_maximum", scale_maxima[-1], "<=",
@@ -143,7 +142,10 @@ def stability_monitor(
 
     kappa = equivalence_kappa(alg)
     c_integral = cond["estimated_c"] * horizon
-    bound = kappa * math.exp(kappa * c_integral)
+    try:
+        bound = kappa * math.exp(kappa * c_integral)
+    except OverflowError:  # an inf bound certifies nothing: the report cannot hold it
+        bound = math.inf
 
     sol = solve_to_grid(lambda t, x: evaluate_field(field, t, x),
                         np.linspace(0.0, horizon, cfg.dense_output_grid), starts, cfg)
@@ -188,17 +190,17 @@ def check_involutive(alg: GradedAlgebra, basis: Sequence[Sequence[float]]) -> In
     structure constants (rational arithmetic).
     """
     if not basis:
-        raise ValueError("need at least one basis field")
+        raise InputError("need at least one basis field")
     q, m = alg.dim, alg.horizontal_dim
     vecs = [np.asarray(v, dtype=float) for v in basis]
     for v in vecs:
         if v.shape != (q,):
-            raise ValueError(f"basis vector has wrong length {v.shape}")
+            raise InputError(f"basis vector has wrong length {v.shape}")
         if np.any(v[m:] != 0.0):
-            raise ValueError("basis field is not horizontal (support beyond the first layer)")
+            raise InputError("basis field is not horizontal (support beyond the first layer)")
     V = np.array(vecs).T
     if np.linalg.matrix_rank(V) < len(vecs):
-        raise ValueError("basis fields are linearly dependent")
+        raise InputError("basis fields are linearly dependent")
 
     exact = [[_frac(c) for c in v.tolist()] for v in vecs]
     for a, b in itertools.combinations(range(len(vecs)), 2):

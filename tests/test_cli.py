@@ -17,7 +17,7 @@ from horoflow import cli
 from horoflow import counterexample as cx
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import write_trajectory_csv
-from horoflow.gates import gate
+from horoflow.gates import InputError, NumericalFailure, gate
 from horoflow.stepping import IntegratorConfig, Trajectory
 
 HEIS_GROUP = {
@@ -558,6 +558,85 @@ def test_equilibrium_non_finite_coefficient_writes_report(tmp_path, capsys):
     assert "numerical failure" in err and "Traceback" not in err
 
 
+def linear_growth_config(tmp_path, scale, start):
+    """x1' = scale x1 at the origin of the Heisenberg group: its degeneracy
+    constant is close to ``scale``, so its Gronwall bound overflows a float
+    once kappa c T = 1.19 scale passes 709.78."""
+    cfg = {"group": "heisenberg",
+           "field": {"coefficients": [{"form": "monomial", "exponents": [1, 0, 0],
+                                       "scale": scale}, ZERO]},
+           "equilibrium_point": [0, 0, 0], "box": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
+           "initial_points": [start], "samples": 200}
+    cpath = tmp_path / f"growth{scale}.json"
+    cpath.write_text(json.dumps(cfg))
+    return cpath
+
+
+@pytest.mark.parametrize("start, kind", [
+    # the bound is inf, which passes the ratio gate; the start then blows up
+    # (x1 = 1e-3 e^(1000 t) passes 1e300 near t = 0.7) and the step underflows
+    ([0.001, 0, 0], "step_underflow"),
+    # a start at the point stays there, and the report cannot hold the inf bound
+    ([0, 0, 0], "non_finite_value"),
+])
+def test_an_overflowing_gronwall_bound_ends_in_a_failure_report(tmp_path, capsys, start, kind):
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config", str(linear_growth_config(tmp_path, 1000, start)),
+                 "--out", str(out)]) == 1
+    failure = read_strict_report(out)["failure"]
+    if kind == "step_underflow":
+        t = failure["t"]
+        assert t == pytest.approx(0.704, abs=0.01)
+        message = (f"step size underflow near t = {t:.12g} "
+                   "(stiffness or a singular right-hand side)")
+    else:
+        t, message = None, "the report holds a non-finite value: stability.certified_bound = inf"
+    assert failure == {"kind": kind, "message": message, "t": t}
+    assert capsys.readouterr().err == f"horoflow: numerical failure: {message}\n"
+
+
+def test_a_large_finite_gronwall_bound_still_certifies(tmp_path):
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--config",
+                 str(linear_growth_config(tmp_path, 100, [0.001, 0, 0])),
+                 "--out", str(out)]) == 0
+    assert read_strict_report(out)["stability"]["certified_bound"] == pytest.approx(1.437e51,
+                                                                                   rel=1e-3)
+
+
+@pytest.mark.parametrize("bug", [ValueError("operands could not be broadcast together"),
+                                 KeyError("rows")])
+def test_a_library_bug_is_not_bad_input(tmp_path, capsys, monkeypatch, bug):
+    # only an InputError exits 2: any other exception escapes main
+    def integrate(*args):
+        raise bug
+    monkeypatch.setattr(cli, "integrate", integrate)
+    with pytest.raises(type(bug)) as exc:
+        main(["integrate", "--config", str(integrate_config(tmp_path)),
+              "--out", str(tmp_path / "out")])
+    assert exc.value is bug
+    assert capsys.readouterr().err == ""
+
+
+def test_each_numerical_failure_names_its_report_kind():
+    from horoflow.stepping import NonFiniteRHSError, NonFiniteStateError, StepUnderflowError
+    kinds = {NonFiniteRHSError: "non_finite_rhs", NonFiniteStateError: "non_finite_state",
+             StepUnderflowError: "step_underflow", cx.MonitorViolation: "monitor_violation",
+             cli.NonFiniteValueError: "non_finite_value"}
+    for cls, kind in kinds.items():
+        assert issubclass(cls, NumericalFailure) and cls.kind == kind
+        exc = cls("message", 0.5)
+        assert (str(exc), exc.time) == ("message", 0.5)
+    assert cx.MonitorViolation("on a whole solve").time is None
+
+
+def test_every_input_error_is_a_value_error():
+    from horoflow.groups import AlgebraValidationError
+    from horoflow.uniqueness import NotInvolutiveError
+    for cls in (AlgebraValidationError, NotInvolutiveError):
+        assert issubclass(cls, InputError) and issubclass(cls, ValueError)
+
+
 def involutive_config(tmp_path, **overrides):
     cfg = {
         "group": "heisenberg",
@@ -853,6 +932,16 @@ def bad_input_argv(tmp_path, case):
         return ["check-gauge", "--gauge", "koranyi", "--group", str(tmp_path / "g.json")]
     if case == "tau-above-one":
         return ["counterexample", "--tau", "2"]
+    if case == "config-not-utf-8":
+        (tmp_path / "latin1.json").write_bytes(b'{"group": "\xff"}')
+        return ["integrate", "--config", str(tmp_path / "latin1.json")]
+    if case == "config-is-a-directory":
+        return ["integrate", "--config", str(tmp_path)]
+    if case == "law-beyond-float":
+        # [e1, e2] = c e3 and [e1, e3] = c e4: the law holds c^2 = 1e616
+        (tmp_path / "g.json").write_text(json.dumps({"layers": [2, 1, 1], "brackets": [
+            {"i": 1, "j": k, "coeffs": [{"k": k + 1, "c": 1e308}]} for k in (2, 3)]}))
+        return ["check-group", "--group", str(tmp_path / "g.json")]
     command, key, value = {
         "unknown-preset": ("integrate", "group", "engel"),
         "coefficient-count": ("involutive", "field", {"coefficients": [ZERO, ZERO],
@@ -876,6 +965,8 @@ def bad_input_argv(tmp_path, case):
             {"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 2}]}]}),
         "dependent-basis": ("involutive", "basis", [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
         "field-not-an-object": ("integrate", "field", []),
+        # the 1,025 grid times of a horizon of 1e-320 are not all distinct
+        "subnormal-horizon": ("integrate", "horizon", 1e-320),
     }[case]
     cpath = config_path(command, tmp_path, key, value)
     if case == "axis-off-heisenberg":
@@ -902,6 +993,10 @@ BAD_INPUTS = [
     ("repeated-bracket", "duplicate bracket entry for (1,2)"),
     ("dependent-basis", "basis fields are linearly dependent"),
     ("field-not-an-object", "bad field spec: expected an object, not []"),
+    ("subnormal-horizon", "grid must be strictly increasing with at least two points"),
+    ("config-not-utf-8", "'utf-8' codec can't decode byte 0xff in position 11"),
+    ("config-is-a-directory", "[Errno 21] Is a directory: "),
+    ("law-beyond-float", "the group law has a coefficient beyond the float range"),
 ]
 
 

@@ -149,6 +149,19 @@ def test_monitor_fails_a_ratio_above_its_bound(heis, heis_dist):
     assert not rep["passed"]
 
 
+def test_an_overflowing_gronwall_bound_is_inf(heis, heis_dist):
+    # kappa c T = 1.19 * 600 = 714 > 709.78: math.exp overflows, and the bound
+    # reads inf, which certifies nothing (a report cannot hold it) instead of
+    # raising OverflowError out of the monitor
+    b = gauge_coefficient_field(heis, heis_dist)
+    cond = dict(verify_equilibrium_condition(b, np.zeros(3), BOX, 50, seed=3), estimated_c=600.0)
+    rep = stability_monitor(b, np.zeros(3), cond, [(0.0, 0.0, 0.0)], CFG, 1.0)
+    assert rep["certified_bound"] == math.inf and rep["c_integral"] == 600.0
+    just_below = dict(cond, estimated_c=709.0 / equivalence_kappa(heis))
+    assert math.isfinite(stability_monitor(b, np.zeros(3), just_below, [(0.0, 0.0, 0.0)],
+                                           CFG, 1.0)["certified_bound"])
+
+
 def test_monitor_refuses_uncertified_condition(heis):
     b = horizontal_field(heis, (lambda t, x: 1.0, lambda t, x: 0.0))
     cond = verify_equilibrium_condition(b, np.zeros(3), BOX, 200, seed=3)
