@@ -29,7 +29,7 @@ from .flow import CauchyProblem, csv_column, integrate, write_csv, write_traject
 from .gates import InputError, NumericalFailure, all_passed, gate
 from .gauges import gauge_report, koranyi_norm, smooth_gauge
 from .groups import (GradedAlgebra, algebra_from_json, heisenberg, is_heisenberg,
-                     json_integer, json_number, json_object)
+                     json_integer, json_number, json_object, json_point)
 from .stepping import IntegratorConfig
 from .uniqueness import (check_involutive, confinement_check, module_field,
                          reduced_solve, stability_monitor,
@@ -105,17 +105,10 @@ def _decimal(least: int, what: str):
     return parse
 
 
-def _point(value, dim: int, key: str) -> tuple:
-    """``value`` as a point of ``dim`` finite JSON numbers; else exit 2."""
-    if isinstance(value, list) and len(value) == dim:
-        return tuple(json_number(v, f"bad {key}") for v in value)
-    raise InputError(f"bad {key}: expected a list of {dim} numbers, not {value!r}")
-
-
 def _points(value, dim: int, key: str) -> list:
-    """``value`` as a non-empty list of points (see ``_point``); else exit 2."""
+    """``value`` as a non-empty list of points (see ``json_point``); else exit 2."""
     if isinstance(value, list) and value:
-        return [_point(p, dim, key) for p in value]
+        return [json_point(p, dim, f"bad {key}") for p in value]
     raise InputError(f"bad {key}: expected a list of points, not {value!r}")
 
 
@@ -130,7 +123,7 @@ def _field(alg: GradedAlgebra, cfg: dict):
 def _box(value, dim: int, key: str) -> Box:
     """A ``{"lo": point, "hi": point}`` object as a Box; else exit 2."""
     value = json_object(value, "lo hi", key)
-    return Box(*(_point(value.get(end), dim, f"{key}.{end}") for end in ("lo", "hi")))
+    return Box(*(json_point(value.get(end), dim, f"bad {key}.{end}") for end in ("lo", "hi")))
 
 
 def _gated(rows: list) -> dict:
@@ -288,7 +281,7 @@ def _run_integrate(args) -> int:
     cfg = _load_json(args.config, "group field x0 horizon domain integrator")
     alg = _resolve_group(cfg.get("group"))
     field = _field(alg, cfg)
-    x0 = _point(cfg.get("x0"), alg.dim, "x0")
+    x0 = json_point(cfg.get("x0"), alg.dim, "bad x0")
     horizon = _horizon(cfg, None)
     domain = _box(cfg["domain"], alg.dim, "domain") if cfg.get("domain") is not None else None
     icfg = _integrator(cfg.get("integrator"))
@@ -313,8 +306,8 @@ def _run_equilibrium(args) -> int:
                                   "samples seed horizon integrator")
     alg = _resolve_group(cfg.get("group"))
     field = _field(alg, cfg)
-    xbar = np.array(_point(cfg.get("equilibrium_point", [0.0] * alg.dim), alg.dim,
-                           "equilibrium_point"))
+    xbar = np.array(json_point(cfg.get("equilibrium_point", [0.0] * alg.dim), alg.dim,
+                               "bad equilibrium_point"))
     box = _box(cfg.get("box"), alg.dim, "box")
     starts = _points(cfg.get("initial_points"), alg.dim, "initial_points")
     samples = _count(cfg, "samples", 2000, 1)
@@ -342,7 +335,7 @@ def _run_involutive(args) -> int:
     cfg = _load_json(args.config, "group basis x0 field horizon integrator")
     alg = _resolve_group(cfg.get("group"))
     basis = _points(cfg.get("basis"), alg.dim, "basis")
-    x0 = _point(cfg.get("x0"), alg.dim, "x0")
+    x0 = json_point(cfg.get("x0"), alg.dim, "bad x0")
     mod = check_involutive(alg, basis)
     field = _field(alg, cfg)
     if len(field.coefficients) != mod.rank:

@@ -244,8 +244,8 @@ class LadderSpec:
             raise InputError("need at least 4 rungs")
         if not 0 < self.tau <= 1.0:
             raise InputError("tau must lie in (0, 1]")
-        if self.grid_points < 8:  # the fewest points flow.residual integrates
-            raise InputError("grid_points must be at least 8")
+        if self.grid_points < 2:  # the fewest points solve_to_grid takes
+            raise InputError("grid_points must be at least 2")
 
     @property
     def epsilons(self) -> tuple:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .gates import InputError
 from .gauges import default_distance, distance_to_axis, distance_to_axis_point
-from .groups import GradedAlgebra, inverse, is_heisenberg, json_integer, json_number, json_object
+from .groups import (GradedAlgebra, inverse, is_heisenberg, json_integer, json_number,
+                     json_object, json_point)
 from .poly import Poly, evaluator
 
 CoefficientFn = Callable[[object, np.ndarray], object]  # see the module docstring
@@ -313,11 +314,7 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
             coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])
         elif form == "distance_to_point":
-            point = c.get("point", [0.0] * alg.dim)
-            if not isinstance(point, (list, tuple)) or len(point) != alg.dim:
-                raise InputError(f"{form} point: expected a list of {alg.dim} numbers, "
-                                 f"not {point!r}")
-            point = np.array([json_number(v, f"{form} point") for v in point])
+            point = np.array(json_point(c.get("point", [0.0] * alg.dim), alg.dim, f"{form} point"))
             coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
         elif form in ("axis_distance", "axis_distance_inf"):
             if not is_heisenberg(alg):

@@ -294,6 +294,14 @@ def json_integer(value, what: str) -> int:
     return int(value)
 
 
+def json_point(value, dim: int, what: str) -> tuple:
+    """``value`` as a tuple of ``dim`` floats if it is a list or tuple of
+    ``dim`` finite JSON numbers; else InputError naming ``what``."""
+    if isinstance(value, (list, tuple)) and len(value) == dim:
+        return tuple(json_number(v, what) for v in value)
+    raise InputError(f"{what}: expected a list of {dim} numbers, not {value!r}")
+
+
 def json_object(value, keys: str, what: str, unknown: str = "") -> dict:
     """``value`` if it is a JSON object with no key outside the names in ``keys``;
     else InputError, "bad <what>: ..." or "<unknown, or 'unknown <what> keys'> [...]"."""

@@ -461,8 +461,8 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Even cumulative indices agree with classical composite Simpson; odd
     indices take the first half of the pair's quadratic.  A trailing odd
-    interval uses the quadratic through the last three points.  Handles
-    non-uniform spacing.
+    interval uses the quadratic through the last three points, and two
+    points take the trapezoid rule.  Handles non-uniform spacing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

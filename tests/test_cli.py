@@ -218,6 +218,21 @@ def test_integrate_residual_is_gated_at_gate_tol(tmp_path, grid, code):
     assert residual < 10.0 * gate and (residual > gate) is (code == 1)
 
 
+@pytest.mark.parametrize("overrides", [
+    *({"integrator": {"dense_output_grid": n}} for n in range(2, 8)),
+    # x1' = 1 from 0.9995 leaves the box [-1, 1]^3 at t = 5e-4, before the
+    # second of 1,025 grid times
+    {"x0": [0.9995, 0, 0], "domain": {"lo": [-1, -1, -1], "hi": [1, 1, 1]}}],
+    ids=[*(f"grid-{n}" for n in range(2, 8)), "box-exit"])
+def test_integrate_measures_the_residual_on_a_short_grid(tmp_path, overrides):
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(integrate_config(tmp_path, **overrides)),
+                 "--out", str(out)]) == 0
+    rep = read_strict_report(out)
+    assert isinstance(rep["residual"], float) and rep["residual"] <= IntegratorConfig().gate_tol
+    assert rep["meta"]["exited"] is ("domain" in overrides and "x0" in overrides)
+
+
 def test_integrate_writes_trajectory(tmp_path):
     cfg = {
         "group": "heisenberg",
@@ -840,6 +855,28 @@ def test_bad_point_is_usage_error(tmp_path, capsys, command, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("integrate", "x0", [0, 1], "bad x0: expected a list of 3 numbers, not [0, 1]"),
+    ("integrate", "x0", [0, "1", 0], "bad x0: expected a finite number, not '1'"),
+    ("integrate", "domain", {"lo": [-1, -1], "hi": [1, 1, 1]},
+     "bad domain.lo: expected a list of 3 numbers, not [-1, -1]"),
+    ("equilibrium", "equilibrium_point", (0, 0, None),
+     "bad equilibrium_point: expected a finite number, not None"),
+    ("equilibrium", "initial_points", [[0.01, 0, 0], 5],
+     "bad initial_points: expected a list of 3 numbers, not 5"),
+    ("involutive", "basis", [[1, 0]], "bad basis: expected a list of 3 numbers, not [1, 0]"),
+    ("integrate", "field", {"coefficients": [{"form": "distance_to_point", "point": [0, 0]},
+                                             {"form": "constant", "value": 0.0}]},
+     "bad field spec: distance_to_point point: expected a list of 3 numbers, not [0, 0]"),
+    ("integrate", "field", {"coefficients": [{"form": "distance_to_point", "point": [0, True, 0]},
+                                             {"form": "constant", "value": 0.0}]},
+     "bad field spec: distance_to_point point: expected a finite number, not True")])
+def test_every_point_is_read_by_one_rule(tmp_path, capsys, command, key, value, message):
+    cpath = config_path(command, tmp_path, key, value)
+    assert main([command, "--config", str(cpath), "--json"]) == 2
+    assert capsys.readouterr().err == f"horoflow: config error: {message}\n"
+
+
 FILIFORM_GROUP = {"layers": [2, 1, 1],
                   "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}]},
                                {"i": 1, "j": 3, "coeffs": [{"k": 4, "c": 1}]}]}
@@ -1357,10 +1394,22 @@ def test_count_flags_take_decimal_integers_only(capsys, flag, value):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--rungs", "3", "need at least 4 rungs"), ("--rungs", "0", "need at least 4 rungs"),
-    ("--grid", "7", "grid_points must be at least 8")])
+    ("--grid", "1", "grid_points must be at least 2")])
 def test_count_flags_keep_the_ladder_range_checks(capsys, flag, value, message):
     assert main(["counterexample", flag, value, "--json"]) == 2
     assert capsys.readouterr().err == f"horoflow: config error: {message}\n"
+
+
+@pytest.mark.parametrize("variant", ["time", "autonomous"])
+def test_counterexample_on_two_grid_points_ends_in_a_report(tmp_path, variant):
+    # on two grid points the rungs' residuals are trapezoid sums: the exhibit
+    # is measured and may fail, but it is not refused as bad input
+    out = tmp_path / "out"
+    code = main(["counterexample", "--variant", variant, "--rungs", "4", "--tau", "0.2",
+                 "--grid", "2", "--out", str(out)])
+    assert code in (0, 1)
+    rep = read_strict_report(out)
+    assert rep.get("nonuniqueness_certified", rep.get("passed")) is (code == 0)
 
 
 def numpy_dispatch_targets():

@@ -1,12 +1,14 @@
-"""Every config that ``integrate``, ``equilibrium`` and ``involutive`` read ends
-in exit 0, 1 or 2: bad input exits 2 and writes nothing, every other run
-writes a strict-JSON report, and no exception escapes ``main``.
+"""Every run of the six commands ends in exit 0, 1 or 2: bad input exits 2
+and writes nothing, every other run writes a strict-JSON report, and no
+exception escapes ``main``.
 
-The configs draw group presets and specs, every coefficient form, wrong
-types and magnitudes from subnormal to 1e308.  Coordinates stay at 0, near
-1 or at +-1e308, and scales skip the range between 100 and 1e300: a field
-there that oscillates, or a state near 1e10 whose rounding makes the field
-jump, takes more steps than a test can wait for."""
+The configs of ``integrate``, ``equilibrium`` and ``involutive`` draw group
+presets and specs, every coefficient form, wrong types and magnitudes from
+subnormal to 1e308.  Coordinates stay at 0, near 1 or at +-1e308, and scales
+skip the range between 100 and 1e300: a field there that oscillates, or a
+state near 1e10 whose rounding makes the field jump, takes more steps than a
+test can wait for.  ``check-group`` and ``check-gauge`` draw their flags and a
+group spec from a fixed list, and ``counterexample`` small ladders."""
 
 import json
 import tempfile
@@ -132,20 +134,75 @@ def refuse(name):
     raise ValueError(f"report.json holds {name}")
 
 
+def run_ends_in_an_exit_code_and_a_strict_report(argv, files=()):
+    """Run ``main(argv + ["--out", <out>])``, with each ``{name}`` in ``argv``
+    the path of a file named ``name`` holding its text from ``files``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files:
+            (Path(tmp) / name).write_text(text)
+        out = Path(tmp) / "out"
+        code = main([a.format_map({name: str(Path(tmp) / name) for name, _ in files})
+                     for a in argv] + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        # the exhibit's verdict is its own key; a failure report's is "passed"
+        assert report.get("nonuniqueness_certified", report.get("passed")) is (code == 0)
+        assert "failure" not in report or report["failure"]["kind"] in KINDS
+
+
 @settings(max_examples=150)
 @given(case=configs())
 @example(case=("equilibrium", linear_growth([0.001, 0, 0])))
 @example(case=("equilibrium", linear_growth([0, 0, 0])))
 def test_every_config_ends_in_an_exit_code_and_a_strict_report(case):
     command, text = case
-    with tempfile.TemporaryDirectory() as tmp:
-        cpath, out = Path(tmp) / "config.json", Path(tmp) / "out"
-        cpath.write_text(text)
-        code = main([command, "--config", str(cpath), "--out", str(out)])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert not out.exists()
-            return
-        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
-        assert report["passed"] is (code == 0)
-        assert "failure" not in report or report["failure"]["kind"] in KINDS
+    run_ends_in_an_exit_code_and_a_strict_report([command, "--config", "{config}"],
+                                                 [("config", text)])
+
+
+def filiform(step):
+    """The filiform spec of ``step``: [e1, e_k] = e_(k+1) for k = 2..step."""
+    return json.dumps({"layers": [2] + [1] * (step - 1), "brackets": [
+        {"i": 1, "j": k, "coeffs": [{"k": k + 1, "c": 1}]} for k in range(2, step + 1)]})
+
+
+# group spec files: Heisenberg, filiform steps 2-7, abelian, a bracket whose
+# products overflow, and specs that are not JSON, not an object or not a graded
+# algebra; None passes no --group
+GROUP_FILES = [None, '{"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, '
+               '"c": 2}]}]}', *map(filiform, range(2, 8)), '{"layers": [3]}',
+               '{"layers": [2, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, '
+               '"c": 1e308}]}]}', *BAD_GROUPS, "{", "[]",
+               '{"layers": [2, 1], "brackets": [{"i": 1, "j": 2}]}',
+               '{"layers": [2, 1], "brackets": [{"i": 2, "j": 1, "coeffs": [{"k": 1, "c": 1}]}]}']
+# a flag value that argparse refuses in about one draw in ten
+COUNTS = st.integers(0, 9).flatmap(lambda k: st.sampled_from(["-1", "1.5", "x", "1_0"]) if k == 0
+                                   else st.integers(0, 300).map(str))
+TAUS = ["0.2", "1", "1e-300", "-1", "0", "1.5", "nan", "inf"]
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["check-group", "check-gauge"]), group=st.sampled_from(GROUP_FILES),
+       samples=COUNTS, seed=COUNTS, gauge=st.sampled_from(["koranyi", "smooth"]))
+@example(command="check-gauge", group=GROUP_FILES[9], samples="50", seed="0", gauge="smooth")
+@example(command="check-group", group=GROUP_FILES[7], samples="300", seed="0", gauge="koranyi")
+def test_every_sampled_check_ends_in_an_exit_code_and_a_strict_report(command, group, samples,
+                                                                      seed, gauge):
+    argv = [command, "--samples", samples, "--seed", seed]
+    argv += ["--gauge", gauge] if command == "check-gauge" else []
+    argv += [] if group is None else ["--group", "{group}"]
+    run_ends_in_an_exit_code_and_a_strict_report(argv, [] if group is None else [("group", group)])
+
+
+# rungs and tau that LadderSpec accepts in about half of the draws
+@settings(max_examples=120)
+@given(variant=st.sampled_from(["time", "autonomous"]),
+       rungs=st.integers(4, 8) | st.integers(0, 8), grid=st.integers(0, 64),
+       tau=st.sampled_from(TAUS[:3]) | st.sampled_from(TAUS))
+def test_every_small_ladder_ends_in_an_exit_code_and_a_strict_report(variant, rungs, grid, tau):
+    run_ends_in_an_exit_code_and_a_strict_report(
+        ["counterexample", "--variant", variant, "--rungs", str(rungs), "--grid", str(grid),
+         "--tau", tau])

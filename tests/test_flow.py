@@ -134,11 +134,19 @@ def test_residual_flags_non_solution(heis):
     assert res == pytest.approx(1.0, rel=1e-10)  # defect |b| * T at the end
 
 
-def test_residual_needs_enough_samples(heis):
-    t = np.linspace(0.0, 1.0, 4)
-    tr = Trajectory(t, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="coarse"):
-        residual(tr, x1_field(heis))
+def test_residual_on_two_and_three_points_is_the_trapezoid_and_simpson_sum(heis):
+    # x' = t^4 X1, and X1 = (1, 0, 0) where x2 = 0, so f = (t^4, 0, 0) on
+    # every state below.  On t = 0, 2 the trapezoid sum is (2/2)(0 + 16) = 16
+    # (the integral is 6.4).  On t = 0, 1, 2 Simpson's sum is
+    # (2/6)(0 + 4 + 16) = 20/3, and the first half of its quadratic
+    # 7 t^2 - 6 t is 7/3 - 3 = -2/3
+    b = horizontal_field(heis, (lambda t, x: t**4, lambda t, x: 0.0))
+    assert residual(Trajectory(np.array([0.0, 2.0]), np.zeros((2, 3))), b) == 16.0
+    t = np.array([0.0, 1.0, 2.0])
+    assert residual(Trajectory(t, np.zeros((3, 3))), b) == pytest.approx(20 / 3, rel=1e-15)
+    states = np.zeros((3, 3))
+    states[2, 0] = 20 / 3  # the end state meets Simpson's sum, the midpoint misses its half
+    assert residual(Trajectory(t, states), b) == pytest.approx(2 / 3, rel=1e-14)
 
 
 def test_residual_counterexample_adaptive_tolerance(heis):

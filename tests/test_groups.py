@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from horoflow.gates import InputError
 from horoflow.groups import (AlgebraValidationError, GradedAlgebra, algebra_from_json, heisenberg,
-                             inverse)
+                             inverse, json_point)
 from horoflow.poly import Poly
 
 coords = st.floats(-10, 10, allow_nan=False)
@@ -379,3 +380,15 @@ def test_multiply_batch_refuses_shapes_without_one_row_count(heis, shapes):
     X, Y = (np.ones(shape) for shape in shapes)
     with pytest.raises(ValueError):
         heis.multiply_batch(X, Y)
+
+
+def test_json_point_reads_a_list_or_tuple_of_finite_numbers():
+    assert json_point([1, 2.5, -0.0], 3, "p") == (1.0, 2.5, -0.0)
+    assert json_point((1, 2), 2, "p") == (1.0, 2.0)
+    for value, message in ((None, "p: expected a list of 2 numbers, not None"),
+                           ([1, 2, 3], "p: expected a list of 2 numbers, not [1, 2, 3]"),
+                           ([1, float("inf")], "p: expected a finite number, not inf"),
+                           ([1, True], "p: expected a finite number, not True")):
+        with pytest.raises(InputError) as info:
+            json_point(value, 2, "p")
+        assert str(info.value) == message
