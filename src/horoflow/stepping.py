@@ -32,6 +32,15 @@ the tolerance tried from 1 down to 0.15, some single rung of the ladder
 still read grid states more than its tolerance away from a tight solve.
 Rejected steps cost 11 evaluations, or 15 if they fill grid times.
 
+Grid states are not filled step by step.  An accepted step that passes grid
+times keeps its interpolant's coefficients, and one elementwise pass fills
+the grid states of all waiting steps: once they hold ``_FILL_BLOCK`` state
+entries, at the end of the solve, and before any failure is raised.  With
+a domain every such step is filled at once, as its grid states are tested
+for the exit before f is evaluated for the next step.  Each grid state
+comes from the same operations in the same order as a fill from that one
+step would, so it is the same to the bit.
+
 Guard.  Every step attempt, first try or retry, that is shorter than
 ``min_step`` or no longer moves t (t + h == t) raises
 ``StepUnderflowError``, as dop853's "step size too small" test does: past
@@ -40,11 +49,19 @@ blow-up.  (dop853 stops at ten units of rounding of t.)  Every right-hand
 side value with an inf or NaN entry raises ``NonFiniteRHSError`` at its
 stage's time, and a non-finite accepted step end or filled grid state (a
 finite slope can overflow) its subclass ``NonFiniteStateError`` at the
-step's start.  That test is one dot product with a zero array, and it is
-exact: 0 x is NaN exactly when x is inf or NaN and a signed zero otherwise,
-so the dot is NaN exactly when some entry is not finite and a zero
-otherwise.  It forms no sum of the entries themselves, so finite entries
-near the float maximum cannot overflow it.
+step's start.  A step end is tested when its step is accepted, before f is
+evaluated there for the next step; grid states are tested when they are
+filled, so a step whose interpolant overflows may be followed by more
+steps of its block, but its failure is still the one reported: any later
+failure first fills the waiting steps.  The test of a slope or a step end
+is one dot product with a zero array, and it is exact: 0 x is NaN exactly
+when x is inf or NaN and a signed zero otherwise, so the dot is NaN exactly
+when some entry is not finite and a zero otherwise.  It forms no sum of the
+entries themselves, so finite entries near the float maximum cannot
+overflow it.
+
+A grid whose first spacing is below ``min_step`` is refused as bad input:
+the first step is at most that spacing, so no step could start.
 
 Local error is budgeted per unit time: a step of length h on a span of
 length L may make an error of ``h / L`` times the tolerance, so the defects
@@ -65,6 +82,7 @@ config holds the only defaults of those settings and the only checks on them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -182,6 +200,7 @@ _STRETCH = 1.01  # a last step within 1 % of the horizon is stretched onto it
 _BUDGET_FLOOR = 0.01  # least share of the tolerance one step may spend (module docstring)
 _DENSE_WEIGHT = 0.002  # weight of r7 in the interpolant error test (module docstring)
 _EXIT_TOL = 1e-10  # width in time of the bracket that locates a domain exit
+_FILL_BLOCK = 1024  # state entries filled by one pass over waiting steps (module docstring)
 
 
 @dataclass(frozen=True)
@@ -275,14 +294,27 @@ class Trajectory:
         return self.states[-1]
 
 
-def _checked(f: RHS, t: float, y: np.ndarray, stats: StepStats, slot: np.ndarray,
-             zero: np.ndarray) -> None:
-    """Store f(t, y) in the stage slope ``slot``; ``zero`` is a zero array of
-    its size, for the finiteness test of the module docstring."""
-    slot[...] = f(t, y)
-    stats.rhs_evals += 1
-    if np.vdot(slot, zero) != 0.0:
-        raise NonFiniteRHSError(f"right-hand side produced a non-finite value at t = {t:.12g}", t)
+def _contd8_coefficients(y, y8, h, k, c) -> None:
+    """Write the coefficients of Hairer's ``contd8`` on one step of length h
+    from y into c[0:8]: y, y8 - y, r2, ..., r7 (see ``dop853_dense``)."""
+    c[0] = y
+    dy = np.subtract(y8, y, out=c[1])
+    c[2] = h * k[0] - dy
+    c[3] = 2.0 * dy - h * (k[12] + k[0])
+    c[4:] = h * (_D @ k.reshape(16, -1)).reshape((4,) + y.shape)
+
+
+def _contd8(s, coef, out=None):
+    """Hairer's ``contd8`` at step fractions s (shaped to broadcast against the
+    coefficients), from the inside out: coef(l) gives coefficient l of
+    ``_contd8_coefficients``; returns ``out``, or a new array."""
+    s1 = 1.0 - s
+    out = np.multiply(s, coef(7), out=out)
+    for l in range(6, 0, -1):
+        out += coef(l)
+        out *= s if l % 2 else s1
+    out += coef(0)
+    return out
 
 
 def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
@@ -291,18 +323,16 @@ def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
     ``k`` holds the 16 stage slopes: k[12] is the FSAL slope f(t+h, y8) and
     k[13:16] are the extension's own stages.  Returns a function of the step
     fraction theta (a number or a 1-D array) giving the seventh-order state
-    at t + theta h, in Hairer's ``contd8`` form: it takes y and y8 at theta =
-    0 and 1, with slopes k[0] and k[12] there.
+    at t + theta h, in Hairer's ``contd8`` form
+    y + s (dy + s1 (r2 + s (r3 + s1 (r4 + s (r5 + s1 (r6 + s r7)))))), with
+    s1 = 1 - s: it takes y and y8 at theta = 0 and 1, with slopes k[0] and
+    k[12] there.
     """
-    dy = y8 - y
-    r2 = h * k[0] - dy
-    r3 = 2.0 * dy - h * (k[12] + k[0])
-    r4, r5, r6, r7 = h * (_D @ k.reshape(16, -1)).reshape((4,) + y.shape)
+    c = np.empty((8,) + y.shape)
+    _contd8_coefficients(y, y8, h, k, c)
 
     def at(theta):
-        s = np.reshape(theta, np.shape(theta) + (1,) * y.ndim)
-        s1 = 1.0 - s
-        return y + s * (dy + s1 * (r2 + s * (r3 + s1 * (r4 + s * (r5 + s1 * (r6 + s * r7))))))
+        return _contd8(np.reshape(theta, np.shape(theta) + (1,) * y.ndim), c.__getitem__)
     return at
 
 
@@ -345,6 +375,9 @@ def solve_to_grid(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise InputError("grid must be strictly increasing with at least two points")
+    if grid[1] - grid[0] < cfg.min_step:  # the first step is at most that spacing
+        raise InputError(f"the first grid spacing {grid[1] - grid[0]:.3g} is below "
+                         f"min_step = {cfg.min_step:.3g}, so no step can start")
     y = np.array(y0, dtype=float)
     if inside is not None and not inside(y):
         raise InputError("initial state is outside the domain")
@@ -360,96 +393,143 @@ def solve_to_grid(
     k = np.empty((16,) + y.shape)
     kf = k.reshape(16, -1)  # flat view: stage s adds A[s, :s] @ kf[:s]
     zero = np.zeros(y.shape)
-    zeros = np.zeros(states.shape)  # for the finiteness test of filled grid states
     # every stage's input is built in this one buffer, rounded as
     # y + h * (a_s @ k_s) would be: the product, then the scale, then the sum
     ys = np.empty(y.shape)
     ys_flat = ys.reshape(-1)
     # per stage s: its slope, its tableau row, the slopes it sums and its
-    # node c_s (stage 12, the FSAL slope, is evaluated at y8 itself)
+    # node c_s; the FSAL slope (stage 12) and the first slope have no row,
+    # as they are evaluated at y8 and y themselves
     stages = [(k[s], _A[s, :s], kf[:s], float(_C[s])) for s in range(1, 16)]
     step_stages, dense_stages = stages[:11], stages[12:]
-    g = 1  # next grid time to fill
+    fsal, initial = [(k[12], None, None, 1.0)], [(k[0], None, None, 0.0)]
+    # steps that passed grid times wait here, as (start, size, first grid
+    # index, grid count, end state if the step ends on a grid time), with
+    # their interpolant coefficients in coefs[:, i], until one pass fills
+    # the grid states of them all (module docstring)
+    pending: list = []
+    coefs = np.empty((8, _FILL_BLOCK // y.size + 1) + y.shape)
+    g = 1  # next grid time to pass
 
     def run_stages(todo, t, y, h):
+        stats.rhs_evals += len(todo)
         for slot, a_s, k_s, c_s in todo:
-            np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h * (a_s @ k_s)
-            np.multiply(ys, h, out=ys)
-            np.add(ys, y, out=ys)
-            _checked(f, t + c_s * h, ys, stats, slot, zero)
+            if a_s is not None:
+                np.matmul(a_s, k_s, out=ys_flat)  # ys = y + h * (a_s @ k_s)
+                np.multiply(ys, h, out=ys)
+                np.add(ys, y, out=ys)
+            t_s = t + c_s * h
+            slot[...] = f(t_s, y if a_s is None else ys)
+            if np.vdot(slot, zero) != 0.0:  # finiteness test of the module docstring
+                raise NonFiniteRHSError(
+                    f"right-hand side produced a non-finite value at t = {t_s:.12g}", t_s)
+
+    def fill():
+        """Evaluate the grid states of every waiting step in one pass; raise at
+        the start of the first step with a non-finite one."""
+        if not pending:
+            return
+        starts, sizes, firsts, counts, ends = zip(*pending)
+        pending.clear()
+        a, b = firsts[0], firsts[-1] + counts[-1]
+        part = states[a:b]
+        if len(counts) == 1:  # its coefficients broadcast over its grid times
+            s = (grid[a:b] - starts[0]) / sizes[0]
+            coef = coefs[:, 0].__getitem__
+        else:  # each grid time gathers its step's coefficients, one at a time
+            step = np.repeat(np.arange(len(counts)), counts)
+            s = (grid[a:b] - np.take(starts, step)) / np.take(sizes, step)
+            row = np.empty(part.shape)
+            coef = lambda l: np.take(coefs[l], step, axis=0, out=row)  # noqa: E731
+        _contd8(s.reshape(s.shape + (1,) * y.ndim), coef, part)
+        for i, n, end in zip(firsts, counts, ends):  # a grid time at a step end takes y8
+            if end is not None:
+                states[i + n - 1] = end
+        if not np.isfinite(part).all():
+            bad = a + np.argmin(np.isfinite(part.reshape(b - a, -1)).all(axis=1))
+            t_bad = starts[bisect.bisect_right(firsts, bad) - 1]
+            raise NonFiniteStateError(f"non-finite state in the step from t = {t_bad:.12g}",
+                                      t_bad)
 
     # overflow and invalid operations in f surface as NonFiniteRHSError from
     # the per-evaluation check rather than as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        _checked(f, t, y, stats, k[0], zero)
-        abs_y = np.abs(y)
-        while t < t_end:
-            rest = t_end - t
-            h_try = min(h, max_step)
-            if _STRETCH * h_try >= rest:
-                h_try = rest
-            # one attempted step, repeated with smaller h on rejection; local
-            # error is budgeted per unit time, floored at _BUDGET_FLOOR of the
-            # tolerance so that short steps keep a budget above rounding
-            while True:
-                if h_try < min_step or t + h_try == t:
-                    raise StepUnderflowError(f"step size underflow near t = {t:.12g} "
-                                             "(stiffness or a singular right-hand side)", t)
-                run_stages(step_stages, t, y, h_try)
-                est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
-                y8 = y + est[0].reshape(y.shape)
-                abs_y8 = np.abs(y8)
-                budget = max(h_try / span, _BUDGET_FLOOR)
-                scale = (abs_tol + rel_tol * np.maximum(abs_y, abs_y8).ravel()) * budget
-                e53 = est[1:] / scale
-                e53 *= e53
-                e5, e3 = e53
-                den = np.sqrt(e5 + 0.01 * e3)
-                err = float((e5 / np.where(den > 0.0, den, 1.0)).max())
-                t_new = t_end if h_try == rest else t + h_try
-                j = int(np.searchsorted(grid, t_new, side="right"))  # grid[g:j] lie in (t, t_new]
-                filled = j > g or inside is not None
-                if filled:
-                    # a step read between its ends needs the FSAL slope and
-                    # the extension's stages now, and must also bound the
-                    # interpolant's error through its last coefficient r7
-                    _checked(f, t + h_try, y8, stats, k[12], zero)
-                    run_stages(dense_stages, t, y, h_try)
-                    r7 = h_try * (_D[3] @ kf)
-                    err = max(err, _DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
-                if err <= 1.0:
-                    break
-                stats.rejected += 1
-                h_try *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
-            stats.record(h_try, t)
-            if filled:
-                dense = dop853_dense(y, y8, h_try, k)
-            if j > g:
-                states[g:j] = dense((grid[g:j] - t) / h_try)
-                if grid[j - 1] == t_new:
-                    states[j - 1] = y8
-            # tested before f is evaluated at y8 for the next step
-            if np.vdot(y8, zero) != 0.0 or np.vdot(states[g:j], zeros[g:j]) != 0.0:
-                raise NonFiniteStateError(f"non-finite state in the step from t = {t:.12g}", t)
-            if not filled:
-                _checked(f, t + h_try, y8, stats, k[12], zero)
-            if inside is not None:
-                n_in = g
-                while n_in < j and inside(states[n_in]):
-                    n_in += 1
-                if n_in < j or not inside(y8):
-                    a = grid[n_in - 1] if n_in > g else t
-                    b = grid[n_in] if n_in < j else t_new
-                    return _exit_solution(grid, states, n_in, stats, inside,
-                                          lambda s: dense((s - t) / h_try), a, b)
+        try:
+            run_stages(initial, t, y, h)
+            abs_y = np.abs(y)
+            while t < t_end:
+                rest = t_end - t
+                h_try = min(h, max_step)
+                if _STRETCH * h_try >= rest:
+                    h_try = rest
+                # one attempted step, repeated with smaller h on rejection;
+                # local error is budgeted per unit time, floored at
+                # _BUDGET_FLOOR of the tolerance so that short steps keep a
+                # budget above rounding
+                while True:
+                    if h_try < min_step or t + h_try == t:
+                        raise StepUnderflowError(f"step size underflow near t = {t:.12g} "
+                                                 "(stiffness or a singular right-hand side)", t)
+                    run_stages(step_stages, t, y, h_try)
+                    est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
+                    y8 = y + est[0].reshape(y.shape)
+                    abs_y8 = np.abs(y8)
+                    budget = max(h_try / span, _BUDGET_FLOOR)
+                    scale = (abs_tol + rel_tol * np.maximum(abs_y, abs_y8).ravel()) * budget
+                    e53 = est[1:] / scale
+                    e53 *= e53
+                    e5, e3 = e53
+                    den = np.sqrt(e5 + 0.01 * e3)
+                    err = float((e5 / np.where(den > 0.0, den, 1.0)).max())
+                    t_new = t_end if h_try == rest else t + h_try
+                    j = int(grid.searchsorted(t_new, "right"))  # grid[g:j] lie in (t, t_new]
+                    filled = j > g or inside is not None
+                    if filled:
+                        # a step read between its ends needs the FSAL slope
+                        # and the extension's stages now, and must also
+                        # bound the interpolant's error through its last
+                        # coefficient r7
+                        run_stages(fsal, t, y8, h_try)
+                        run_stages(dense_stages, t, y, h_try)
+                        r7 = h_try * (_D[3] @ kf)
+                        err = max(err, _DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
+                    if err <= 1.0:
+                        break
+                    stats.rejected += 1
+                    h_try *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+                stats.record(h_try, t)
+                # tested before f is evaluated at y8 for the next step
+                if np.vdot(y8, zero) != 0.0:
+                    raise NonFiniteStateError(f"non-finite state in the step from t = {t:.12g}", t)
+                if j > g:
+                    _contd8_coefficients(y, y8, h_try, k, coefs[:, len(pending)])
+                    pending.append((t, h_try, g, j - g, y8 if grid[j - 1] == t_new else None))
+                    if (j - pending[0][2]) * y.size >= _FILL_BLOCK or inside is not None:
+                        fill()
+                if not filled:
+                    run_stages(fsal, t, y8, h_try)
+                if inside is not None:
+                    n_in = g
+                    while n_in < j and inside(states[n_in]):
+                        n_in += 1
+                    if n_in < j or not inside(y8):
+                        a = grid[n_in - 1] if n_in > g else t
+                        b = grid[n_in] if n_in < j else t_new
+                        dense = dop853_dense(y, y8, h_try, k)
+                        return _exit_solution(grid, states, n_in, stats, inside,
+                                              lambda s: dense((s - t) / h_try), a, b)
 
-            # FSAL: the slope at the step end starts the next step
-            k[0] = k[12]
-            y, abs_y, t, g = y8, abs_y8, t_new, j
-            if err > 0:
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.125))
-            else:
-                h = h_try * _MAX_FACTOR
+                # FSAL: the slope at the step end starts the next step
+                k[0] = k[12]
+                y, abs_y, t, g = y8, abs_y8, t_new, j
+                if err > 0:
+                    h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.125))
+                else:
+                    h = h_try * _MAX_FACTOR
+        except Exception:
+            fill()  # a non-finite grid state of an earlier step is the first failure
+            raise
+        fill()
     return Trajectory(grid.copy(), states, stats)
 
 

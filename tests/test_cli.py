@@ -969,6 +969,9 @@ def bad_input_argv(tmp_path, case):
         return ["check-gauge", "--gauge", "koranyi", "--group", str(tmp_path / "g.json")]
     if case == "tau-above-one":
         return ["counterexample", "--tau", "2"]
+    if case == "tiny-tau":
+        # a first grid spacing below min_step: no step of the ladder can start
+        return ["counterexample", "--rungs", "4", "--grid", "64", "--tau", "1e-300"]
     if case == "config-not-utf-8":
         (tmp_path / "latin1.json").write_bytes(b'{"group": "\xff"}')
         return ["integrate", "--config", str(tmp_path / "latin1.json")]
@@ -1004,6 +1007,8 @@ def bad_input_argv(tmp_path, case):
         "field-not-an-object": ("integrate", "field", []),
         # the 1,025 grid times of a horizon of 1e-320 are not all distinct
         "subnormal-horizon": ("integrate", "horizon", 1e-320),
+        # distinct grid times, but 1e-300 / 1024 apart: below min_step
+        "tiny-horizon": ("integrate", "horizon", 1e-300),
     }[case]
     cpath = config_path(command, tmp_path, key, value)
     if case == "axis-off-heisenberg":
@@ -1031,6 +1036,10 @@ BAD_INPUTS = [
     ("dependent-basis", "basis fields are linearly dependent"),
     ("field-not-an-object", "bad field spec: expected an object, not []"),
     ("subnormal-horizon", "grid must be strictly increasing with at least two points"),
+    ("tiny-horizon", "the first grid spacing 9.77e-304 is below min_step = 1e-14, "
+                     "so no step can start"),
+    ("tiny-tau", "the first grid spacing 1.59e-302 is below min_step = 1e-14, "
+                 "so no step can start"),
     ("config-not-utf-8", "'utf-8' codec can't decode byte 0xff in position 11"),
     ("config-is-a-directory", "[Errno 21] Is a directory: "),
     ("law-beyond-float", "the group law has a coefficient beyond the float range"),

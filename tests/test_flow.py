@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.counterexample import (counterexample_field, reconstruct_trajectory,
-                                     solve_regularized, trivial_trajectory)
+import horoflow.stepping as stepping
+from horoflow.counterexample import (RUNG_TOL, counterexample_field, reconstruct_trajectory,
+                                     solve_regularized, trivial_trajectory, uv_rhs)
 from horoflow.domain import Box
 from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
 from horoflow.flow import CauchyProblem, integrate, residual
@@ -52,6 +53,87 @@ def simpson_loop_oracle(y, x):
         _, I2 = quad_halves(x[n - 3], x[n - 2], x[n - 1], y[n - 3], y[n - 2], y[n - 1])
         out[n - 1] = out[n - 2] + I2
     return out[:, 0] if single else out
+
+
+def stepper_loop_oracle(f, grid, y0, cfg=IntegratorConfig(), inside=None):
+    """Reference solve: the stepper's loop with each accepted step's grid
+    states read from its own ``dop853_dense`` at once, before the next step.
+    Returns (times, states, stats, exit_time)."""
+    grid = np.asarray(grid, dtype=float)
+    y = np.array(y0, dtype=float)
+    stats = StepStats()
+    states = np.empty((len(grid),) + y.shape)
+    states[0] = y
+    t, t_end = float(grid[0]), float(grid[-1])
+    h = min(cfg.max_step, float(grid[1] - grid[0]))
+    k = np.empty((16,) + y.shape)
+    kf = k.reshape(16, -1)
+
+    def slope(s, t_s, x):
+        k[s] = f(t_s, x)
+        stats.rhs_evals += 1
+
+    def stages(todo, t, y, h):
+        for s in todo:
+            ys = (stepping._A[s, :s] @ kf[:s]).reshape(y.shape) * h + y
+            slope(s, t + stepping._C[s] * h, ys)
+
+    slope(0, t, y)
+    g = 1
+    while t < t_end:
+        rest = t_end - t
+        h_try = min(h, cfg.max_step)
+        if stepping._STRETCH * h_try >= rest:
+            h_try = rest
+        while True:
+            stages(range(1, 12), t, y, h_try)
+            est = h_try * (stepping._STEP_W @ kf[:12])
+            y8 = y + est[0].reshape(y.shape)
+            scale = ((cfg.abs_tol + cfg.rel_tol * np.maximum(abs(y), abs(y8)).ravel())
+                     * max(h_try / (t_end - grid[0]), stepping._BUDGET_FLOOR))
+            e5, e3 = (est[1:] / scale) * (est[1:] / scale)
+            den = np.sqrt(e5 + 0.01 * e3)
+            err = float((e5 / np.where(den > 0.0, den, 1.0)).max())
+            t_new = t_end if h_try == rest else t + h_try
+            j = int(np.searchsorted(grid, t_new, side="right"))
+            if j > g or inside is not None:
+                slope(12, t + h_try, y8)
+                stages((13, 14, 15), t, y, h_try)
+                r7 = h_try * (stepping._D[3] @ kf)
+                err = max(err, stepping._DENSE_WEIGHT * float((np.abs(r7) / scale).max()))
+            if err <= 1.0:
+                break
+            stats.rejected += 1
+            h_try *= max(stepping._MIN_FACTOR, stepping._SAFETY * err ** -0.125)
+        stats.record(h_try, t)
+        dense = dop853_dense(y, y8, h_try, k)
+        states[g:j] = dense((grid[g:j] - t) / h_try)
+        if j > g and grid[j - 1] == t_new:
+            states[j - 1] = y8
+        if not (j > g or inside is not None):
+            slope(12, t + h_try, y8)
+        if inside is not None:
+            n_in = g
+            while n_in < j and inside(states[n_in]):
+                n_in += 1
+            if n_in < j or not inside(y8):
+                a = grid[n_in - 1] if n_in > g else t
+                b = grid[n_in] if n_in < j else t_new
+                while b - a > stepping._EXIT_TOL:
+                    mid = 0.5 * (a + b)
+                    a, b = (mid, b) if inside(dense((mid - t) / h_try)) else (a, mid)
+                t_exit = 0.5 * (a + b)
+                return (np.append(grid[:n_in], t_exit),
+                        np.concatenate([states[:n_in], dense((t_exit - t) / h_try)[None]]),
+                        stats, t_exit)
+        k[0] = k[12]
+        y, t, g = y8, t_new, j
+        if err > 0:
+            h = h_try * min(stepping._MAX_FACTOR,
+                            max(stepping._MIN_FACTOR, stepping._SAFETY * err ** -0.125))
+        else:
+            h = h_try * stepping._MAX_FACTOR
+    return grid, states, stats, None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 257])
@@ -256,6 +338,47 @@ def test_dense_grid_states_meet_the_tolerance_on_a_rotation():
     assert np.max(np.abs(sol.states - exact)) <= 0.1 * 1e-8
 
 
+def _rotation(t, y):
+    return np.array([-y[1], y[0]])
+
+
+@pytest.mark.parametrize("case", ["rotation-65", "rotation-2049", "ladder", "box-exit",
+                                  "two-points", "step-ends-on-grid", "grid-at-every-4th-end"])
+def test_block_fill_matches_loop_oracle(case):
+    # grid states filled a block of steps at a time are the per-step fill's,
+    # bit for bit, and so are the steps, the statistics and the exit
+    quartic = Box((-1.0, -1.0), (2.0, 0.7**4))
+    f, grid, y0, cfg, inside = {
+        "rotation-65": (_rotation, np.linspace(0.0, 2.0 * np.pi, 65), [1.0, 0.0],
+                        IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), None),
+        "rotation-2049": (_rotation, np.linspace(0.0, 2.0 * np.pi, 2049), [1.0, 0.0],
+                          IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), None),
+        "ladder": (lambda t, y: uv_rhs("time", np.array([0.1, 0.05, 0.025]), t, y),
+                   np.linspace(0.0, 0.2, 257), np.ones((3, 2)),
+                   IntegratorConfig(abs_tol=RUNG_TOL, rel_tol=RUNG_TOL), None),
+        "box-exit": (lambda t, y: np.array([1.0, 4.0 * t**3]), np.linspace(0.0, 1.0, 2049),
+                     [0.0, 0.0], IntegratorConfig(), quartic.contains),
+        "two-points": (lambda t, y: np.cos(t) * y, [0.0, 3.0], [1.0, 2.0], IntegratorConfig(),
+                       None),
+        # steps of max_step = the grid spacing: some step ends fall on a grid
+        # time, where the step's end state, not its interpolant, is stored
+        "step-ends-on-grid": (lambda t, y: np.cos(3.0 * t) * np.array([1.0, -2.0]),
+                              np.linspace(0.0, 1.0, 41), [-0.1, 0.05],
+                              IntegratorConfig(max_step=0.025), None),
+        # steps of 1/32 on a grid 1/8 apart: a step fills nothing, or only
+        # its own end
+        "grid-at-every-4th-end": (lambda t, y: np.cos(t) * np.ones(2), np.linspace(0.0, 1.0, 9),
+                                  [0.0, 0.0], IntegratorConfig(max_step=1 / 32), None),
+    }[case]
+    times, states, stats, exit_time = stepper_loop_oracle(f, grid, y0, cfg, inside)
+    sol = solve_to_grid(f, grid, y0, cfg, inside)
+    assert np.array_equal(sol.times, times)
+    assert np.array_equal(sol.states, states)
+    assert sol.stats.as_dict() == stats.as_dict()
+    assert sol.exit_time == exit_time
+    assert sol.exited == (case == "box-exit")
+
+
 def test_step_count_does_not_depend_on_the_grid():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     stats = [solve_to_grid(lambda t, y: rot @ y, np.linspace(0.0, 2.0 * np.pi, n), [1.0, 0.0],
@@ -442,6 +565,42 @@ def test_overflowing_grid_state_ends_the_solve():
     with pytest.raises(NonFiniteStateError) as exc:
         solve_to_grid(lambda t, y: np.array([1e300]), np.linspace(0.0, 1.7e8, 5), [0.0])
     assert exc.value.time == 4.25e7
+
+
+
+@pytest.mark.parametrize("later", ["nan-slope", "overflowing-step-end"])
+def test_an_earlier_overflowing_grid_state_is_the_failure_reported(later):
+    # as above, the interpolant of the step from 4.25e7 to 1.7e8 overflows;
+    # max_step lets the solve go on past it, into a NaN slope or a step end
+    # past the float maximum.  Grid states are filled for a block of steps
+    # at a time, and any later failure first fills the waiting steps, so
+    # the solve still ends at the earlier step's start
+    def f(t, y):
+        return np.array([math.nan if later == "nan-slope" and t > 1.7e8 else 1e300])
+
+    with pytest.raises(NonFiniteStateError) as exc:
+        solve_to_grid(f, np.linspace(0.0, 3.4e8, 9), [0.0], IntegratorConfig(max_step=1.275e8))
+    assert exc.value.time == 4.25e7
+
+
+def test_box_exit_is_found_before_f_is_called_for_a_later_step():
+    # with a domain every step's grid states are filled and tested before
+    # the next step starts: past the exit at t = 0.7, f is called only by
+    # the stages of the step from 0.51 to 1.95 that holds it (12 of its 15
+    # evaluations), never by a later step of the horizon 10
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.array([1.0, 4.0 * t**3])
+
+    box = Box((-1.0, -1.0), (20.0, 0.7**4))
+    sol = solve_to_grid(f, np.linspace(0.0, 10.0, 2049), [0.0, 0.0], inside=box.contains)
+    assert sol.exit_time == pytest.approx(0.7, abs=1e-8)
+    assert sol.stats.rejected == 0 and sol.stats.rhs_evals == len(calls)
+    first_late = next(i for i, c in enumerate(calls) if c > sol.exit_time)
+    assert len(calls) - first_late < 15
+    assert max(calls) <= sol.exit_time + sol.stats.max_step
 
 
 def test_finite_states_near_the_float_maximum_are_not_refused():
