@@ -67,7 +67,8 @@ MUTANTS = [
     ("gauges.py", 'homogeneity_max_err, "<=", 1e-12)', 'homogeneity_max_err, "<=", 1e-6)'),
     ("gauges.py", 'symmetry_max_err, "<=", 1e-12)', 'symmetry_max_err, "<=", 1e-6)'),
     ("gauges.py", 'float(np.max(excess)), "<=", 1e-12)', 'float(np.max(excess)), "<=", 1e-3)'),
-    ("fields.py", "HORIZONTAL_TOL = 1e-8", "HORIZONTAL_TOL = 1e-4"),
+    # the exact horizontality test of coefficient recovery becomes a tolerance
+    ("fields.py", "np.any(higher != 0.0)", "np.any(higher > 1e-8)"),
 ]
 
 

@@ -4,9 +4,11 @@ The left-invariant field with value e_i at the origin has polynomial
 coefficients in graded coordinates, read exactly off the symbolic group law
 x * y as its terms linear in y_i and free of the other y's.  A horizontal
 field is a combination of the first-layer frame fields with scalar
-coefficient functions; it induces a derivation on test functions, and
-conversely the coefficients can be recovered from the derivation by
-applying it to left-translated coordinate functions.
+coefficient functions; it induces a derivation on test functions, which are
+exact polynomials (``Poly``): X_i f is polynomial arithmetic on the frame
+rows, evaluated exactly and rounded once.  Conversely the coefficients are
+read off the derivation applied to the left-translated coordinates, on
+which the frame is exactly the Kronecker delta.
 
 A coefficient is a pure function (t, x) -> value, where x is one point
 (dim,) or an (n, dim) array of rows and t a number or an (n,) array; written
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -50,14 +53,6 @@ class LeftInvariantField:
     def _eval(self):
         """Float evaluator of the rows: ``_eval(*x)`` gives the field's coordinates at x."""
         return evaluator(self.rows)
-
-    def value(self, x: Sequence[float]) -> np.ndarray:
-        """The field at one point, or at each row of an (n, dim) array."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for j, v in enumerate(self._eval(*x.T)):
-            out[..., j] = v
-        return out
 
 
 def compute_p(alg: GradedAlgebra, i: int) -> LeftInvariantField:
@@ -155,34 +150,29 @@ def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """Smooth scalar function supplied with its coordinate partial derivatives."""
-
-    __test__ = False  # the mathematical kind, not the pytest kind
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class Derivation:
-    """Linear action on test functions, bounded by h(x) |horizontal gradient|."""
+    """Linear action on polynomial test functions, bounded by h(x) |horizontal gradient|."""
 
     algebra: GradedAlgebra
-    action: Callable[[TestFunction, np.ndarray], float]
+    action: Callable[[Poly, np.ndarray], float]
     bound: Callable[[np.ndarray], float]
 
-    def __call__(self, f: TestFunction, x: Sequence[float]) -> float:
+    def __call__(self, f: Poly, x: Sequence[float]) -> float:
         return self.action(f, np.asarray(x, dtype=float))
 
 
-def apply_derivation(
-    b: HorizontalField, f: TestFunction, x: Sequence[float], t: float = 0.0
-) -> float:
-    """D f(x) = <grad f(x), b(t, x)>: the gradient against the velocity
-    ``evaluate_field`` gives the flow."""
+def frame_derivative(alg: GradedAlgebra, i: int, f: Poly) -> Poly:
+    """X_i f = sum_j (row j of X_i) * df/dx_j, exactly (``i`` is 1-based)."""
+    rows = left_invariant_frame(alg)[i - 1].rows
+    return sum((row * f.diff(j) for j, row in enumerate(rows) if row), Poly.zero(alg.dim))
+
+
+def apply_derivation(b: HorizontalField, f: Poly, x: Sequence[float], t: float = 0.0) -> float:
+    """D f(x) = sum_i a_i(t, x) (X_i f)(x), each (X_i f)(x) exact and rounded once."""
     x = np.asarray(x, dtype=float)
-    return float(np.dot(f.gradient(x), evaluate_field(b, t, x)))
+    xs = x.tolist()
+    return float(sum(float(a(t, x)) * float(frame_derivative(b.algebra, i, f).evaluate_exact(xs))
+                     for a, i in zip(b.coefficients, b.indices)))
 
 
 def derivation_of(b: HorizontalField, t: float = 0.0) -> Derivation:
@@ -195,68 +185,47 @@ def derivation_of(b: HorizontalField, t: float = 0.0) -> Derivation:
     return Derivation(b.algebra, partial(apply_derivation, b, t=t), bound)
 
 
-def horizontal_gradient(alg: GradedAlgebra, f: TestFunction, x: Sequence[float]) -> np.ndarray:
-    """(X_1 f, ..., X_m f) at x."""
-    x = np.asarray(x, dtype=float)
-    frame = np.array([field.value(x) for field in left_invariant_frame(alg)[:alg.horizontal_dim]])
-    return frame @ np.asarray(f.gradient(x), dtype=float)
+def horizontal_gradient(alg: GradedAlgebra, f: Poly, x: Sequence[float]) -> np.ndarray:
+    """(X_1 f, ..., X_m f) at x, each exact and rounded once."""
+    xs = np.asarray(x, dtype=float).tolist()
+    return np.array([float(frame_derivative(alg, i, f).evaluate_exact(xs))
+                     for i in range(1, alg.horizontal_dim + 1)])
 
 
-def coordinate_function(alg: GradedAlgebra, j: int) -> TestFunction:
-    """The j-th coordinate as a test function (1-based)."""
-    q = alg.dim
-    ej = np.zeros(q)
-    ej[j - 1] = 1.0
-    return TestFunction(lambda x: float(x[j - 1]), lambda x, _e=ej: _e)
+def translated_coordinates(alg: GradedAlgebra, xbar: Sequence[float]) -> list:
+    """The polynomials eta_j(x) = (xbar^{-1} x)_j: the law with x set to xbar^{-1}.
 
-
-def translated_coordinate_functions(alg: GradedAlgebra, xbar: Sequence[float]) -> list:
-    """Coordinate functions composed with left translation by xbar^{-1}.
-
-    These satisfy X_i(f_j)(xbar) = delta_ij, which is what makes coefficient
-    recovery at xbar a plain readout.
+    xbar^{-1} = -xbar is exact, so X_i(eta_j)(xbar) = delta_ij holds exactly,
+    which is what makes coefficient recovery at xbar a plain readout.
     """
     q = alg.dim
-    xbar_inv = inverse(xbar)
-    # jacobian(*xbar_inv, *x)[j*q + k] is the y_k-derivative of the j-th product coordinate
-    jacobian = evaluator([p.diff(q + k) for p in alg.law for k in range(q)])
-
-    def make(j):
-        def val(x):
-            return float(alg.multiply(xbar_inv, x)[j])
-
-        def grad(x):
-            values = jacobian(*xbar_inv.tolist(), *np.asarray(x, dtype=float).tolist())
-            return np.array(values[j * q:(j + 1) * q])
-
-        return TestFunction(val, grad)
-
-    return [make(j) for j in range(q)]
+    z = [Fraction(v) for v in inverse(xbar).tolist()]
+    etas = []
+    for law_j in alg.law:
+        terms: dict = {}
+        for e, c in law_j.terms.items():
+            terms[e[q:]] = terms.get(e[q:], 0) + c * math.prod(zk ** k for zk, k in zip(z, e[:q]))
+        etas.append(Poly(q, terms))
+    return etas
 
 
 class NonHorizontalDerivationError(ValueError):
     """The derivation does not annihilate non-horizontal directions at the point."""
 
 
-HORIZONTAL_TOL = 1e-8  # share of the bound scale that a higher-layer entry may reach
-
-
 def recover_coefficients(D: Derivation, xbar: Sequence[float]) -> np.ndarray:
     """First-layer coefficients of the unique horizontal field inducing D.
 
-    Applies D to the left-translated coordinate functions at xbar; the
-    entries beyond the first layer must vanish (up to ``HORIZONTAL_TOL``
-    against the bound scale) or the derivation is not horizontal.
+    Applies D to the translated coordinates at xbar; an entry beyond the
+    first layer that is not exactly 0 means the derivation is not horizontal.
     """
     alg = D.algebra
     xbar = np.asarray(xbar, dtype=float)
-    etas = translated_coordinate_functions(alg, xbar)
-    values = np.array([D(eta, xbar) for eta in etas])
+    values = np.array([D(eta, xbar) for eta in translated_coordinates(alg, xbar)])
     m = alg.horizontal_dim
-    scale = max(1.0, float(D.bound(xbar)))
-    bad = np.abs(values[m:]) > HORIZONTAL_TOL * scale
-    if np.any(bad):
-        k = int(np.argmax(np.abs(values[m:]))) + m + 1
+    higher = np.abs(values[m:])
+    if np.any(higher != 0.0):
+        k = int(np.argmax(higher)) + m + 1
         raise NonHorizontalDerivationError(
             f"derivation bound violated at the recovery point: component {k} "
             f"reads {values[k - 1]:.3e} where the horizontal gradient vanishes"

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from horoflow.counterexample import counterexample_field
-from horoflow.fields import (HorizontalField, NonHorizontalDerivationError, TestFunction,
-                             apply_derivation, compute_p, coordinate_function, derivation_of,
-                             evaluate_field, field_from_spec, horizontal_field,
+from horoflow.fields import (Derivation, HorizontalField, NonHorizontalDerivationError,
+                             apply_derivation, compute_p, derivation_of, evaluate_field,
+                             field_from_spec, frame_derivative, horizontal_field,
                              horizontal_gradient, left_invariant_frame, recover_coefficients,
-                             translated_coordinate_functions)
+                             translated_coordinates)
 from horoflow.gauges import distance_to_axis, distance_to_axis_point, koranyi_norm
 from horoflow.groups import GradedAlgebra
 from horoflow.poly import Poly, evaluator
@@ -104,77 +104,71 @@ def test_field_horizontality_flag(heis):
         HorizontalField(heis, (lambda t, x: 1.0,), (7,))
 
 
-def _product(f, g):
-    return TestFunction(
-        lambda x: f.value(x) * g.value(x),
-        lambda x: f.value(x) * np.asarray(g.gradient(x)) + g.value(x) * np.asarray(f.gradient(x)),
-    )
+def _x(alg, j):
+    """The j-th coordinate (1-based) as a test function."""
+    return Poly.variable(alg.dim, j - 1)
 
 
 def test_derivation_on_coordinates(heis):
     b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[..., 0]))
-    eta1 = coordinate_function(heis, 1)
     x = np.array([0.7, -0.2, 1.4])
-    assert apply_derivation(b, eta1, x) == pytest.approx(3.0)
-    const = TestFunction(lambda x: 42.0, lambda x: np.zeros(3))
-    assert apply_derivation(b, const, x) == 0.0
+    assert apply_derivation(b, _x(heis, 1), x) == 3.0
+    # X_1 x_3 = -x_2 and X_2 x_3 = x_1
+    assert apply_derivation(b, _x(heis, 3), x) == 3.0 * 0.2 + 0.7 * 0.7
+    assert apply_derivation(b, Poly.constant(3, 42), x) == 0.0
 
 
 def test_derivation_leibniz_rule(heis, rng):
     b = horizontal_field(
         heis, (lambda t, x: np.sin(x[..., 1]), lambda t, x: x[..., 0] * x[..., 2])
     )
-    f = TestFunction(lambda x: x[0] ** 2 + x[2], lambda x: np.array([2 * x[0], 0.0, 1.0]))
-    g = TestFunction(lambda x: math.cos(x[1]), lambda x: np.array([0.0, -math.sin(x[1]), 0.0]))
+    x1, x2, x3 = (_x(heis, j) for j in (1, 2, 3))
+    f = x1 * x1 + x3
+    g = 1 - x2 * x2 * Fraction(1, 2) + x1 * x2 * x3
     for x in rng.uniform(-2, 2, (25, 3)):
-        lhs = apply_derivation(b, _product(f, g), x)
-        rhs = f.value(x) * apply_derivation(b, g, x) + g.value(x) * apply_derivation(b, f, x)
+        xs = x.tolist()
+        lhs = apply_derivation(b, f * g, x)
+        rhs = (float(f.evaluate_exact(xs)) * apply_derivation(b, g, x)
+               + float(g.evaluate_exact(xs)) * apply_derivation(b, f, x))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_derivation_chain_rule(heis, rng):
     b = horizontal_field(heis, (lambda t, x: x[..., 1], lambda t, x: 1.0))
-    f1 = coordinate_function(heis, 1)
-    f2 = TestFunction(lambda x: x[2] ** 2, lambda x: np.array([0.0, 0.0, 2 * x[2]]))
+    f1 = _x(heis, 1)
+    f2 = _x(heis, 3) * _x(heis, 3)
     # F(u1, u2) = u1^2 u2 + u2
-    composite = TestFunction(
-        lambda x: f1.value(x) ** 2 * f2.value(x) + f2.value(x),
-        lambda x: (
-            2 * f1.value(x) * f2.value(x) * np.asarray(f1.gradient(x))
-            + (f1.value(x) ** 2 + 1) * np.asarray(f2.gradient(x))
-        ),
-    )
+    composite = f1 * f1 * f2 + f2
     for x in rng.uniform(-2, 2, (25, 3)):
+        u1, u2 = float(f1.evaluate_exact(x.tolist())), float(f2.evaluate_exact(x.tolist()))
         lhs = apply_derivation(b, composite, x)
-        rhs = (
-            2 * f1.value(x) * f2.value(x) * apply_derivation(b, f1, x)
-            + (f1.value(x) ** 2 + 1) * apply_derivation(b, f2, x)
-        )
+        rhs = 2 * u1 * u2 * apply_derivation(b, f1, x) + (u1 ** 2 + 1) * apply_derivation(b, f2, x)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_derivation_bound_holds(heis, rng):
     b = horizontal_field(heis, (lambda t, x: x[..., 1] ** 2, lambda t, x: np.cos(x[..., 0])))
     D = derivation_of(b)
-    f = TestFunction(
-        lambda x: math.sin(x[0]) + x[1] * x[2],
-        lambda x: np.array([math.cos(x[0]), x[2], x[1]]),
-    )
+    x1, x2, x3 = (_x(heis, j) for j in (1, 2, 3))
+    f = x1 - x1 * x1 * x1 * Fraction(1, 6) + x2 * x3
     for x in rng.uniform(-2, 2, (25, 3)):
         hg = horizontal_gradient(heis, f, x)
         assert abs(D(f, x)) <= D.bound(x) * np.linalg.norm(hg) + 1e-12
 
 
-def test_derivation_at_a_time_is_the_gradient_against_that_velocity(heis):
-    # D f(x) reads the coefficients at the derivation's time: it is grad f
-    # against the velocity the flow integrates at t = 0.5, bit for bit
+def test_derivation_at_a_time_reads_the_coefficients_at_that_time(heis):
+    # D f(x) at t = 0.5 is sum_i a_i(0.5, x) (X_i f)(x), each X_i f exact
     b = horizontal_field(heis, (lambda t, x: 1.0 + t * x[..., 1],
                                 lambda t, x: np.cos(t + x[..., 0])))
-    f = TestFunction(lambda x: math.sin(x[0]) + x[1] * x[2],
-                     lambda x: np.array([math.cos(x[0]), x[2], x[1]]))
+    x1, x2, x3 = (_x(heis, j) for j in (1, 2, 3))
+    f = x1 - x1 * x1 * x1 * Fraction(1, 6) + x2 * x3
     x = np.array([0.7, -0.2, 1.4])
     got = derivation_of(b, 0.5)(f, x)
-    assert got == float(np.dot(f.gradient(x), evaluate_field(b, 0.5, x)))
+    xs = [Fraction(v) for v in x.tolist()]
+    # X_1 = d1 - x2 d3 and X_2 = d2 + x1 d3 on the Heisenberg group
+    X1f = 1 - xs[0] ** 2 / 2 - xs[1] * xs[1]
+    X2f = xs[2] + xs[0] * xs[1]
+    assert got == (1.0 + 0.5 * -0.2) * float(X1f) + float(np.cos(0.5 + 0.7)) * float(X2f)
     assert got != derivation_of(b)(f, x)
 
 
@@ -182,11 +176,11 @@ def test_recover_coefficients_example(heis):
     b = horizontal_field(heis, (lambda t, x: 3.0, lambda t, x: x[..., 0]))
     D = derivation_of(b)
     got = recover_coefficients(D, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(got, [3.0, 1.0], atol=1e-12)
+    assert got.tolist() == [3.0, 1.0]
 
     zero = horizontal_field(heis, (lambda t, x: 0.0, lambda t, x: 0.0))
     got = recover_coefficients(derivation_of(zero), np.array([0.5, -1.0, 2.0]))
-    assert np.allclose(got, 0.0)
+    assert got.tolist() == [0.0, 0.0]
 
 
 def test_recover_coefficients_roundtrip_hundred_points(heis):
@@ -197,54 +191,72 @@ def test_recover_coefficients_roundtrip_hundred_points(heis):
     rng = np.random.default_rng(31)
     for xbar in rng.uniform(-3, 3, (100, 3)):
         got = recover_coefficients(D, xbar)
-        want = np.array([a1(0.0, xbar), a2(0.0, xbar)])
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert got.tolist() == [a1(0.0, xbar), a2(0.0, xbar)]
+
+
+def filiform(step):
+    """The filiform algebra of ``step``: [e1, e_k] = e_(k+1) for k = 2..step."""
+    return GradedAlgebra((2,) + (1,) * (step - 1), {(0, k): {k + 1: 1} for k in range(1, step)})
+
+
+def test_recover_coefficients_exact_on_step7_filiform_far_out():
+    # rounding that grows with |xbar| must not read as a non-horizontal entry:
+    # every point of [-100, 100]^8 gives back the coefficients, bit for bit
+    alg = filiform(7)
+    a1 = lambda t, x: np.sin(x[..., 0])  # noqa: E731
+    a2 = lambda t, x: np.cos(x[..., 1])  # noqa: E731
+    D = derivation_of(horizontal_field(alg, (a1, a2)))
+    for xbar in np.random.default_rng(0).uniform(-100, 100, (100, 8)):
+        assert recover_coefficients(D, xbar).tolist() == [a1(0.0, xbar), a2(0.0, xbar)]
+
+
+def _gradient_against(v):
+    """D f = <grad f, v>, each partial exact and rounded once."""
+    return lambda f, x: float(np.dot([float(f.diff(k).evaluate_exact(x.tolist()))
+                                      for k in range(len(v))], v))
 
 
 def test_nonhorizontal_derivation_rejected(heis):
     # vertical direction: D(f) = d f / d x3; the translated third coordinate
     # has vanishing horizontal gradient at xbar yet D reads 1 there
-    from horoflow.fields import Derivation
-
-    D = Derivation(
-        heis,
-        action=lambda f, x: float(np.asarray(f.gradient(x))[2]),
-        bound=lambda x: 1.0,
-    )
+    D = Derivation(heis, action=_gradient_against([0.0, 0.0, 1.0]), bound=lambda x: 1.0)
     xbar = np.array([0.4, -0.8, 0.3])
-    etas = translated_coordinate_functions(heis, xbar)
-    hg = horizontal_gradient(heis, etas[2], xbar)
-    assert np.max(np.abs(hg)) <= 1e-14  # the bound right-hand side vanishes
-    assert D(etas[2], xbar) == pytest.approx(1.0)
+    etas = translated_coordinates(heis, xbar)
+    assert horizontal_gradient(heis, etas[2], xbar).tolist() == [0.0, 0.0]
+    assert D(etas[2], xbar) == 1.0
     with pytest.raises(NonHorizontalDerivationError):
         recover_coefficients(D, xbar)
 
 
 def test_derivation_just_off_horizontal_is_rejected(heis):
-    # D f = grad f . (1, 0.5, 5e-8) at the origin, where the translated
-    # coordinates are the coordinates: the third reads 5e-8, five times
-    # HORIZONTAL_TOL at the bound scale 1
-    from horoflow.fields import HORIZONTAL_TOL, Derivation
+    # D f = grad f . (1, 0.5, v) at the origin, where the translated
+    # coordinates are the coordinates: the third reads v, and only an exact
+    # 0 is horizontal, however small the entry
+    for vertical in (5e-8, 0.5e-8, 1e-300, -1e-300):
+        v = np.array([1.0, 0.5, vertical])
+        D = Derivation(heis, action=_gradient_against(v), bound=lambda x: 1.0)
+        with pytest.raises(NonHorizontalDerivationError,
+                           match=f"component 3 reads {vertical:.3e}"):
+            recover_coefficients(D, np.zeros(3))
+        v[2] = 0.0
+        assert recover_coefficients(D, np.zeros(3)).tolist() == [1.0, 0.5]
 
-    v = np.array([1.0, 0.5, 5.0 * HORIZONTAL_TOL])
-    D = Derivation(heis, action=lambda f, x: float(np.asarray(f.gradient(x)) @ v),
-                   bound=lambda x: 1.0)
-    with pytest.raises(NonHorizontalDerivationError, match="component 3 reads 5.000e-08"):
-        recover_coefficients(D, np.zeros(3))
-    v[2] = 0.5 * HORIZONTAL_TOL
-    assert recover_coefficients(D, np.zeros(3)).tolist() == [1.0, 0.5]
 
-
-def test_translated_coordinates_kronecker_property(heis, rng):
-    frame = left_invariant_frame(heis)
-    for xbar in rng.uniform(-2, 2, (10, 3)):
-        etas = translated_coordinate_functions(heis, xbar)
-        for j, eta in enumerate(etas):
-            assert eta.value(xbar) == pytest.approx(0.0, abs=1e-13)
-            grad = np.asarray(eta.gradient(xbar))
-            for i, f in enumerate(frame):
-                xi_eta = float(np.dot(grad, f.value(xbar)))
-                assert xi_eta == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+def test_translated_coordinates_kronecker_property(heis):
+    # X_i(eta_j)(xbar) = delta_ij and eta_j(xbar) = 0, exactly, near the
+    # origin of the Heisenberg group and far out on the step-7 filiform group
+    rng = np.random.default_rng(5)
+    for alg, box in ((heis, 2.0), (filiform(7), 100.0)):
+        q, m = alg.dim, alg.horizontal_dim
+        for xbar in rng.uniform(-box, box, (10, q)):
+            etas = translated_coordinates(alg, xbar)
+            xs = xbar.tolist()
+            for j, eta in enumerate(etas):
+                assert eta.evaluate_exact(xs) == 0
+                for i in range(1, q + 1):
+                    assert frame_derivative(alg, i, eta).evaluate_exact(xs) == int(i - 1 == j)
+                if j >= m:
+                    assert horizontal_gradient(alg, eta, xbar).tolist() == [0.0] * m
 
 
 def test_third_coordinate_not_uniformly_lipschitz(heis, heis_dist):
@@ -417,4 +429,8 @@ def test_frame_values_rows_equal_point_calls(heis):
     X, _ = contract_rows(3)
     for f in left_invariant_frame(heis) + left_invariant_frame(FILIFORM):
         x = X if f.rows[0].nvars == 3 else contract_rows(4)[0]
-        assert np.array_equal(f.value(x), [f.value(row) for row in x])
+        value = evaluator(f.rows)
+        rows = np.empty(x.shape)
+        for j, v in enumerate(value(*x.T)):  # a number fills its whole column
+            rows[:, j] = v
+        assert np.array_equal(rows, [value(*row.tolist()) for row in x])
