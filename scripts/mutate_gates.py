@@ -46,11 +46,15 @@ MUTANTS = [
      'float(np.max(drift)), "<=", 1e-8)'),
     ("counterexample.py", 'lower_margin, ">=", -MONITOR_TOL)', 'lower_margin, ">=", -1e-5)'),
     ("counterexample.py", 'min_u, ">=", -MONITOR_TOL)', 'min_u, ">=", -1e-3)'),
+    ("counterexample.py", 'min_v, ">=", -MONITOR_TOL)', 'min_v, ">=", -1e-3)'),
     ("counterexample.py", '"mix_exponential_bound", mix_margin, ">=", -MONITOR_TOL)',
      '"mix_exponential_bound", mix_margin, ">=", -1e-3)'),
     ("counterexample.py", 'lin_margin, ">=", -MONITOR_TOL)', 'lin_margin, ">=", -1e-3)'),
     ("counterexample.py", 'lower_mix_margin, ">=", -MONITOR_TOL)',
      'lower_mix_margin, ">=", -1e-3)'),
+    ("counterexample.py", 'gate("integral_residual", res, "<=", 1e-6)',
+     'gate("integral_residual", res, "<=", 1e-3)'),
+    ("counterexample.py", "crossing_threshold - MONITOR_TOL)", "crossing_threshold - 1.0)"),
     ("uniqueness.py", "GROWTH_FACTOR = 2.0", "GROWTH_FACTOR = 4.0"),
     ("uniqueness.py", "SCALES = 6", "SCALES = 3"),
     ("uniqueness.py", 'float(np.max(ratios)), "<=", bound)',

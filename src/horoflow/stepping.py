@@ -24,7 +24,7 @@ bisection on that interpolant.  The step's error estimate does not bound
 the interpolant's error between the step ends: on a rotation and on
 single epsilon-ladder rungs that error was up to 37 times the estimate.  It
 does follow the interpolant's last coefficient r7 (of theta^4 (1-theta)^3,
-``dop853_dense``): on those problems it measured 0.0010-0.0016 times the
+``_contd8``): on those problems it measured 0.0010-0.0016 times the
 largest entry of |r7|.  So a step that fills grid times must also meet
 ``_DENSE_WEIGHT`` |r7| = 0.002 |r7| <= its error budget, entry by entry.
 A uniformly tighter tolerance does not do the same job: at each share of
@@ -33,13 +33,14 @@ still read grid states more than its tolerance away from a tight solve.
 Rejected steps cost 11 evaluations, or 15 if they fill grid times.
 
 Grid states are not filled step by step.  An accepted step that passes grid
-times keeps its interpolant's coefficients, and one elementwise pass fills
-the grid states of all waiting steps: once they hold ``_FILL_BLOCK`` state
-entries, at the end of the solve, and before any failure is raised.  With
-a domain every such step is filled at once, as its grid states are tested
-for the exit before f is evaluated for the next step.  Each grid state
-comes from the same operations in the same order as a fill from that one
-step would, so it is the same to the bit.
+times, or is tested for a domain exit, keeps its interpolant's coefficients,
+and one elementwise pass fills the grid states of all waiting steps: once
+they hold ``_FILL_BLOCK`` state entries, at the end of the solve, and before
+any failure is raised.  With a domain every step is filled at once, as its
+grid states are tested for the exit before f is evaluated for the next
+step, and an exit is bisected on the exiting step's coefficients.  Each
+grid state comes from the same operations in the same order as a fill from
+that one step would, so it is the same to the bit.
 
 Guard.  Every step attempt, first try or retry, that is shorter than
 ``min_step`` or no longer moves t (t + h == t) raises
@@ -296,7 +297,10 @@ class Trajectory:
 
 def _contd8_coefficients(y, y8, h, k, c) -> None:
     """Write the coefficients of Hairer's ``contd8`` on one step of length h
-    from y into c[0:8]: y, y8 - y, r2, ..., r7 (see ``dop853_dense``)."""
+    from y into c[0:8]: y, y8 - y, r2, ..., r7 (see ``_contd8``).
+
+    ``k`` holds the 16 stage slopes: k[12] is the FSAL slope f(t+h, y8) and
+    k[13:16] are the extension's own stages."""
     c[0] = y
     dy = np.subtract(y8, y, out=c[1])
     c[2] = h * k[0] - dy
@@ -307,7 +311,12 @@ def _contd8_coefficients(y, y8, h, k, c) -> None:
 def _contd8(s, coef, out=None):
     """Hairer's ``contd8`` at step fractions s (shaped to broadcast against the
     coefficients), from the inside out: coef(l) gives coefficient l of
-    ``_contd8_coefficients``; returns ``out``, or a new array."""
+    ``_contd8_coefficients``; returns ``out``, or a new array.
+
+    The seventh-order state at t + s h is
+    y + s (dy + s1 (r2 + s (r3 + s1 (r4 + s (r5 + s1 (r6 + s r7)))))), with
+    s1 = 1 - s: it takes y and y8 at s = 0 and 1, with slopes k[0] and k[12]
+    there."""
     s1 = 1.0 - s
     out = np.multiply(s, coef(7), out=out)
     for l in range(6, 0, -1):
@@ -315,25 +324,6 @@ def _contd8(s, coef, out=None):
         out *= s if l % 2 else s1
     out += coef(0)
     return out
-
-
-def dop853_dense(y: np.ndarray, y8: np.ndarray, h: float, k: np.ndarray):
-    """DOP853 continuous extension on one step of length h from y.
-
-    ``k`` holds the 16 stage slopes: k[12] is the FSAL slope f(t+h, y8) and
-    k[13:16] are the extension's own stages.  Returns a function of the step
-    fraction theta (a number or a 1-D array) giving the seventh-order state
-    at t + theta h, in Hairer's ``contd8`` form
-    y + s (dy + s1 (r2 + s (r3 + s1 (r4 + s (r5 + s1 (r6 + s r7)))))), with
-    s1 = 1 - s: it takes y and y8 at theta = 0 and 1, with slopes k[0] and
-    k[12] there.
-    """
-    c = np.empty((8,) + y.shape)
-    _contd8_coefficients(y, y8, h, k, c)
-
-    def at(theta):
-        return _contd8(np.reshape(theta, np.shape(theta) + (1,) * y.ndim), c.__getitem__)
-    return at
 
 
 def _exit_solution(grid, states, g, stats, inside, dense, a, b):
@@ -501,8 +491,9 @@ def solve_to_grid(
                 # tested before f is evaluated at y8 for the next step
                 if np.vdot(y8, zero) != 0.0:
                     raise NonFiniteStateError(f"non-finite state in the step from t = {t:.12g}", t)
-                if j > g:
+                if filled:
                     _contd8_coefficients(y, y8, h_try, k, coefs[:, len(pending)])
+                if j > g:
                     pending.append((t, h_try, g, j - g, y8 if grid[j - 1] == t_new else None))
                     if (j - pending[0][2]) * y.size >= _FILL_BLOCK or inside is not None:
                         fill()
@@ -515,9 +506,10 @@ def solve_to_grid(
                     if n_in < j or not inside(y8):
                         a = grid[n_in - 1] if n_in > g else t
                         b = grid[n_in] if n_in < j else t_new
-                        dense = dop853_dense(y, y8, h_try, k)
+                        # a domain fills every step at once: this step's are coefs[:, 0]
+                        coef = coefs[:, 0].__getitem__
                         return _exit_solution(grid, states, n_in, stats, inside,
-                                              lambda s: dense((s - t) / h_try), a, b)
+                                              lambda s: _contd8((s - t) / h_try, coef), a, b)
 
                 # FSAL: the slope at the step end starts the next step
                 k[0] = k[12]

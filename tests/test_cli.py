@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import operator
 import os
@@ -114,11 +115,9 @@ def test_check_group_blocks_match_the_whole_array_formulas(tmp_path, capsys, n, 
     if group == "heisenberg":
         alg = horoflow.groups.heisenberg()
     else:
-        spec = {"layers": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}]},
-                                                  {"i": 1, "j": 3, "coeffs": [{"k": 4, "c": 1}]}]}
-        (tmp_path / "g.json").write_text(json.dumps(spec))
+        (tmp_path / "g.json").write_text(json.dumps(FILIFORM_GROUP))
         argv += ["--group", str(tmp_path / "g.json")]
-        alg = horoflow.groups.algebra_from_json(spec)
+        alg = horoflow.groups.algebra_from_json(FILIFORM_GROUP)
     assert main(argv) == 0
     rep = json.loads(capsys.readouterr().out)
     errs = law_errors_oracle(alg, n, 5)
@@ -425,13 +424,18 @@ def equilibrium_config(tmp_path):
 
 
 def test_equilibrium_command_passes(tmp_path):
-    out = tmp_path / "out"
-    assert main(["equilibrium", "--config", str(equilibrium_config(tmp_path)),
-                 "--out", str(out)]) == 0
-    rep = read_report(out)
-    assert rep["condition"]["estimated_c"] <= 1.0 + 1e-9
-    assert rep["stability"]["passed"]
-    assert max(rep["stability"]["ratios"]) <= rep["stability"]["certified_bound"]
+    # the test config, and the four-start sweep of criterion 08 (800 samples
+    # at seed 8) on 513 grid points
+    cpath = equilibrium_config(tmp_path)
+    sweep = {"samples": 800, "seed": 8, "integrator": {"dense_output_grid": 513}}
+    for i, overrides in enumerate(({}, sweep)):
+        cpath.write_text(json.dumps({**json.loads(cpath.read_text()), **overrides}))
+        out = tmp_path / f"out{i}"
+        assert main(["equilibrium", "--config", str(cpath), "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert rep["condition"]["estimated_c"] <= 1.0 + 1e-9
+        assert rep["stability"]["passed"] and len(rep["stability"]["ratios"]) == 4
+        assert max(rep["stability"]["ratios"]) <= rep["stability"]["certified_bound"]
 
 
 def test_report_blocks_keep_their_keys(tmp_path):
@@ -877,10 +881,48 @@ def test_every_point_is_read_by_one_rule(tmp_path, capsys, command, key, value, 
     assert capsys.readouterr().err == f"horoflow: config error: {message}\n"
 
 
-FILIFORM_GROUP = {"layers": [2, 1, 1],
-                  "brackets": [{"i": 1, "j": 2, "coeffs": [{"k": 3, "c": 1}]},
-                               {"i": 1, "j": 3, "coeffs": [{"k": 4, "c": 1}]}]}
-ZERO = {"form": "constant", "value": 0.0}
+def filiform(step):
+    """The filiform spec of ``step``: [e1, e_k] = e_(k+1) for k = 2..step."""
+    return {"layers": [2] + [1] * (step - 1), "brackets": [
+        {"i": 1, "j": k, "coeffs": [{"k": k + 1, "c": 1}]} for k in range(2, step + 1)]}
+
+
+def free_step2(n):
+    """The free step-2 spec on n generators: [e_i, e_j] = e_(i,j) for i < j."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return {"layers": [n, n * (n - 1) // 2], "brackets": [
+        {"i": i, "j": j, "coeffs": [{"k": n + 1 + m, "c": 1}]} for m, (i, j) in enumerate(pairs)]}
+
+
+FILIFORM_GROUP = filiform(3)
+ONE, ZERO = {"form": "constant", "value": 1.0}, {"form": "constant", "value": 0.0}
+
+
+# specs beyond the presets: the law's recursive BCH rounds take B_2 in from
+# step 4 and B_4 from step 6, the smooth gauge of filiform step 7 has N = 840,
+# and the Jacobi check of the abelian and free algebras reads no bracket
+SPECS = {**{f"filiform-{s}": filiform(s) for s in range(3, 8)},
+         "abelian-400": {"layers": [400]}, "free-step2-12": free_step2(12),
+         # a rank-1 module of filiform step 3 is involutive
+         "filiform-3-module": {"group": FILIFORM_GROUP, "basis": [[0, 1, 0, 0]],
+                               "x0": [0, 0, 0, 0],
+                               "field": {"coefficients": [ONE], "indices": [1]}}}
+
+
+@pytest.mark.parametrize("command, spec", [
+    *(("check-group", f"filiform-{s}") for s in range(3, 7)),
+    pytest.param("check-group", "filiform-7", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 22: inverse_max_err reads "
+        "1.65e-12 on an exact law, against its absolute gate of 1e-12")),
+    *(("check-gauge --gauge smooth", f"filiform-{s}") for s in range(3, 8)),
+    ("check-group", "abelian-400"), ("check-group", "free-step2-12"),
+    ("involutive", "filiform-3-module")], ids=lambda v: v.replace(" --gauge ", "-"))
+def test_runs_on_specs_beyond_the_presets_pass(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[spec]))
+    flag = "--config" if command == "involutive" else "--group"
+    assert main([*command.split(), flag, str(path), "--json"]) == 0
+    check_gates(json.loads(capsys.readouterr().out))
 
 
 def with_key(entry, key, value):
@@ -972,6 +1014,17 @@ def bad_input_argv(tmp_path, case):
     if case == "tiny-tau":
         # a first grid spacing below min_step: no step of the ladder can start
         return ["counterexample", "--rungs", "4", "--grid", "64", "--tau", "1e-300"]
+    if case == "scale-1e999":
+        # the JSON number 1e999 reads as inf; json.dumps would write Infinity
+        cpath = integrate_config(tmp_path, field={"coefficients": [
+            {"form": "monomial", "exponents": [1, 0, 0], "scale": float("inf")}, ZERO]})
+        cpath.write_text(cpath.read_text().replace("Infinity", "1e999"))
+        return ["integrate", "--config", str(cpath)]
+    if case == "non-commuting-filiform":
+        # [e1, e2] = e3 on filiform step 3
+        return ["involutive", "--config", str(involutive_config(
+            tmp_path, group=FILIFORM_GROUP, basis=[[1, 0, 0, 0], [0, 1, 0, 0]], x0=[0, 0, 0, 0],
+            field={"coefficients": [ONE, ZERO], "indices": [1, 2]}))]
     if case == "config-not-utf-8":
         (tmp_path / "latin1.json").write_bytes(b'{"group": "\xff"}')
         return ["integrate", "--config", str(tmp_path / "latin1.json")]
@@ -1035,6 +1088,8 @@ BAD_INPUTS = [
     ("repeated-bracket", "duplicate bracket entry for (1,2)"),
     ("dependent-basis", "basis fields are linearly dependent"),
     ("field-not-an-object", "bad field spec: expected an object, not []"),
+    ("scale-1e999", "bad field spec: monomial scale: expected a finite number, not inf"),
+    ("non-commuting-filiform", "basis fields 1 and 2 do not commute: bracket = (1)e_3"),
     ("subnormal-horizon", "grid must be strictly increasing with at least two points"),
     ("tiny-horizon", "the first grid spacing 9.77e-304 is below min_step = 1e-14, "
                      "so no step can start"),
@@ -1436,14 +1491,14 @@ def numpy_dispatch_targets():
 
 def reports_with_and_without_simd(capsys, argv):
     """The report of ``argv`` in this process and with every dispatch target
-    disabled in a subprocess."""
+    disabled in a subprocess; the run in this process must pass either way."""
+    assert main(argv) == 0
+    here = json.loads(capsys.readouterr().out)
     targets = numpy_dispatch_targets()
     if targets is None:
         pytest.skip("numpy exposes no __cpu_dispatch__")
     if not targets:
         pytest.skip("this CPU runs none of numpy's dispatch targets")
-    assert main(argv) == 0
-    here = json.loads(capsys.readouterr().out)
     src = str(Path(horoflow.__file__).resolve().parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

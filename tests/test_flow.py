@@ -11,7 +11,7 @@ from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
 from horoflow.flow import CauchyProblem, integrate, residual
 from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, NonFiniteStateError,
                                StepStats, StepUnderflowError, Trajectory, cumulative_simpson,
-                               dop853_dense, solve_to_grid)
+                               solve_to_grid)
 from horoflow.uniqueness import check_involutive, reduced_solve
 
 CFG = IntegratorConfig(dense_output_grid=257)
@@ -55,9 +55,29 @@ def simpson_loop_oracle(y, x):
     return out[:, 0] if single else out
 
 
+def contd8_oracle(y, y8, h, k):
+    """dop853.f's dense output on one step of length h from y, as a function
+    of the step fraction s (a number or a 1-D array): the CONT array its
+    step loop fills, read back by its CONTD8.
+
+    r3 is the Fortran's ydiff - h k4 - bspl, here 2 ydiff - h (k12 + k0) as
+    the stepper rounds it; both are the same number in exact arithmetic."""
+    ydiff = y8 - y
+    bspl = h * k[0] - ydiff
+    d = h * (stepping._D @ k.reshape(16, -1)).reshape((4,) + y.shape)
+    con = (y, ydiff, bspl, 2.0 * ydiff - h * (k[12] + k[0]), *d)
+
+    def at(s):
+        s = np.reshape(s, np.shape(s) + (1,) * y.ndim)
+        s1 = 1.0 - s
+        conf = con[4] + s * (con[5] + s1 * (con[6] + s * con[7]))
+        return con[0] + s * (con[1] + s1 * (con[2] + s * (con[3] + s1 * conf)))
+    return at
+
+
 def stepper_loop_oracle(f, grid, y0, cfg=IntegratorConfig(), inside=None):
     """Reference solve: the stepper's loop with each accepted step's grid
-    states read from its own ``dop853_dense`` at once, before the next step.
+    states read from its own ``contd8_oracle`` at once, before the next step.
     Returns (times, states, stats, exit_time)."""
     grid = np.asarray(grid, dtype=float)
     y = np.array(y0, dtype=float)
@@ -106,7 +126,7 @@ def stepper_loop_oracle(f, grid, y0, cfg=IntegratorConfig(), inside=None):
             stats.rejected += 1
             h_try *= max(stepping._MIN_FACTOR, stepping._SAFETY * err ** -0.125)
         stats.record(h_try, t)
-        dense = dop853_dense(y, y8, h_try, k)
+        dense = contd8_oracle(y, y8, h_try, k)
         states[g:j] = dense((grid[g:j] - t) / h_try)
         if j > g and grid[j - 1] == t_new:
             states[j - 1] = y8
@@ -308,7 +328,11 @@ def test_dense_output_matches_step_ends_and_slopes():
     y, y8 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
     k = rng.normal(size=(16, 3, 2))
     h = 0.37
-    dense = dop853_dense(y, y8, h, k)
+    coef = np.empty((8, 3, 2))
+    stepping._contd8_coefficients(y, y8, h, k, coef)
+
+    def dense(theta):
+        return stepping._contd8(np.reshape(theta, np.shape(theta) + (1, 1)), coef.__getitem__)
     assert np.allclose(dense(0.0), y, rtol=0, atol=1e-15)
     assert np.allclose(dense(1.0), y8, rtol=0, atol=1e-15)
     # the interpolant is a polynomial in theta, so a complex step gives its
