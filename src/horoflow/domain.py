@@ -22,7 +22,7 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi):
             raise InputError("box bounds have mismatched lengths")
-        if any(a >= b for a, b in zip(lo, hi)):
+        if not all(a < b for a, b in zip(lo, hi)):  # a NaN bound fails it too
             raise InputError("degenerate box: every side must have positive length")
 
     @property

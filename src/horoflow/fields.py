@@ -120,23 +120,42 @@ def horizontal_field(
     return HorizontalField(alg, tuple(coefficients), tuple(range(1, m + 1)))
 
 
+# rows, at most, that ``evaluate_field`` evaluates one at a time on Python floats
+# when t is one number: below the measured crossover with the array path (README)
+POINT_ROWS = 6
+
+
+def _point_velocity(b: HorizontalField, t, x: np.ndarray) -> list:
+    """The velocity at one point x (dim,) on Python floats; a zero coefficient
+    is skipped, and every sum starts at +0.0, as the rows path's do."""
+    xs = x.tolist()
+    out = None
+    for a, row in zip(b.coefficients, b._frame_rows):
+        ai = float(a(t, x))
+        if ai != 0.0:
+            if out is None:
+                out = [0.0 + ai * v for v in row(*xs)]
+            else:
+                out = [o + ai * v for o, v in zip(out, row(*xs))]
+    return [0.0] * b.algebra.dim if out is None else out
+
+
 def evaluate_field(b: HorizontalField, t, x: Sequence[float]) -> np.ndarray:
     """Coordinate velocity sum_i a_i(t, x) * (frame row of X_i at x).
 
     ``x`` is one point, evaluated on Python floats, or (n, dim) rows; each
-    result row equals the point call on that row, bit for bit.
+    result row equals the point call on that row, bit for bit.  With one
+    number t, up to ``POINT_ROWS`` rows are evaluated as points, row by row.
     """
     x = np.asarray(x, dtype=float)
-    out = [0.0] * b.algebra.dim
     if x.ndim == 1:
-        xs = x.tolist()
-        for a, row in zip(b.coefficients, b._frame_rows):
-            ai = float(a(t, x))
-            if ai != 0.0:
-                out = [o + ai * v for o, v in zip(out, row(*xs))]
-        return np.array(out)
+        return np.array(_point_velocity(b, t, x))
+    if len(x) <= POINT_ROWS and np.ndim(t) == 0:
+        rows = [_point_velocity(b, t, row) for row in x]
+        return np.array(rows).reshape(len(x), b.algebra.dim)
     # a zero coefficient adds a signed zero here where the point call skips
     # it; the sums start at +0.0, so the results agree
+    out = [0.0] * b.algebra.dim
     for a, row in zip(b.coefficients, b._frame_rows):
         ai = a(t, x)
         out = [o + ai * v for o, v in zip(out, row(*x.T))]
@@ -283,8 +302,8 @@ def field_from_spec(alg: GradedAlgebra, spec: dict) -> HorizontalField:
             fn = evaluator([Poly(alg.dim, {expo: 1}) * scale])
             coeffs.append(lambda t, x, _f=fn: _f(*x.T)[0])
         elif form == "distance_to_point":
-            point = np.array(json_point(c.get("point", [0.0] * alg.dim), alg.dim, f"{form} point"))
-            coeffs.append(lambda t, x, _p=point, _d=dst: _d(_p, x))
+            point = json_point(c.get("point", [0.0] * alg.dim), alg.dim, f"{form} point")
+            coeffs.append(dst.from_point(point))
         elif form in ("axis_distance", "axis_distance_inf"):
             if not is_heisenberg(alg):
                 raise InputError(f"{form} form requires the Heisenberg preset")

@@ -155,6 +155,23 @@ class HomogeneousDistance:
             return self.gauge(alg._product(*(-x).tolist(), *y.tolist()))
         return self.gauge(alg.multiply_batch(inverse(x), y))
 
+    def from_point(self, point: Sequence[float]):
+        """The coefficient (t, x) -> d(point, x), for x one element or rows.
+
+        point^{-1}, the law and the gauge are bound once, and x is not
+        checked: each call makes the operations of ``__call__`` in its order,
+        so it returns the same bits."""
+        alg, gauge = self.algebra, self.gauge
+        neg = inverse(point)
+        product, neg_floats = alg._product, neg.tolist()
+
+        def distance(t, x):
+            if x.ndim == 1:
+                return gauge(product(*neg_floats, *x.tolist()))
+            return gauge(alg.multiply_batch(neg, x))
+
+        return distance
+
 
 def default_distance(alg: GradedAlgebra) -> HomogeneousDistance:
     """Quartic norm on the Heisenberg preset, smooth gauge otherwise."""

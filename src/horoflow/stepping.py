@@ -61,6 +61,10 @@ when some entry is not finite and a zero otherwise.  It forms no sum of the
 entries themselves, so finite entries near the float maximum cannot
 overflow it.
 
+Every solve ends: past ``MAX_STEP_ATTEMPTS`` step attempts, accepted or
+rejected (dop853's ``NMAX``), it raises ``StepBudgetError`` at the time it
+reached.
+
 A grid whose first spacing is below ``min_step`` is refused as bad input:
 the first step is at most that spacing, so no step could start.
 
@@ -202,6 +206,7 @@ _BUDGET_FLOOR = 0.01  # least share of the tolerance one step may spend (module 
 _DENSE_WEIGHT = 0.002  # weight of r7 in the interpolant error test (module docstring)
 _EXIT_TOL = 1e-10  # width in time of the bracket that locates a domain exit
 _FILL_BLOCK = 1024  # state entries filled by one pass over waiting steps (module docstring)
+MAX_STEP_ATTEMPTS = 100_000  # accepted and rejected steps of one solve (module docstring)
 
 
 @dataclass(frozen=True)
@@ -238,6 +243,11 @@ class IntegratorConfig:
 class StepUnderflowError(NumericalFailure):
     """A step attempt fell below ``min_step`` or no longer moved t."""
     kind = "step_underflow"
+
+
+class StepBudgetError(NumericalFailure):
+    """A solve made ``MAX_STEP_ATTEMPTS`` step attempts before its horizon."""
+    kind = "step_budget"
 
 
 class NonFiniteRHSError(NumericalFailure):
@@ -460,6 +470,9 @@ def solve_to_grid(
                     if h_try < min_step or t + h_try == t:
                         raise StepUnderflowError(f"step size underflow near t = {t:.12g} "
                                                  "(stiffness or a singular right-hand side)", t)
+                    if stats.steps + stats.rejected >= MAX_STEP_ATTEMPTS:
+                        raise StepBudgetError(f"step budget of {MAX_STEP_ATTEMPTS} attempts "
+                                              f"spent at t = {t:.12g}", t)
                     run_stages(step_stages, t, y, h_try)
                     est = h_try * (_STEP_W @ kf[:12])  # y8 - y, then both estimates
                     y8 = y + est[0].reshape(y.shape)

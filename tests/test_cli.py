@@ -16,6 +16,7 @@ import pytest
 import horoflow
 from horoflow import cli
 from horoflow import counterexample as cx
+from horoflow import stepping
 from horoflow.cli import _write_uv_csv, main
 from horoflow.flow import write_trajectory_csv
 from horoflow.gates import InputError, NumericalFailure, gate
@@ -312,6 +313,25 @@ def test_integrate_numerical_failure_writes_report(tmp_path, capsys, cfg, kind):
     assert rep["failure"]["kind"] == kind
     assert 0.0 <= rep["failure"]["t"] < cfg["horizon"]
     assert rep["failure"]["message"]
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
+def test_a_spent_step_budget_ends_in_a_failure_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stepping, "MAX_STEP_ATTEMPTS", 5)
+    cfg = {"group": "heisenberg",
+           "field": {"coefficients": [{"form": "sin_coordinate", "index": 3, "scale": 2.0},
+                                      {"form": "distance_to_point", "point": [-0.8, 0.2, -0.2]}]},
+           "x0": [0.4, 0.0, 0.5], "horizon": 2.0}
+    cpath = tmp_path / "problem.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cpath), "--out", str(out)]) == 1
+    rep = read_strict_report(out)
+    assert rep["passed"] is False
+    assert rep["failure"]["kind"] == "step_budget"
+    assert 0.0 < rep["failure"]["t"] < cfg["horizon"]
+    assert "step budget of 5 attempts" in rep["failure"]["message"]
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
 
@@ -638,9 +658,11 @@ def test_a_library_bug_is_not_bad_input(tmp_path, capsys, monkeypatch, bug):
 
 
 def test_each_numerical_failure_names_its_report_kind():
-    from horoflow.stepping import NonFiniteRHSError, NonFiniteStateError, StepUnderflowError
+    from horoflow.stepping import (NonFiniteRHSError, NonFiniteStateError, StepBudgetError,
+                                   StepUnderflowError)
     kinds = {NonFiniteRHSError: "non_finite_rhs", NonFiniteStateError: "non_finite_state",
-             StepUnderflowError: "step_underflow", cx.MonitorViolation: "monitor_violation",
+             StepUnderflowError: "step_underflow", StepBudgetError: "step_budget",
+             cx.MonitorViolation: "monitor_violation",
              cli.NonFiniteValueError: "non_finite_value"}
     for cls, kind in kinds.items():
         assert issubclass(cls, NumericalFailure) and cls.kind == kind

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horoflow import fields
 from horoflow.counterexample import counterexample_field
 from horoflow.fields import (Derivation, HorizontalField, NonHorizontalDerivationError,
                              apply_derivation, compute_p, derivation_of, evaluate_field,
@@ -434,3 +435,55 @@ def test_frame_values_rows_equal_point_calls(heis):
         for j, v in enumerate(value(*x.T)):  # a number fills its whole column
             rows[:, j] = v
         assert np.array_equal(rows, [value(*row.tolist()) for row in x])
+
+
+# every JSON coefficient form: (group, entry)
+JSON_FORMS = {
+    "constant-0": ("heisenberg", {"form": "constant", "value": 0.0}),
+    "constant-1.5": ("heisenberg", {"form": "constant", "value": 1.5}),
+    "monomial": ("heisenberg", {"form": "monomial", "exponents": [2, 0, 1], "scale": -0.75}),
+    "distance_to_point": ("heisenberg", {"form": "distance_to_point",
+                                         "point": [0.2, -0.4, 0.1]}),
+    "distance_to_point-filiform5": ("filiform-5", {
+        "form": "distance_to_point", "point": [0.3, 0.1, -0.2, 0.5, -0.7, 0.25]}),
+    "axis_distance": ("heisenberg", {"form": "axis_distance"}),
+    "axis_distance_inf": ("heisenberg", {"form": "axis_distance_inf"}),
+    "sin_coordinate": ("heisenberg", {"form": "sin_coordinate", "index": 3, "scale": 2.0}),
+}
+
+
+@pytest.mark.parametrize("form", JSON_FORMS)
+@pytest.mark.parametrize("n", [0, 1, fields.POINT_ROWS, fields.POINT_ROWS + 1])
+@pytest.mark.parametrize("alone", [True, False], ids=["on-X1", "on-every-Xi"])
+def test_small_and_large_row_batches_equal_point_calls(heis, form, n, alone):
+    # up to POINT_ROWS rows take the point path, one more the array path:
+    # both give the point call's bits on every row, signed zeros included;
+    # alone on X_1, a negative coefficient leaves -0.0 products unsummed
+    group, entry = JSON_FORMS[form]
+    alg = heis if group == "heisenberg" else filiform(5)
+    rest = {"form": "constant", "value": 0.0} if alone else entry
+    b = field_from_spec(alg, {"coefficients": [entry] + [rest] * (alg.horizontal_dim - 1)})
+    X, _ = contract_rows(alg.dim)
+    t = float(X[1, 0])  # row 1 sits on the moving axis point
+    X = X[[10, 1, 5, 6, *range(11, 11 + n)][:n]]  # random rows, the axis point, zeros
+    rows = evaluate_field(b, t, X)
+    points = np.array([evaluate_field(b, t, x) for x in X]).reshape(n, alg.dim)
+    assert rows.shape == points.shape and rows.tobytes() == points.tobytes()
+
+
+def test_the_array_path_adds_a_zero_coefficient_times_an_overflowed_frame_entry():
+    # the one known exception to rows equal to points: the point path skips a
+    # zero coefficient, the array path adds 0 * inf = NaN where a frame entry
+    # overflows.  On the step-3 filiform group X_2 has the entry x1^2 / 12,
+    # past the float range from |x1| = 4.7e154
+    alg = GradedAlgebra((2, 1, 1), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    b = horizontal_field(alg, (lambda t, x: 1.0, lambda t, x: 0.0))
+    X = np.tile([1e155, 0.0, 0.0, 0.0], (fields.POINT_ROWS + 1, 1))
+    point = evaluate_field(b, 0.0, X[0])
+    assert point.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(evaluate_field(b, 0.0, X[:fields.POINT_ROWS]),
+                          np.tile(point, (fields.POINT_ROWS, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = evaluate_field(b, 0.0, X)
+    assert np.isnan(rows[:, 3]).all()
+    assert np.array_equal(rows[:, :3], np.tile(point[:3], (len(X), 1)))

@@ -9,6 +9,7 @@ from horoflow.counterexample import (RUNG_TOL, counterexample_field, reconstruct
 from horoflow.domain import Box
 from horoflow.fields import evaluate_field, field_from_spec, horizontal_field
 from horoflow.flow import CauchyProblem, integrate, residual
+from horoflow.gates import InputError
 from horoflow.stepping import (IntegratorConfig, NonFiniteRHSError, NonFiniteStateError,
                                StepStats, StepUnderflowError, Trajectory, cumulative_simpson,
                                solve_to_grid)
@@ -507,6 +508,20 @@ def test_box_contains_its_corners_but_no_nan_or_infinity():
         assert not box.contains([0.0, bad, 1.0])
 
 
+@pytest.mark.parametrize("lo, hi", [((0.0, math.nan), (1.0, 1.0)),
+                                    ((0.0, 0.0), (math.nan, 1.0))], ids=["lo", "hi"])
+def test_box_with_a_nan_bound_is_degenerate(lo, hi):
+    # nan >= b is false, so a check written as a >= b would accept this box,
+    # which contains no point
+    with pytest.raises(InputError, match="degenerate box"):
+        Box(lo, hi)
+
+
+def test_box_with_infinite_bounds_holds_every_finite_point():
+    box = Box((-math.inf, 0.0), (math.inf, math.inf))
+    assert box.contains([-1e308, 0.0]) and box.contains([1e308, 1e308])
+
+
 @pytest.mark.parametrize("lo, hi", [((-1,), (1,)), ((-1, -1), (1, 1))])
 def test_box_of_another_dimension_is_refused(heis, lo, hi):
     # numpy would broadcast a one-sided box to the cube [-1, 1]^3
@@ -701,3 +716,22 @@ def test_min_step_bounds_every_step():
         solve_to_grid(f, np.linspace(0.0, 2.0, 65), [1.0], IntegratorConfig(min_step=1e-6))
     assert 1e-5 < 1.0 - exc.value.time < 2e-5
     assert len(calls) < 3_000
+
+
+def test_step_budget_counts_every_attempt(monkeypatch):
+    # an oscillator over 20 periods, with rejected steps: a budget of exactly
+    # its attempts lets it finish, one attempt less ends it where it stood
+    def f(t, y):
+        return np.array([y[1], -100.0 * y[0]])
+
+    grid = np.linspace(0.0, 4.0 * math.pi, 65)
+    stats = solve_to_grid(f, grid, [1.0, 0.0]).stats
+    attempts = stats.steps + stats.rejected
+    assert stats.rejected > 0 and attempts > 10
+    monkeypatch.setattr(stepping, "MAX_STEP_ATTEMPTS", attempts)
+    assert solve_to_grid(f, grid, [1.0, 0.0]).stats.as_dict() == stats.as_dict()
+    monkeypatch.setattr(stepping, "MAX_STEP_ATTEMPTS", attempts - 1)
+    with pytest.raises(stepping.StepBudgetError, match=f"{attempts - 1} attempts") as exc:
+        solve_to_grid(f, grid, [1.0, 0.0])
+    assert exc.value.kind == "step_budget"
+    assert 0.0 < exc.value.time < grid[-1]

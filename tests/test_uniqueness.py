@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from horoflow import uniqueness
+from horoflow import fields, uniqueness
 from horoflow.counterexample import counterexample_field
 from horoflow.domain import Box
 from horoflow.fields import HorizontalField, field_from_spec, horizontal_field
@@ -379,6 +379,24 @@ def test_confinement_matches_loop_oracle(heis, x0, extra):
     want = max(float(np.linalg.norm(z - P @ z)) for z in rel)
     # the projection is a matrix product, which BLAS may round per call shape
     assert confinement_check(tr, mod, x0) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("alg", [heisenberg(), FILIFORM], ids=["heisenberg", "filiform"])
+def test_stability_report_is_the_same_on_the_array_path(monkeypatch, alg):
+    # the monitor's few starts take evaluate_field's point path; forced onto
+    # the array path, every figure of the report keeps its bits
+    xbar = np.array([0.2, -0.1, 0.3, 0.05][:alg.dim])
+    b = field_from_spec(alg, {"coefficients": [
+        {"form": "distance_to_point", "point": xbar.tolist()},
+        {"form": "sin_coordinate", "index": 1, "scale": 0.0}]})
+    box = Box((-1.0,) * alg.dim, (1.0,) * alg.dim)
+    cond = verify_equilibrium_condition(b, xbar, box, 200, seed=9)
+    rng = np.random.default_rng(4)
+    starts = [alg.multiply(xbar, 10.0 ** -(k + 2) * rng.uniform(-1.0, 1.0, alg.dim))
+              for k in range(fields.POINT_ROWS)]
+    rep = stability_monitor(b, xbar, cond, starts, CFG, 1.0)
+    monkeypatch.setattr(fields, "POINT_ROWS", 0)
+    assert stability_monitor(b, xbar, cond, starts, CFG, 1.0) == rep
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
